@@ -46,8 +46,9 @@ from repro.errors import (
     RetryLimitExceeded,
     TransactionAborted,
 )
-from repro.host import Placement, SessionHost
+from repro.host import SessionHost
 from repro.transport.base import TenantTransport
+from repro.transport.tcp import Placement
 from repro.vtime import LamportClock, VirtualTime
 
 __version__ = "1.0.0"

@@ -15,8 +15,8 @@ runtime that actually exercises that claim:
   :class:`~repro.transport.base.TenantTransport` facade, so the whole
   protocol stack (site runtimes, engines, views, failure managers) is
   completely unchanged — the facade routes through the transport's
-  tenant-scoped addressing (wire v3 frames on TCP, packed site ids on the
-  simulated/in-memory transports).
+  ``(tenant, site)`` addressing.  Tenant 0 is the tenant a bare
+  ``Session(transport=...)`` on the same transport occupies.
 * Tenants activate **lazily**: an idle collaboration costs nothing until
   its first :meth:`SessionHost.tenant` call, and :meth:`SessionHost.evict`
   (or the ``max_active`` LRU bound) releases routing state again.  Frames
@@ -41,47 +41,6 @@ from repro.errors import ReproError
 from repro.obs.events import EventBus
 from repro.transport.base import TenantTransport, Transport
 
-Addr = Tuple[str, int]
-
-
-class Placement:
-    """Maps ``(tenant, site)`` routing keys to process addresses.
-
-    The common SessionHost topology is *symmetric*: every tenant's site
-    ``i`` lives in the same process as every other tenant's site ``i``,
-    described once by ``site_addrs`` (site index → address).  Individual
-    tenants can deviate via ``per_tenant`` overrides — e.g. a migrated
-    collaboration whose replicas moved to other processes.
-
-    :class:`~repro.transport.tcp.TcpTransport` consumes this duck-typed
-    (``addr_of`` / ``sites_at``); without an explicit placement it falls
-    back to exactly the symmetric behaviour using its own address map.
-    """
-
-    def __init__(
-        self,
-        site_addrs: Dict[int, Addr],
-        per_tenant: Optional[Dict[int, Dict[int, Addr]]] = None,
-    ) -> None:
-        self.site_addrs = dict(site_addrs)
-        self.per_tenant: Dict[int, Dict[int, Addr]] = {
-            t: dict(m) for t, m in (per_tenant or {}).items()
-        }
-
-    def addr_of(self, tenant: int, site: int) -> Optional[Addr]:
-        """The endpoint hosting ``site`` of ``tenant`` (None if unknown)."""
-        override = self.per_tenant.get(tenant)
-        if override is not None and site in override:
-            return override[site]
-        return self.site_addrs.get(site)
-
-    def sites_at(self, tenant: int, addr: Addr) -> List[int]:
-        """Every site of ``tenant`` placed at ``addr`` (failure fan-out)."""
-        override = self.per_tenant.get(tenant, {})
-        sites = {s for s, a in self.site_addrs.items() if a == addr and s not in override}
-        sites.update(s for s, a in override.items() if a == addr)
-        return sorted(sites)
-
 
 class _ActiveTenant:
     """One activated collaboration set: its session and its facade."""
@@ -99,9 +58,7 @@ class SessionHost:
     ``local_sites`` is the slice of every tenant's site numbering this
     process hosts (the symmetric topology: the same indices for every
     tenant); ``roster`` is each collaboration's full membership, defaulting
-    to ``local_sites`` (single-process).  Tenant ids are positive integers
-    — 0 is the reserved unscoped namespace of pre-tenant sessions, which
-    can coexist on the same transport.
+    to ``local_sites`` (single-process).  Tenant ids are integers >= 0.
 
     ``max_active`` bounds resident sessions LRU-style: activating tenant
     N+1 evicts the least-recently-used one.  Eviction is routing-level
@@ -159,11 +116,6 @@ class SessionHost:
         if active is not None:
             self._active.move_to_end(tenant_id)
             return active.session
-        if tenant_id <= 0:
-            raise ReproError(
-                f"tenant id must be a positive integer, got {tenant_id} "
-                "(0 is the reserved unscoped namespace)"
-            )
         facade = TenantTransport(self.transport, tenant_id)
         session = Session(
             transport=facade,

@@ -1,6 +1,6 @@
 """Transport abstraction binding DECAF sites to a message fabric.
 
-Three interchangeable implementations:
+Four interchangeable implementations:
 
 * :class:`~repro.transport.memory.MemoryTransport` — synchronous in-process
   queue with zero latency; used by unit tests that exercise protocol logic
@@ -16,13 +16,7 @@ Three interchangeable implementations:
   fail-stop detection; lets sites in separate OS processes collaborate.
 """
 
-from repro.transport.base import (
-    TENANT_STRIDE,
-    TenantTransport,
-    Transport,
-    pack_site,
-    unpack_site,
-)
+from repro.transport.base import TenantTransport, Transport
 from repro.transport.memory import MemoryTransport
 from repro.transport.simnet import SimTransport
 from repro.transport.asyncio_transport import AsyncioTransport
@@ -31,9 +25,6 @@ from repro.transport.tcp import TcpTransport
 __all__ = [
     "Transport",
     "TenantTransport",
-    "TENANT_STRIDE",
-    "pack_site",
-    "unpack_site",
     "MemoryTransport",
     "SimTransport",
     "AsyncioTransport",

@@ -1,21 +1,24 @@
 """The abstract transport interface used by DECAF site runtimes.
 
-Two layers of addressing live here:
+One address names a replica everywhere: a *(tenant, site)* pair, where a
+tenant is one collaboration set and tenant ids are any integer ``>= 0``.
+The flat methods (``register``, ``send``, ``is_failed``, ...) address
+tenant 0, so a bare ``Session(transport=...)`` *is* tenant 0 of its
+fabric — the same tenant ``SessionHost.tenant(0)`` names — and every other
+tenant goes through the ``*_scoped`` methods, which take the tenant
+explicitly.
 
-* The classic flat namespace — every site is one integer, one Session per
-  process.  All pre-tenant code keeps working unchanged through it.
-* Tenant-scoped addressing for multi-tenant hosting (:mod:`repro.host`):
-  a *(tenant, site)* pair names one replica of one collaboration set.
-  The default implementation packs the pair into the flat namespace
-  (``tenant * TENANT_STRIDE + site``), which makes every existing
-  transport multi-tenant-capable without changes; transports with a real
-  wire format (TCP) override the ``*_scoped`` hooks to carry the tenant
-  id in the frame header instead (wire v3, docs/WIRE.md).
+A transport with a wire format (TCP) implements the ``*_scoped`` methods
+natively and carries the tenant in the frame.  The flat in-process fabrics
+(Memory/Sim/Asyncio) implement only the flat methods; the ABC's
+``*_scoped`` defaults carry the tenant over them by giving each tenant a
+private stride of the flat site-id space (:func:`_pack_site`), which is
+the identity for tenant 0.  Nothing outside this module sees packed ids.
 
-:class:`TenantTransport` is the bridge between the layers: a facade that
+:class:`TenantTransport` is one tenant's view of a shared transport: it
 looks like an ordinary single-collaboration :class:`Transport` to a
-``Session``/``SiteRuntime`` while routing everything through the scoped
-hooks of a shared inner transport.
+``Session``/``SiteRuntime`` while routing everything through the shared
+inner transport's ``*_scoped`` methods.
 """
 
 from __future__ import annotations
@@ -28,30 +31,23 @@ from repro.errors import TransportError
 DeliveryHandler = Callable[[int, Any], None]
 FailureHandler = Callable[[int], None]
 
-#: Width of one tenant's site-id range in the packed flat namespace.
-#: ``pack_site(0, s) == s``, so tenant 0 is the classic unscoped namespace
-#: and every pre-tenant site id is a valid tenant-0 address.
-TENANT_STRIDE = 1 << 20
+#: Width of one tenant's site-id range on a flat in-process fabric.
+_TENANT_STRIDE = 1 << 20
 
 
-def pack_site(tenant: int, site: int) -> int:
-    """Flatten a *(tenant, site)* pair into the packed site namespace."""
-    if tenant == 0:
-        return site
+def _pack_site(tenant: int, site: int) -> int:
+    """Flatten a *(tenant, site)* pair for a flat in-process fabric.
+
+    ``_pack_site(0, s) == s``: tenant 0's packed ids are the flat ids, so
+    bare sessions and tenant-0 facades share one namespace.
+    """
     if tenant < 0:
         raise TransportError(f"tenant id must be non-negative, got {tenant}")
-    if not 0 <= site < TENANT_STRIDE:
+    if not 0 <= site < _TENANT_STRIDE:
         raise TransportError(
-            f"tenant-scoped site id must be in [0, {TENANT_STRIDE}), got {site}"
+            f"site id must be in [0, {_TENANT_STRIDE}), got {site}"
         )
-    return tenant * TENANT_STRIDE + site
-
-
-def unpack_site(packed: int) -> tuple:
-    """Split a packed site id back into its *(tenant, site)* pair."""
-    if packed < TENANT_STRIDE:
-        return (0, packed)
-    return divmod(packed, TENANT_STRIDE)
+    return tenant * _TENANT_STRIDE + site
 
 
 class Transport(ABC):
@@ -161,40 +157,35 @@ class Transport(ABC):
         """
         action()
 
-    # -- tenant-scoped addressing ----------------------------------------
+    # -- tenant-addressed methods ----------------------------------------
     #
-    # Defaults pack (tenant, site) into the flat namespace, so any
-    # transport that implements the flat interface is multi-tenant-capable
-    # for free.  Transports with a wire format override these to put the
-    # tenant id in the frame header instead (TcpTransport).
+    # Defaults for flat in-process fabrics: carry the tenant in the site id
+    # (``_pack_site``).  TcpTransport overrides all of them to route on the
+    # (tenant, site) pair itself.
 
     def register_scoped(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
         """Attach the delivery handler for site ``site`` of ``tenant``.
 
-        The handler sees *tenant-local* source ids: for packed transports
-        the wrapper unpacks the flat source id before dispatch.
+        The handler sees *tenant-local* source ids.
         """
-        if tenant == 0:
-            self.register(site, handler)
-            return
-        base = tenant * TENANT_STRIDE
+        base = _pack_site(tenant, 0)
 
         def unpacking(src: int, payload: Any) -> None:
             handler(src - base, payload)
 
-        self.register(pack_site(tenant, site), unpacking)
+        self.register(_pack_site(tenant, site), unpacking)
 
     def unregister_scoped(self, tenant: int, site: int) -> None:
         """Detach the handler for site ``site`` of ``tenant``."""
-        self.unregister(pack_site(tenant, site))
+        self.unregister(_pack_site(tenant, site))
 
     def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
         """Queue ``payload`` from ``src`` to ``dst`` within ``tenant``."""
-        self.send(pack_site(tenant, src), pack_site(tenant, dst), payload)
+        self.send(_pack_site(tenant, src), _pack_site(tenant, dst), payload)
 
     def is_failed_scoped(self, tenant: int, site: int) -> bool:
         """Whether site ``site`` of ``tenant`` has been reported failed."""
-        return self.is_failed(pack_site(tenant, site))
+        return self.is_failed(_pack_site(tenant, site))
 
     def add_failure_listener_scoped(
         self, tenant: int, handler: FailureHandler
@@ -203,14 +194,11 @@ class Transport(ABC):
 
         The handler receives tenant-local site ids; notices for other
         tenants never reach it (cross-tenant failure isolation).  Returns
-        the listener actually registered on the flat transport so callers
-        can later pass it to :meth:`remove_failure_listener`.
+        the listener actually registered so callers can later pass it to
+        :meth:`remove_failure_listener`.
         """
-        if tenant == 0:
-            self.add_failure_listener(handler)
-            return handler
-        lo = tenant * TENANT_STRIDE
-        hi = lo + TENANT_STRIDE
+        lo = _pack_site(tenant, 0)
+        hi = lo + _TENANT_STRIDE
 
         def scoped(packed: int) -> None:
             if lo <= packed < hi:
@@ -219,6 +207,13 @@ class Transport(ABC):
         self.add_failure_listener(scoped)
         return scoped
 
+    def fail_site_scoped(self, tenant: int, site: int, **kwargs: Any) -> None:
+        """Inject a fail-stop for site ``site`` of ``tenant`` (tests)."""
+        fail = getattr(self, "fail_site", None)
+        if fail is None:
+            raise TransportError(f"{type(self).__name__} does not support fail_site")
+        fail(_pack_site(tenant, site), **kwargs)
+
 
 class TenantTransport(Transport):
     """One tenant's view of a shared multi-tenant transport.
@@ -226,19 +221,16 @@ class TenantTransport(Transport):
     Presents the classic single-collaboration :class:`Transport` interface
     — so :class:`~repro.core.session.Session` and
     :class:`~repro.core.site.SiteRuntime` run on it completely unchanged —
-    while routing every operation through the tenant-scoped hooks of the
-    shared ``inner`` transport.  This is the seam that breaks the old
-    one-session-per-process assumption: a :class:`repro.host.SessionHost`
-    hands each tenant Session its own facade over one shared transport
-    (shared sockets, shared event loop, shared metrics registry).
+    while routing every operation through the ``*_scoped`` methods of the
+    shared ``inner`` transport.  A :class:`repro.host.SessionHost` hands
+    each tenant Session its own facade over one shared transport (shared
+    sockets, shared event loop, shared metrics registry).  A facade for
+    tenant 0 and a bare session on ``inner`` address the same replicas.
     """
 
     def __init__(self, inner: Transport, tenant: int) -> None:
-        if tenant <= 0:
-            raise TransportError(
-                f"tenant id must be a positive integer, got {tenant} "
-                "(0 is the reserved unscoped namespace)"
-            )
+        if tenant < 0:
+            raise TransportError(f"tenant id must be non-negative, got {tenant}")
         self.inner = inner
         self.tenant = tenant
         self._registered: Set[int] = set()
@@ -279,7 +271,9 @@ class TenantTransport(Transport):
     def defer(
         self, action: Callable[[], None], delay_ms: float = 0.0, site: Optional[int] = None
     ) -> None:
-        packed = None if site is None else pack_site(self.tenant, site)
+        # ``site`` only labels the deferral as a schedule choice point on
+        # the simulated (flat) fabric, where the packed id names the replica.
+        packed = None if site is None else _pack_site(self.tenant, site)
         self.inner.defer(action, delay_ms, site=packed)
 
     # -- failure plane ---------------------------------------------------
@@ -292,10 +286,7 @@ class TenantTransport(Transport):
 
     def fail_site(self, site: int, **kwargs: Any) -> None:
         """Inject a fail-stop for one of this tenant's sites (tests)."""
-        fail = getattr(self.inner, "fail_site", None)
-        if fail is None:
-            raise TransportError("inner transport does not support fail_site")
-        fail(pack_site(self.tenant, site), **kwargs)
+        self.inner.fail_site_scoped(self.tenant, site, **kwargs)
 
     # -- capabilities / shared services ----------------------------------
 

@@ -6,11 +6,17 @@ wire-codec payloads (:func:`repro.wire.encode_frame`) on plain asyncio
 streams — exactly the per-pair FIFO TCP channels the paper's DECAF
 prototype assumed.
 
+Every replica is addressed as ``(tenant, site)`` — in the frame, in the
+handler table, in the failed set and in the failure-listener table.  The
+flat ``register``/``send``/... methods are tenant 0, so a bare session and
+a hosted tenant differ in nothing but the tenant number.
+
 Topology and guarantees:
 
 * One listening server per distinct local address; one outbound connection
-  per remote site, owned by a sender task.  TCP ordering plus the single
-  writer per destination preserves per-pair FIFO.
+  per remote address, owned by a sender task and shared by every site of
+  every tenant placed there.  TCP ordering plus the single writer per
+  destination preserves per-pair FIFO.
 * **Frame coalescing**: each sender wakeup drains its whole queue (up to
   ``coalesce_max_bytes``) into a single buffered write, so a protocol
   turn's fan-out of small frames costs one syscall instead of one per
@@ -45,13 +51,7 @@ from repro.obs.clock import WallClock
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sample import TraceSampler
-from repro.transport.base import (
-    DeliveryHandler,
-    FailureHandler,
-    Transport,
-    pack_site,
-    unpack_site,
-)
+from repro.transport.base import DeliveryHandler, FailureHandler, Transport
 from repro.wire.codec import (
     FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES,
@@ -63,8 +63,7 @@ from repro.wire.codec import (
 #: A TCP endpoint: (host, port).
 Addr = Tuple[str, int]
 
-#: A routing key: (tenant, site).  Tenant 0 is the classic unscoped
-#: namespace used by single-collaboration processes.
+#: A routing key: (tenant, site).  A bare session is tenant 0.
 SiteKey = Tuple[int, int]
 
 #: Bucket bounds (wall-clock ms) for transport latency histograms: dial
@@ -107,6 +106,42 @@ def maybe_install_uvloop() -> bool:
         return False
     asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
     return True
+
+
+class Placement:
+    """Maps ``(tenant, site)`` routing keys to process addresses.
+
+    The common topology is *symmetric*: every tenant's site ``i`` lives in
+    the same process as every other tenant's site ``i``, described once by
+    ``site_addrs`` (site index → address).  Individual tenants can deviate
+    via ``per_tenant`` overrides — e.g. a migrated collaboration whose
+    replicas moved to other processes.  A :class:`TcpTransport` built
+    without one uses the symmetric placement over its own address map.
+    """
+
+    def __init__(
+        self,
+        site_addrs: Dict[int, Addr],
+        per_tenant: Optional[Dict[int, Dict[int, Addr]]] = None,
+    ) -> None:
+        self.site_addrs = dict(site_addrs)
+        self.per_tenant: Dict[int, Dict[int, Addr]] = {
+            t: dict(m) for t, m in (per_tenant or {}).items()
+        }
+
+    def addr_of(self, tenant: int, site: int) -> Optional[Addr]:
+        """The endpoint hosting ``site`` of ``tenant`` (None if unknown)."""
+        override = self.per_tenant.get(tenant)
+        if override is not None and site in override:
+            return override[site]
+        return self.site_addrs.get(site)
+
+    def sites_at(self, tenant: int, addr: Addr) -> List[int]:
+        """Every site of ``tenant`` placed at ``addr`` (failure fan-out)."""
+        override = self.per_tenant.get(tenant, {})
+        sites = {s for s, a in self.site_addrs.items() if a == addr and s not in override}
+        sites.update(s for s, a in override.items() if a == addr)
+        return sorted(sites)
 
 
 class _PeerLink:
@@ -154,18 +189,16 @@ class TcpTransport(Transport):
         fail_after_ms: float = 10_000.0,
         coalesce_max_bytes: int = 64 * 1024,
         sampler: Optional[TraceSampler] = None,
-        placement: Optional[Any] = None,
+        placement: Optional[Placement] = None,
     ) -> None:
         self.site_addrs = dict(site_addrs)
         self.local_sites: Set[int] = set(local_sites)
         for site in self.local_sites:
             if site not in self.site_addrs:
                 raise TransportError(f"local site {site} has no address")
-        #: Optional tenant placement (duck-typed; see repro.host.Placement):
-        #: ``addr_of(tenant, site)`` and ``sites_at(tenant, addr)``.  When
-        #: absent, every tenant's site *i* is co-located with tenant-0 site
-        #: *i* — the symmetric SessionHost topology.
-        self.placement = placement
+        #: Where every (tenant, site) lives.  The default is symmetric:
+        #: each tenant's site *i* is at ``site_addrs[i]``.
+        self.placement = placement if placement is not None else Placement(self.site_addrs)
         #: Addresses this process listens on (loopback short-circuit).
         self._local_addrs: Set[Addr] = {self.site_addrs[s] for s in self.local_sites}
         self.reconnect_base_ms = reconnect_base_ms
@@ -175,11 +208,10 @@ class TcpTransport(Transport):
         #: queued frames until the buffered write would exceed this.
         self.coalesce_max_bytes = coalesce_max_bytes
         self._handlers: Dict[SiteKey, DeliveryHandler] = {}
-        self._failure_handlers: List[FailureHandler] = []
-        #: Per-tenant failure listeners (tenant id > 0 → handlers that see
-        #: tenant-local site ids).  Cross-tenant isolation: a notice for
-        #: tenant A's site never reaches tenant B's listeners.
-        self._scoped_failure_handlers: Dict[int, List[FailureHandler]] = {}
+        #: Per-tenant failure listeners; handlers see tenant-local site
+        #: ids.  Cross-tenant isolation: a notice for tenant A's site never
+        #: reaches tenant B's listeners.
+        self._failure_handlers: Dict[int, List[FailureHandler]] = {}
         self._failed: Set[SiteKey] = set()
         self._failed_addrs: Set[Addr] = set()
         self._links: Dict[Addr, _PeerLink] = {}
@@ -254,55 +286,54 @@ class TcpTransport(Transport):
     # ------------------------------------------------------------------
 
     def register(self, site: int, handler: DeliveryHandler) -> None:
-        if site not in self.local_sites:
-            raise TransportError(
-                f"site {site} is not local to this process (local: {sorted(self.local_sites)})"
-            )
-        self._handlers[(0, site)] = handler
+        self.register_scoped(0, site, handler)
 
     def register_scoped(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
-        if tenant == 0:
-            self.register(site, handler)
-            return
-        addr = self._addr_for(tenant, site)
-        if addr not in self._local_addrs:
+        if self.placement.addr_of(tenant, site) not in self._local_addrs:
             raise TransportError(
-                f"site {site} of tenant {tenant} is not local to this process"
+                f"site {site} of tenant {tenant} is not local to this process "
+                f"(local: {sorted(self.local_sites)})"
             )
-        # Frames carry tenant-local src ids, so the handler needs no
-        # unpacking wrapper (unlike the packed-namespace default).
         self._handlers[(tenant, site)] = handler
 
     def unregister(self, site: int) -> None:
-        self._handlers.pop((0, site), None)
+        self.unregister_scoped(0, site)
 
     def unregister_scoped(self, tenant: int, site: int) -> None:
         self._handlers.pop((tenant, site), None)
 
     def add_failure_listener(self, handler: FailureHandler) -> None:
-        self._failure_handlers.append(handler)
+        self.add_failure_listener_scoped(0, handler)
 
     def add_failure_listener_scoped(
         self, tenant: int, handler: FailureHandler
     ) -> FailureHandler:
-        if tenant == 0:
-            self._failure_handlers.append(handler)
-        else:
-            self._scoped_failure_handlers.setdefault(tenant, []).append(handler)
+        self._failure_handlers.setdefault(tenant, []).append(handler)
+        # A listener added after a peer process was declared dead (lazy
+        # activation, re-activation after eviction) would otherwise never
+        # hear of it: sends to that address drop silently and its
+        # transactions would wait forever.  Deferred, not re-entrant — the
+        # caller is usually still constructing its session.
+        dead = [
+            site
+            for addr in self._failed_addrs
+            for site in self.placement.sites_at(tenant, addr)
+        ]
+        if dead:
+
+            def notify_late() -> None:
+                if handler in self._failure_handlers.get(tenant, ()):
+                    for site in dead:
+                        handler(site)
+
+            self._require_loop().call_soon(notify_late)
         return handler
 
     def remove_failure_listener(self, handler: FailureHandler) -> None:
-        try:
-            self._failure_handlers.remove(handler)
-            return
-        except ValueError:
-            pass
-        for listeners in self._scoped_failure_handlers.values():
-            try:
+        for listeners in self._failure_handlers.values():
+            if handler in listeners:
                 listeners.remove(handler)
                 return
-            except ValueError:
-                continue
 
     def now(self) -> float:
         return self.clock.now_ms()
@@ -315,26 +346,7 @@ class TcpTransport(Transport):
             return True
         if not self._failed_addrs:
             return False
-        return self._addr_for(tenant, site) in self._failed_addrs
-
-    def _addr_for(self, tenant: int, site: int) -> Optional[Addr]:
-        """Resolve a (tenant, site) routing key to its TCP endpoint.
-
-        Tenant-scoped keys consult the placement first; without one (or
-        when it abstains) each tenant's site *i* shares tenant-0 site
-        *i*'s process — the symmetric SessionHost layout.
-        """
-        if tenant != 0 and self.placement is not None:
-            addr = self.placement.addr_of(tenant, site)
-            if addr is not None:
-                return addr
-        return self.site_addrs.get(site)
-
-    def _sites_at(self, tenant: int, addr: Addr) -> List[int]:
-        """Every site of ``tenant`` placed at ``addr`` (failure fan-out)."""
-        if tenant != 0 and self.placement is not None:
-            return sorted(self.placement.sites_at(tenant, addr))
-        return sorted(s for s, a in self.site_addrs.items() if a == addr)
+        return self.placement.addr_of(tenant, site) in self._failed_addrs
 
     def _peer_label(self, addr: Addr) -> Any:
         """Human-facing identity of a peer address for events and gauges.
@@ -348,11 +360,16 @@ class TcpTransport(Transport):
             return sites[0]
         return f"{addr[0]}:{addr[1]}"
 
-    def _trace_for(self, src: int, dst: int, payload: Any) -> Optional[TraceContext]:
+    def _trace_for(
+        self, tenant: int, src: int, dst: int, payload: Any
+    ) -> Optional[TraceContext]:
         """Build the frame trace header and emit ``message_sent``.
 
-        Only called when the bus is active: untraced processes write
-        byte-identical v1 frames and pay nothing.
+        Only called when the bus is active: untraced processes leave the
+        frame's trace field empty and pay nothing.  Events name a replica
+        the way protocol events do — tenant-local ``site`` plus
+        ``data["tenant"]`` — and ``msg_id`` stays unique across tenants
+        because the sequence number is per process, not per tenant.
         """
         self._msg_seq += 1
         seq = self._msg_seq
@@ -383,6 +400,7 @@ class TcpTransport(Transport):
                     self.clock.now_ms(),
                     txn_vt,
                     {
+                        "tenant": tenant,
                         "dst": dst,
                         "msg_type": type(payload).__name__,
                         "msg_id": f"{src}:{seq}",
@@ -401,6 +419,7 @@ class TcpTransport(Transport):
             self.clock.now_ms(),
             txn_vt,
             {
+                "tenant": tenant,
                 "dst": dst,
                 "msg_type": type(payload).__name__,
                 "msg_id": f"{src}:{seq}",
@@ -419,29 +438,19 @@ class TcpTransport(Transport):
             or (tenant, dst) in self._failed
         ):
             return
-        addr = self._addr_for(tenant, dst)
+        addr = self.placement.addr_of(tenant, dst)
         if addr is None:
             raise TransportError(f"destination site {dst} has no address")
         if addr in self._failed_addrs:
             return
-        if self.bus.active:
-            # Events and trace ids use packed site ids so a merged timeline
-            # never conflates two tenants' site 0 (tenant 0 is unchanged).
-            trace = self._trace_for(
-                pack_site(tenant, src), pack_site(tenant, dst), payload
-            )
-        else:
-            trace = None
-        if (tenant == 0 and dst in self.local_sites) or (
-            tenant != 0 and addr in self._local_addrs
-        ):
+        trace = self._trace_for(tenant, src, dst, payload) if self.bus.active else None
+        frame = encode_frame(src, dst, payload, trace, tenant=tenant)
+        if addr in self._local_addrs:
             # Local loopback still crosses the codec so every payload is
             # provably wire-expressible regardless of site placement.
-            frame = encode_frame(src, dst, payload, trace, tenant=tenant)
             self._local_pending += 1
             self._require_loop().call_soon(self._deliver_local, frame)
             return
-        frame = encode_frame(src, dst, payload, trace, tenant=tenant)
         link = self._links.get(addr)
         if link is None:
             link = _PeerLink(self._peer_label(addr))
@@ -503,14 +512,9 @@ class TcpTransport(Transport):
         if self._loop is not None:
             return
         self._loop = asyncio.get_running_loop()
-        bound: Set[Tuple[str, int]] = set()
-        for site in sorted(self.local_sites):
-            addr = self.site_addrs[site]
-            if addr in bound:
-                continue
-            bound.add(addr)
+        for host, port in sorted(self._local_addrs):
             self._servers.append(
-                await asyncio.start_server(self._serve_connection, addr[0], addr[1])
+                await asyncio.start_server(self._serve_connection, host, port)
             )
 
     async def stop(self, flush: bool = True, flush_timeout_s: float = 5.0) -> None:
@@ -564,15 +568,12 @@ class TcpTransport(Transport):
                 link.writer = None
         self._links.clear()
 
-    def fail_site(self, site: int) -> None:
-        """Administratively declare ``site`` failed (tests / orchestration).
+    def fail_site(self, site: int, tenant: int = 0) -> None:
+        self.fail_site_scoped(tenant, site)
 
-        Accepts either a classic flat site id or a packed ``(tenant,
-        site)`` id (as produced by :func:`repro.transport.base.pack_site`,
-        the form :class:`~repro.transport.base.TenantTransport` sends).
-        """
-        tenant, local = unpack_site(site)
-        self._fail_pair(tenant, local)
+    def fail_site_scoped(self, tenant: int, site: int) -> None:
+        """Administratively declare ``site`` of ``tenant`` failed (tests / orchestration)."""
+        self._fail_pair(tenant, site)
 
     # ------------------------------------------------------------------
     # Inbound path
@@ -636,10 +637,11 @@ class TcpTransport(Transport):
             # merged timeline (repro.obs.merge) reconstructs.
             self.bus.emit_event(
                 "message_delivered",
-                pack_site(tenant, dst),
+                dst,
                 self.clock.now_ms(),
                 getattr(payload, "txn_vt", None),
                 {
+                    "tenant": tenant,
                     "src": src,
                     "msg_type": type(payload).__name__,
                     # inline trace.msg_id: no property hop on the hot path
@@ -786,9 +788,10 @@ class TcpTransport(Transport):
         """Declare every site placed at ``addr`` failed (fail-stop detection).
 
         The whole process behind the address is gone, so the notice fans
-        out per tenant: tenant-0 listeners get the classic flat site ids;
-        each tenant with scoped listeners gets its own local site ids and
-        nothing else.
+        out per tenant: each tenant with listeners hears of its own sites
+        there, by tenant-local id, and of nothing else.  Tenants without
+        listeners are covered by ``_failed_addrs`` (sends drop,
+        ``is_failed`` answers) and notified when they add one.
         """
         if addr in self._failed_addrs:
             return
@@ -799,12 +802,8 @@ class TcpTransport(Transport):
             link.frames.clear()
             link.wakeup.set()  # let the sender loop observe the failure and exit
             self._close_writer(link)
-        for site in self._sites_at(0, addr):
-            self._fail_pair(0, site)
-        for tenant in sorted(self._scoped_failure_handlers):
-            if tenant == 0:
-                continue
-            for site in self._sites_at(tenant, addr):
+        for tenant in sorted(self._failure_handlers):
+            for site in self.placement.sites_at(tenant, addr):
                 self._fail_pair(tenant, site)
 
     def _fail_pair(self, tenant: int, site: int) -> None:
@@ -814,8 +813,7 @@ class TcpTransport(Transport):
             return
         self._failed.add(key)
         self.metrics.inc("transport.peers_failed")
-        addr = self._addr_for(tenant, site)
-        link = self._links.get(addr) if addr is not None else None
+        link = self._links.get(self.placement.addr_of(tenant, site))
         if link is not None and not link.dead and link.frames:
             # Drop only this destination's queued frames; the shared link
             # keeps serving the address's other sites and tenants.  Mutate
@@ -825,17 +823,14 @@ class TcpTransport(Transport):
                 link.frames.clear()
                 link.frames.extend(kept)
             link.wakeup.set()
-        if tenant == 0:
-            for handler in list(self._failure_handlers):
-                handler(site)
-        else:
-            for handler in list(self._scoped_failure_handlers.get(tenant, ())):
-                handler(site)
+        for handler in list(self._failure_handlers.get(tenant, ())):
+            handler(site)
         if self.flight is not None:
             # Postmortem: the ring buffer of recent events, dumped the
             # moment fail-stop detection fires (repro.obs.flight).
-            label = site if tenant == 0 else f"{tenant}:{site}"
-            self.flight.dump(f"fail-stop: site {label} declared failed")
+            self.flight.dump(
+                f"fail-stop: site {site} of tenant {tenant} declared failed"
+            )
 
     # ------------------------------------------------------------------
 

@@ -11,8 +11,7 @@ outbox that coalesces a protocol turn's fan-out into
 
 from repro.wire.codec import (
     FRAME_HEADER_BYTES,
-    FRAME_VERSION_TENANT,
-    FRAME_VERSION_TRACED,
+    FRAME_VERSION,
     MAX_FRAME_BYTES,
     MESSAGE_TYPES,
     TraceContext,
@@ -20,8 +19,6 @@ from repro.wire.codec import (
     WIRE_VERSION,
     decode,
     decode_frame,
-    decode_frame_body,
-    decode_frame_parts,
     encode,
     encode_frame,
     register_struct,
@@ -30,8 +27,7 @@ from repro.wire.batch import Outbox
 
 __all__ = [
     "FRAME_HEADER_BYTES",
-    "FRAME_VERSION_TENANT",
-    "FRAME_VERSION_TRACED",
+    "FRAME_VERSION",
     "MAX_FRAME_BYTES",
     "MESSAGE_TYPES",
     "TraceContext",
@@ -39,8 +35,6 @@ __all__ = [
     "WIRE_VERSION",
     "decode",
     "decode_frame",
-    "decode_frame_body",
-    "decode_frame_parts",
     "encode",
     "encode_frame",
     "register_struct",

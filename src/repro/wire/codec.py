@@ -92,19 +92,11 @@ from repro.vtime import VirtualTime
 #: decoders reject every version they do not implement.
 WIRE_VERSION = 1
 
-#: Frame-header version for *traced* frames: the body is the version byte
-#: followed by a ``(src, dst, payload, TraceContext)`` 4-tuple instead of
-#: the v1 routing triple.  Value encoding is unchanged — only the frame
-#: header grew — and decoders accept both versions, so a tracing-enabled
-#: process interoperates with an untraced one (docs/WIRE.md).
-FRAME_VERSION_TRACED = 2
-
-#: Frame-header version for *tenant-scoped* frames: the body is the version
-#: byte followed by a ``(tenant, src, dst, payload, trace-or-None)`` 5-tuple.
-#: Tenant 0 is the unscoped namespace and is never encoded with this version
-#: — tenant-0 frames stay byte-identical to v1/v2 — so a multi-tenant
-#: SessionHost interoperates with every pre-tenant process (docs/WIRE.md).
-FRAME_VERSION_TENANT = 3
+#: Frame-layout version: the leading byte of every frame body, followed by
+#: the ``(tenant, src, dst, payload, trace-or-None)`` 5-tuple.  Distinct
+#: from ``WIRE_VERSION`` so a bare ``encode()`` payload can never be
+#: mistaken for a routed frame (docs/WIRE.md).
+FRAME_VERSION = 3
 
 # ---------------------------------------------------------------------------
 # Primitive tags (0x00–0x1F reserved for the codec itself)
@@ -1383,20 +1375,19 @@ def register_struct(tag: int, cls: type) -> None:
 #: contract (docs/WIRE.md); append new structs, never renumber.
 @dataclasses.dataclass(frozen=True)
 class TraceContext:
-    """Trace context carried in a version-2 frame header.
+    """Trace context carried in a frame's optional trace field.
 
-    ``origin`` is the sending site; ``trace_id`` is the txn-VT-derived
-    trace identifier (``counter@site`` form, empty when the payload
-    carries no transaction VT); ``parent_span`` is the sender-side message sequence
-    number — ``f"{origin}:{parent_span}"`` is the cross-process ``msg_id``
-    that pairs a ``message_sent`` event in one process's timeline with the
+    ``origin`` is the sending site (tenant-local, like the frame's ``src``);
+    ``trace_id`` is the txn-VT-derived trace identifier (``counter@site``
+    form, empty when the payload carries no transaction VT);
+    ``parent_span`` is the sending *process's* message sequence number —
+    ``f"{origin}:{parent_span}"`` is the cross-process ``msg_id`` that
+    pairs a ``message_sent`` event in one process's timeline with the
     ``message_delivered`` event in another's (repro.obs.merge).
 
     ``sampled`` carries the origin's head-based sampling decision in-band
     (repro.obs.sample): every site on the transaction's path records or
-    skips the same trace, so partial span trees cannot occur.  Untraced
-    (version-1) frames carry no TraceContext and are byte-identical to
-    the pre-sampling format.
+    skips the same trace, so partial span trees cannot occur.
     """
 
     origin: int
@@ -1490,24 +1481,13 @@ def encode(value: Any) -> bytes:
     return b"".join(out)
 
 
-def decode(data: Any) -> Any:
-    """Parse bytes produced by :func:`encode`; rejects unknown versions,
-    unknown tags, truncated payloads, and trailing garbage.
+def _decode_tagged(data: Any) -> Any:
+    """Parse the one tagged value after ``data``'s leading version byte.
 
-    Accepts ``bytes`` or any buffer (``memoryview``/``bytearray``) — buffer
-    inputs are consumed in place, without copying the payload.  Malformed
-    input of any shape raises :class:`WireError`; no other exception type
-    escapes this boundary.
+    Shared by :func:`decode` and :func:`decode_frame`, which differ only
+    in the version byte they accept: any malformed-input shape surfaces
+    as :class:`WireError`, and trailing bytes are rejected.
     """
-    if not data:
-        raise WireError("empty payload")
-    if data.__class__ is not bytes and data.__class__ is not memoryview:
-        data = memoryview(data)
-    version = data[0]
-    if version != WIRE_VERSION:
-        raise WireError(
-            f"unsupported wire version {version} (this codec speaks {WIRE_VERSION})"
-        )
     try:
         fn = _DECODERS[data[1]]
         if fn is None:
@@ -1525,6 +1505,26 @@ def decode(data: Any) -> Any:
     return value
 
 
+def decode(data: Any) -> Any:
+    """Parse bytes produced by :func:`encode`; rejects unknown versions,
+    unknown tags, truncated payloads, and trailing garbage.
+
+    Accepts ``bytes`` or any buffer (``memoryview``/``bytearray``) — buffer
+    inputs are consumed in place, without copying the payload.  Malformed
+    input of any shape raises :class:`WireError`; no other exception type
+    escapes this boundary.
+    """
+    if not data:
+        raise WireError("empty payload")
+    if data.__class__ is not bytes and data.__class__ is not memoryview:
+        data = memoryview(data)
+    if data[0] != WIRE_VERSION:
+        raise WireError(
+            f"unsupported wire version {data[0]} (this codec speaks {WIRE_VERSION})"
+        )
+    return _decode_tagged(data)
+
+
 # ---------------------------------------------------------------------------
 # Framing (length-prefixed, for stream transports)
 # ---------------------------------------------------------------------------
@@ -1536,14 +1536,8 @@ FRAME_HEADER_BYTES = 4
 #: treated as stream corruption, not a legitimate payload.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: Shared prefix of every untraced frame body: version byte + 3-tuple header.
-_FRAME_PREFIX = _VERSION_PREFIX + _TUPLE_HDR[3]
-
-#: Prefix of a traced frame body: v2 version byte + 4-tuple header.
-_TRACED_FRAME_PREFIX = _BYTE[FRAME_VERSION_TRACED] + _TUPLE_HDR[4]
-
-#: Prefix of a tenant-scoped frame body: v3 version byte + 5-tuple header.
-_TENANT_FRAME_PREFIX = _BYTE[FRAME_VERSION_TENANT] + _TUPLE_HDR[5]
+#: Shared prefix of every frame body: version byte + 5-tuple header.
+_FRAME_PREFIX = _BYTE[FRAME_VERSION] + _TUPLE_HDR[5]
 
 
 def encode_frame(
@@ -1555,24 +1549,14 @@ def encode_frame(
 ) -> bytes:
     """One length-prefixed routed frame.
 
-    Without ``trace`` (the default) this is the v1 body —
-    ``encode((src, dst, payload))`` — byte-identical to every frame ever
-    written before trace propagation existed.  With ``trace`` the body is
-    the v2 layout: version byte ``0x02`` followed by the
-    ``(src, dst, payload, trace)`` 4-tuple.  A non-zero ``tenant`` selects
-    the v3 layout — version byte ``0x03`` followed by the
-    ``(tenant, src, dst, payload, trace-or-None)`` 5-tuple — while tenant 0
-    (the unscoped namespace) always emits the v1/v2 bytes unchanged.
-    Either way the length prefix, version byte, routing fields, and payload
-    all land in one parts list joined once — a single allocation per frame.
+    The body is the ``FRAME_VERSION`` byte followed by the
+    ``(tenant, src, dst, payload, trace-or-None)`` 5-tuple; tenant 0 (a
+    bare session) is encoded like any other tenant.  The length prefix,
+    version byte, routing fields, and payload all land in one parts list
+    joined once — a single allocation per frame.
     """
-    if tenant:
-        parts: List[bytes] = [b"", _TENANT_FRAME_PREFIX]
-        _enc_int(parts, tenant)
-    elif trace is None:
-        parts = [b"", _FRAME_PREFIX]
-    else:
-        parts = [b"", _TRACED_FRAME_PREFIX]
+    parts: List[bytes] = [b"", _FRAME_PREFIX]
+    _enc_int(parts, tenant)
     _enc_int(parts, src)
     _enc_int(parts, dst)
     enc = _ENCODERS.get(payload.__class__)
@@ -1580,12 +1564,9 @@ def encode_frame(
         _enc_fallback(parts, payload)
     else:
         enc(parts, payload)
-    if tenant:
-        if trace is None:
-            parts.append(_B_NONE)
-        else:
-            _TRACE_ENCODER(parts, trace)
-    elif trace is not None:
+    if trace is None:
+        parts.append(_B_NONE)
+    else:
         _TRACE_ENCODER(parts, trace)
     body_len = sum(map(len, parts))
     if body_len > MAX_FRAME_BYTES:
@@ -1597,86 +1578,31 @@ def encode_frame(
 def decode_frame(body: Any) -> Tuple[int, int, int, Any, Optional[TraceContext]]:
     """Parse a frame body into ``(tenant, src, dst, payload, trace)``.
 
-    Accepts all three frame versions: v1/v2 bodies yield ``tenant=0``
-    (and ``trace=None`` for v1); a v3 body yields its tenant id and its
-    trace (or None).  Like :func:`decode`, accepts ``bytes`` or a
-    zero-copy buffer view, and malformed input of any shape raises
-    :class:`WireError` only.
+    Like :func:`decode`, accepts ``bytes`` or a zero-copy buffer view, and
+    malformed input of any shape raises :class:`WireError` only.
     """
     if not body:
         raise WireError("empty frame body")
     if body.__class__ is not bytes and body.__class__ is not memoryview:
         body = memoryview(body)
-    version = body[0]
-    if version != FRAME_VERSION_TRACED and version != FRAME_VERSION_TENANT:
-        # v1 (or junk — decode() rejects unknown versions with WireError).
-        triple = decode(body)
-        if (
-            not isinstance(triple, tuple)
-            or len(triple) != 3
-            or not isinstance(triple[0], int)
-            or not isinstance(triple[1], int)
-        ):
-            raise WireError("frame body is not a (src, dst, payload) triple")
-        return (0, triple[0], triple[1], triple[2], None)
-    try:
-        fn = _DECODERS[body[1]]
-        if fn is None:
-            raise WireError(f"unknown wire tag {body[1]:#x}")
-        value, pos = fn(body, 2)
-    except WireError:
-        raise
-    except Exception as exc:
-        raise WireError(f"malformed payload: {exc.__class__.__name__}: {exc}") from exc
-    if pos != len(body):
-        raise WireError(f"{len(body) - pos} trailing bytes after payload")
-    if version == FRAME_VERSION_TRACED:
-        if (
-            not isinstance(value, tuple)
-            or len(value) != 4
-            or not isinstance(value[0], int)
-            or not isinstance(value[1], int)
-            or not isinstance(value[3], TraceContext)
-        ):
-            raise WireError(
-                "traced frame body is not a (src, dst, payload, TraceContext) 4-tuple"
-            )
-        return (0, value[0], value[1], value[2], value[3])
+    if body[0] != FRAME_VERSION:
+        raise WireError(
+            f"unsupported frame version {body[0]} (this codec speaks {FRAME_VERSION})"
+        )
+    value = _decode_tagged(body)
+    # ``__class__ is int`` rather than isinstance: a decoded bool is not
+    # a routing id.
     if (
-        not isinstance(value, tuple)
+        value.__class__ is not tuple
         or len(value) != 5
-        or not isinstance(value[0], int)
-        or not isinstance(value[1], int)
-        or not isinstance(value[2], int)
-        or not (value[4] is None or isinstance(value[4], TraceContext))
+        or value[0].__class__ is not int
+        or value[1].__class__ is not int
+        or value[2].__class__ is not int
+        or not (value[4] is None or value[4].__class__ is TraceContext)
     ):
         raise WireError(
-            "tenant frame body is not a (tenant, src, dst, payload, trace) 5-tuple"
+            "frame body is not a (tenant, src, dst, payload, trace) 5-tuple"
         )
-    if value[0] == 0:
-        # Tenant 0 is the unscoped namespace: canonical frames encode it
-        # as v1/v2, so a v3 frame claiming tenant 0 is corruption.
-        raise WireError("tenant frame carries reserved tenant id 0")
-    return value  # type: ignore[return-value]
-
-
-def decode_frame_parts(body: Any) -> Tuple[int, int, Any, Optional[TraceContext]]:
-    """Parse a frame body into ``(src, dst, payload, trace)``.
-
-    The tenant-blind form: v1/v2 bodies parse as before, and a v3 body's
-    tenant id is validated then dropped.  Callers that route by tenant use
-    :func:`decode_frame`.
-    """
-    _tenant, src, dst, payload, trace = decode_frame(body)
-    return (src, dst, payload, trace)
-
-
-def decode_frame_body(body: Any) -> Tuple[int, int, Any]:
-    """Parse a frame body back into ``(src, dst, payload)``.
-
-    Kept for callers that do not consume trace context — a v2 frame's
-    :class:`TraceContext` is validated and dropped.  See
-    :func:`decode_frame_parts` for the trace-preserving form.
-    """
-    src, dst, payload, _trace = decode_frame_parts(body)
-    return (src, dst, payload)
+    if value[0] < 0:
+        raise WireError(f"frame carries negative tenant id {value[0]}")
+    return value

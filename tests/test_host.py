@@ -1,25 +1,26 @@
-"""Tests for the multi-tenant SessionHost and tenant-scoped transports.
+"""Tests for the multi-tenant SessionHost and tenant-addressed transports.
 
 Covers the roster/add_site edge cases that only exist under multiplexing:
 duplicate site ids across tenants, eviction while messages are in flight,
 and cross-tenant isolation of failure notifications — plus the
-TenantTransport facade and the wire-level v3 tenant frames.
+TenantTransport facade, tenant 0 as an ordinary tenant, and hosting over
+real loopback sockets.
 """
+
+import asyncio
+import time
 
 import pytest
 
-from repro import DInt, Placement, Session, SessionHost, TenantTransport
+from repro import DInt, Placement, Session, SessionHost, TenantTransport, VirtualTime
+from repro.core.messages import CommitMsg
 from repro.errors import ReproError, TransportError
 from repro.sim.network import FixedLatency, Network
 from repro.sim.scheduler import Scheduler
-from repro.transport import (
-    TENANT_STRIDE,
-    MemoryTransport,
-    SimTransport,
-    TcpTransport,
-    pack_site,
-    unpack_site,
-)
+from repro.transport import MemoryTransport, SimTransport, TcpTransport
+from repro.transport.base import _TENANT_STRIDE as TENANT_STRIDE
+from repro.transport.base import _pack_site as pack_site
+from tests.test_tcp_transport import two_addrs, wait_for
 
 
 def sim_transport(latency_ms: float = 10.0, seed: int = 0) -> SimTransport:
@@ -28,20 +29,24 @@ def sim_transport(latency_ms: float = 10.0, seed: int = 0) -> SimTransport:
 
 
 class TestPacking:
+    """The private stride packing behind the ABC's ``*_scoped`` defaults."""
+
     def test_tenant_zero_is_identity(self):
+        # Why a bare session on a flat fabric *is* tenant 0 of that fabric.
         assert pack_site(0, 17) == 17
-        assert unpack_site(17) == (0, 17)
 
     def test_roundtrip(self):
-        for tenant, site in [(1, 0), (1, 5), (999, TENANT_STRIDE - 1), (12345, 3)]:
-            packed = pack_site(tenant, site)
-            assert unpack_site(packed) == (tenant, site)
+        for tenant, site in [(0, 3), (1, 0), (1, 5), (999, TENANT_STRIDE - 1), (12345, 3)]:
+            assert divmod(pack_site(tenant, site), TENANT_STRIDE) == (tenant, site)
 
     def test_site_out_of_range_rejected(self):
+        for tenant in (0, 1):
+            with pytest.raises(TransportError):
+                pack_site(tenant, TENANT_STRIDE)
+            with pytest.raises(TransportError):
+                pack_site(tenant, -1)
         with pytest.raises(TransportError):
-            pack_site(1, TENANT_STRIDE)
-        with pytest.raises(TransportError):
-            pack_site(1, -1)
+            pack_site(-1, 0)
 
     def test_distinct_tenants_never_collide(self):
         seen = set()
@@ -52,11 +57,18 @@ class TestPacking:
 
 
 class TestTenantTransport:
-    def test_rejects_unscoped_tenant(self):
-        with pytest.raises(TransportError, match="reserved"):
-            TenantTransport(MemoryTransport(), 0)
-        with pytest.raises(TransportError, match="positive"):
-            TenantTransport(MemoryTransport(), -3)
+    def test_tenant_zero_facade_is_the_bare_namespace(self):
+        inner = MemoryTransport()
+        facade = TenantTransport(inner, 0)
+        got = []
+        facade.register(0, lambda src, payload: got.append((src, payload)))
+        inner.register(1, lambda src, payload: got.append((src, payload)))
+        inner.send(1, 0, "bare -> facade")  # a bare sender reaches the facade's site
+        facade.send(0, 1, "facade -> bare")  # and the other way round
+        inner.drain()
+        assert got == [(1, "bare -> facade"), (0, "facade -> bare")]
+        with pytest.raises(TransportError, match="non-negative"):
+            TenantTransport(inner, -3)
 
     def test_session_runs_unchanged_over_facade(self):
         inner = MemoryTransport()
@@ -209,10 +221,20 @@ class TestHostObservability:
         s1, s2 = host.tenant(1), host.tenant(2)
         assert s1.bus is s2.bus  # one EventBus across tenants
 
-    def test_tenant_zero_rejected(self):
-        host = SessionHost(MemoryTransport(), local_sites=(0,))
-        with pytest.raises(ReproError, match="reserved"):
-            host.tenant(0)
+    @pytest.mark.parametrize("make_transport", [MemoryTransport, sim_transport])
+    def test_tenant_zero_is_an_ordinary_tenant(self, make_transport):
+        host = SessionHost(make_transport(), local_sites=(0, 1), roster=(0, 1))
+        replicas = {}
+        for tid in (0, 1):
+            session = host.tenant(tid)
+            replicas[tid] = session.replicate(DInt, "x", session.sites, initial=0)
+            session.sites[0].transact(lambda o=replicas[tid][0], v=tid + 10: o.set(v))
+        host.settle()
+        assert [replicas[tid][1].get() for tid in (0, 1)] == [10, 11]
+        assert host.active_tenants == [0, 1]
+        assert host.evict(0) and host.active_tenants == [1]
+        with pytest.raises(ReproError, match="non-negative"):
+            host.tenant(-1)
 
 
 class TestSessionTransportCounters:
@@ -243,3 +265,210 @@ class TestPlacement:
         assert placement.sites_at(1, b) == [1]
         assert placement.sites_at(7, b) == []
         assert placement.sites_at(7, c) == [1]
+
+
+# ---------------------------------------------------------------------------
+# Hosting over real sockets: two SessionHosts, one loopback link, tenants
+# 0, 1 and 2 all using site ids 0 (host A) and 1 (host B).
+# ---------------------------------------------------------------------------
+
+HORIZON = VirtualTime(2**62, 2**30)
+
+
+async def join_doc(site_a, site_b, label: str):
+    """Replicate one DInt across the link through the real association /
+    invitation / join protocol; returns (obj_a, obj_b)."""
+    obj_a = site_a.create_int("doc", initial=0)
+    assoc = site_a.create_association("doc.assoc")
+    outcome = site_a.transact(lambda: assoc.create_relationship("doc.rel"))
+    await wait_for(lambda: outcome.committed, what=f"{label} create_relationship")
+    outcome = site_a.join(assoc, "doc.rel", obj_a)
+    await wait_for(lambda: outcome.committed, what=f"{label} owner join")
+    assoc_b = site_b.import_invitation(assoc.make_invitation(), "doc.assoc")
+    await wait_for(
+        lambda: "doc.rel" in dict(assoc_b.value_at(HORIZON, committed_only=True)),
+        what=f"{label} association sync",
+    )
+    obj_b = site_b.create_int("doc", initial=0)
+    outcome = site_b.join(assoc_b, "doc.rel", obj_b)
+    await wait_for(lambda: outcome.committed, what=f"{label} member join")
+    return obj_a, obj_b
+
+
+class TcpHostPair:
+    """Host A (site 0) and host B (site 1) joined by two loopback TcpTransports."""
+
+    def __init__(self, **host_kwargs) -> None:
+        addrs = two_addrs()
+        self.tcp_a, self.tcp_b = (
+            TcpTransport(
+                addrs, local_sites={site}, reconnect_base_ms=5.0,
+                reconnect_max_ms=20.0, fail_after_ms=150.0,
+            )
+            for site in (0, 1)
+        )
+        self.host_a = SessionHost(self.tcp_a, local_sites=(0,), roster=(0, 1), **host_kwargs)
+        self.host_b = SessionHost(self.tcp_b, local_sites=(1,), roster=(0, 1), **host_kwargs)
+
+    async def __aenter__(self) -> "TcpHostPair":
+        await self.tcp_a.start()
+        await self.tcp_b.start()
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        await self.tcp_a.stop(flush=False)
+        await self.tcp_b.stop(flush=False)
+
+    async def join(self, tid: int):
+        """Join tenant ``tid``'s replicas on both hosts; (obj_a, obj_b)."""
+        return await join_doc(
+            self.host_a.tenant(tid).sites[0], self.host_b.tenant(tid).sites[0], f"t{tid}"
+        )
+
+    def listen(self, host: SessionHost, tenants) -> dict:
+        """Failure notices per tenant, as each tenant's own facade reports them."""
+        notices = {tid: [] for tid in tenants}
+        for tid in tenants:
+            host.tenant(tid).transport.add_failure_listener(notices[tid].append)
+        return notices
+
+
+class TestHostingOverTcp:
+    def test_tenants_zero_one_two_converge_over_one_link(self):
+        async def main():
+            async with TcpHostPair() as pair:
+                docs = {tid: await pair.join(tid) for tid in (0, 1, 2)}
+                for tid, (_obj_a, obj_b) in docs.items():
+                    site_b = pair.host_b.tenant(tid).sites[0]
+                    site_b.transact(lambda o=obj_b, v=100 + tid: o.set(v))
+                await wait_for(
+                    lambda: all(docs[t][0].get() == 100 + t for t in docs),
+                    what="every tenant's write to reach host A",
+                )
+                assert [docs[t][1].get() for t in (0, 1, 2)] == [100, 101, 102]
+                # Same site ids in every tenant, one socket pair in total.
+                assert len(pair.tcp_a._links) == len(pair.tcp_b._links) == 1
+                assert pair.tcp_a.frames_dropped_unrouted == 0
+
+        asyncio.run(main())
+
+    def test_bare_session_is_tenant_zero_of_the_fabric(self):
+        # A bare Session on host A's transport and host B's tenant(0) are
+        # two halves of one collaboration.
+        async def main():
+            async with TcpHostPair() as pair:
+                bare = Session(transport=pair.tcp_a, roster={0, 1})
+                site_a = bare.add_site("bare", site_id=0)
+                site_b = pair.host_b.tenant(0).sites[0]
+                obj_a, obj_b = await join_doc(site_a, site_b, "bare")
+                site_b.transact(lambda: obj_b.set(7))
+                await wait_for(lambda: obj_a.get() == 7, what="hosted write at the bare session")
+
+        asyncio.run(main())
+
+    def test_bare_and_tenant_zero_facade_write_identical_frames(self, monkeypatch):
+        from repro.transport import tcp as tcp_module
+
+        frames = []
+        real_encode = tcp_module.encode_frame
+
+        def recording_encode(*args, **kwargs):
+            frame = real_encode(*args, **kwargs)
+            frames.append(frame)
+            return frame
+
+        monkeypatch.setattr(tcp_module, "encode_frame", recording_encode)
+
+        async def main():
+            async with TcpHostPair() as pair:
+                msg = CommitMsg(VirtualTime(5, 0), 12)
+                pair.tcp_a.send(0, 1, msg)
+                TenantTransport(pair.tcp_a, 0).send(0, 1, msg)
+                TenantTransport(pair.tcp_a, 1).send(0, 1, msg)
+
+        asyncio.run(main())
+        bare, facade_zero, facade_one = frames
+        assert bare == facade_zero
+        assert bare != facade_one and len(bare) == len(facade_one)
+
+    def test_failing_one_tenants_site_notifies_only_that_tenant(self):
+        async def main():
+            async with TcpHostPair() as pair:
+                notices = pair.listen(pair.host_a, (0, 1, 2))
+                pair.host_a.tenant(1).transport.fail_site(1)
+                await asyncio.sleep(0.05)
+                assert notices == {0: [], 1: [1], 2: []}
+                assert pair.host_a.tenant(1).transport.is_failed(1)
+                assert not pair.host_a.tenant(0).transport.is_failed(1)
+                assert not pair.tcp_a.is_failed(1)  # the bare spelling of tenant 0
+                # Tenant 0 fails the same way, through the flat method.
+                pair.tcp_a.fail_site(1)
+                assert notices == {0: [1], 1: [1], 2: []}
+                assert pair.host_a.tenant(1).sites[0].failures.failed == {1}
+                assert pair.host_a.tenant(2).sites[0].failures.failed == set()
+
+        asyncio.run(main())
+
+    def test_stopping_host_b_notifies_every_tenant_on_a_even_late_ones(self):
+        async def main():
+            async with TcpHostPair() as pair:
+                docs = {tid: await pair.join(tid) for tid in (0, 1, 2)}
+                notices = pair.listen(pair.host_a, (0, 1, 2))
+                pair.host_a.evict(2)  # tenant 2 is not listening when B dies
+                del notices[2]
+                await pair.tcp_b.stop(flush=False)
+
+                # Fail-stop detection needs traffic: keep writing at A until
+                # the dead link is noticed.
+                site_a, (obj_a, _obj_b) = pair.host_a.tenant(1).sites[0], docs[1]
+                deadline = time.monotonic() + 10.0
+                while not pair.tcp_a.is_failed(1):
+                    assert time.monotonic() < deadline, "host B never declared failed"
+                    site_a.transact(lambda: obj_a.set(obj_a.get() + 1))
+                    await asyncio.sleep(0.02)
+                assert notices == {0: [1], 1: [1]}
+                for tid in (0, 1):
+                    assert pair.host_a.tenant(tid).sites[0].failures.failed == {1}
+
+                # Tenant 3 is activated for the first time, tenant 2 again
+                # after its eviction: both after the failure, both must
+                # still hear of it — deferred, not during activation.
+                for tid in (2, 3):
+                    late = pair.host_a.tenant(tid).sites[0]
+                    assert late.failures.failed == set()
+                    await wait_for(
+                        lambda: late.failures.failed == {1}, what=f"late notice to t{tid}"
+                    )
+                    assert pair.host_a.tenant(tid).transport.is_failed(1)
+                # ... and an evicted-again tenant's pending notice is dropped.
+                pair.host_a.evict(3)
+                orphan = []
+                facade = TenantTransport(pair.tcp_a, 3)
+                facade.add_failure_listener(orphan.append)
+                facade.detach()
+                await asyncio.sleep(0.02)
+                assert orphan == []
+
+        asyncio.run(main())
+
+    def test_evicted_tenants_frames_are_counted_unrouted(self):
+        async def main():
+            async with TcpHostPair() as pair:
+                docs = {tid: await pair.join(tid) for tid in (0, 1)}
+                await pair.tcp_a.aquiesce(settle_ms=20.0)
+                await pair.tcp_b.aquiesce(settle_ms=20.0)
+                assert pair.tcp_a.frames_dropped_unrouted == 0
+                assert pair.host_a.evict(1)
+                site_b, (_obj_a, obj_b) = pair.host_b.tenant(1).sites[0], docs[1]
+                site_b.transact(lambda: obj_b.set(5))  # propagates to the evicted replica
+                await wait_for(
+                    lambda: pair.tcp_a.frames_dropped_unrouted > 0,
+                    what="the evicted tenant's frame to be dropped and counted",
+                )
+                assert pair.host_a.counters()["transport.frames_dropped_unrouted"] > 0
+                # The shared link survives: tenant 0 still commits across it.
+                site_b0, (obj_a0, obj_b0) = pair.host_b.tenant(0).sites[0], docs[0]
+                site_b0.transact(lambda: obj_b0.set(9))
+                await wait_for(lambda: obj_a0.get() == 9, what="tenant 0 to keep working")
+
+        asyncio.run(main())

@@ -325,6 +325,74 @@ class TestRealTransportMerge:
         assert sent and all(e["txn_vt"] for e in sent)
 
 
+class TestTenantsShareALink:
+    """Two tenants with identical site ids over one traced socket pair."""
+
+    def run_two_tenants(self, pings: int = 4):
+        addrs = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+
+        async def scenario():
+            a = TcpTransport(addrs, local_sites={0})
+            b = TcpTransport(addrs, local_sites={1})
+            a.bus.enable()
+            b.bus.enable()
+            echoed: List[Any] = []
+            for tenant in (1, 2):
+                a.register_scoped(tenant, 0, lambda src, payload: echoed.append(payload))
+                b.register_scoped(
+                    tenant, 1, lambda src, payload, t=tenant: b.send_scoped(t, 1, 0, payload)
+                )
+            await a.start()
+            await b.start()
+            for i in range(pings):
+                for tenant in (1, 2):
+                    # Same site ids *and* same txn VT in both tenants.
+                    a.send_scoped(tenant, 0, 1, CommitMsg(VirtualTime(i + 1, 0), i))
+            while len(echoed) < 2 * pings:
+                await asyncio.sleep(0.005)
+            await a.aquiesce()
+            await b.aquiesce()
+            assert len(a._links) == len(b._links) == 1
+            timelines = [
+                [event_to_dict(e) for e in a.bus.events],
+                [event_to_dict(e) for e in b.bus.events],
+            ]
+            await a.stop()
+            await b.stop()
+            return timelines
+
+        return asyncio.run(asyncio.wait_for(scenario(), timeout=20.0))
+
+    def test_msg_ids_are_distinct_and_merge_pairs_every_edge(self):
+        timelines = self.run_two_tenants(pings=4)
+        sent = [e for tl in timelines for e in tl if e["kind"] == "message_sent"]
+        assert len(sent) == 16  # 4 pings + 4 echoes, in each of 2 tenants
+        assert len({e["data"]["msg_id"] for e in sent}) == len(sent)
+        merged = merge_timelines(timelines)
+        assert merged.unmatched_sends == []
+        assert merged.unmatched_deliveries == []
+        assert merged.pairs == 16
+
+    def test_transport_events_name_replicas_like_protocol_events(self):
+        # Tenant-local ``site`` (what protocol events carry) plus
+        # data["tenant"] — on both ends of the edge, never a packed id.
+        timelines = self.run_two_tenants(pings=2)
+        events = [
+            e for tl in timelines for e in tl
+            if e["kind"] in ("message_sent", "message_delivered")
+        ]
+        assert {e["site"] for e in events} == {0, 1}
+        assert {e["data"]["tenant"] for e in events} == {1, 2}
+        by_id: Dict[str, Dict[str, Any]] = {}
+        for e in events:
+            by_id.setdefault(e["data"]["msg_id"], {})[e["kind"]] = e
+        for edge in by_id.values():
+            sent, delivered = edge["message_sent"], edge["message_delivered"]
+            assert sent["data"]["tenant"] == delivered["data"]["tenant"]
+            assert sent["site"] == delivered["data"]["src"]
+            assert sent["data"]["dst"] == delivered["site"]
+
+
 class TestMergeCli:
     def write_timelines(self, tmp_path):
         paths = []

@@ -45,15 +45,13 @@ from repro.core.repgraph import GraphNode, ReplicationGraph
 from repro.errors import WireError
 from repro.vtime import VT_ZERO, VirtualTime
 from repro.wire import (
-    FRAME_VERSION_TENANT,
+    FRAME_VERSION,
     MESSAGE_TYPES,
     WIRE_STRUCTS,
     WIRE_VERSION,
     TraceContext,
     decode,
     decode_frame,
-    decode_frame_body,
-    decode_frame_parts,
     encode,
     encode_frame,
     register_struct,
@@ -375,67 +373,61 @@ def test_all_structs_are_dataclasses_in_field_order():
 # ---------------------------------------------------------------------------
 
 
+def _frame_body(value):
+    """A frame body whose routed tuple is ``value`` (for malformed cases)."""
+    return bytes([FRAME_VERSION]) + encode(value)[1:]
+
+
 def test_frame_roundtrip():
     msg = CommitMsg(VirtualTime(5, 1), 12)
     frame = encode_frame(3, 7, msg)
     length = int.from_bytes(frame[:4], "big")
     assert length == len(frame) - 4
-    assert decode_frame_body(frame[4:]) == (3, 7, msg)
+    assert frame[4] == FRAME_VERSION
+    assert decode_frame(frame[4:]) == (0, 3, 7, msg, None)
 
 
 def test_frame_rejects_non_triple_body():
-    with pytest.raises(WireError, match="triple"):
-        decode_frame_body(encode("just a string"))
+    # A body that is not a routed tuple at all — a bare value, or the
+    # retired (src, dst, payload) triple — is rejected.
+    msg = CommitMsg(VirtualTime(5, 1), 12)
+    for value in ("just a string", (3, 7, msg)):
+        with pytest.raises(WireError, match="5-tuple"):
+            decode_frame(_frame_body(value))
 
 
-# Golden frames: the v1 bytes predate trace propagation and must never
-# change (old processes' frames stay decodable); the v2 bytes pin the
-# traced layout (version byte 0x02 + (src, dst, payload, trace) 4-tuple)
-# including the trailing sampled flag (True=0x01 here; the head-dropped
-# variant pins the False byte).
-GOLDEN_FRAME_V1 = "0000000d0107030306030e280b0a020318"
-GOLDEN_FRAME_V2 = "000000180207040306030e280b0a0203183a03060503354031035401"
-GOLDEN_FRAME_V2_DROPPED = (
-    "000000180207040306030e280b0a0203183a03060503354031035402"
-)
+# Golden frames: version byte 0x03 + (tenant, src, dst, payload,
+# trace-or-None) 5-tuple.  The untraced frame ends in the None tag; the
+# traced ones end in the TraceContext struct, whose last byte is the
+# sampled flag (True=0x01, head-dropped=0x02).
+GOLDEN_FRAME = "0000001003070503000306030e280b0a02031800"
+GOLDEN_FRAME_TRACED = "0000001a03070503000306030e280b0a0203183a03060503354031035401"
+GOLDEN_FRAME_DROPPED = "0000001a03070503000306030e280b0a0203183a03060503354031035402"
+#: Tenant 9, untraced: identical but for the tenant varint.
+GOLDEN_FRAME_TENANT = "0000001003070503120306030e280b0a02031800"
 
 
 def test_golden_frame_bytes_both_versions():
+    # "Both": the untraced and the traced variant of the one frame layout
+    # (plus the sampled-out trace and a non-zero tenant).
     msg = CommitMsg(VirtualTime(5, 1), 12)
     trace = TraceContext(3, "5@1", 42)
-    assert encode_frame(3, 7, msg).hex() == GOLDEN_FRAME_V1
-    assert encode_frame(3, 7, msg, trace).hex() == GOLDEN_FRAME_V2
+    assert encode_frame(3, 7, msg).hex() == GOLDEN_FRAME
+    assert encode_frame(3, 7, msg, trace).hex() == GOLDEN_FRAME_TRACED
     dropped = TraceContext(3, "5@1", 42, sampled=False)
-    assert encode_frame(3, 7, msg, dropped).hex() == GOLDEN_FRAME_V2_DROPPED
+    assert encode_frame(3, 7, msg, dropped).hex() == GOLDEN_FRAME_DROPPED
+    assert encode_frame(3, 7, msg, tenant=9).hex() == GOLDEN_FRAME_TENANT
+    assert decode_frame(bytes.fromhex(GOLDEN_FRAME)[4:]) == (0, 3, 7, msg, None)
+    assert decode_frame(bytes.fromhex(GOLDEN_FRAME_TRACED)[4:]) == (0, 3, 7, msg, trace)
 
 
 def test_sampled_out_trace_rides_the_frame():
     # The origin's head-drop decision must survive the wire so every
     # receiving process skips the same trace (repro.obs.sample).
-    msg = CommitMsg(VirtualTime(5, 1), 12)
-    frame = bytes.fromhex(GOLDEN_FRAME_V2_DROPPED)
-    _, _, _, trace = decode_frame_parts(frame[4:])
+    frame = bytes.fromhex(GOLDEN_FRAME_DROPPED)
+    trace = decode_frame(frame[4:])[4]
     assert trace == TraceContext(3, "5@1", 42, sampled=False)
     assert trace.sampled is False
-
-
-def test_untraced_frame_is_byte_identical_to_pre_trace_format():
-    # encode_frame without a trace must produce exactly encode((src, dst,
-    # payload)) behind the length prefix — the v1 compatibility contract.
-    msg = CommitMsg(VirtualTime(5, 1), 12)
-    frame = encode_frame(3, 7, msg)
-    assert frame[4:] == encode((3, 7, msg))
-
-
-def test_decode_frame_parts_both_versions():
-    msg = CommitMsg(VirtualTime(5, 1), 12)
-    trace = TraceContext(3, "5@1", 42)
-    v1 = bytes.fromhex(GOLDEN_FRAME_V1)
-    v2 = bytes.fromhex(GOLDEN_FRAME_V2)
-    assert decode_frame_parts(v1[4:]) == (3, 7, msg, None)
-    assert decode_frame_parts(v2[4:]) == (3, 7, msg, trace)
-    # decode_frame_body drops (but still validates) the trace.
-    assert decode_frame_body(v2[4:]) == (3, 7, msg)
 
 
 def test_traced_frame_roundtrip_and_msg_id():
@@ -444,73 +436,100 @@ def test_traced_frame_roundtrip_and_msg_id():
     frame = encode_frame(3, 7, msg, trace)
     length = int.from_bytes(frame[:4], "big")
     assert length == len(frame) - 4
-    src, dst, payload, got = decode_frame_parts(frame[4:])
-    assert (src, dst, payload) == (3, 7, msg)
+    tenant, src, dst, payload, got = decode_frame(frame[4:])
+    assert (tenant, src, dst, payload) == (0, 3, 7, msg)
     assert got == trace
     assert got.msg_id == "3:42"
 
 
 def test_traced_frame_rejects_malformed_4_tuple():
-    # A v2 body whose 4th element is not a TraceContext is corruption.
-    body = bytes([2]) + encode((3, 7, CommitMsg(VirtualTime(5, 1), 12), "oops"))[1:]
-    with pytest.raises(WireError, match="TraceContext"):
-        decode_frame_parts(body)
+    # The retired traced layout — (src, dst, payload, trace) with no
+    # tenant — has the wrong arity, whatever its last element is.
+    msg = CommitMsg(VirtualTime(5, 1), 12)
+    for last in (TraceContext(3, "5@1", 42), "oops"):
+        with pytest.raises(WireError, match="5-tuple"):
+            decode_frame(_frame_body((3, 7, msg, last)))
 
 
 def test_traced_frame_rejects_trailing_bytes():
-    v2 = bytes.fromhex(GOLDEN_FRAME_V2)
+    traced = bytes.fromhex(GOLDEN_FRAME_TRACED)
     with pytest.raises(WireError, match="trailing"):
-        decode_frame_parts(v2[4:] + b"\x00")
-
-
-# Tenant-scoped (v3) frames: version byte 0x03 + (tenant, src, dst,
-# payload, trace-or-None) 5-tuple.  Tenant 0 must keep emitting the
-# v1/v2 bytes unchanged — the SessionHost interop contract.
-
-
-def test_tenant_zero_is_byte_identical_to_v1_and_v2():
-    msg = CommitMsg(VirtualTime(5, 1), 12)
-    trace = TraceContext(3, "5@1", 42)
-    assert encode_frame(3, 7, msg, tenant=0) == encode_frame(3, 7, msg)
-    assert encode_frame(3, 7, msg, trace, tenant=0) == encode_frame(3, 7, msg, trace)
-    assert encode_frame(3, 7, msg, tenant=0).hex() == GOLDEN_FRAME_V1
+        decode_frame(traced[4:] + b"\x00")
 
 
 def test_tenant_frame_roundtrip_with_and_without_trace():
     msg = CommitMsg(VirtualTime(5, 1), 12)
     trace = TraceContext(3, "5@1", 42)
     plain = encode_frame(3, 7, msg, tenant=9)
-    assert plain[4] == FRAME_VERSION_TENANT
+    assert plain[4] == FRAME_VERSION
     assert int.from_bytes(plain[:4], "big") == len(plain) - 4
     assert decode_frame(plain[4:]) == (9, 3, 7, msg, None)
     traced = encode_frame(3, 7, msg, trace, tenant=9)
     assert decode_frame(traced[4:]) == (9, 3, 7, msg, trace)
 
 
-def test_decode_frame_accepts_all_versions():
+def test_tenant_zero_is_byte_identical_to_default():
+    # Tenant 0 has no spelling of its own: omitting the tenant and passing
+    # tenant=0 write the same bytes, in the layout every tenant uses.
     msg = CommitMsg(VirtualTime(5, 1), 12)
     trace = TraceContext(3, "5@1", 42)
-    v1 = bytes.fromhex(GOLDEN_FRAME_V1)
-    v2 = bytes.fromhex(GOLDEN_FRAME_V2)
-    assert decode_frame(v1[4:]) == (0, 3, 7, msg, None)
-    assert decode_frame(v2[4:]) == (0, 3, 7, msg, trace)
-    # The tenant-blind decoders validate then drop a v3 tenant id.
-    v3 = encode_frame(3, 7, msg, trace, tenant=123)
-    assert decode_frame_parts(v3[4:]) == (3, 7, msg, trace)
-    assert decode_frame_body(v3[4:]) == (3, 7, msg)
+    assert encode_frame(3, 7, msg, tenant=0) == encode_frame(3, 7, msg)
+    assert encode_frame(3, 7, msg, trace, tenant=0) == encode_frame(3, 7, msg, trace)
+    assert encode_frame(3, 7, msg, tenant=0).hex() == GOLDEN_FRAME
 
 
-def test_tenant_frame_rejects_reserved_tenant_zero():
-    # Canonical tenant-0 frames are v1/v2; a v3 body claiming tenant 0 is
-    # corruption, not an alternate spelling.
+def test_tenant_frame_accepts_tenant_zero():
     msg = CommitMsg(VirtualTime(5, 1), 12)
-    body = bytes([FRAME_VERSION_TENANT]) + encode((0, 3, 7, msg, None))[1:]
-    with pytest.raises(WireError, match="reserved tenant"):
-        decode_frame(body)
+    trace = TraceContext(3, "5@1", 42)
+    assert decode_frame(_frame_body((0, 3, 7, msg, None))) == (0, 3, 7, msg, None)
+    assert decode_frame(encode_frame(3, 7, msg, tenant=0)[4:]) == (0, 3, 7, msg, None)
+    assert decode_frame(encode_frame(3, 7, msg, trace, tenant=0)[4:]) == (0, 3, 7, msg, trace)
+
+
+def test_decode_frame_rejects_retired_versions():
+    # The v1 (bare triple) and v2 (traced 4-tuple) bodies earlier builds
+    # wrote, byte for byte: there are no deployed peers, so they are
+    # corruption now, as is any other version byte.
+    retired_v1 = bytes.fromhex("0000000d0107030306030e280b0a020318")
+    retired_v2 = bytes.fromhex("000000180207040306030e280b0a0203183a03060503354031035401")
+    for frame in (retired_v1, retired_v2):
+        with pytest.raises(WireError, match="frame version"):
+            decode_frame(frame[4:])
+    good = bytes.fromhex(GOLDEN_FRAME)[4:]
+    for version in set(range(256)) - {FRAME_VERSION}:
+        with pytest.raises(WireError, match="frame version"):
+            decode_frame(bytes([version]) + good[1:])
+    with pytest.raises(WireError, match="empty"):
+        decode_frame(b"")
 
 
 def test_tenant_frame_rejects_malformed_5_tuple():
     msg = CommitMsg(VirtualTime(5, 1), 12)
-    body = bytes([FRAME_VERSION_TENANT]) + encode((9, 3, 7, msg, "oops"))[1:]
-    with pytest.raises(WireError, match="5-tuple"):
-        decode_frame(body)
+    trace = TraceContext(3, "5@1", 42)
+    malformed = [
+        (9, 3, 7, msg, "oops"),  # trace is neither None nor a TraceContext
+        (9, 3, 7, msg, msg),
+        ("9", 3, 7, msg, None),  # non-int tenant
+        (9.0, 3, 7, msg, None),
+        (None, 3, 7, msg, None),
+        (True, 3, 7, msg, None),
+        (9, "3", 7, msg, None),  # non-int src / dst
+        (9, 3, None, msg, None),
+        (9, 3, 7, msg),  # wrong arity
+        (9, 3, 7, msg, None, None),
+        (9, 3, 7, msg, trace, trace),
+        [9, 3, 7, msg, None],  # right shape, wrong container
+    ]
+    for value in malformed:
+        with pytest.raises(WireError, match="5-tuple"):
+            decode_frame(_frame_body(value))
+
+
+def test_tenant_frame_rejects_negative_tenant():
+    msg = CommitMsg(VirtualTime(5, 1), 12)
+    for tenant in (-1, -(2**40)):
+        with pytest.raises(WireError, match="negative tenant"):
+            decode_frame(_frame_body((tenant, 3, 7, msg, None)))
+    # encode_frame does not police its caller; the decoder is the boundary.
+    with pytest.raises(WireError, match="negative tenant"):
+        decode_frame(encode_frame(3, 7, msg, tenant=-1)[4:])

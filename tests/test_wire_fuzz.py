@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from repro.core.messages import OpPayload, TxnPropagateMsg, WriteOp
 from repro.errors import WireError
 from repro.vtime import VirtualTime
-from repro.wire import decode, decode_frame_body, encode
-from repro.wire.codec import WIRE_VERSION
+from repro.wire import TraceContext, decode, decode_frame, encode, encode_frame
+from repro.wire.codec import FRAME_VERSION, WIRE_VERSION
 
 
 def _decode_or_wire_error(data):
@@ -49,6 +49,31 @@ def _sample_frames():
 
 
 SAMPLE_FRAMES = _sample_frames()
+
+
+def _sample_frame_bodies():
+    """Routed frame bodies: both tenants 0 and 9, with and without trace."""
+    msg = decode(SAMPLE_FRAMES[0])
+    traces = (None, TraceContext(2, "41@2", 7), TraceContext(2, "41@2", 7, sampled=False))
+    return [
+        encode_frame(2, 0, msg, trace, tenant=tenant)[4:]
+        for tenant in (0, 9)
+        for trace in traces
+    ]
+
+
+SAMPLE_FRAME_BODIES = _sample_frame_bodies()
+
+
+def _decode_frame_or_wire_error(body):
+    """decode_frame() yields a well-typed routed 5-tuple or raises WireError."""
+    try:
+        tenant, src, dst, _payload, trace = decode_frame(body)
+    except WireError:
+        return
+    assert type(tenant) is int and tenant >= 0
+    assert type(src) is int and type(dst) is int
+    assert trace is None or type(trace) is TraceContext
 
 
 @settings(max_examples=300)
@@ -113,10 +138,21 @@ def test_memoryview_input_behaves_like_bytes(data):
 @settings(max_examples=200)
 @given(st.binary(max_size=128))
 def test_frame_body_decoder_never_escapes_wire_error(body):
-    try:
-        decode_frame_body(body)
-    except WireError:
-        pass
+    _decode_frame_or_wire_error(body)
+    # Most arbitrary bytes die at the version check; get past it too.
+    _decode_frame_or_wire_error(bytes([FRAME_VERSION]) + body)
+    _decode_frame_or_wire_error(memoryview(bytes([FRAME_VERSION]) + body))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SAMPLE_FRAME_BODIES), st.data())
+def test_mutated_frame_bodies_never_escape_wire_error(body, data):
+    pos = data.draw(st.integers(0, len(body) - 1))
+    new_byte = data.draw(st.integers(0, 255))
+    _decode_frame_or_wire_error(body[:pos] + bytes([new_byte]) + body[pos + 1 :])
+    _decode_frame_or_wire_error(body[: data.draw(st.integers(0, len(body) - 1))])
+    with pytest.raises(WireError):
+        decode_frame(body + bytes([new_byte]))
 
 
 def test_deep_nesting_does_not_blow_the_stack():
