@@ -42,6 +42,7 @@ from repro.core.transaction import (
     TxnRecord,
     TxnState,
 )
+from repro.core.views import blocking_subtree_reservation
 from repro.errors import (
     ConcurrencyConflict,
     InvalidPath,
@@ -73,9 +74,9 @@ class PendingPropagate:
 class TransactionEngine:
     """Per-site driver of the optimistic concurrency-control protocol."""
 
-    # Protocol counters live in the site's MetricsRegistry; these properties
-    # keep the historical attribute API (``engine.commits += 1``, bench
-    # harness reads) while making every counter enumerable and exportable.
+    # Protocol counters live in the site's MetricsRegistry; these read-only
+    # properties keep the historical attribute reads (``engine.commits``,
+    # bench harness) while every counter stays enumerable and exportable.
     commits = counter_property("txn.commits")
     aborts_conflict = counter_property("txn.aborts_conflict")
     aborts_user = counter_property("txn.aborts_user")
@@ -184,7 +185,7 @@ class TransactionEngine:
             record.state = TxnState.ABORTED
             outcome.aborted_no_retry = True
             outcome.abort_reason = f"{type(exc).__name__}: {exc}"
-            self.aborts_user += 1
+            self.site.metrics.inc("txn.aborts_user")
             if bus.active:
                 bus.emit(
                     "aborted",
@@ -415,8 +416,6 @@ class TransactionEngine:
                 )
             # Pessimistic-snapshot reservations protect whole subtrees:
             # consult the target and every ancestor (section 4.2).
-            from repro.core.views import blocking_subtree_reservation
-
             snap_block = blocking_subtree_reservation(target, vt)
             if snap_block is not None:
                 return (
@@ -506,8 +505,8 @@ class TransactionEngine:
         counter, latency/attempt histograms, and commit callbacks."""
         outcome.committed = True
         outcome.commit_time_ms = self.site.transport.now()
-        self.commits += 1
         metrics = self.site.metrics
+        metrics.inc("txn.commits")
         latency = outcome.commit_latency_ms
         if latency is not None:
             metrics.observe("txn.commit_latency_ms", latency)
@@ -526,7 +525,7 @@ class TransactionEngine:
         self.site.views.begin_batch()
         self._apply_abort_locally(vt, reason=reason)
         self.site.views.end_batch()
-        self.aborts_conflict += 1
+        self.site.metrics.inc("txn.aborts_conflict")
         outcome = record.outcome
         self.records.pop(vt, None)
         if not retry:
@@ -536,11 +535,10 @@ class TransactionEngine:
         if outcome.attempts > self.max_retries:
             outcome.aborted_no_retry = True
             outcome.abort_reason = f"retry limit exceeded after {outcome.attempts} attempts: {reason}"
-            self.records.pop(vt, None)
             return
         # "Transactions aborted due to concurrency control conflicts are
         # automatically reexecuted at the originating site" (section 2.4).
-        self.retries += 1
+        self.site.metrics.inc("txn.retries")
         # Quadratic backoff, capped: sustained contention needs delays that
         # grow past the network round trip or retry chains livelock.
         delay = min(

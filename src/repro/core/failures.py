@@ -341,7 +341,7 @@ class FailureManager:
         for vt in msg.commit_vts:
             if engine.status.get(vt) is None:
                 engine._apply_commit_locally(vt)
-                self.resolutions_committed += 1
+                self.site.metrics.inc("fail.resolutions_committed")
         for vt in msg.abort_vts:
             if engine.status.get(vt) is None:
                 self.site.views.begin_batch()
@@ -349,7 +349,7 @@ class FailureManager:
                     engine._apply_abort_locally(vt)
                 finally:
                     self.site.views.end_batch()
-                self.resolutions_aborted += 1
+                self.site.metrics.inc("fail.resolutions_aborted")
 
     # ------------------------------------------------------------------
     # 3. Graph repair
@@ -403,7 +403,7 @@ class FailureManager:
             ctx.write(obj, OpPayload(kind="graph", args=(new_graph,)))
 
         self.site.transact(body)
-        self.graphs_repaired += 1
+        self.site.metrics.inc("fail.graphs_repaired")
         bus = self.site.bus
         if bus.active:
             bus.emit(
@@ -503,7 +503,7 @@ class FailureManager:
                 propagation.apply_op(
                     obj, OpPayload(kind="graph", args=(new_graph,)), msg.apply_vt, committed=True
                 )
-                self.graphs_repaired += 1
+                self.site.metrics.inc("fail.graphs_repaired")
         finally:
             self.site.views.end_batch()
         # The consensus write commits outside the normal commit path; fire

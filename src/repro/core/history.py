@@ -15,7 +15,8 @@ replication graphs; composites use one history per embedded leaf plus
 VT-tagged child slots (see :mod:`repro.core.composites`).
 
 Implementation: alongside the entry list the history maintains a parallel
-list of ``VirtualTime.key`` tuples, kept in the same order, so every
+list of the entries' VTs (a ``VirtualTime`` is its own sort key — a tuple
+compared in C), kept in the same order, so every
 VT-positional query (``read_at``, ``committed_read_at``, ``entry_at``,
 ``entries_in_open_interval``, ``insert``) runs in O(log n) via
 :mod:`bisect` instead of a linear scan.  A cached index of the latest
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Generic, Iterator, List, Optional, TypeVar
 
 from repro.errors import ProtocolError
 from repro.vtime import VT_ZERO, VirtualTime
@@ -62,8 +63,8 @@ class ValueHistory(Generic[V]):
         self._entries: List[HistoryEntry[V]] = [
             HistoryEntry(vt=initial_vt, value=initial, committed=True)
         ]
-        # Parallel bisect index: _keys[i] == _entries[i].vt.key, always sorted.
-        self._keys: List[Tuple[int, int]] = [initial_vt.key]
+        # Parallel bisect index: _keys[i] == _entries[i].vt, always sorted.
+        self._keys: List[VirtualTime] = [initial_vt]
         # Index of the latest committed entry, or None if none remains.
         self._latest_committed: Optional[int] = 0
 
@@ -89,7 +90,7 @@ class ValueHistory(Generic[V]):
 
     def read_at(self, vt: VirtualTime) -> HistoryEntry[V]:
         """The entry in effect at ``vt``: latest entry with ``entry.vt <= vt``."""
-        i = bisect_right(self._keys, vt.key) - 1
+        i = bisect_right(self._keys, vt) - 1
         if i < 0:
             raise ProtocolError(
                 f"no value at or before {vt}; history begins at {self._entries[0].vt}"
@@ -98,7 +99,7 @@ class ValueHistory(Generic[V]):
 
     def committed_read_at(self, vt: VirtualTime) -> HistoryEntry[V]:
         """The latest *committed* entry with ``entry.vt <= vt``."""
-        i = bisect_right(self._keys, vt.key) - 1
+        i = bisect_right(self._keys, vt) - 1
         entries = self._entries
         while i >= 0 and not entries[i].committed:
             i -= 1
@@ -108,9 +109,8 @@ class ValueHistory(Generic[V]):
 
     def entry_at(self, vt: VirtualTime) -> Optional[HistoryEntry[V]]:
         """The exact entry written at ``vt``, if present."""
-        key = vt.key
-        i = bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
+        i = bisect_left(self._keys, vt)
+        if i < len(self._keys) and self._keys[i] == vt:
             return self._entries[i]
         return None
 
@@ -118,8 +118,8 @@ class ValueHistory(Generic[V]):
         self, lo: VirtualTime, hi: VirtualTime, committed_only: bool = False
     ) -> List[HistoryEntry[V]]:
         """Entries with ``lo < vt < hi`` — the RL guess check's evidence."""
-        start = bisect_right(self._keys, lo.key)
-        stop = bisect_left(self._keys, hi.key)
+        start = bisect_right(self._keys, lo)
+        stop = bisect_left(self._keys, hi)
         window = self._entries[start:stop]
         if committed_only:
             return [e for e in window if e.committed]
@@ -127,8 +127,8 @@ class ValueHistory(Generic[V]):
 
     def has_uncommitted_in_open_interval(self, lo: VirtualTime, hi: VirtualTime) -> bool:
         """True if an unresolved value sits inside ``(lo, hi)``."""
-        start = bisect_right(self._keys, lo.key)
-        stop = bisect_left(self._keys, hi.key)
+        start = bisect_right(self._keys, lo)
+        stop = bisect_left(self._keys, hi)
         entries = self._entries
         return any(not entries[i].committed for i in range(start, stop))
 
@@ -142,13 +142,12 @@ class ValueHistory(Generic[V]):
         Duplicate VTs are a protocol violation (VTs are globally unique and
         each transaction's write reaches a site exactly once).
         """
-        key = vt.key
-        i = bisect_right(self._keys, key)
-        if i > 0 and self._keys[i - 1] == key:
+        i = bisect_right(self._keys, vt)
+        if i > 0 and self._keys[i - 1] == vt:
             raise ProtocolError(f"duplicate history entry at {vt}")
         entry = HistoryEntry(vt=vt, value=value, committed=committed)
         self._entries.insert(i, entry)
-        self._keys.insert(i, key)
+        self._keys.insert(i, vt)
         lc = self._latest_committed
         if lc is not None and i <= lc:
             lc += 1
@@ -166,9 +165,8 @@ class ValueHistory(Generic[V]):
 
     def commit(self, vt: VirtualTime) -> bool:
         """Mark the entry at ``vt`` committed; returns False if absent."""
-        key = vt.key
-        i = bisect_left(self._keys, key)
-        if i >= len(self._keys) or self._keys[i] != key:
+        i = bisect_left(self._keys, vt)
+        if i >= len(self._keys) or self._keys[i] != vt:
             return False
         self._entries[i].committed = True
         if self._latest_committed is None or i > self._latest_committed:
@@ -177,9 +175,8 @@ class ValueHistory(Generic[V]):
 
     def purge(self, vt: VirtualTime) -> bool:
         """Remove the (aborted) entry at ``vt``; returns False if absent."""
-        key = vt.key
-        i = bisect_left(self._keys, key)
-        if i >= len(self._keys) or self._keys[i] != key:
+        i = bisect_left(self._keys, vt)
+        if i >= len(self._keys) or self._keys[i] != vt:
             return False
         if len(self._entries) == 1:
             raise ProtocolError("cannot purge the last remaining history entry")
@@ -213,7 +210,7 @@ class ValueHistory(Generic[V]):
                 raise ProtocolError("history lost its committed base entry")
             base_index: Optional[int] = self._latest_committed
         else:
-            i = bisect_right(self._keys, floor.key) - 1
+            i = bisect_right(self._keys, floor) - 1
             while i >= 0 and not self._entries[i].committed:
                 i -= 1
             base_index = i if i >= 0 else None

@@ -110,7 +110,9 @@ class ModelObject:
         (paper section 3.2).
         """
         node: ModelObject = self
-        while not node.has_own_graph():
+        # Tested on ``_graph_history`` itself, never on a remembered root, so
+        # ``enable_direct_propagation`` takes effect at once.
+        while node._graph_history is None:
             if node.parent is None:
                 raise ProtocolError(f"object {self.uid} has no propagation root")
             node = node.parent
@@ -118,13 +120,18 @@ class ModelObject:
 
     def graph_history(self) -> ValueHistory:
         """The replication graph history of this object's propagation root."""
-        root = self.propagation_root()
-        assert root._graph_history is not None
-        return root._graph_history
+        history = self._graph_history
+        if history is None:
+            history = self.propagation_root()._graph_history
+            assert history is not None
+        return history
 
     def graph(self) -> ReplicationGraph:
         """The current replication graph (possibly uncommitted)."""
-        return self.graph_history().current().value
+        history = self._graph_history
+        if history is None:
+            history = self.graph_history()
+        return history.current().value
 
     def graph_vt(self) -> VirtualTime:
         """The VT at which the replication graph was last changed."""
@@ -192,6 +199,12 @@ class ModelObject:
         view attached to a composite tracks "changes to the composite as
         well as to any of its children" (section 2.5).
         """
+        if self.parent is None:
+            # A root: only its own proxies observe it, so there is no ancestor
+            # walk and nothing to de-duplicate across levels.
+            for proxy in self.proxies:
+                proxy.on_object_event(self, event, vt)
+            return
         node: Optional[ModelObject] = self
         seen = set()
         while node is not None:

@@ -13,12 +13,17 @@ by the users" (paper section 3).  The graph determines:
 
 Graphs are immutable; graph changes are writes to the graph history,
 concurrency-controlled exactly like value writes (with their own RL
-reservations at the primary).
+reservations at the primary).  Because a graph never changes, the facts the
+per-message path asks of it — its sorted sites, the replica uid at a site,
+the default primary — are computed on first use and kept on the graph
+object; ``merge`` / ``without_site`` / ``without_node`` build new graphs, so
+nothing is ever invalidated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ProtocolError
@@ -99,9 +104,29 @@ class ReplicationGraph:
     # Queries
     # ------------------------------------------------------------------
 
+    # ``cached_property`` stores into the instance ``__dict__`` directly, which
+    # the frozen dataclass permits; ``==`` / ``hash`` look at fields only.
+
+    @cached_property
+    def _sorted_sites(self) -> Tuple[int, ...]:
+        return tuple(sorted({n.site for n in self.nodes}))
+
+    @cached_property
+    def _replica_at(self) -> Dict[int, Optional[str]]:
+        """``site -> uid``; None marks a site hosting more than one replica."""
+        replica_at: Dict[int, Optional[str]] = {}
+        for node in self.nodes:
+            replica_at[node.site] = None if node.site in replica_at else node.uid
+        return replica_at
+
+    @cached_property
+    def min_node(self) -> GraphNode:
+        """The minimum ``(site, uid)`` node: the default primary copy."""
+        return min(self.nodes)
+
     def sites(self) -> List[int]:
-        """All hosting sites, sorted ascending."""
-        return sorted({n.site for n in self.nodes})
+        """All hosting sites, sorted ascending (a fresh list per call)."""
+        return list(self._sorted_sites)
 
     def uids(self) -> List[str]:
         """All member uids, sorted."""
@@ -113,10 +138,13 @@ class ReplicationGraph:
         DECAF applications host at most one replica of a relationship per
         site runtime; the join protocol enforces this.
         """
-        matches = [n.uid for n in self.nodes if n.site == site]
-        if len(matches) > 1:
+        try:
+            uid = self._replica_at[site]
+        except KeyError:
+            return None
+        if uid is None:
             raise ProtocolError(f"multiple replicas of one relationship at site {site}")
-        return matches[0] if matches else None
+        return uid
 
     def site_of(self, uid: str) -> int:
         for node in self.nodes:
@@ -144,7 +172,7 @@ def default_primary_selector(graph: ReplicationGraph) -> GraphNode:
     every site computes the same answer); minimum site gives benchmarks a
     predictable primary placement.
     """
-    return min(graph.nodes)
+    return graph.min_node
 
 
 def primary_site(graph: ReplicationGraph, selector: Optional[PrimarySelector] = None) -> int:

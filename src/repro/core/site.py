@@ -39,7 +39,7 @@ from repro.core.messages import (
     WriteConfirmedMsg,
 )
 from repro.core.model import ModelObject
-from repro.core.repgraph import ReplicationGraph, default_primary_selector
+from repro.core.repgraph import ReplicationGraph
 from repro.core.scalars import DFloat, DInt, DString
 from repro.core.transaction import (
     FunctionTransaction,
@@ -327,20 +327,20 @@ class SiteRuntime:
         still need (commit alone is NOT sufficient: a stale-clocked site
         may still submit a write with an old VT).
         """
-        counters = []
+        bound: Optional[int] = None
+        me, heard = self.site_id, self.last_heard
         for s in sites:
-            if s == self.site_id:
-                counters.append(self.clock.counter)
-            else:
-                counters.append(self.last_heard.get(s, 0))
-        bound = min(counters) if counters else 0
-        return VirtualTime(bound, -1)
+            counter = self.clock.counter if s == me else heard.get(s, 0)
+            if bound is None or counter < bound:
+                bound = counter
+        return VirtualTime(0 if bound is None else bound, -1)
 
     def primary_site_of(self, graph: ReplicationGraph) -> int:
-        selector = None
-        if self.session is not None:
-            selector = self.session.primary_selector
-        return (selector or default_primary_selector)(graph).site
+        session = self.session
+        selector = session.primary_selector if session is not None else None
+        if selector is None:
+            return graph.min_node.site  # the default selector, kept on the graph
+        return selector(graph).site
 
     # ------------------------------------------------------------------
     # Introspection / metrics
@@ -367,7 +367,7 @@ class SiteRuntime:
                 committed_vt = obj.history.committed_current().vt
             except ProtocolError:
                 committed_vt = VT_ZERO
-            digest[key] = (committed_vt.key, repr(obj.value_at(horizon, committed_only=True)))
+            digest[key] = (tuple(committed_vt), repr(obj.value_at(horizon, committed_only=True)))
         return digest
 
     def protocol_residue(self) -> Dict[str, List[str]]:

@@ -31,9 +31,11 @@ resolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core import propagation
 from repro.core.messages import SnapshotCheck, SnapshotConfirmMsg, SnapshotReplyMsg
 from repro.errors import InvalidPath, ProtocolError
 from repro.vtime import VT_ZERO, VirtualTime
@@ -130,19 +132,20 @@ def subtree_uncommitted_upto(obj: "ModelObject", ts: VirtualTime) -> List[Virtua
     return found
 
 
-def _children_of(obj: "ModelObject") -> List["ModelObject"]:
-    from repro.core.composites import DList, DMap
-
-    if isinstance(obj, DList):
+def _children_of(obj: "ModelObject") -> Sequence["ModelObject"]:
+    """The embedded children of a composite, by its class-level ``kind``;
+    everything else (scalars, associations) shares one empty result."""
+    kind = obj.kind
+    if kind == "list":
         return [slot.child for slot in obj._slots]
-    if isinstance(obj, DMap):
+    if kind == "map":
         return [
             slot.child
             for slots in obj._keys.values()
             for slot in slots
             if slot.child is not None
         ]
-    return []
+    return ()
 
 
 def blocking_subtree_reservation(target: "ModelObject", vt: VirtualTime) -> Optional[Any]:
@@ -162,25 +165,44 @@ def blocking_subtree_reservation(target: "ModelObject", vt: VirtualTime) -> Opti
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+# One of each is allocated per notification / CONFIRM-READ, so all three are
+# slotted.  Tier-1 runs on Python 3.9 (no ``dataclass(slots=True)``), and a
+# field default is a class variable that ``__slots__`` refuses, hence the
+# hand-written constructors where fields have defaults.
+
+
 class SnapshotRecord:
     """Internal guess-tracking for one view notification's snapshot."""
 
-    snap_id: Tuple[int, int]
-    proxy: "ViewProxy"
-    ts: VirtualTime
-    committed_only: bool
-    #: Transport time at record creation (pessimistic delivery latency).
-    created_ms: float = 0.0
-    pending_sites: Set[int] = field(default_factory=set)
-    pending_rc: Set[VirtualTime] = field(default_factory=set)
-    denied: bool = False
-    dead: bool = False
-    changed: List["ModelObject"] = field(default_factory=list)
-    delivered: bool = False  # pessimistic: update() already called
-    #: Remote checks still awaiting a verdict: (primary site, check, local
-    #: object).  Eager write confirmations resolve entries early.
-    outstanding: List[Tuple[int, SnapshotCheck, Any]] = field(default_factory=list)
+    __slots__ = (
+        "snap_id", "proxy", "ts", "committed_only", "created_ms", "pending_sites",
+        "pending_rc", "denied", "dead", "changed", "delivered", "outstanding",
+    )
+
+    def __init__(
+        self,
+        snap_id: Tuple[int, int],
+        proxy: "ViewProxy",
+        ts: VirtualTime,
+        committed_only: bool,
+        created_ms: float,
+        changed: List["ModelObject"],
+    ) -> None:
+        self.snap_id = snap_id
+        self.proxy = proxy
+        self.ts = ts
+        self.committed_only = committed_only
+        #: Transport time at record creation (pessimistic delivery latency).
+        self.created_ms = created_ms
+        self.pending_sites: Set[int] = set()
+        self.pending_rc: Set[VirtualTime] = set()
+        self.denied = False
+        self.dead = False
+        self.changed = changed
+        self.delivered = False  # pessimistic: update() already called
+        #: Remote checks still awaiting a verdict: (primary site, check, local
+        #: object).  Eager write confirmations resolve entries early.
+        self.outstanding: List[Tuple[int, SnapshotCheck, Any]] = []
 
     def ready(self) -> bool:
         return not self.denied and not self.pending_sites and not self.pending_rc
@@ -190,21 +212,25 @@ class SnapshotRecord:
 class DeferredCheck:
     """Primary-side pessimistic check waiting for in-interval values to resolve."""
 
+    __slots__ = ("snap_id", "origin", "check", "target")
+
     snap_id: Tuple[int, int]
     origin: int
     check: SnapshotCheck
     target: "ModelObject"
 
 
-@dataclass
 class OutstandingReply:
     """Primary-side aggregation: one reply per (snapshot, this site)."""
 
-    snap_id: Tuple[int, int]
-    origin: int
-    unresolved: int
-    ok: bool = True
-    denials: List[str] = field(default_factory=list)
+    __slots__ = ("snap_id", "origin", "unresolved", "ok", "denials")
+
+    def __init__(self, snap_id: Tuple[int, int], origin: int, unresolved: int) -> None:
+        self.snap_id = snap_id
+        self.origin = origin
+        self.unresolved = unresolved
+        self.ok = True
+        self.denials: List[str] = []
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +306,11 @@ class ViewProxy:
     def attached_root_of(self, obj: "ModelObject") -> "ModelObject":
         """Map an event's (possibly embedded) object to the attached ancestor."""
         node: Optional["ModelObject"] = obj
+        objects = self.objects
         while node is not None:
-            if any(node is attached for attached in self.objects):
-                return node
+            for attached in objects:
+                if node is attached:
+                    return node
             node = node.parent
         raise ProtocolError(f"event object {obj.uid} not under any attached object")
 
@@ -446,8 +474,11 @@ class PessimisticProxy(ViewProxy):
         super().__init__(manager, view, objects)
         #: VT of the last delivered update notification.
         self.last_notified_vt: VirtualTime = VT_ZERO
-        #: Pending snapshots keyed by ts, kept in sorted order for delivery.
+        #: Pending snapshots keyed by ts.
         self.pending: Dict[VirtualTime, SnapshotRecord] = {}
+        #: The same timestamps in VT order, so delivery and neighbour lookups
+        #: bisect instead of scanning every pending VT.
+        self._pending_order: List[VirtualTime] = []
         self.monotonicity_skips = 0
 
     def bootstrap(self) -> None:
@@ -455,10 +486,6 @@ class PessimisticProxy(ViewProxy):
         ts0 = max(
             (obj.history.committed_current().vt for obj in self.objects), default=VT_ZERO
         )
-        for obj in self.objects:
-            committed_vt = obj.history.committed_current().vt
-            if committed_vt > ts0:
-                ts0 = committed_vt
         self.last_notified_vt = ts0
         self.notifications += 1
         self._record_notify("update", ts0, len(self.objects))
@@ -490,7 +517,7 @@ class PessimisticProxy(ViewProxy):
                     continue
                 self._create_snapshot(vt, [attached])
             elif event == "undo":
-                record = self.pending.pop(vt, None)
+                record = self._drop_pending(vt)
                 if record is not None:
                     self.manager.discard_record(record)
                     self._revise_successor_of(vt)
@@ -501,20 +528,32 @@ class PessimisticProxy(ViewProxy):
 
     # -- snapshot lifecycle ---------------------------------------------
 
-    def _sorted_pending(self) -> List[SnapshotRecord]:
-        return [self.pending[vt] for vt in sorted(self.pending)]
+    def _drop_pending(self, ts: VirtualTime) -> Optional[SnapshotRecord]:
+        record = self.pending.pop(ts, None)
+        if record is not None:
+            order = self._pending_order
+            del order[bisect_left(order, ts)]
+        return record
+
+    def earliest_pending(self) -> Optional[VirtualTime]:
+        """The lowest pending snapshot VT (None when nothing is pending)."""
+        order = self._pending_order
+        return order[0] if order else None
 
     def _predecessor_ts(self, ts: VirtualTime) -> VirtualTime:
-        prior = [vt for vt in self.pending if vt < ts]
-        return max(prior) if prior else self.last_notified_vt
+        order = self._pending_order
+        i = bisect_left(order, ts)
+        return order[i - 1] if i else self.last_notified_vt
 
     def _successor(self, ts: VirtualTime) -> Optional[SnapshotRecord]:
-        later = [vt for vt in self.pending if vt > ts]
-        return self.pending[min(later)] if later else None
+        order = self._pending_order
+        i = bisect_right(order, ts)
+        return self.pending[order[i]] if i < len(order) else None
 
     def _create_snapshot(self, ts: VirtualTime, changed: List["ModelObject"]) -> None:
         record = self.manager.new_record(self, ts, committed_only=True, changed=list(changed))
         self.pending[ts] = record
+        insort(self._pending_order, ts)
         # RC guess: the updating transaction must commit.
         self._register_rc(record, ts)
         self._send_checks(record)
@@ -576,11 +615,12 @@ class PessimisticProxy(ViewProxy):
     def _deliver_ready(self) -> None:
         """Deliver pending snapshots in VT order while they are ready."""
         pre_commit_mutant = "views_pre_commit" in self.site.engine.mutations
-        while self.pending:
-            first_ts = min(self.pending)
+        order = self._pending_order
+        while order:
+            first_ts = order[0]
             record = self.pending[first_ts]
             if record.dead:
-                self.pending.pop(first_ts)
+                self._drop_pending(first_ts)
                 self.manager.discard_record(record)
                 self._revise_successor_of(first_ts)
                 continue
@@ -596,7 +636,7 @@ class PessimisticProxy(ViewProxy):
                     return
                 if self.site.engine.status.get(first_ts) != "committed":
                     return
-            self.pending.pop(first_ts)
+            self._drop_pending(first_ts)
             self.manager.discard_record(record)
             self.last_notified_vt = first_ts
             record.delivered = True
@@ -616,7 +656,7 @@ class PessimisticProxy(ViewProxy):
         # abort resolved through the dep index first, clean up here.
         existing = self.pending.get(record.ts)
         if existing is record:
-            self.pending.pop(record.ts, None)
+            self._drop_pending(record.ts)
             self.manager.discard_record(record)
             self._revise_successor_of(record.ts)
         self._deliver_ready()
@@ -867,8 +907,6 @@ class ViewManager:
         self._maybe_reply(reply)
 
     def _resolve_target(self, check: SnapshotCheck) -> Optional["ModelObject"]:
-        from repro.core import propagation
-
         root = self.site.objects.get(check.object_uid)
         if root is None:
             return None
@@ -1021,10 +1059,9 @@ class ViewManager:
             for proxy in node.proxies:
                 if isinstance(proxy, PessimisticProxy):
                     candidate = proxy.last_notified_vt
-                    if proxy.pending:
-                        pending_min = min(proxy.pending)
-                        if pending_min < candidate:
-                            candidate = pending_min
+                    pending_min = proxy.earliest_pending()
+                    if pending_min is not None and pending_min < candidate:
+                        candidate = pending_min
                     if floor is None or candidate < floor:
                         floor = candidate
             node = node.parent

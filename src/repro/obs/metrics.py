@@ -3,9 +3,9 @@
 Replaces the scattered ad-hoc integer attributes (``engine.commits``,
 ``failures.graphs_repaired``, per-proxy notification counts) with one
 registry per :class:`~repro.core.site.SiteRuntime`.  Existing attribute
-access keeps working — the engine and failure manager expose registry-backed
-properties — but every counter is now also enumerable, snapshotable, and
-exported alongside traces.
+*reads* keep working — the engine and failure manager expose read-only
+registry-backed properties — but every counter is now also enumerable,
+snapshotable, and exported alongside traces.
 
 Everything here is deterministic: histograms use *fixed* bucket boundaries
 and observe *simulated* quantities (latency in simulated ms, attempt
@@ -206,18 +206,17 @@ def summary_dict(sketch: "QuantileSketch") -> Dict[str, Any]:
 
 
 def counter_property(name: str, doc: Optional[str] = None) -> property:
-    """A registry-backed int attribute for protocol components.
+    """A read-only, registry-backed int attribute for protocol components.
 
-    Lets existing call sites (``engine.commits += 1``, tests asserting
-    ``site.engine.aborts_conflict``) keep their shape while the value
-    lives in ``site.metrics``.  The owning object must expose ``site``
-    with a ``metrics`` registry.
+    Lets readers (``site.engine.aborts_conflict`` in tests,
+    ``Session.counters()``) keep their shape while the value lives in
+    ``site.metrics``.  Writers bump the registry directly
+    (``metrics.inc(name)``): an increment is one dict write, not a property
+    get and set.  The owning object must expose ``site`` with a ``metrics``
+    registry.
     """
 
     def _get(self) -> int:
         return self.site.metrics.value(name)
 
-    def _set(self, value: int) -> None:
-        self.site.metrics.set_counter(name, value)
-
-    return property(_get, _set, doc=doc or f"Registry-backed counter {name!r}.")
+    return property(_get, doc=doc or f"Registry-backed counter {name!r}.")

@@ -75,9 +75,10 @@ class IntervalSet:
     def __init__(self) -> None:
         # seq -> Interval, in insertion order (dicts preserve it).
         self._live: Dict[int, Interval] = {}
-        # (hi.key, seq) sorted ascending; may contain tombstoned seqs.
-        self._by_hi: List[Tuple[Tuple[int, int], int]] = []
-        # owner -> seqs reserved by that owner (may contain tombstoned seqs).
+        # (hi, seq) sorted ascending; may contain tombstoned seqs.
+        self._by_hi: List[Tuple[VirtualTime, int]] = []
+        # owner -> seqs reserved by that owner (every live seq is listed;
+        # release_owner's tombstones linger until the next compaction).
         self._by_owner: Dict[VirtualTime, List[int]] = {}
         self._next_seq = 0
         # Count of tombstoned entries still present in _by_hi.
@@ -101,7 +102,7 @@ class IntervalSet:
             seq = self._next_seq
             self._next_seq = seq + 1
             self._live[seq] = interval
-            insort(self._by_hi, (hi.key, seq))
+            insort(self._by_hi, (hi, seq))
             self._by_owner.setdefault(owner, []).append(seq)
         return interval
 
@@ -121,7 +122,7 @@ class IntervalSet:
         past all reservations ending at or before ``vt`` — under commit-driven
         pruning the skipped prefix is most of the set.
         """
-        start = bisect_right(self._by_hi, (vt.key, self._next_seq))
+        start = bisect_right(self._by_hi, (vt, self._next_seq))
         live = self._live
         best_seq: Optional[int] = None
         for _, seq in self._by_hi[start:]:
@@ -160,15 +161,23 @@ class IntervalSet:
         reservation ending exactly *at* ``vt`` is equally dead: only VTs
         strictly inside it could ever be blocked, and those precede ``vt``.
         """
-        cut = bisect_right(self._by_hi, (vt.key, self._next_seq))
+        cut = bisect_right(self._by_hi, (vt, self._next_seq))
         if cut == 0:
             return 0
         dropped = 0
+        live, by_owner = self._live, self._by_owner
         for _, seq in self._by_hi[:cut]:
-            if self._live.pop(seq, None) is not None:
-                dropped += 1
-            else:
+            interval = live.pop(seq, None)
+            if interval is None:
                 self._dead -= 1
+                continue
+            dropped += 1
+            # Leave the owner index too, or an abort-free stream keeps one
+            # owner -> [seq] entry per reservation forever.
+            seqs = by_owner[interval.owner]
+            seqs.remove(seq)
+            if not seqs:
+                del by_owner[interval.owner]
         del self._by_hi[:cut]
         return dropped
 
@@ -177,7 +186,7 @@ class IntervalSet:
         if self._dead < _COMPACT_MIN_DEAD or self._dead <= len(self._by_hi) // 2:
             return
         self._by_hi = sorted(
-            ((interval.hi.key, seq) for seq, interval in self._live.items())
+            ((interval.hi, seq) for seq, interval in self._live.items())
         )
         self._dead = 0
         # Drop tombstoned seqs from the owner index while we are at it.

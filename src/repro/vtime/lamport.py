@@ -9,10 +9,11 @@ ordered.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from operator import itemgetter
+from typing import Optional
 
 
-class VirtualTime:
+class VirtualTime(tuple):
     """A totally ordered ``(counter, site)`` Lamport timestamp.
 
     Ordering is lexicographic: the Lamport counter dominates and the site
@@ -21,67 +22,36 @@ class VirtualTime:
 
     VTs are the single most-compared object in the system — every history
     lookup, reservation check, and commit-log ordering goes through them —
-    so the class is slotted and keeps a precomputed ``key`` tuple that all
-    comparisons, hashing, and the bisect-backed indexes share.
+    so the class *is* a two-element tuple: hashing, equality, ordering,
+    ``min``/``max``/``sorted`` and ``bisect`` all run in C, with no
+    Python-level comparison method in between.  One consequence, pinned in
+    the tests: ``VirtualTime(3, 1) == (3, 1)`` is ``True``, so any code
+    that dispatches on type must test ``VirtualTime`` before ``tuple``.
+
+    ``__slots__ = ()`` keeps instances free of a ``__dict__``: a VT is
+    exactly its tuple, and per-VT caches (the codec's encode stamp) live
+    outside it, keyed by the VT.
     """
 
-    __slots__ = ("counter", "site", "key", "_wire")
+    __slots__ = ()
 
-    counter: int
-    site: int
-    #: Precomputed ``(counter, site)`` — the sort key used by comparisons
-    #: and by the bisect indexes in histories and interval sets.
-    key: Tuple[int, int]
-    #: Lazily cached canonical wire encoding (tag byte + two zigzag
-    #: varints), written once by the codec via ``object.__setattr__`` the
-    #: first time this VT is encoded.  Commit fan-out and dict/frozenset
-    #: canonicalization re-encode the same timestamps many times; the cache
-    #: makes every encode after the first a single list append.
-    _wire: bytes
+    def __new__(cls, counter: int, site: int) -> "VirtualTime":
+        return tuple.__new__(cls, (counter, site))
 
-    def __init__(self, counter: int, site: int) -> None:
-        object.__setattr__(self, "counter", counter)
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "key", (counter, site))
+    counter = property(itemgetter(0), doc="The Lamport counter.")
+    site = property(itemgetter(1), doc="The issuing site's identifier.")
+
+    @property
+    def key(self) -> "VirtualTime":
+        """The sort key used by the bisect indexes in histories and interval
+        sets: the VT itself, which hashes and compares as ``(counter, site)``."""
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"VirtualTime is immutable; cannot set {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"VirtualTime is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VirtualTime):
-            return NotImplemented
-        return self.key == other.key
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, VirtualTime):
-            return NotImplemented
-        return self.key != other.key
-
-    def __lt__(self, other: "VirtualTime") -> bool:
-        if not isinstance(other, VirtualTime):
-            return NotImplemented
-        return self.key < other.key
-
-    def __le__(self, other: "VirtualTime") -> bool:
-        if not isinstance(other, VirtualTime):
-            return NotImplemented
-        return self.key <= other.key
-
-    def __gt__(self, other: "VirtualTime") -> bool:
-        if not isinstance(other, VirtualTime):
-            return NotImplemented
-        return self.key > other.key
-
-    def __ge__(self, other: "VirtualTime") -> bool:
-        if not isinstance(other, VirtualTime):
-            return NotImplemented
-        return self.key >= other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __reduce__(self):
         return (VirtualTime, (self.counter, self.site))

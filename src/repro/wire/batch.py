@@ -76,9 +76,11 @@ class Outbox:
         if self._depth > 0:
             self._buffer.append((dst, payload))
             return
-        self.messages_sent += 1
-        self.envelopes_sent += 1
-        self.site.transport.send(self.site.site_id, dst, payload)
+        site = self.site
+        inc = site.metrics.inc
+        inc("wire.messages_sent")
+        inc("wire.envelopes_sent")
+        site.transport.send(site.site_id, dst, payload)
 
     # ------------------------------------------------------------------
     # Turn windows
@@ -127,12 +129,13 @@ class Outbox:
     def _flush(self) -> None:
         buffered, self._buffer = self._buffer, []
         site = self.site
+        inc = site.metrics.inc
         if len(buffered) == 1:
             # The overwhelmingly common turn outcome — one reply to one
             # destination — skips the grouping dict entirely.
             dst, payload = buffered[0]
-            self.messages_sent += 1
-            self.envelopes_sent += 1
+            inc("wire.messages_sent")
+            inc("wire.envelopes_sent")
             site.transport.send(site.site_id, dst, payload)
             return
         groups: Dict[int, List[Any]] = {}
@@ -143,12 +146,12 @@ class Outbox:
         site_id = site.site_id
         for dst, msgs in groups.items():
             count = len(msgs)
-            self.messages_sent += count
-            self.envelopes_sent += 1
+            inc("wire.messages_sent", count)
+            inc("wire.envelopes_sent")
             if count == 1:
                 transport_send(site_id, dst, msgs[0])
                 continue
-            self.messages_batched += count
+            inc("wire.messages_batched", count)
             if site.bus.active:
                 site.bus.emit(
                     "envelope_sent",

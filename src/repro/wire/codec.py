@@ -47,8 +47,8 @@ Hot-path architecture (docs/WIRE.md has the full treatment):
   strings (site/object uids), and structs opting in via
   ``__wire_intern__`` (e.g. ``SlotId``) are shared through bounded caches
   so repeated decodes of one collaboration's traffic reuse objects, and
-  each ``VirtualTime`` caches its canonical encoding so dict/frozenset
-  canonicalization stops re-encoding keys.
+  the VT cache also remembers each ``VirtualTime``'s canonical encoding so
+  fan-out and dict/frozenset canonicalization stop re-encoding timestamps.
 """
 
 from __future__ import annotations
@@ -172,6 +172,13 @@ _DECODERS: List[Optional[Callable[[Any, int], Tuple[Any, int]]]] = [None] * 256
 #: int and tuple keys never compare equal, so one dict serves both.
 _VT_CACHE: Dict[Any, VirtualTime] = {}
 _VT_CACHE_MAX = 1 << 16
+#: The encode half of the VT cache: canonical wire bytes (tag + two zigzag
+#: varints) keyed by the VT itself — a C-level tuple hash, no attribute on
+#: the (slot-free) ``VirtualTime``.  Commit fan-out re-encodes the same
+#: timestamps once per destination and dict/frozenset canonicalization once
+#: per containing collection; every encode after the first is one lookup and
+#: one append.  Same bound and wholesale clear as the decode half.
+_VT_WIRE: Dict[VirtualTime, bytes] = {}
 _STR_CACHE: Dict[bytes, str] = {}
 _STR_CACHE_MAX = 1 << 12
 _STR_INTERN_MAX_LEN = 40
@@ -297,14 +304,15 @@ def _enc_bytes(out: List[bytes], value: bytes) -> None:
     out.append(value)
 
 
+def _remember_vt_wire(value: VirtualTime, raw: bytes) -> None:
+    if len(_VT_WIRE) >= _VT_CACHE_MAX:
+        _VT_WIRE.clear()
+    _VT_WIRE[value] = raw
+
+
 def _enc_vt(out: List[bytes], value: VirtualTime) -> None:
-    # Each VT caches its canonical encoding (tag + two zigzag varints) the
-    # first time it crosses the wire: commit fan-out re-encodes the same
-    # timestamps once per destination, and dict/frozenset canonicalization
-    # re-encodes them once per containing collection.
-    try:
-        out.append(value._wire)
-    except AttributeError:
+    raw = _VT_WIRE.get(value)
+    if raw is None:
         parts: List[bytes] = [_B_VT]
         counter = value.counter
         z = (counter << 1) if counter >= 0 else ((-counter << 1) - 1)
@@ -319,8 +327,8 @@ def _enc_vt(out: List[bytes], value: VirtualTime) -> None:
         else:
             _append_uvarint(parts, z)
         raw = b"".join(parts)
-        object.__setattr__(value, "_wire", raw)
-        out.append(raw)
+        _remember_vt_wire(value, raw)
+    out.append(raw)
 
 
 def _enc_value(out: List[bytes], value: Any) -> None:
@@ -346,7 +354,7 @@ def _enc_items(out: List[bytes], value: Any) -> None:
                 out.append(_B_INT)
                 _append_uvarint(out, z)
         elif cls is VirtualTime:
-            raw = getattr(item, "_wire", None)
+            raw = _VT_WIRE.get(item)
             if raw is not None:
                 out.append(raw)
             else:
@@ -662,9 +670,10 @@ def _dec_vt(data: Any, pos: int) -> Tuple[VirtualTime, int]:
             (z2 >> 1) if not z2 & 1 else -((z2 + 1) >> 1),
         )
         if z1 < 0x80 and z2 < 0x80:
-            # Pre-stamp the canonical encoding so re-encoding this VT (fan
-            # out, relays) is a single cached append from the start.
-            object.__setattr__(vt, "_wire", bytes((_T_VT, z1, z2)))
+            # Single-byte varints are canonical: remember the encoding so
+            # re-encoding this VT (fan out, relays) is a cached append from
+            # the start.
+            _remember_vt_wire(vt, bytes((_T_VT, z1, z2)))
         _VT_CACHE[key] = vt
     return vt, pos
 
@@ -819,11 +828,11 @@ def _inline_decode_target(detail: Optional[str]) -> Optional[type]:
 
 
 def _emit_enc_vt_body(g: _Codegen, ind: int, var: str) -> None:
-    # cached canonical encoding: one getattr + one append on the hot path
+    # cached canonical encoding: one dict lookup + one append on the hot path
     g.add(
         ind,
         f"""\
-w = _ga({var}, "_wire", None)
+w = _VTW({var})
 if w is not None:
     append(w)
 else:
@@ -835,10 +844,10 @@ def _emit_enc_struct_body(g: _Codegen, ind: int, var: str, cls: type, depth: int
     tag, fields = _STRUCTS_BY_CLASS[cls]
     interned = bool(getattr(cls, "__wire_intern__", False))
     if interned:
-        # Per-instance cached canonical encoding, the VirtualTime._wire
-        # pattern one level up: commit fan-out encodes the same frozen
-        # value object once per destination, every encode after the first
-        # is one getattr + one append.  (Per-instance, not per-value —
+        # Per-instance cached canonical encoding: commit fan-out encodes
+        # the same frozen value object once per destination, every encode
+        # after the first is one getattr + one append.  (Per-instance, not
+        # per-value as for VTs, whose two fields are always ints —
         # value-keyed caching would conflate 1/True/1.0 and 0.0/-0.0,
         # which compare equal but encode differently.)
         u = g.uid()
@@ -994,6 +1003,7 @@ def _compile_packer(tag: int, cls: type) -> Callable:
         "_ev": _enc_vt,
         "_uv": _append_uvarint,
         "_ga": getattr,
+        "_VTW": _VT_WIRE.get,
         "_stamp": _stamp_wire,
         "_int": int,
         "_bool": bool,

@@ -186,11 +186,17 @@ class TestMetricsRegistry:
         site = FakeSite()
         engine = Engine(site)
         assert engine.commits == 0
-        engine.commits += 1
-        engine.commits += 1
-        assert site.metrics.value("txn.commits") == 2
-        engine.commits = 10
+        site.metrics.inc("txn.commits")
+        site.metrics.inc("txn.commits")
+        assert engine.commits == 2
+        site.metrics.set_counter("txn.commits", 10)
         assert engine.commits == 10
+        # Read side only: writers bump the registry, one dict write each.
+        with pytest.raises(AttributeError):
+            engine.commits = 11
+        with pytest.raises(AttributeError):
+            engine.commits += 1
+        assert site.metrics.value("txn.commits") == 10
 
     def test_snapshot_keys_sorted(self):
         m = MetricsRegistry()

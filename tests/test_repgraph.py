@@ -122,3 +122,80 @@ class TestPrimarySelection:
         graph = singleton("s0:x", 0).merge(singleton("s1:x", 1), ("s0:x", "s1:x"))
         assert primary_site(graph) == 0
         assert primary_site(graph.without_site(0)) == 1
+
+
+class TestGraphFactsLiveOnTheGraph:
+    """Sorted sites, the site -> uid map and the default primary are computed
+    once per (immutable) graph; a derived graph computes its own."""
+
+    def _triple(self):
+        graph = singleton("s0:x", 0).merge(singleton("s1:x", 1), ("s0:x", "s1:x"))
+        return graph.merge(singleton("s2:x", 2), ("s1:x", "s2:x"))
+
+    def test_sites_result_can_be_mutated(self):
+        graph = self._triple()
+        first = graph.sites()
+        first.remove(1)
+        first.append(99)
+        assert graph.sites() == [0, 1, 2]
+        assert graph.sites() is not graph.sites()
+
+    def test_derived_graphs_answer_from_their_own_nodes(self):
+        graph = self._triple()
+        # Ask the parent first, so every fact is already remembered on it.
+        assert (graph.sites(), graph.uid_at_site(0), primary_site(graph)) == ([0, 1, 2], "s0:x", 0)
+
+        no_site = graph.without_site(0)
+        assert no_site.sites() == [1, 2]
+        assert no_site.uid_at_site(0) is None and no_site.uid_at_site(1) == "s1:x"
+        assert default_primary_selector(no_site) == GraphNode(1, "s1:x")
+
+        no_node = graph.without_node("s1:x")
+        assert no_node.sites() == [0, 2]
+        assert no_node.uid_at_site(1) is None and no_node.uid_at_site(2) == "s2:x"
+        assert primary_site(no_node) == 0
+
+        merged = no_site.merge(singleton("s-1:x", -1), ("s1:x", "s-1:x"))
+        assert merged.sites() == [-1, 1, 2]
+        assert merged.uid_at_site(-1) == "s-1:x"
+        assert primary_site(merged) == -1
+        # ... and none of that disturbed what the parent remembers.
+        assert (graph.sites(), graph.uid_at_site(0), primary_site(graph)) == ([0, 1, 2], "s0:x", 0)
+
+    def test_remembered_facts_are_invisible_to_equality_and_hash(self):
+        asked, fresh = self._triple(), self._triple()
+        asked.sites(), asked.uid_at_site(1), default_primary_selector(asked)
+        assert asked == fresh and hash(asked) == hash(fresh)
+
+    def test_duplicate_replica_raises_from_uid_at_site_every_time(self):
+        graph = ReplicationGraph(
+            nodes=frozenset({GraphNode(0, "s0:x"), GraphNode(0, "s0:y"), GraphNode(1, "s1:x")})
+        )
+        assert graph.sites() == [0, 1]  # constructing and other queries do not raise
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                graph.uid_at_site(0)
+        assert graph.uid_at_site(1) == "s1:x"
+
+    def test_custom_selector_elects_everywhere_and_never_reads_the_default(self):
+        from repro import DInt, Session
+
+        calls = []
+
+        def highest(graph):
+            calls.append(graph)
+            return max(graph.nodes)
+
+        session = Session.simulated(latency_ms=10.0, primary_selector=highest)
+        sites = session.add_sites(3)
+        objs = session.replicate(DInt, "x", sites, initial=0)
+        for writer, obj in zip(sites, objs):
+            writer.transact(lambda obj=obj: obj.set(obj.get() + 1))
+            session.settle()
+        assert [obj.primary_site() for obj in objs] == [2, 2, 2]
+        assert [obj.get() for obj in objs] == [3, 3, 3]
+        before = len(calls)
+        objs[0].primary_site()
+        assert len(calls) == before + 1  # asked every time, never remembered
+        for obj in objs:
+            assert "min_node" not in vars(obj.graph())

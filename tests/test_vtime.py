@@ -52,6 +52,83 @@ class TestVirtualTime:
             assert va < vc
 
 
+_PAIRS = st.tuples(st.integers(-(2**40), 2**40), st.integers(-1, 2**20))
+
+
+class TestVirtualTimeContract:
+    """What the rest of the system relies on now that a VT *is* a tuple."""
+
+    @given(_PAIRS, _PAIRS)
+    def test_ordering_is_lexicographic(self, a, b):
+        va, vb = VirtualTime(*a), VirtualTime(*b)
+        assert (va < vb) == (a < b)
+        assert (va <= vb) == (a <= b)
+        assert (va == vb) == (a == b)
+        assert min(va, vb) == min(a, b) and max(va, vb) == max(a, b)
+        assert sorted([vb, va]) == sorted([b, a])
+
+    @given(_PAIRS)
+    def test_equal_vts_are_interchangeable_dict_keys(self, pair):
+        from repro.wire import decode, encode
+
+        vt = VirtualTime(*pair)
+        decoded = decode(encode(vt))
+        assert type(decoded) is VirtualTime
+        assert decoded == vt and hash(decoded) == hash(vt)
+        table = {vt: "status"}
+        assert table[decoded] == "status" and table[VirtualTime(*pair)] == "status"
+
+    @given(_PAIRS)
+    def test_compares_equal_to_its_plain_tuple(self, pair):
+        # Documented consequence of the tuple base: type dispatch must test
+        # VirtualTime before tuple.
+        vt = VirtualTime(*pair)
+        assert vt == pair and hash(vt) == hash(pair)
+        counter, site = vt
+        assert (counter, site) == (vt.counter, vt.site) == pair
+
+    @given(_PAIRS)
+    def test_key_is_the_vt_itself(self, pair):
+        vt = VirtualTime(*pair)
+        assert vt.key is vt
+        assert {vt.key: 1}[pair] == 1
+
+    def test_immutable(self):
+        vt = VirtualTime(3, 1)
+        for name in ("counter", "site", "key", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(vt, name, 9)
+            with pytest.raises(AttributeError):
+                delattr(vt, name)
+        assert vt == VirtualTime(3, 1)
+
+    @given(_PAIRS)
+    def test_pickle_and_copy_round_trip(self, pair):
+        import copy
+        import pickle
+
+        vt = VirtualTime(*pair)
+        clones = [copy.copy(vt), copy.deepcopy(vt)]
+        clones += [pickle.loads(pickle.dumps(vt, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones:
+            assert type(clone) is VirtualTime and clone == vt
+
+    def test_no_instance_dict(self):
+        import sys
+
+        vt = VirtualTime(1, 1)
+        assert not hasattr(vt, "__dict__")
+        # Exactly the two-element tuple it is — the former slotted object
+        # cost that tuple (its precomputed key) plus itself.
+        assert sys.getsizeof(vt) == sys.getsizeof((1, 1))
+
+    def test_json_safe_still_renders_the_vt_form(self):
+        from repro.obs.events import _json_safe
+
+        assert _json_safe(VirtualTime(3, 1)) == "VT(3@1)"
+        assert _json_safe([VirtualTime(3, 1), (3, 1)]) == ["VT(3@1)", [3, 1]]
+
+
 # ---------------------------------------------------------------------------
 # LamportClock
 # ---------------------------------------------------------------------------
@@ -173,6 +250,22 @@ class TestIntervalSet:
         assert [i.hi for i in rs] == [vt(11)]
         # Pruning again at the same point drops nothing further.
         assert rs.prune_before(vt(10)) == 0
+
+    def test_prune_before_leaves_the_owner_index_too(self):
+        # An abort-free stream never calls release_owner, so pruning is the
+        # only thing that can shrink the owner index: it must stay within a
+        # constant of the live set instead of growing by one entry per commit.
+        rs = IntervalSet()
+        for i in range(1, 2001):
+            rs.reserve(vt(i - 1), vt(i + 1), owner=vt(i + 1))
+            rs.reserve(vt(i - 1, 1), vt(i + 1), owner=vt(i + 1))  # two per owner
+            rs.prune_before(vt(i))
+            assert len(rs._by_owner) <= len(rs) + 1
+        assert len(rs) == 2 and list(rs._by_owner) == [vt(2001)]
+        # An owner with one interval pruned and one live keeps only the live one.
+        rs.reserve(vt(1990), vt(2005), owner=vt(2001))
+        rs.prune_before(vt(2001))
+        assert len(rs) == 1 and rs.release_owner(vt(2001)) == 1 and len(rs) == 0
 
     def test_owners_dedup_preserves_insertion_order(self):
         rs = IntervalSet()

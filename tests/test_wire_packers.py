@@ -218,6 +218,16 @@ def test_vt_cache_is_bounded():
     for i in range(1000):
         decode(encode(VirtualTime(i, i % 64)))
     assert len(codec._VT_CACHE) <= codec._VT_CACHE_MAX
+    assert len(codec._VT_WIRE) <= codec._VT_CACHE_MAX
+
+
+def test_vt_encode_cache_clears_when_full_and_stays_canonical(monkeypatch):
+    monkeypatch.setattr(codec, "_VT_CACHE_MAX", 8)
+    codec._VT_WIRE.clear()
+    expected = [encode(VirtualTime(i, 3)) for i in range(40)]
+    assert 0 < len(codec._VT_WIRE) <= 8
+    assert [encode(VirtualTime(i, 3)) for i in range(40)] == expected
+    assert [decode(raw) for raw in expected] == [VirtualTime(i, 3) for i in range(40)]
 
 
 def test_str_cache_is_bounded():
