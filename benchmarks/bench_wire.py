@@ -218,8 +218,8 @@ def bench_sockets(quick: bool, prom_out: str = "") -> Dict[str, Any]:
         def pct(p: float) -> float:
             return rtts[min(len(rtts) - 1, int(p / 100.0 * len(rtts)))]
 
-        # One-way burst: the sender task drains the queue in coalesced
-        # batches, so writes << frames when the pipeline is doing its job.
+        # One-way burst: each flush drains the queue in coalesced batches,
+        # so writes << frames when the pipeline is doing its job.
         echo[0] = False
         writes0, coalesced0 = a.writes, a.frames_coalesced
         start = time.perf_counter()

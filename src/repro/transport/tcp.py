@@ -3,8 +3,8 @@
 Each process runs one :class:`TcpTransport` hosting its *local* sites; all
 other site ids in the address map are *remote*.  Frames are length-prefixed
 wire-codec payloads (:func:`repro.wire.encode_frame`) on plain asyncio
-streams — exactly the per-pair FIFO TCP channels the paper's DECAF
-prototype assumed.
+socket transports — exactly the per-pair FIFO TCP channels the paper's
+DECAF prototype assumed.
 
 Every replica is addressed as ``(tenant, site)`` — in the frame, in the
 handler table, in the failed set and in the failure-listener table.  The
@@ -14,17 +14,27 @@ a hosted tenant differ in nothing but the tenant number.
 Topology and guarantees:
 
 * One listening server per distinct local address; one outbound connection
-  per remote address, owned by a sender task and shared by every site of
-  every tenant placed there.  TCP ordering plus the single writer per
-  destination preserves per-pair FIFO.
-* **Frame coalescing**: each sender wakeup drains its whole queue (up to
-  ``coalesce_max_bytes``) into a single buffered write, so a protocol
-  turn's fan-out of small frames costs one syscall instead of one per
-  frame.  Frames stay whole and in order; coalescing only batches them.
-* **Reconnect with backoff**: a broken or unreachable peer connection is
-  retried with exponential backoff (``reconnect_base_ms`` doubling up to
-  ``reconnect_max_ms``).  The frame being sent is not lost — the sender
-  holds it until a write succeeds.
+  per remote address, shared by every site of every tenant placed there.
+  TCP ordering plus the single queue per destination preserves per-pair
+  FIFO.
+* **Event-driven, no tasks on the frame path**: an inbound chunk is split
+  into frames, decoded and dispatched inside ``data_received``, and the
+  replies the handlers queued are written by that same callback.  A send
+  made anywhere else is written by one ``call_soon`` per loop turn.
+* **Frame coalescing**: everything queued for a peer during one loop turn
+  or one inbound chunk goes out as a single write (cut at
+  ``coalesce_max_bytes``), so a protocol turn's fan-out of small frames
+  costs one syscall instead of one per frame.  Frames stay whole and in
+  order; coalescing only batches them.
+* **Back-pressure**: while the socket's write buffer is over its
+  high-water mark (``pause_writing``) frames wait in the peer's queue;
+  ``resume_writing`` flushes them.
+* **Reconnect with backoff**: a lost connection is noticed at once
+  (``connection_lost``) and an unreachable peer is re-dialled with
+  exponential backoff (``reconnect_base_ms`` doubling up to
+  ``reconnect_max_ms``) by a dial task that lives only while the link is
+  down.  Queued frames are not lost — they stay queued until a write is
+  handed to a live connection.
 * **Fail-stop detection**: once a peer has been continuously unreachable
   for ``fail_after_ms``, it is declared failed, registered failure
   listeners fire (feeding the protocol's failure manager), its queued
@@ -75,11 +85,11 @@ RTT_BUCKETS_MS: Tuple[float, ...] = (
 
 
 def _transport_counter(name: str) -> property:
-    """A registry-backed int attribute on the transport itself.
+    """A read-only registry-backed int attribute on the transport itself.
 
     Like :func:`repro.obs.metrics.counter_property` but reading
     ``self.metrics`` directly — a transport is not a site.  Keeps the
-    pre-registry attribute API (``transport.frames_sent``, ...) working
+    pre-registry attribute API (``transport.frames_sent``, ...) readable
     while `repro metrics` and the Prometheus exporter see every counter
     uniformly.
     """
@@ -87,10 +97,7 @@ def _transport_counter(name: str) -> property:
     def _get(self) -> int:
         return self.metrics.value(name)
 
-    def _set(self, value: int) -> None:
-        self.metrics.set_counter(name, value)
-
-    return property(_get, _set, doc=f"Registry-backed counter {name!r}.")
+    return property(_get, doc=f"Registry-backed counter {name!r}.")
 
 
 def maybe_install_uvloop() -> bool:
@@ -145,7 +152,7 @@ class Placement:
 
 
 class _PeerLink:
-    """Outbound state for one remote *address*: frame queue + sender task.
+    """Outbound state for one remote *address*: frame queue + connection.
 
     Keyed by TCP endpoint, not site id, since the multi-tenant rework:
     every site (of every tenant) placed at that address shares this one
@@ -155,16 +162,21 @@ class _PeerLink:
     failed site's frames can still be dropped selectively.
     """
 
-    __slots__ = ("frames", "wakeup", "writer", "task", "writing", "unreachable",
+    __slots__ = ("addr", "frames", "transport", "dial", "paused", "unreachable",
                  "gauge_name", "ever_connected", "dead")
 
-    def __init__(self, label: Any) -> None:
+    def __init__(self, addr: Addr, label: Any) -> None:
+        self.addr = addr
         self.frames: Deque[Tuple[SiteKey, bytes]] = deque()
-        self.wakeup = asyncio.Event()
-        self.writer: Optional[asyncio.StreamWriter] = None
-        self.task: Optional["asyncio.Task"] = None
-        #: Number of frames popped into the in-flight coalesced write.
-        self.writing = 0
+        #: The live connection; None from ``connection_lost`` until the
+        #: next successful dial.
+        self.transport: Optional[asyncio.Transport] = None
+        #: The dial task, only while the link is disconnected with frames
+        #: to send.
+        self.dial: Optional["asyncio.Task"] = None
+        #: True between ``pause_writing`` and ``resume_writing``: the
+        #: socket's write buffer is full and frames wait in ``frames``.
+        self.paused = False
         #: True after a failed dial, False again once connected; stop's
         #: flush phase does not wait for peers known to be down.
         self.unreachable = False
@@ -173,12 +185,99 @@ class _PeerLink:
         #: False until the first successful dial; distinguishes a reconnect
         #: from the initial lazy connection in events and counters.
         self.ever_connected = False
-        #: Set when the address is declared failed; the sender task exits.
+        #: Set when the address is declared failed; never dialled again.
         self.dead = False
 
 
+class _Outbound(asyncio.Protocol):
+    """The connection of one :class:`_PeerLink`.  Peers never write on it,
+    so the default ``eof_received`` (close) is how a stopped peer is seen."""
+
+    def __init__(self, owner: "TcpTransport", link: _PeerLink) -> None:
+        self.owner = owner
+        self.link = link
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.link.transport = transport  # type: ignore[assignment]
+
+    def pause_writing(self) -> None:
+        self.link.paused = True
+
+    def resume_writing(self) -> None:
+        self.link.paused = False
+        self.owner._flush(self.link)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.link.transport = None
+        self.link.paused = False
+        self.owner._flush(self.link)  # re-dials if frames are queued
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: splits the byte stream into frames and
+    decodes and dispatches each inside ``data_received``."""
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        self.owner = owner
+        self.transport: Optional[asyncio.BaseTransport] = None
+        #: The incomplete tail of the stream (None when it ended on a
+        #: frame boundary) and the byte count it must reach before the
+        #: next parse can make progress.
+        self.buf: Optional[bytearray] = None
+        self.need = FRAME_HEADER_BYTES
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.owner._inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.owner._inbound.discard(self.transport)
+
+    def data_received(self, data: Any) -> None:
+        owner = self.owner
+        buf = self.buf
+        if buf is not None:
+            # Appending in place: a large partial frame is not re-copied
+            # (or re-parsed) on every read.
+            buf += data
+            if len(buf) < self.need:
+                return
+            # bytes: the decoder's intern caches look slices up by hash,
+            # which only views of an immutable buffer support.
+            data, self.buf = bytes(buf), None
+        view = memoryview(data)
+        pos, end = 0, len(data)
+        self.need = FRAME_HEADER_BYTES
+        owner._receiving = True
+        try:
+            while end - pos >= FRAME_HEADER_BYTES:
+                body = pos + FRAME_HEADER_BYTES
+                length = int.from_bytes(view[pos:body], "big")
+                if length > MAX_FRAME_BYTES:
+                    raise WireError(f"inbound frame of {length} bytes exceeds limit")
+                if body + length > end:
+                    self.need = FRAME_HEADER_BYTES + length
+                    break
+                pos = body + length
+                owner.metrics.inc("transport.frames_received")
+                tenant, src, dst, payload, trace = decode_frame(view[body:pos])
+                owner._dispatch(tenant, src, dst, payload, trace)
+        except BaseException:
+            # A malformed stream or a raising handler costs this
+            # connection only; the loop's exception handler reports it.
+            self.transport.close()  # type: ignore[union-attr]
+            raise
+        finally:
+            # Replies the handlers queued go out in this same callback.
+            owner._receiving = False
+            if owner._dirty:
+                owner._flush_dirty()
+        if pos < end:
+            self.buf = bytearray(view[pos:])
+
+
 class TcpTransport(Transport):
-    """Length-prefixed codec frames over asyncio TCP streams."""
+    """Length-prefixed codec frames over asyncio TCP socket transports."""
 
     def __init__(
         self,
@@ -204,8 +303,8 @@ class TcpTransport(Transport):
         self.reconnect_base_ms = reconnect_base_ms
         self.reconnect_max_ms = reconnect_max_ms
         self.fail_after_ms = fail_after_ms
-        #: High-water mark for one coalesced write: a sender wakeup batches
-        #: queued frames until the buffered write would exceed this.
+        #: High-water mark for one coalesced write: a flush batches queued
+        #: frames until the write would exceed this.
         self.coalesce_max_bytes = coalesce_max_bytes
         self._handlers: Dict[SiteKey, DeliveryHandler] = {}
         #: Per-tenant failure listeners; handlers see tenant-local site
@@ -215,10 +314,15 @@ class TcpTransport(Transport):
         self._failed: Set[SiteKey] = set()
         self._failed_addrs: Set[Addr] = set()
         self._links: Dict[Addr, _PeerLink] = {}
+        #: Links with frames queued since their last flush, and whether an
+        #: inbound chunk is being dispatched (its callback flushes them;
+        #: otherwise one ``call_soon`` per loop turn does).
+        self._dirty: Set[_PeerLink] = set()
+        self._receiving = False
         self._servers: List["asyncio.base_events.Server"] = []
         #: Accepted (inbound) connections; closed on stop() so peers see
         #: the outage instead of writing into a stopped transport.
-        self._inbound: Set[asyncio.StreamWriter] = set()
+        self._inbound: Set[asyncio.BaseTransport] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Monotonic wall-clock source; ``now()`` readings and event
         #: timestamps come from here (repro.obs.clock).
@@ -453,11 +557,11 @@ class TcpTransport(Transport):
             return
         link = self._links.get(addr)
         if link is None:
-            link = _PeerLink(self._peer_label(addr))
-            self._links[addr] = link
-            link.task = self._require_loop().create_task(self._run_peer(addr, link))
+            link = self._links[addr] = _PeerLink(addr, self._peer_label(addr))
         link.frames.append(((tenant, dst), frame))
-        link.wakeup.set()
+        if not self._dirty and not self._receiving:
+            self._require_loop().call_soon(self._flush_dirty)
+        self._dirty.add(link)
 
     def defer(self, action, delay_ms: float = 0.0, site=None) -> None:
         try:
@@ -474,7 +578,7 @@ class TcpTransport(Transport):
         return (
             self._local_pending
             + self._dispatching
-            + sum(len(link.frames) + link.writing for link in self._links.values())
+            + sum(len(link.frames) for link in self._links.values())
         )
 
     def quiesce(self, max_events: Optional[int] = None) -> int:
@@ -514,19 +618,19 @@ class TcpTransport(Transport):
         self._loop = asyncio.get_running_loop()
         for host, port in sorted(self._local_addrs):
             self._servers.append(
-                await asyncio.start_server(self._serve_connection, host, port)
+                await self._loop.create_server(lambda: _Inbound(self), host, port)
             )
 
     async def stop(self, flush: bool = True, flush_timeout_s: float = 5.0) -> None:
-        """Close servers, sender tasks, and peer connections.
+        """Close servers, dial tasks, and peer connections.
 
         With ``flush`` (the default), frames already accepted by
         :meth:`send` are written out first: new sends are rejected, then
-        the sender tasks get up to ``flush_timeout_s`` to drain their
-        queues and in-flight coalesced writes to every *connected* peer.
-        Frames queued for a peer that is down (reconnecting) are not
-        waited for — they are dropped exactly as before.  ``flush=False``
-        restores the old hard-stop behaviour.
+        the queues get up to ``flush_timeout_s`` to drain into every
+        *connected* peer's socket (closing a connection still sends what
+        its write buffer holds).  Frames queued for a peer that is down
+        (reconnecting) are not waited for — they are dropped exactly as
+        before.  ``flush=False`` restores the old hard-stop behaviour.
         """
         self._closing = True
         if flush:
@@ -535,9 +639,7 @@ class TcpTransport(Transport):
 
             def unflushed() -> bool:
                 return any(
-                    (link.frames or link.writing)
-                    and not link.unreachable
-                    and not link.dead
+                    link.frames and not link.unreachable and not link.dead
                     for link in self._links.values()
                 )
 
@@ -550,22 +652,16 @@ class TcpTransport(Transport):
         self._servers.clear()
         # server.close() only stops listening; sever accepted connections
         # too so still-running peers observe the outage promptly.
-        for writer in list(self._inbound):
-            with contextlib.suppress(Exception):
-                writer.close()
+        for transport in list(self._inbound):
+            transport.close()
         self._inbound.clear()
         for link in self._links.values():
-            if link.task is not None:
-                link.task.cancel()
-        for link in self._links.values():
-            if link.task is not None:
-                try:
-                    await link.task
-                except asyncio.CancelledError:
-                    pass
-            if link.writer is not None:
-                link.writer.close()
-                link.writer = None
+            if link.dial is not None:
+                link.dial.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await link.dial
+            if link.transport is not None:
+                link.transport.close()
         self._links.clear()
 
     def fail_site(self, site: int, tenant: int = 0) -> None:
@@ -578,29 +674,6 @@ class TcpTransport(Transport):
     # ------------------------------------------------------------------
     # Inbound path
     # ------------------------------------------------------------------
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._inbound.add(writer)
-        try:
-            while True:
-                header = await reader.readexactly(FRAME_HEADER_BYTES)
-                length = int.from_bytes(header, "big")
-                if length > MAX_FRAME_BYTES:
-                    raise WireError(f"inbound frame of {length} bytes exceeds limit")
-                body = await reader.readexactly(length)
-                self.metrics.inc("transport.frames_received")
-                tenant, src, dst, payload, trace = decode_frame(body)
-                self._dispatch(tenant, src, dst, payload, trace)
-        except asyncio.CancelledError:
-            pass  # transport stopping / event loop shutting down
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
-            pass  # peer went away; its sender will reconnect if it returns
-        finally:
-            self._inbound.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
 
     def _deliver_local(self, frame: bytes) -> None:
         self._local_pending -= 1
@@ -658,20 +731,22 @@ class TcpTransport(Transport):
     # Outbound path
     # ------------------------------------------------------------------
 
-    async def _run_peer(self, addr: Addr, link: _PeerLink) -> None:
-        host, port = addr
-        frames = link.frames
-        while not self._stopped and not link.dead:
-            if not frames:
-                if self._closing:
-                    return  # queue drained and no new sends can arrive
-                link.wakeup.clear()
-                await link.wakeup.wait()
-                continue
-            if link.writer is None and not await self._connect(addr, link, host, port):
-                return  # peer declared failed
-            # Coalesce: drain the queue into one buffered write, bounded by
-            # the high-water mark so a burst cannot buffer without limit.
+    def _flush_dirty(self) -> None:
+        dirty = self._dirty
+        while dirty:
+            self._flush(dirty.pop())
+
+    def _flush(self, link: _PeerLink) -> None:
+        """Write what ``link`` has queued, or dial if it is disconnected."""
+        transport, frames = link.transport, link.frames
+        if transport is None:
+            if frames and link.dial is None and not link.dead and not self._stopped:
+                link.dial = self._require_loop().create_task(self._connect(link))
+            return
+        metrics = self.metrics
+        while frames and not link.paused and not transport.is_closing():
+            # Coalesce: drain the queue into one write, bounded by the
+            # high-water mark so a burst cannot buffer without limit.
             # Frames whose destination site failed after queuing are
             # skipped (the shared link still serves the address's other
             # sites and tenants).
@@ -684,34 +759,19 @@ class TcpTransport(Transport):
                 batch.append((key, frame))
                 size += len(frame)
             if not batch:
-                continue
-            link.writing = len(batch)
-            metrics = self.metrics
+                return
             metrics.gauge(link.gauge_name, len(frames))
-            try:
-                writer = link.writer
-                assert writer is not None
-                flush_start = time.monotonic()
-                if len(batch) > 1:
-                    writer.write(b"".join(frame for _key, frame in batch))
-                else:
-                    writer.write(batch[0][1])
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # Requeue the whole batch in order; the next iteration
-                # reconnects and resends (per-pair FIFO is preserved).
+            flush_start = time.monotonic()
+            if len(batch) > 1:
+                transport.write(b"".join(frame for _key, frame in batch))
+            else:
+                transport.write(batch[0][1])
+            if transport.is_closing():
+                # The write broke the connection: requeue the whole batch
+                # in order; connection_lost re-dials and resends (per-pair
+                # FIFO is preserved).
                 frames.extendleft(reversed(batch))
-                link.writing = 0
-                self._close_writer(link)
-                continue
-            except asyncio.CancelledError:
-                # Stopped mid-write: the bytes are already buffered on the
-                # transport and close() flushes them, so count the batch
-                # sent rather than silently dropping it from the books.
-                link.writing = 0
-                metrics.inc("transport.frames_sent", len(batch))
-                raise
-            link.writing = 0
+                return
             metrics.inc("transport.frames_sent", len(batch))
             metrics.inc("transport.writes")
             metrics.inc("transport.frames_coalesced", len(batch) - 1)
@@ -721,8 +781,10 @@ class TcpTransport(Transport):
                 RTT_BUCKETS_MS,
             )
 
-    async def _connect(self, addr: Addr, link: _PeerLink, host: str, port: int) -> bool:
-        """Dial ``addr`` with exponential backoff; False once declared failed.
+    async def _connect(self, link: _PeerLink) -> None:
+        """Dial ``link.addr`` with exponential backoff until connected or
+        declared failed, then flush — the only task on the outbound path,
+        alive only while the link is down.
 
         Telemetry here is **edge-triggered**: the backoff loop retries many
         times per outage, but ``peer_unreachable`` fires only on the
@@ -730,13 +792,15 @@ class TcpTransport(Transport):
         dial actually succeeds — exactly one event per transition, never
         one per retry.
         """
+        addr = link.addr
+        loop = self._require_loop()
         backoff_ms = self.reconnect_base_ms
         down_since = time.monotonic()
         while not self._stopped:
             try:
                 self.metrics.inc("transport.dial_attempts")
                 dial_start = time.monotonic()
-                _, writer = await asyncio.open_connection(host, port)
+                await loop.create_connection(lambda: _Outbound(self, link), *addr)
             except (ConnectionError, OSError):
                 self.metrics.inc("transport.dial_failures")
                 if not link.unreachable:
@@ -751,11 +815,10 @@ class TcpTransport(Transport):
                         )
                 if (time.monotonic() - down_since) * 1000.0 >= self.fail_after_ms:
                     self._fail_addr(addr)
-                    return False
+                    return
                 await asyncio.sleep(backoff_ms / 1000.0)
                 backoff_ms = min(backoff_ms * 2, self.reconnect_max_ms)
                 continue
-            link.writer = writer
             was_down = link.unreachable or link.ever_connected
             link.unreachable = False
             self.metrics.observe(
@@ -776,13 +839,9 @@ class TcpTransport(Transport):
                     peer=self._peer_label(addr),
                     reconnect=was_down,
                 )
-            return True
-        return False
-
-    def _close_writer(self, link: _PeerLink) -> None:
-        if link.writer is not None:
-            link.writer.close()
-            link.writer = None
+            link.dial = None
+            self._flush(link)
+            return
 
     def _fail_addr(self, addr: Addr) -> None:
         """Declare every site placed at ``addr`` failed (fail-stop detection).
@@ -800,8 +859,8 @@ class TcpTransport(Transport):
         if link is not None:
             link.dead = True
             link.frames.clear()
-            link.wakeup.set()  # let the sender loop observe the failure and exit
-            self._close_writer(link)
+            if link.transport is not None:
+                link.transport.close()
         for tenant in sorted(self._failure_handlers):
             for site in self.placement.sites_at(tenant, addr):
                 self._fail_pair(tenant, site)
@@ -816,13 +875,11 @@ class TcpTransport(Transport):
         link = self._links.get(self.placement.addr_of(tenant, site))
         if link is not None and not link.dead and link.frames:
             # Drop only this destination's queued frames; the shared link
-            # keeps serving the address's other sites and tenants.  Mutate
-            # in place — the sender task holds a reference to the deque.
+            # keeps serving the address's other sites and tenants.
             kept = [entry for entry in link.frames if entry[0] != key]
             if len(kept) != len(link.frames):
                 link.frames.clear()
                 link.frames.extend(kept)
-            link.wakeup.set()
         for handler in list(self._failure_handlers.get(tenant, ())):
             handler(site)
         if self.flight is not None:

@@ -12,9 +12,16 @@ Two profiles are registered:
 
 Select with ``HYPOTHESIS_PROFILE=ci`` (the CI workflow sets this);
 local runs default to ``dev``.
+
+Under ``python -X dev`` (the CI asyncio-debug step) anything asyncio
+reports through its logger at ERROR — a task destroyed while pending, a
+task or future exception nobody retrieved, an unhandled exception in a
+callback — fails the test during which it was logged.
 """
 
+import logging
 import os
+import sys
 
 import pytest
 
@@ -43,3 +50,14 @@ def pytest_collection_modifyitems(config, items):
         if item.get_closest_marker("timeout") is None:
             limit = SLOW_TIMEOUT_S if item.get_closest_marker("slow") else DEFAULT_TIMEOUT_S
             item.add_marker(pytest.mark.timeout(limit))
+
+
+@pytest.fixture(autouse=sys.flags.dev_mode)
+def asyncio_errors_fail(caplog):
+    yield
+    errors = [
+        record.getMessage()
+        for record in caplog.get_records("call")
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+    assert not errors, f"asyncio reported: {errors}"

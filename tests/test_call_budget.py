@@ -28,8 +28,12 @@ one-sided.)
 The message counts and the converged state are pinned to the values the
 same scenario produced on ``main``, so a lower call count provably comes
 from cheaper handling of the same messages, not from sending fewer.
+
+The socket path has its own clock-free budget at the bottom of this file:
+event-loop turns per commit over loopback TCP.
 """
 
+import asyncio
 import os
 import random
 import sys
@@ -38,6 +42,7 @@ import repro
 from repro import DInt, Session
 from repro.core.views import View
 from repro.workloads import BlindWriteWorkload, PoissonArrivals
+from tests.test_host import TcpHostPair
 
 SITES, OBJECTS, TXNS, SEED, DELAY_MS = 4, 2, 240, 7, 20.0
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -137,3 +142,66 @@ def test_the_count_is_exact_for_a_seed():
         session, _sites, _outcomes = _build()
         counts.append(_count_python_calls(session.settle))
     assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
+# Event-loop turns per commit on real sockets
+# ---------------------------------------------------------------------------
+
+SOCKET_COMMITS = 300
+
+#: ``_run_once`` iterations per commit with a sender task woken through an
+#: ``asyncio.Event`` and a ``StreamReader`` task per connection (be854bc).
+TASK_PLUMBING_TURNS_PER_COMMIT = 7.0
+
+
+class _CountingLoop(asyncio.SelectorEventLoop):
+    turns = 0
+
+    def _run_once(self):
+        self.turns += 1
+        super()._run_once()
+
+
+def test_loop_turns_per_socket_commit_stay_under_budget():
+    """One closed-loop client blind-writing at the non-primary: the write is
+    flushed by one ``call_soon``, validated and answered inside the
+    primary's ``data_received``, applied inside the writer's, and the
+    client task wakes — four turns.  A task hop put back on the frame path
+    shows here as a count, whatever the host's timing does."""
+    loop = _CountingLoop()
+
+    async def main():
+        async with TcpHostPair() as pair:
+            _obj_a, obj_b = await pair.join(1)
+            site_b = pair.host_b.tenant(1).sites[0]
+            transports = (pair.tcp_a, pair.tcp_b)
+
+            async def commit(value):
+                done = loop.create_future()
+                outcome = site_b.transact(lambda: obj_b.set(value))
+                outcome.on_commit(lambda _outcome: done.set_result(None))
+                await done
+
+            for value in range(20):  # connections up, caches warm
+                await commit(value)
+            turns = loop.turns
+            frames = sum(t.frames_sent for t in transports)
+            writes = sum(t.writes for t in transports)
+            for value in range(SOCKET_COMMITS):
+                await commit(100 + value)
+            return (
+                (loop.turns - turns) / SOCKET_COMMITS,
+                sum(t.frames_sent for t in transports) - frames,
+                sum(t.writes for t in transports) - writes,
+            )
+
+    try:
+        per_commit, frames, writes = loop.run_until_complete(main())
+    finally:
+        loop.close()
+    assert frames == writes == 2 * SOCKET_COMMITS  # request + reply, nothing coalesced
+    assert per_commit <= 4.5 < TASK_PLUMBING_TURNS_PER_COMMIT, (
+        f"{per_commit:.2f} event-loop turns per commit (budget 4.5; the "
+        f"task-per-connection transport took {TASK_PLUMBING_TURNS_PER_COMMIT})"
+    )

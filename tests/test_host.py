@@ -245,7 +245,10 @@ class TestSessionTransportCounters:
         tcp = TcpTransport(addrs, local_sites={0})
         session = Session(transport=tcp, roster={0, 1})
         session.add_site("proc0", site_id=0)
-        tcp.frames_sent = 3
+        tcp.metrics.set_counter("transport.frames_sent", 3)
+        assert tcp.frames_sent == 3
+        with pytest.raises(AttributeError):
+            tcp.frames_sent = 4  # read-only, like obs.metrics.counter_property
         counters = session.counters()
         assert counters["transport.frames_sent"] == 3
         assert "commits" in counters

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.messages import AbortMsg, CommitMsg, Envelope
-from repro.errors import TransportError
-from repro.transport.tcp import TcpTransport
+from repro.errors import TransportError, WireError
+from repro.transport.tcp import TcpTransport, _Inbound, _Outbound, _PeerLink
 from repro.vtime import VirtualTime
+from repro.wire.codec import FRAME_HEADER_BYTES, MAX_FRAME_BYTES, decode_frame, encode_frame
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -124,6 +125,37 @@ class TestTcpTransport:
 
         asyncio.run(main())
 
+    def test_first_send_after_peer_restart_is_not_lost(self):
+        """A peer that stopped closes the connection; ``connection_lost``
+        clears the link at once, so the next send re-dials instead of
+        writing its batch into the dead socket (which used to drop "two")."""
+
+        async def main():
+            addrs = two_addrs()
+            a = TcpTransport(addrs, local_sites={0}, reconnect_base_ms=5.0)
+            b = TcpTransport(addrs, local_sites={1})
+            inbox = []
+            b.register(1, lambda src, p: inbox.append(p))
+            await a.start()
+            await b.start()
+            a.send(0, 1, "one")
+            await wait_for(lambda: inbox == ["one"], what="first delivery")
+            await b.stop()
+            b2 = TcpTransport(addrs, local_sites={1})
+            b2.register(1, lambda src, p: inbox.append(p))
+            await b2.start()
+            await asyncio.sleep(0.05)
+            a.send(0, 1, "two")
+            a.send(0, 1, "three")
+            await wait_for(lambda: len(inbox) >= 3, what="delivery after restart")
+            await asyncio.sleep(0.05)
+            assert inbox == ["one", "two", "three"]
+            assert a.reconnects == 1
+            await a.stop()
+            await b2.stop()
+
+        asyncio.run(main())
+
     def test_fail_stop_detection_notifies_listeners(self):
         async def main():
             addrs = two_addrs()
@@ -167,9 +199,9 @@ class TestTcpTransport:
         """stop() must not lose frames that are queued but not yet written.
 
         Regression for the coalescing write path: a burst of sends followed
-        immediately by stop() races the per-peer sender task mid-batch; the
-        flush phase of stop() has to wait for the queue to drain before
-        closing the writers.
+        immediately by stop() gets there before the turn's flush has run;
+        the flush phase of stop() has to wait for the queue to drain before
+        closing the connections.
         """
 
         async def main():
@@ -246,6 +278,324 @@ class TestTcpTransport:
         from repro.transport.tcp import maybe_install_uvloop
 
         assert maybe_install_uvloop() in (True, False)
+
+
+def frame_of(payload, tenant: int = 0) -> bytes:
+    return encode_frame(0, 1, payload, None, tenant=tenant)
+
+
+class FakeTransport:
+    """Stands in for the asyncio transport in direct protocol calls."""
+
+    def __init__(self, break_on_write: bool = False) -> None:
+        self.break_on_write = break_on_write
+        self.written = []
+        self.closing = False
+
+    def write(self, data) -> None:
+        self.written.append(bytes(data))
+        self.closing = self.closing or self.break_on_write
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+
+def direct_inbound(handler):
+    """An ``_Inbound`` fed by hand: (transport, protocol, fake connection)."""
+    owner = TcpTransport(two_addrs(), local_sites={1})
+    owner.register(1, handler)
+    conn = FakeTransport()
+    protocol = _Inbound(owner)
+    protocol.connection_made(conn)
+    return owner, protocol, conn
+
+
+async def raw_client(addr) -> socket.socket:
+    """A plain non-blocking socket connected to a transport's listener."""
+    sock = socket.socket()
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, addr)
+    return sock
+
+
+async def closed_by_peer(sock: socket.socket, timeout_s: float = 5.0) -> bool:
+    try:
+        data = await asyncio.wait_for(
+            asyncio.get_running_loop().sock_recv(sock, 1), timeout_s
+        )
+    except ConnectionError:  # reset: it closed with our bytes unread
+        return True
+    except asyncio.TimeoutError:
+        return False
+    return data == b""
+
+
+class TestInboundFraming:
+    """The stream is split by hand in ``_Inbound.data_received``."""
+
+    def test_one_frame_a_byte_at_a_time_over_a_socket(self):
+        async def main():
+            addrs = two_addrs()
+            b = TcpTransport(addrs, local_sites={1})
+            inbox = []
+            b.register(1, lambda src, p: inbox.append(p))
+            await b.start()
+            sock = await raw_client(addrs[1])
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            msg = CommitMsg(VirtualTime(7, 0), 7)
+            frame = frame_of(msg)
+            loop = asyncio.get_running_loop()
+            for i in range(len(frame)):
+                assert inbox == []
+                await loop.sock_sendall(sock, frame[i:i + 1])
+                await asyncio.sleep(0)
+            await wait_for(lambda: inbox, what="the reassembled frame")
+            assert inbox == [msg] and b.frames_received == 1
+            sock.close()
+            await b.stop()
+
+        asyncio.run(main())
+
+    def test_frames_cut_at_every_byte_boundary(self):
+        msgs = [CommitMsg(VirtualTime(1, 0), 1), "second", CommitMsg(VirtualTime(3, 0), 3)]
+        stream = b"".join(frame_of(m) for m in msgs)
+        for cut in range(1, len(stream)):
+            inbox = []
+            owner, protocol, _conn = direct_inbound(lambda src, p: inbox.append(p))
+            protocol.data_received(stream[:cut])
+            protocol.data_received(stream[cut:])
+            assert inbox == msgs, f"cut at byte {cut}"
+            assert protocol.buf is None and owner.frames_received == len(msgs)
+
+    def test_fifty_frames_in_one_segment_then_half_of_the_next(self):
+        async def main():
+            addrs = two_addrs()
+            b = TcpTransport(addrs, local_sites={1})
+            inbox = []
+            b.register(1, lambda src, p: inbox.append(p))
+            await b.start()
+            sock = await raw_client(addrs[1])
+            msgs = [CommitMsg(VirtualTime(i + 1, 0), i) for i in range(51)]
+            frames = [frame_of(m) for m in msgs]
+            half = len(frames[50]) // 2
+            loop = asyncio.get_running_loop()
+            await loop.sock_sendall(sock, b"".join(frames[:50]) + frames[50][:half])
+            await wait_for(lambda: len(inbox) == 50, what="the 50 whole frames")
+            await asyncio.sleep(0.05)
+            assert inbox == msgs[:50] and b.frames_received == 50
+            await loop.sock_sendall(sock, frames[50][half:])
+            await wait_for(lambda: len(inbox) == 51, what="the 51st frame")
+            assert inbox == msgs
+            sock.close()
+            await b.stop()
+
+        asyncio.run(main())
+
+    def test_large_frame_in_many_reads_is_delivered_once_without_recopying(self):
+        blob = bytes(range(256)) * (4 * 1024 * 1024 // 256)
+        frame = frame_of(blob)
+        inbox = []
+        _owner, protocol, _conn = direct_inbound(lambda src, p: inbox.append(p))
+        step = 4096
+        protocol.data_received(frame[:step])
+        tail = protocol.buf
+        assert protocol.need == len(frame)  # the header was read once
+        for pos in range(step, len(frame) - step, step):
+            protocol.data_received(frame[pos:pos + step])
+            # Appended in place: a ~1,000-read frame that re-copied its
+            # tail per read would move 2 GiB instead of 4 MiB.
+            assert protocol.buf is tail and not inbox
+        protocol.data_received(frame[pos + step:])
+        assert inbox == [blob] and protocol.buf is None
+
+    def test_large_frame_over_a_socket_is_delivered_once(self):
+        async def main():
+            addrs = two_addrs()
+            b = TcpTransport(addrs, local_sites={1})
+            inbox = []
+            b.register(1, lambda src, p: inbox.append(p))
+            await b.start()
+            sock = await raw_client(addrs[1])
+            blob = b"\xab" * (4 * 1024 * 1024)
+            tail = CommitMsg(VirtualTime(1, 0), 1)
+            await asyncio.get_running_loop().sock_sendall(sock, frame_of(blob) + frame_of(tail))
+            await wait_for(lambda: len(inbox) == 2, what="blob and the frame after it")
+            assert inbox == [blob, tail] and b.frames_received == 2
+            sock.close()
+            await b.stop()
+
+        asyncio.run(main())
+
+    def test_oversized_header_is_refused_before_any_body_arrives(self):
+        header = (MAX_FRAME_BYTES + 1).to_bytes(FRAME_HEADER_BYTES, "big")
+        inbox = []
+        _owner, protocol, conn = direct_inbound(lambda src, p: inbox.append(p))
+        with pytest.raises(WireError, match="exceeds limit"):
+            protocol.data_received(frame_of("before") + header)
+        assert inbox == ["before"]  # whole frames ahead of it were delivered
+        assert conn.closing and protocol.buf is None  # nothing buffered
+
+    def test_oversized_header_closes_only_its_connection(self):
+        async def main():
+            addrs = two_addrs()
+            b = TcpTransport(addrs, local_sites={1})
+            inbox = []
+            for tenant in (0, 7):
+                b.register_scoped(tenant, 1, lambda src, p, t=tenant: inbox.append((t, p)))
+            await b.start()
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, ctx: reported.append(ctx.get("exception")))
+            good, hostile = await raw_client(addrs[1]), await raw_client(addrs[1])
+            await loop.sock_sendall(good, frame_of("g1"))
+            # The header alone, no body: the connection must go now, not
+            # after 16 MiB more have been buffered.
+            await loop.sock_sendall(
+                hostile, (MAX_FRAME_BYTES + 1).to_bytes(FRAME_HEADER_BYTES, "big")
+            )
+            assert await closed_by_peer(hostile)
+            assert len(reported) == 1 and isinstance(reported[0], WireError)
+            await loop.sock_sendall(good, frame_of("g2") + frame_of("t7", tenant=7))
+            await wait_for(lambda: len(inbox) == 3, what="the healthy connection")
+            assert inbox == [(0, "g1"), (0, "g2"), (7, "t7")]
+            for sock in (good, hostile):
+                sock.close()
+            await b.stop()
+
+        asyncio.run(main())
+
+    def test_raising_handler_closes_only_its_connection(self):
+        async def main():
+            addrs = two_addrs()
+            b = TcpTransport(addrs, local_sites={1})
+            inbox = []
+
+            def handler(src, payload):
+                if payload == "boom":
+                    raise RuntimeError("handler failed")
+                inbox.append(payload)
+
+            b.register(1, handler)
+            await b.start()
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, ctx: reported.append(ctx.get("exception")))
+            good, bad = await raw_client(addrs[1]), await raw_client(addrs[1])
+            await loop.sock_sendall(bad, frame_of("b1") + frame_of("boom") + frame_of("b3"))
+            assert await closed_by_peer(bad)
+            assert [type(exc) for exc in reported] == [RuntimeError]
+            await loop.sock_sendall(good, frame_of("g1"))
+            await wait_for(lambda: "g1" in inbox, what="the other connection")
+            assert inbox == ["b1", "g1"]  # nothing after the failure on its stream
+            assert b.pending() == 0
+            for sock in (good, bad):
+                sock.close()
+            await b.stop()
+
+        asyncio.run(main())
+
+
+class TestBackPressureAndFifo:
+    def test_stalled_reader_parks_frames_in_the_link_queue(self):
+        """Tiny socket and write buffers plus a peer that does not read:
+        ``pause_writing`` stops the flush, frames wait in ``link.frames``
+        (and count as pending), and ``resume_writing`` delivers every one
+        exactly once, in send order."""
+
+        async def main():
+            addrs = two_addrs()
+            listener = socket.socket()
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            listener.bind(addrs[1])
+            read_now, connected, hung_up = asyncio.Event(), asyncio.Event(), asyncio.Event()
+            received = []
+
+            async def stalled_peer(reader, writer):
+                connected.set()
+                await read_now.wait()
+                try:
+                    while True:
+                        header = await reader.readexactly(FRAME_HEADER_BYTES)
+                        body = await reader.readexactly(int.from_bytes(header, "big"))
+                        received.append(decode_frame(body)[3])
+                except asyncio.IncompleteReadError:
+                    writer.close()
+                    await writer.wait_closed()
+                    hung_up.set()
+
+            server = await asyncio.start_server(stalled_peer, sock=listener, limit=1024)
+            a = TcpTransport(addrs, local_sites={0})
+            await a.start()
+            a.send(0, 1, "probe")
+            await asyncio.wait_for(connected.wait(), 5.0)
+            link = a._links[addrs[1]]
+            await wait_for(lambda: a.frames_sent == 1, what="probe written")
+            link.transport.set_write_buffer_limits(high=1024)
+            link.transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            msgs = [f"{i:04d}" + "x" * 8192 for i in range(300)]
+            for m in msgs:
+                a.send(0, 1, m)
+            await wait_for(lambda: link.paused, what="pause_writing")
+            await asyncio.sleep(0.05)
+            assert link.paused and link.frames
+            parked, writes = len(link.frames), a.writes
+            assert a.pending() == parked
+            assert a.frames_sent + parked == len(msgs) + 1
+            a.send(0, 1, "last")  # queues behind the parked frames
+            await asyncio.sleep(0.05)
+            assert a.writes == writes and len(link.frames) == parked + 1
+
+            read_now.set()
+            await wait_for(lambda: len(received) == len(msgs) + 2, what="every frame")
+            assert received == ["probe"] + msgs + ["last"]
+            assert not link.paused and a.pending() == 0
+            assert a.frames_sent == len(msgs) + 2
+            await a.stop()
+            await asyncio.wait_for(hung_up.wait(), 5.0)
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(main())
+
+    def test_write_into_a_closing_connection_requeues_the_batch_first(self):
+        async def main():
+            addrs = two_addrs()
+            a = TcpTransport(addrs, local_sites={0}, reconnect_base_ms=5.0)
+            b = TcpTransport(addrs, local_sites={1})
+            inbox = []
+            b.register(1, lambda src, p: inbox.append(p))
+            await a.start()
+            await b.start()
+            # A connection whose next write breaks it (what a reset peer
+            # does to the real transport).
+            broken = FakeTransport(break_on_write=True)
+            link = a._links[addrs[1]] = _PeerLink(addrs[1], 1)
+            link.transport = broken
+            a.send(0, 1, "one")
+            a.send(0, 1, "two")
+            await asyncio.sleep(0.01)
+            assert broken.written == [frame_of("one") + frame_of("two")]
+            assert a.frames_sent == 0 and a.writes == 0  # not counted as sent
+            a.send(0, 1, "three")
+            await asyncio.sleep(0.01)
+            assert [frame for _key, frame in link.frames] == [
+                frame_of(p) for p in ("one", "two", "three")
+            ]
+            assert len(broken.written) == 1  # nothing more into a closing connection
+            _Outbound(a, link).connection_lost(None)  # asyncio's next callback
+            await wait_for(lambda: len(inbox) == 3, what="resend after re-dial")
+            assert inbox == ["one", "two", "three"]
+            assert a.frames_sent == 3
+            await a.stop()
+            await b.stop()
+
+        asyncio.run(main())
 
 
 class TestTransportTelemetry:
