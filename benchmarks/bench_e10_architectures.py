@@ -78,7 +78,7 @@ def run_experiment():
 
 def test_e10_architectures(benchmark):
     table, results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E10_architectures", format_table(table))
+    emit("E10", format_table(table))
 
     for n in (2, 4, 8):
         decaf = results[(n, "DECAF (replicated+optimistic)")]

@@ -81,7 +81,7 @@ def run_experiment():
 
 def test_e11_suppression(benchmark):
     table, agg = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E11_suppression", format_table(table))
+    emit("E11", format_table(table))
 
     # The mechanism engages and reduces conflict retries.
     assert agg[True]["entries"] >= 1

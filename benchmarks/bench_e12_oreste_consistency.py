@@ -86,7 +86,7 @@ def run_experiment():
 
 def test_e12_oreste_consistency(benchmark):
     table, oreste, decaf = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E12_oreste_consistency", format_table(table))
+    emit("E12", format_table(table))
 
     # Both systems converge at quiescence...
     assert oreste[1] and decaf[1]

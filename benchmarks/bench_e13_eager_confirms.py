@@ -62,7 +62,7 @@ def run_experiment():
 
 def test_e13_eager_confirms(benchmark):
     table, results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E13_eager_confirms", format_table(table))
+    emit("E13", format_table(table))
 
     assert results[False]["latency"] == pytest.approx(3 * T)
     assert results[True]["latency"] == pytest.approx(2 * T)

@@ -105,7 +105,7 @@ def _remote_commit_latency(scenario, out, t0):
 
 def test_e1_commit_latency(benchmark):
     table, _checks = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E1_commit_latency", format_table(table))
+    emit("E1", format_table(table))
 
     measured = {(row[0], row[1]): row[3] for row in table.rows}
     assert measured[("primary == origin", "origin")] == 0.0

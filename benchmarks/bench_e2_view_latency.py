@@ -51,7 +51,7 @@ def run_experiment():
 
 def test_e2_view_latency(benchmark):
     table, measured, gap = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E2_view_latency", format_table(table))
+    emit("E2", format_table(table))
 
     assert measured[("optimistic", "origin")] == 0.0
     assert measured[("optimistic", "remote")] == pytest.approx(T)

@@ -63,7 +63,7 @@ def run_experiment():
 
 def test_e3_delay_sweep(benchmark):
     table, points = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E3_delay_sweep", format_table(table))
+    emit("E3", format_table(table))
 
     for t, result in points:
         assert result["opt_origin"] == 0.0

@@ -71,7 +71,7 @@ def run_experiment():
 
 def test_e4_lost_updates(benchmark):
     table, measured = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E4_lost_updates", format_table(table))
+    emit("E4", format_table(table))
 
     # Shape 1: blind writes never abort (section 5.1.2).
     assert all(rollbacks == 0 for _, rollbacks in measured.values())

@@ -82,7 +82,7 @@ def run_experiment():
 
 def test_e5_rollbacks(benchmark):
     table, measured = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E5_rollbacks", format_table(table))
+    emit("E5", format_table(table))
 
     # Shape 1: the paper's threshold — slow second party keeps rollbacks <2%.
     assert measured[3.0][0] < 2.0

@@ -80,7 +80,7 @@ def run_experiment():
 
 def test_e6_scalability(benchmark):
     table, decaf, gvt = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E6_scalability", format_table(table))
+    emit("E6", format_table(table))
 
     # Shape 1: DECAF's commit latency does not grow with the network.
     assert decaf[SIZES[-1]] == decaf[SIZES[0]]

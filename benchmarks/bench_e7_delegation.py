@@ -71,7 +71,7 @@ def run_experiment():
 
 def test_e7_delegation(benchmark):
     table, results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E7_delegation", format_table(table))
+    emit("E7", format_table(table))
 
     for n in (2, 3, 4):
         on, off = results[(n, True)], results[(n, False)]

@@ -104,7 +104,7 @@ def run_experiment():
 
 def test_e8_indirect(benchmark):
     table, results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E8_indirect", format_table(table))
+    emit("E8", format_table(table))
 
     for k, r in results.items():
         # Indirect: one graph per root regardless of k.

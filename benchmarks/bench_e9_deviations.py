@@ -119,7 +119,7 @@ def run_experiment():
 
 def test_e9_deviations(benchmark):
     table, results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit("E9_deviations", format_table(table))
+    emit("E9", format_table(table))
 
     # Paper's categorical claim: blind writes never produce update
     # inconsistencies (concurrency tests never fail)...

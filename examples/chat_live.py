@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Live multi-user chat over the asyncio transport (real wall-clock time).
+"""Live multi-user chat on an asyncio event loop (real wall-clock time).
 
 The other examples run on the deterministic discrete-event simulator; this
-one drives the same DECAF stack over :class:`AsyncioTransport` with a real
-60 ms injected delay, demonstrating that the framework is transport-
-agnostic.  Three users exchange messages; optimistic views render
-transcripts immediately, and replicas converge.
+one drives the same DECAF stack over :class:`TcpTransport` with all three
+sites in one process, so every message is a wire-codec frame delivered by
+the event loop — demonstrating that the framework is transport-agnostic.
+(``examples/two_process_tcp.py`` puts the sites in separate OS processes.)
+Three users exchange messages; optimistic views render transcripts
+immediately, and replicas converge.
 
 Run:  python examples/chat_live.py
 """
@@ -15,12 +17,13 @@ import time
 
 from repro import Session
 from repro.apps import ChatRoom
-from repro.transport import AsyncioTransport
+from repro.transport import TcpTransport
 
 
 async def main():
-    print("== DECAF live chat (asyncio transport, 60 ms real delay) ==\n")
-    transport = AsyncioTransport(delay_ms=60.0)
+    print("== DECAF live chat (TCP transport, three sites on one event loop) ==\n")
+    here = ("127.0.0.1", 0)  # one listener on an ephemeral port; nobody dials it
+    transport = TcpTransport({0: here, 1: here, 2: here}, local_sites=(0, 1, 2))
     session = Session(transport=transport)
     alice, bob, carol = session.add_sites(3, prefix="user")
     await transport.start()

@@ -8,15 +8,13 @@ sections 2.6 and 3.3 (no back-door state copying).
 
 Replicable kinds are a class-keyed registry: ``session.replicate(DInt, ...)``
 names the type directly, and applications extend the vocabulary with
-:func:`register_replicable`.  The historical string kinds (``"int"``,
-``"list"``, ...) remain as deprecated aliases.
+:func:`register_replicable`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import warnings
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Type, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.core.association import Association
 from repro.core.composites import DList, DMap
@@ -26,11 +24,10 @@ from repro.core.scalars import DFloat, DInt, DString
 from repro.core.site import SiteRuntime
 from repro.errors import ReproError
 from repro.obs.events import EventBus
-from repro.sim.network import Network
+from repro.sim.network import FixedLatency, Network
 from repro.sim.scheduler import Scheduler
 from repro.transport.base import Transport
 from repro.transport.memory import MemoryTransport
-from repro.transport.simnet import SimTransport
 
 # ---------------------------------------------------------------------------
 # Replicable-kind registry
@@ -40,43 +37,31 @@ from repro.transport.simnet import SimTransport
 ReplicableFactory = Callable[[SiteRuntime, str, Any], ModelObject]
 
 _REPLICABLE: Dict[type, ReplicableFactory] = {}
-#: Deprecated string kinds -> registered class.
-_KIND_ALIASES: Dict[str, type] = {}
 
 
-def register_replicable(
-    cls: Type[ModelObject],
-    factory: ReplicableFactory,
-    alias: Optional[str] = None,
-) -> None:
+def register_replicable(cls: Type[ModelObject], factory: ReplicableFactory) -> None:
     """Teach :meth:`Session.replicate` to build objects of ``cls``.
 
     ``factory(site, name, initial)`` must create a *local* object at
     ``site``; the replicate helper handles association, invitation, and
-    join.  ``alias`` additionally registers a deprecated string kind for
-    the legacy ``replicate("int", ...)`` spelling.
+    join.
     """
     _REPLICABLE[cls] = factory
-    if alias is not None:
-        _KIND_ALIASES[alias] = cls
 
 
 register_replicable(
-    DInt, lambda s, name, initial: s.create_int(name, initial if initial is not None else 0),
-    alias="int",
+    DInt, lambda s, name, initial: s.create_int(name, initial if initial is not None else 0)
 )
 register_replicable(
     DFloat,
     lambda s, name, initial: s.create_float(name, initial if initial is not None else 0.0),
-    alias="float",
 )
 register_replicable(
     DString,
     lambda s, name, initial: s.create_string(name, initial if initial is not None else ""),
-    alias="string",
 )
-register_replicable(DList, lambda s, name, initial: s.create_list(name), alias="list")
-register_replicable(DMap, lambda s, name, initial: s.create_map(name), alias="map")
+register_replicable(DList, lambda s, name, initial: s.create_list(name))
+register_replicable(DMap, lambda s, name, initial: s.create_map(name))
 
 
 class Session:
@@ -123,19 +108,15 @@ class Session:
         latency_ms: float = 50.0, seed: int = 0, **kwargs: Any
     ) -> "Session":
         """A session over a discrete-event network with fixed latency."""
-        from repro.sim.network import FixedLatency
-
-        scheduler = Scheduler()
-        network = Network(scheduler, latency=FixedLatency(latency_ms), seed=seed)
-        return Session(transport=SimTransport(network), **kwargs)
+        network = Network(Scheduler(), latency=FixedLatency(latency_ms), seed=seed)
+        return Session(transport=network, **kwargs)
 
     @property
     def scheduler(self) -> Optional[Scheduler]:
         """The transport's deterministic scheduler, or None.
 
         Delegates to the transport capability protocol
-        (:meth:`repro.transport.base.Transport.scheduler`) instead of the
-        old ``isinstance(transport, SimTransport)`` sniffing, so wrapper
+        (:meth:`repro.transport.base.Transport.scheduler`), so wrapper
         transports (e.g. :class:`~repro.transport.base.TenantTransport`)
         surface the capability transparently.
         """
@@ -225,7 +206,7 @@ class Session:
 
     def replicate(
         self,
-        kind: Union[Type[ModelObject], str],
+        kind: Type[ModelObject],
         name: str,
         sites: Sequence[SiteRuntime],
         initial: Any = None,
@@ -241,18 +222,6 @@ class Session:
         """
         if not sites:
             raise ReproError("replicate requires at least one site")
-        if isinstance(kind, str):
-            cls = _KIND_ALIASES.get(kind)
-            if cls is None:
-                raise ReproError(f"cannot replicate objects of kind {kind!r}")
-            warnings.warn(
-                f"Session.replicate({kind!r}, ...) is deprecated; "
-                f"pass the class (Session.replicate({cls.__name__}, ...)). "
-                "String kinds will be removed on 2026-12-31.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            kind = cls
         factory = _REPLICABLE.get(kind)
         if factory is None:
             raise ReproError(
@@ -294,7 +263,7 @@ class Session:
         """Deterministic per-site metrics registry dumps, in site order.
 
         When the transport owns its own registry (the site −1 registry of
-        the TCP/asyncio transports: frame counters, dial telemetry), its
+        the TCP transport: frame counters, dial telemetry), its
         snapshot is appended after the sites so host-level wire metrics
         are not silently dropped from rollups.
         """

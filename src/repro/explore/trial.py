@@ -29,7 +29,6 @@ from repro.errors import ReproError
 from repro.explore.plan import FaultEvent, TrialConfig
 from repro.sim.network import FixedLatency, Network, NormalLatency, UniformLatency
 from repro.sim.scheduler import Scheduler
-from repro.transport.simnet import SimTransport
 from repro.vtime import VirtualTime
 from repro.core.scalars import DInt
 from repro.workloads import (
@@ -199,7 +198,7 @@ def run_trial(
     # Partitions model "no new communication" fail-stop disconnection;
     # messages already in the infrastructure still arrive (see plan.py).
     network.partition_cuts_inflight = False
-    session = Session(transport=SimTransport(network), max_retries=config.max_retries)
+    session = Session(transport=network, max_retries=config.max_retries)
     if observe:
         session.observe()
     for subscriber in subscribers:

@@ -1,11 +1,17 @@
 """A simulated point-to-point network with latency, partitions, and failures.
 
-Sites register a delivery handler; :meth:`Network.send` samples a one-way
-latency from the configured :class:`LatencyModel` and schedules delivery on
-the shared :class:`~repro.sim.scheduler.Scheduler`.  Channels are FIFO per
-ordered site pair by default (like TCP); messages between *different* pairs
-may interleave arbitrarily, which is exactly the reordering ("stragglers")
-the paper's algorithms must tolerate.
+:class:`Network` is the simulated :class:`~repro.transport.base.Transport`:
+sites register a delivery handler; a send samples a one-way latency from
+the configured :class:`LatencyModel` and schedules delivery on the shared
+:class:`~repro.sim.scheduler.Scheduler`.  Channels are FIFO per ordered
+site pair by default (like TCP); messages between *different* pairs may
+interleave arbitrarily, which is exactly the reordering ("stragglers") the
+paper's algorithms must tolerate.
+
+Replicas are addressed as ``(tenant, site)`` like on every fabric; the
+*links* — latency models, partitions, drop rules, FIFO floors and the
+schedule-choice channels — model the wire between two hosts and stay keyed
+by site index, shared by every tenant whose sites sit at those indices.
 
 Fail-stop failures follow the paper's section 3.4 assumption: "the
 underlying communication infrastructure provides notification of such
@@ -24,9 +30,7 @@ from repro.core.messages import Envelope
 from repro.errors import SimulationError, TransportError
 from repro.obs.events import EventBus
 from repro.sim.scheduler import Scheduler
-
-DeliveryHandler = Callable[[int, Any], None]
-FailureHandler = Callable[[int], None]
+from repro.transport.base import Transport
 
 
 class LatencyModel:
@@ -160,7 +164,7 @@ class DropRule:
         )
 
 
-class Network:
+class Network(Transport):
     """The simulated network connecting DECAF sites.
 
     Parameters
@@ -193,7 +197,8 @@ class Network:
         fifo: bool = True,
         flush_inflight_on_fail: bool = False,
     ) -> None:
-        self.scheduler = scheduler
+        super().__init__()
+        self._scheduler = scheduler
         self.default_latency = latency if latency is not None else FixedLatency(50.0)
         self.fifo = fifo
         self.flush_inflight_on_fail = flush_inflight_on_fail
@@ -202,11 +207,8 @@ class Network:
         #: on this network (see repro.obs).  Idle unless enabled/subscribed.
         self.bus = EventBus()
         self._rng = random.Random(seed)
-        self._handlers: Dict[int, DeliveryHandler] = {}
-        self._failure_handlers: List[FailureHandler] = []
         self._link_latency: Dict[Tuple[int, int], LatencyModel] = {}
         self._last_delivery: Dict[Tuple[int, int], float] = {}
-        self._failed: Set[int] = set()
         self._partitioned: Set[Tuple[int, int]] = set()
         self._drop_rules: List[DropRule] = []
         #: Network-wide message sequence.  Assigned on every send (observed
@@ -235,48 +237,63 @@ class Network:
         self.choice: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    # Registration / topology
+    # Time, draining and capabilities
     # ------------------------------------------------------------------
 
-    def register(self, site: int, handler: DeliveryHandler) -> None:
-        """Attach ``site``'s message handler; replaces any previous handler."""
-        self._handlers[site] = handler
+    def scheduler(self) -> Scheduler:
+        """The deterministic discrete-event scheduler (virtual time)."""
+        return self._scheduler
 
-    def unregister(self, site: int) -> None:
-        """Detach ``site``'s handler (tenant eviction); in-flight drops are counted."""
-        self._handlers.pop(site, None)
+    def network(self) -> "Network":
+        """The simulated fabric itself (fault injection, latency models)."""
+        return self
 
-    def add_failure_listener(self, handler: FailureHandler) -> None:
-        """Register a callback invoked (once per surviving site's view) on failures."""
-        self._failure_handlers.append(handler)
+    def now(self) -> float:
+        return self._scheduler.now
 
-    def remove_failure_listener(self, handler: FailureHandler) -> None:
-        """Unsubscribe a failure listener previously added (no-op if absent)."""
-        try:
-            self._failure_handlers.remove(handler)
-        except ValueError:
-            pass
+    def pending(self) -> int:
+        return self._scheduler.pending()
+
+    def quiesce(self, max_events: Optional[int] = None) -> int:
+        """Run the discrete-event scheduler until no events remain."""
+        scheduler = self._scheduler
+        before = scheduler.events_processed
+        if max_events is None:
+            scheduler.run_until_quiescent()
+        else:
+            scheduler.run_until_quiescent(max_events=max_events)
+        return scheduler.events_processed - before
+
+    def defer(
+        self, action: Callable[[], None], delay_ms: float = 0.0, site: Optional[int] = None
+    ) -> None:
+        # Under exhaustive exploration, positive-delay defers (retry
+        # backoffs) are timers whose order relative to in-flight messages
+        # is a genuine schedule choice; zero-delay defers are same-instant
+        # continuations and stay on the scheduler (see repro.sim.choice).
+        choice = self.choice
+        if choice is not None and delay_ms > 0.0:
+            choice.offer_timer(site, action, delay_ms)
+            return
+        self._scheduler.call_later(delay_ms, action, label="deferred")
 
     def set_link_latency(self, src: int, dst: int, model: LatencyModel) -> None:
         """Override the latency model for the ordered pair ``(src, dst)``."""
         self._link_latency[(src, dst)] = model
 
-    def sites(self) -> List[int]:
-        """All registered site identifiers, sorted."""
-        return sorted(self._handlers)
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
 
-    def send(self, src: int, dst: int, payload: Any) -> None:
+    def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
         """Queue ``payload`` from ``src`` to ``dst`` after a sampled latency.
 
         Messages to or from failed sites, and messages across a partition,
         are silently dropped (fail-stop / partition semantics); the drop is
         counted in :attr:`stats`.
         """
-        if dst not in self._handlers:
+        dst_key = (tenant, dst)
+        if dst_key not in self._handlers:
             raise TransportError(f"destination site {dst} is not registered")
         self.stats.record_send(payload)
         # Lifecycle counters stay in protocol-message units even when the
@@ -287,17 +304,24 @@ class Network:
         if self.bus.active:
             # Emitted for every send attempt — including ones dropped below —
             # matching what a wire sniffer at the sender would observe.
+            # Like every protocol event, it names the replica by its
+            # tenant-local site; the tenant rides in the data.
             self.bus.emit(
                 "message_sent",
                 site=src,
-                time_ms=self.scheduler.now,
+                time_ms=self._scheduler.now,
                 txn_vt=getattr(payload, "txn_vt", None),
+                tenant=tenant,
                 dst=dst,
                 msg_type=type(payload).__name__,
                 msg_id=msg_id,
                 payload=payload,
             )
-        if src in self._failed or dst in self._failed or self._is_partitioned(src, dst):
+        if (
+            (tenant, src) in self._failed
+            or dst_key in self._failed
+            or self._is_partitioned(src, dst)
+        ):
             self.stats.messages_dropped += units
             return
         if self._consume_drop_rule(src, dst):
@@ -305,17 +329,22 @@ class Network:
             self.stats.messages_dropped_injected += units
             return
         def deliver() -> None:
+            # The keys are rebuilt here, not captured: a message in flight
+            # is one closure the collector has to walk, so it holds no more
+            # than the send's own arguments.
             self.stats.messages_in_flight -= units
-            if dst in self._failed:
+            failed = self._failed
+            key = (tenant, dst)
+            if key in failed:
                 self.stats.messages_dropped += units
                 return
-            if src in self._failed and not self.flush_inflight_on_fail:
+            if (tenant, src) in failed and not self.flush_inflight_on_fail:
                 self.stats.messages_dropped += units
                 return
             if self._is_partitioned(src, dst) and self.partition_cuts_inflight:
                 self.stats.messages_dropped += units
                 return
-            handler = self._handlers.get(dst)
+            handler = self._handlers.get(key)
             if handler is None:
                 # Destination evicted while the message was in flight
                 # (SessionHost tenant eviction): drop, never raise.
@@ -329,8 +358,9 @@ class Network:
                 self.bus.emit(
                     "message_delivered",
                     site=dst,
-                    time_ms=self.scheduler.now,
+                    time_ms=self._scheduler.now,
                     txn_vt=getattr(payload, "txn_vt", None),
+                    tenant=tenant,
                     src=src,
                     msg_type=type(payload).__name__,
                     msg_id=msg_id,
@@ -346,10 +376,10 @@ class Network:
             # Local loopback delivers on the next scheduler step with zero
             # latency; it still goes through the queue so handler re-entrancy
             # is never required.
-            delivery_time = self.scheduler.now
+            delivery_time = self._scheduler.now
         else:
             model = self._link_latency.get((src, dst), self.default_latency)
-            delivery_time = self.scheduler.now + model.sample(self._rng, src, dst)
+            delivery_time = self._scheduler.now + model.sample(self._rng, src, dst)
         if self.delay_hook is not None and src != dst:
             delivery_time += max(0.0, self.delay_hook(src, dst, payload))
         if self.fifo:
@@ -359,12 +389,7 @@ class Network:
             self._last_delivery[key] = delivery_time
 
         self.stats.messages_in_flight += units
-        self.scheduler.call_at(delivery_time, deliver, label=f"deliver {src}->{dst}")
-
-    def broadcast(self, src: int, dsts: List[int], payload: Any) -> None:
-        """Send ``payload`` from ``src`` to each destination independently."""
-        for dst in dsts:
-            self.send(src, dst, payload)
+        self._scheduler.call_at(delivery_time, deliver, label=f"deliver {src}->{dst}")
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -398,17 +423,17 @@ class Network:
     # Failures and partitions
     # ------------------------------------------------------------------
 
-    def fail_site(self, site: int, notify_after_ms: float = 0.0) -> None:
+    def fail_site_scoped(self, tenant: int, site: int, notify_after_ms: float = 0.0) -> None:
         """Crash ``site`` fail-stop; notify survivors after ``notify_after_ms``.
 
         In-flight messages to/from the failed site are dropped at delivery
         time; survivors receive a failure notification through the failure
         listeners (the ISIS-style assumption of paper section 3.4).
         """
-        if site in self._failed:
+        if (tenant, site) in self._failed:
             return
-        self._failed.add(site)
-        notify_time = self.scheduler.now + notify_after_ms
+        self._failed.add((tenant, site))
+        notify_time = self._scheduler.now + notify_after_ms
         if self.flush_inflight_on_fail and self.fifo:
             # Virtual synchrony: the failure notification is ordered after
             # every message the dead site already handed to the transport
@@ -418,14 +443,9 @@ class Network:
                 if src == site and last > notify_time:
                     notify_time = last
 
-        def notify() -> None:
-            for handler in list(self._failure_handlers):
-                handler(site)
-
-        self.scheduler.call_at(notify_time, notify, label=f"fail-notify {site}")
-
-    def is_failed(self, site: int) -> bool:
-        return site in self._failed
+        self._scheduler.call_at(
+            notify_time, lambda: self._notify_failed(tenant, site), label=f"fail-notify {site}"
+        )
 
     def partition(self, group_a: List[int], group_b: List[int]) -> None:
         """Sever communication between every pair across the two groups."""
@@ -443,6 +463,6 @@ class Network:
 
     def __repr__(self) -> str:
         return (
-            f"Network(sites={self.sites()}, failed={sorted(self._failed)}, "
+            f"Network(sites={sorted(self._handlers)}, failed={sorted(self._failed)}, "
             f"latency={self.default_latency!r})"
         )

@@ -1,32 +1,38 @@
 """Transport abstraction binding DECAF sites to a message fabric.
 
-Four interchangeable implementations:
+One contract (:class:`~repro.transport.base.Transport`: replicas addressed
+as ``(tenant, site)``, per-pair FIFO delivery, fail-stop notification) and
+three fabrics that differ only in where the bytes go:
 
 * :class:`~repro.transport.memory.MemoryTransport` — synchronous in-process
   queue with zero latency; used by unit tests that exercise protocol logic
   without timing.
-* :class:`~repro.transport.simnet.SimTransport` — adapter over the
-  discrete-event :class:`~repro.sim.network.Network`; used by integration
-  tests and every benchmark.
-* :class:`~repro.transport.asyncio_transport.AsyncioTransport` — wall-clock
-  asyncio delivery with optional injected delay; used by the runnable
-  examples to demonstrate live behaviour.
+* :class:`~repro.sim.network.Network` — the discrete-event simulated
+  network (latency models, partitions, drop rules, schedule choice
+  points); used by integration tests, the model checker and every
+  experiment.
 * :class:`~repro.transport.tcp.TcpTransport` — length-prefixed wire-codec
   frames over real asyncio TCP streams, with reconnect/backoff and
-  fail-stop detection; lets sites in separate OS processes collaborate.
+  fail-stop detection; lets sites in separate OS processes collaborate,
+  and with every site local serves as the in-loop fabric of the live
+  examples.
+
+:class:`~repro.transport.base.TenantTransport` is one tenant's view of any
+of them.
 """
 
 from repro.transport.base import TenantTransport, Transport
 from repro.transport.memory import MemoryTransport
-from repro.transport.simnet import SimTransport
-from repro.transport.asyncio_transport import AsyncioTransport
+# Network subclasses repro.transport.base.Transport, so repro.sim.network
+# imports this package; that resolves because ``import repro`` reaches this
+# package (through repro.core.site) before it reaches repro.sim.
+from repro.sim.network import Network
 from repro.transport.tcp import TcpTransport
 
 __all__ = [
     "Transport",
     "TenantTransport",
     "MemoryTransport",
-    "SimTransport",
-    "AsyncioTransport",
+    "Network",
     "TcpTransport",
 ]

@@ -2,21 +2,20 @@
 
 One address names a replica everywhere: a *(tenant, site)* pair, where a
 tenant is one collaboration set and tenant ids are any integer ``>= 0``.
-The flat methods (``register``, ``send``, ``is_failed``, ...) address
-tenant 0, so a bare ``Session(transport=...)`` *is* tenant 0 of its
-fabric — the same tenant ``SessionHost.tenant(0)`` names — and every other
-tenant goes through the ``*_scoped`` methods, which take the tenant
-explicitly.
+Every fabric routes on that pair itself: the ``*_scoped`` methods, which
+take the tenant explicitly, are the primitives, and the handler table, the
+failed set and the per-tenant failure-listener lists they work on are kept
+here once, keyed by the pair.  The flat methods (``register``, ``send``,
+``is_failed``, ...) are the tenant-0 spellings of the primitives, so a bare
+``Session(transport=...)`` *is* tenant 0 of its fabric — the same tenant
+``SessionHost.tenant(0)`` names.
 
-A transport with a wire format (TCP) implements the ``*_scoped`` methods
-natively and carries the tenant in the frame.  The flat in-process fabrics
-(Memory/Sim/Asyncio) implement only the flat methods; the ABC's
-``*_scoped`` defaults carry the tenant over them by giving each tenant a
-private stride of the flat site-id space (:func:`_pack_site`), which is
-the identity for tenant 0.  Nothing outside this module sees packed ids.
+A fabric supplies :meth:`Transport.send_scoped`, its clock and its drain;
+the in-process queue, the simulated network and TCP differ in nothing
+else that a site runtime can see.
 
-:class:`TenantTransport` is one tenant's view of a shared transport: it
-looks like an ordinary single-collaboration :class:`Transport` to a
+:class:`TenantTransport` is one tenant's view of a shared fabric: it looks
+like an ordinary single-collaboration :class:`Transport` to a
 ``Session``/``SiteRuntime`` while routing everything through the shared
 inner transport's ``*_scoped`` methods.
 """
@@ -24,34 +23,19 @@ inner transport's ``*_scoped`` methods.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import TransportError
 
 DeliveryHandler = Callable[[int, Any], None]
 FailureHandler = Callable[[int], None]
 
-#: Width of one tenant's site-id range on a flat in-process fabric.
-_TENANT_STRIDE = 1 << 20
-
-
-def _pack_site(tenant: int, site: int) -> int:
-    """Flatten a *(tenant, site)* pair for a flat in-process fabric.
-
-    ``_pack_site(0, s) == s``: tenant 0's packed ids are the flat ids, so
-    bare sessions and tenant-0 facades share one namespace.
-    """
-    if tenant < 0:
-        raise TransportError(f"tenant id must be non-negative, got {tenant}")
-    if not 0 <= site < _TENANT_STRIDE:
-        raise TransportError(
-            f"site id must be in [0, {_TENANT_STRIDE}), got {site}"
-        )
-    return tenant * _TENANT_STRIDE + site
+#: A routing key: (tenant, site).  A bare session is tenant 0.
+SiteKey = Tuple[int, int]
 
 
 class Transport(ABC):
-    """Delivers opaque payloads between numbered sites.
+    """Delivers opaque payloads between the numbered sites of each tenant.
 
     Implementations must deliver each payload exactly once to the
     registered handler of the destination site (unless the destination has
@@ -61,13 +45,82 @@ class Transport(ABC):
     original Java prototype.
     """
 
-    @abstractmethod
-    def register(self, site: int, handler: DeliveryHandler) -> None:
-        """Attach the delivery handler for ``site``."""
+    def __init__(self) -> None:
+        self._handlers: Dict[SiteKey, DeliveryHandler] = {}
+        self._failed: Set[SiteKey] = set()
+        #: Per-tenant failure listeners; handlers see tenant-local site
+        #: ids.  Cross-tenant isolation: a notice for tenant A's site never
+        #: reaches tenant B's listeners.
+        self._failure_handlers: Dict[int, List[FailureHandler]] = {}
+
+    # -- tenant-addressed primitives -------------------------------------
+
+    def register_scoped(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
+        """Attach the delivery handler for site ``site`` of ``tenant``.
+
+        The handler sees *tenant-local* source ids.
+        """
+        self._handlers[(tenant, site)] = handler
+
+    def unregister_scoped(self, tenant: int, site: int) -> None:
+        """Detach the handler for site ``site`` of ``tenant``; messages
+        still in flight to it are dropped by the fabric, never raised
+        (:meth:`repro.host.SessionHost.evict`)."""
+        self._handlers.pop((tenant, site), None)
 
     @abstractmethod
+    def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
+        """Queue ``payload`` from ``src`` to ``dst`` within ``tenant``."""
+
+    def is_failed_scoped(self, tenant: int, site: int) -> bool:
+        """Whether site ``site`` of ``tenant`` has been reported failed."""
+        return (tenant, site) in self._failed
+
+    def add_failure_listener_scoped(self, tenant: int, handler: FailureHandler) -> None:
+        """Subscribe to fail-stop notices for ``tenant``'s sites only.
+
+        The handler receives tenant-local site ids; notices for other
+        tenants never reach it (cross-tenant failure isolation).
+        """
+        self._failure_handlers.setdefault(tenant, []).append(handler)
+
+    def remove_failure_listener(self, handler: FailureHandler) -> None:
+        """Unsubscribe a failure listener of any tenant (no-op if absent)."""
+        for listeners in self._failure_handlers.values():
+            if handler in listeners:
+                listeners.remove(handler)
+                return
+
+    def fail_site_scoped(self, tenant: int, site: int, **kwargs: Any) -> None:
+        """Inject a fail-stop for site ``site`` of ``tenant`` (tests)."""
+        raise TransportError(f"{type(self).__name__} does not support fail_site")
+
+    def _notify_failed(self, tenant: int, site: int) -> None:
+        """Tell ``tenant``'s listeners, and nobody else, that ``site`` failed."""
+        for handler in list(self._failure_handlers.get(tenant, ())):
+            handler(site)
+
+    # -- the flat names: tenant 0 -----------------------------------------
+
+    def register(self, site: int, handler: DeliveryHandler) -> None:
+        self.register_scoped(0, site, handler)
+
+    def unregister(self, site: int) -> None:
+        self.unregister_scoped(0, site)
+
     def send(self, src: int, dst: int, payload: Any) -> None:
-        """Queue ``payload`` for delivery from ``src`` to ``dst``."""
+        self.send_scoped(0, src, dst, payload)
+
+    def is_failed(self, site: int) -> bool:
+        return self.is_failed_scoped(0, site)
+
+    def add_failure_listener(self, handler: FailureHandler) -> None:
+        self.add_failure_listener_scoped(0, handler)
+
+    def fail_site(self, site: int, **kwargs: Any) -> None:
+        self.fail_site_scoped(0, site, **kwargs)
+
+    # -- time / draining -------------------------------------------------
 
     @abstractmethod
     def now(self) -> float:
@@ -89,15 +142,28 @@ class Transport(ABC):
         ``await aquiesce()`` instead of silently doing nothing.
         """
 
+    def defer(
+        self, action: Callable[[], None], delay_ms: float = 0.0, site: Optional[int] = None
+    ) -> None:
+        """Run ``action`` asynchronously after ``delay_ms`` (transaction retries).
+
+        ``site`` identifies the deferring site when known; the simulated
+        network uses it to present positive-delay defers as schedule
+        choice points during exhaustive exploration (``repro mc``).  The
+        default executes immediately (zero-latency transports have no
+        meaningful delay); scheduler-backed transports queue it so retries
+        never recurse on the current call stack.
+        """
+        action()
+
     # -- capability protocol ---------------------------------------------
 
     def scheduler(self):
         """The deterministic scheduler behind this transport, or None.
 
-        Replaces the old ``isinstance(transport, SimTransport)`` dispatch
-        in :class:`~repro.core.session.Session`: callers that need
-        virtual-time control (``run_for``, workload generators) ask the
-        transport for the capability instead of sniffing its type.
+        Callers that need virtual-time control (``run_for``, workload
+        generators) ask the transport for the capability instead of
+        sniffing its type.
         """
         return None
 
@@ -109,110 +175,6 @@ class Transport(ABC):
         None and callers must cope.
         """
         return None
-
-    # -- membership ------------------------------------------------------
-
-    def unregister(self, site: int) -> None:
-        """Detach ``site``'s delivery handler; in-flight messages to it drop.
-
-        Best-effort by default (transports without eviction support keep
-        the handler).  Concrete transports override this so tenant
-        eviction (:meth:`repro.host.SessionHost.evict`) actually releases
-        routing state.
-        """
-
-    def is_failed(self, site: int) -> bool:
-        """Whether ``site`` has been reported failed; default transport never fails."""
-        return False
-
-    def add_failure_listener(self, handler: FailureHandler) -> None:
-        """Subscribe to fail-stop notifications; default transport never fails."""
-
-    def remove_failure_listener(self, handler: FailureHandler) -> None:
-        """Unsubscribe a failure listener; default transport has none."""
-
-    def broadcast(self, src: int, dsts: List[int], payload: Any) -> None:
-        """Send ``payload`` to each live destination independently.
-
-        Destinations already reported failed are skipped: fail-stop sites
-        never receive another message, so sending would at best be dropped
-        by the fabric and at worst resurrect a dead queue.
-        """
-        for dst in dsts:
-            if self.is_failed(dst):
-                continue
-            self.send(src, dst, payload)
-
-    def defer(
-        self, action: Callable[[], None], delay_ms: float = 0.0, site: Optional[int] = None
-    ) -> None:
-        """Run ``action`` asynchronously after ``delay_ms`` (transaction retries).
-
-        ``site`` identifies the deferring site when known; the simulated
-        transport uses it to present positive-delay defers as schedule
-        choice points during exhaustive exploration (``repro mc``).  The
-        default executes immediately (zero-latency transports have no
-        meaningful delay); scheduler-backed transports queue it so retries
-        never recurse on the current call stack.
-        """
-        action()
-
-    # -- tenant-addressed methods ----------------------------------------
-    #
-    # Defaults for flat in-process fabrics: carry the tenant in the site id
-    # (``_pack_site``).  TcpTransport overrides all of them to route on the
-    # (tenant, site) pair itself.
-
-    def register_scoped(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
-        """Attach the delivery handler for site ``site`` of ``tenant``.
-
-        The handler sees *tenant-local* source ids.
-        """
-        base = _pack_site(tenant, 0)
-
-        def unpacking(src: int, payload: Any) -> None:
-            handler(src - base, payload)
-
-        self.register(_pack_site(tenant, site), unpacking)
-
-    def unregister_scoped(self, tenant: int, site: int) -> None:
-        """Detach the handler for site ``site`` of ``tenant``."""
-        self.unregister(_pack_site(tenant, site))
-
-    def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
-        """Queue ``payload`` from ``src`` to ``dst`` within ``tenant``."""
-        self.send(_pack_site(tenant, src), _pack_site(tenant, dst), payload)
-
-    def is_failed_scoped(self, tenant: int, site: int) -> bool:
-        """Whether site ``site`` of ``tenant`` has been reported failed."""
-        return self.is_failed(_pack_site(tenant, site))
-
-    def add_failure_listener_scoped(
-        self, tenant: int, handler: FailureHandler
-    ) -> FailureHandler:
-        """Subscribe to fail-stop notices for ``tenant``'s sites only.
-
-        The handler receives tenant-local site ids; notices for other
-        tenants never reach it (cross-tenant failure isolation).  Returns
-        the listener actually registered so callers can later pass it to
-        :meth:`remove_failure_listener`.
-        """
-        lo = _pack_site(tenant, 0)
-        hi = lo + _TENANT_STRIDE
-
-        def scoped(packed: int) -> None:
-            if lo <= packed < hi:
-                handler(packed - lo)
-
-        self.add_failure_listener(scoped)
-        return scoped
-
-    def fail_site_scoped(self, tenant: int, site: int, **kwargs: Any) -> None:
-        """Inject a fail-stop for site ``site`` of ``tenant`` (tests)."""
-        fail = getattr(self, "fail_site", None)
-        if fail is None:
-            raise TransportError(f"{type(self).__name__} does not support fail_site")
-        fail(_pack_site(tenant, site), **kwargs)
 
 
 class TenantTransport(Transport):
@@ -226,6 +188,8 @@ class TenantTransport(Transport):
     each tenant Session its own facade over one shared transport (shared
     sockets, shared event loop, shared metrics registry).  A facade for
     tenant 0 and a bare session on ``inner`` address the same replicas.
+    It keeps no routing tables of its own, so only the flat names mean
+    anything on it.
     """
 
     def __init__(self, inner: Transport, tenant: int) -> None:
@@ -249,6 +213,9 @@ class TenantTransport(Transport):
     def send(self, src: int, dst: int, payload: Any) -> None:
         self.inner.send_scoped(self.tenant, src, dst, payload)
 
+    def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
+        raise TransportError("a tenant facade speaks for one tenant; use send()")
+
     # -- time / draining -------------------------------------------------
 
     def now(self) -> float:
@@ -271,10 +238,7 @@ class TenantTransport(Transport):
     def defer(
         self, action: Callable[[], None], delay_ms: float = 0.0, site: Optional[int] = None
     ) -> None:
-        # ``site`` only labels the deferral as a schedule choice point on
-        # the simulated (flat) fabric, where the packed id names the replica.
-        packed = None if site is None else _pack_site(self.tenant, site)
-        self.inner.defer(action, delay_ms, site=packed)
+        self.inner.defer(action, delay_ms, site=site)
 
     # -- failure plane ---------------------------------------------------
 
@@ -282,7 +246,8 @@ class TenantTransport(Transport):
         return self.inner.is_failed_scoped(self.tenant, site)
 
     def add_failure_listener(self, handler: FailureHandler) -> None:
-        self._listeners.append(self.inner.add_failure_listener_scoped(self.tenant, handler))
+        self.inner.add_failure_listener_scoped(self.tenant, handler)
+        self._listeners.append(handler)
 
     def fail_site(self, site: int, **kwargs: Any) -> None:
         """Inject a fail-stop for one of this tenant's sites (tests)."""

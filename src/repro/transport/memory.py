@@ -11,40 +11,22 @@ exercising the asynchronous structure of the protocol.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Tuple
+from typing import Any, Deque, Tuple
 
 from repro.errors import TransportError
-from repro.transport.base import DeliveryHandler, FailureHandler, Transport
+from repro.transport.base import Transport
 
 
 class MemoryTransport(Transport):
     """Zero-latency FIFO transport for protocol-logic unit tests."""
 
     def __init__(self, auto_drain: bool = True) -> None:
-        self._handlers: Dict[int, DeliveryHandler] = {}
-        self._queue: Deque[Tuple[int, int, Any]] = deque()
-        self._failure_handlers: List[FailureHandler] = []
-        self._failed: set = set()
+        super().__init__()
+        self._queue: Deque[Tuple[int, int, int, Any]] = deque()
         self._draining = False
         self._auto_drain = auto_drain
         self._clock_ms = 0.0
         self.messages_sent = 0
-
-    def register(self, site: int, handler: DeliveryHandler) -> None:
-        self._handlers[site] = handler
-
-    def unregister(self, site: int) -> None:
-        """Detach ``site``'s handler; queued messages to it are dropped on drain."""
-        self._handlers.pop(site, None)
-
-    def add_failure_listener(self, handler: FailureHandler) -> None:
-        self._failure_handlers.append(handler)
-
-    def remove_failure_listener(self, handler: FailureHandler) -> None:
-        try:
-            self._failure_handlers.remove(handler)
-        except ValueError:
-            pass
 
     def now(self) -> float:
         return self._clock_ms
@@ -53,13 +35,14 @@ class MemoryTransport(Transport):
         """Move the fake clock forward (latency is still zero)."""
         self._clock_ms += ms
 
-    def send(self, src: int, dst: int, payload: Any) -> None:
-        if dst not in self._handlers:
+    def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
+        dst_key = (tenant, dst)
+        if dst_key not in self._handlers:
             raise TransportError(f"destination site {dst} is not registered")
         self.messages_sent += 1
-        if src in self._failed or dst in self._failed:
+        if (tenant, src) in self._failed or dst_key in self._failed:
             return
-        self._queue.append((src, dst, payload))
+        self._queue.append((tenant, src, dst, payload))
         if self._auto_drain:
             self.drain()
 
@@ -70,9 +53,6 @@ class MemoryTransport(Transport):
         """Deliver everything queued (``max_events`` is moot: drain is total)."""
         return self.drain()
 
-    def is_failed(self, site: int) -> bool:
-        return site in self._failed
-
     def drain(self) -> int:
         """Deliver all queued messages; returns the number delivered."""
         if self._draining:
@@ -81,10 +61,11 @@ class MemoryTransport(Transport):
         delivered = 0
         try:
             while self._queue:
-                src, dst, payload = self._queue.popleft()
-                if src in self._failed or dst in self._failed:
+                tenant, src, dst, payload = self._queue.popleft()
+                dst_key = (tenant, dst)
+                if (tenant, src) in self._failed or dst_key in self._failed:
                     continue
-                handler = self._handlers.get(dst)
+                handler = self._handlers.get(dst_key)
                 if handler is None:
                     # Destination evicted after the send was accepted
                     # (SessionHost tenant eviction): drop, never raise.
@@ -95,12 +76,11 @@ class MemoryTransport(Transport):
             self._draining = False
         return delivered
 
-    def fail_site(self, site: int) -> None:
+    def fail_site_scoped(self, tenant: int, site: int) -> None:
         """Crash ``site`` fail-stop and notify failure listeners synchronously."""
-        if site in self._failed:
+        if (tenant, site) in self._failed:
             return
-        self._failed.add(site)
-        for handler in list(self._failure_handlers):
-            handler(site)
+        self._failed.add((tenant, site))
+        self._notify_failed(tenant, site)
         if self._auto_drain:
             self.drain()

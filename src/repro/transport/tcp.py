@@ -6,8 +6,8 @@ wire-codec payloads (:func:`repro.wire.encode_frame`) on plain asyncio
 socket transports — exactly the per-pair FIFO TCP channels the paper's
 DECAF prototype assumed.
 
-Every replica is addressed as ``(tenant, site)`` — in the frame, in the
-handler table, in the failed set and in the failure-listener table.  The
+Every replica is addressed as ``(tenant, site)`` — in the frame and in the
+routing tables every :class:`~repro.transport.base.Transport` keeps.  The
 flat ``register``/``send``/... methods are tenant 0, so a bare session and
 a hosted tenant differ in nothing but the tenant number.
 
@@ -43,9 +43,10 @@ Topology and guarantees:
   bytes, never as live objects, so this transport only carries what the
   wire format can express.
 
-Synchronous :meth:`quiesce` raises — use ``await aquiesce()``; like the
-in-process :class:`~repro.transport.asyncio_transport.AsyncioTransport`,
-this transport lives on an event loop.
+Synchronous :meth:`quiesce` raises — use ``await aquiesce()``: this
+transport lives on an event loop.  A single process whose sites are all
+local never opens a connection (frames still cross the codec), which makes
+it the in-loop fabric of the live examples.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from repro.obs.clock import WallClock
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sample import TraceSampler
-from repro.transport.base import DeliveryHandler, FailureHandler, Transport
+from repro.transport.base import DeliveryHandler, FailureHandler, SiteKey, Transport
 from repro.wire.codec import (
     FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES,
@@ -72,9 +73,6 @@ from repro.wire.codec import (
 
 #: A TCP endpoint: (host, port).
 Addr = Tuple[str, int]
-
-#: A routing key: (tenant, site).  A bare session is tenant 0.
-SiteKey = Tuple[int, int]
 
 #: Bucket bounds (wall-clock ms) for transport latency histograms: dial
 #: RTTs and coalesced write flushes sit well under the simulator's
@@ -290,6 +288,7 @@ class TcpTransport(Transport):
         sampler: Optional[TraceSampler] = None,
         placement: Optional[Placement] = None,
     ) -> None:
+        super().__init__()
         self.site_addrs = dict(site_addrs)
         self.local_sites: Set[int] = set(local_sites)
         for site in self.local_sites:
@@ -306,12 +305,6 @@ class TcpTransport(Transport):
         #: High-water mark for one coalesced write: a flush batches queued
         #: frames until the write would exceed this.
         self.coalesce_max_bytes = coalesce_max_bytes
-        self._handlers: Dict[SiteKey, DeliveryHandler] = {}
-        #: Per-tenant failure listeners; handlers see tenant-local site
-        #: ids.  Cross-tenant isolation: a notice for tenant A's site never
-        #: reaches tenant B's listeners.
-        self._failure_handlers: Dict[int, List[FailureHandler]] = {}
-        self._failed: Set[SiteKey] = set()
         self._failed_addrs: Set[Addr] = set()
         self._links: Dict[Addr, _PeerLink] = {}
         #: Links with frames queued since their last flush, and whether an
@@ -389,30 +382,16 @@ class TcpTransport(Transport):
     # Transport interface
     # ------------------------------------------------------------------
 
-    def register(self, site: int, handler: DeliveryHandler) -> None:
-        self.register_scoped(0, site, handler)
-
     def register_scoped(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
         if self.placement.addr_of(tenant, site) not in self._local_addrs:
             raise TransportError(
                 f"site {site} of tenant {tenant} is not local to this process "
                 f"(local: {sorted(self.local_sites)})"
             )
-        self._handlers[(tenant, site)] = handler
+        super().register_scoped(tenant, site, handler)
 
-    def unregister(self, site: int) -> None:
-        self.unregister_scoped(0, site)
-
-    def unregister_scoped(self, tenant: int, site: int) -> None:
-        self._handlers.pop((tenant, site), None)
-
-    def add_failure_listener(self, handler: FailureHandler) -> None:
-        self.add_failure_listener_scoped(0, handler)
-
-    def add_failure_listener_scoped(
-        self, tenant: int, handler: FailureHandler
-    ) -> FailureHandler:
-        self._failure_handlers.setdefault(tenant, []).append(handler)
+    def add_failure_listener_scoped(self, tenant: int, handler: FailureHandler) -> None:
+        super().add_failure_listener_scoped(tenant, handler)
         # A listener added after a peer process was declared dead (lazy
         # activation, re-activation after eviction) would otherwise never
         # hear of it: sends to that address drop silently and its
@@ -431,19 +410,9 @@ class TcpTransport(Transport):
                         handler(site)
 
             self._require_loop().call_soon(notify_late)
-        return handler
-
-    def remove_failure_listener(self, handler: FailureHandler) -> None:
-        for listeners in self._failure_handlers.values():
-            if handler in listeners:
-                listeners.remove(handler)
-                return
 
     def now(self) -> float:
         return self.clock.now_ms()
-
-    def is_failed(self, site: int) -> bool:
-        return self.is_failed_scoped(0, site)
 
     def is_failed_scoped(self, tenant: int, site: int) -> bool:
         if (tenant, site) in self._failed:
@@ -530,9 +499,6 @@ class TcpTransport(Transport):
             },
         )
         return trace
-
-    def send(self, src: int, dst: int, payload: Any) -> None:
-        self.send_scoped(0, src, dst, payload)
 
     def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
         if (
@@ -663,13 +629,6 @@ class TcpTransport(Transport):
             if link.transport is not None:
                 link.transport.close()
         self._links.clear()
-
-    def fail_site(self, site: int, tenant: int = 0) -> None:
-        self.fail_site_scoped(tenant, site)
-
-    def fail_site_scoped(self, tenant: int, site: int) -> None:
-        """Administratively declare ``site`` of ``tenant`` failed (tests / orchestration)."""
-        self._fail_pair(tenant, site)
 
     # ------------------------------------------------------------------
     # Inbound path
@@ -863,10 +822,14 @@ class TcpTransport(Transport):
                 link.transport.close()
         for tenant in sorted(self._failure_handlers):
             for site in self.placement.sites_at(tenant, addr):
-                self._fail_pair(tenant, site)
+                self.fail_site_scoped(tenant, site)
 
-    def _fail_pair(self, tenant: int, site: int) -> None:
-        """Declare one (tenant, site) failed; notify that tenant only."""
+    def fail_site_scoped(self, tenant: int, site: int) -> None:
+        """Declare one (tenant, site) failed; notify that tenant only.
+
+        Fail-stop detection calls this for every site at a dead address;
+        tests and orchestration call it to declare one replica failed.
+        """
         key = (tenant, site)
         if key in self._failed:
             return
@@ -880,8 +843,7 @@ class TcpTransport(Transport):
             if len(kept) != len(link.frames):
                 link.frames.clear()
                 link.frames.extend(kept)
-        for handler in list(self._failure_handlers.get(tenant, ())):
-            handler(site)
+        self._notify_failed(tenant, site)
         if self.flight is not None:
             # Postmortem: the ring buffer of recent events, dumped the
             # moment fail-stop detection fires (repro.obs.flight).

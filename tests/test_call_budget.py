@@ -23,7 +23,11 @@ rich comparisons, graph facts re-derived per message, ``counter_property``
 setters), CPython 3.11: **477,379 calls = 1,989.1 per commit**.  The
 "derive once" change must stay at or below 0.8 x that.  (CPython 3.12
 inlines comprehensions, so it counts fewer frames still; the bound is
-one-sided.)
+one-sided.)  Recorded again at 53b9ce7, before the simulated network became
+the transport itself: **306,711 calls = 1,278.0 per commit**, and the same
+306,711 after — the adapter's ``send -> Network.send`` hop became the base
+class's ``send -> send_scoped``, one for one.  That count is the second,
+tighter ceiling below.
 
 The message counts and the converged state are pinned to the values the
 same scenario produced on ``main``, so a lower call count provably comes
@@ -49,6 +53,9 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 #: Python-level calls per commit of this scenario on ``main`` (see above).
 MAIN_CALLS_PER_COMMIT = 1989.1
+
+#: The same count at 53b9ce7 (306,711 calls); nothing since may add to it.
+CALLS_PER_COMMIT_CEILING = 1278.0
 
 #: ``NetworkStats.per_type_sent`` of the measured window on ``main``.
 MAIN_MESSAGES = {
@@ -133,6 +140,10 @@ def test_python_calls_per_commit_stay_under_budget():
     assert per_commit <= 0.8 * MAIN_CALLS_PER_COMMIT, (
         f"{per_commit:.1f} Python calls per commit; main made {MAIN_CALLS_PER_COMMIT} "
         f"and the budget is 0.8 x that"
+    )
+    assert per_commit <= CALLS_PER_COMMIT_CEILING, (
+        f"{per_commit:.1f} Python calls per commit; the recorded ceiling is "
+        f"{CALLS_PER_COMMIT_CEILING}"
     )
 
 

@@ -17,43 +17,55 @@ from repro.core.messages import CommitMsg
 from repro.errors import ReproError, TransportError
 from repro.sim.network import FixedLatency, Network
 from repro.sim.scheduler import Scheduler
-from repro.transport import MemoryTransport, SimTransport, TcpTransport
-from repro.transport.base import _TENANT_STRIDE as TENANT_STRIDE
-from repro.transport.base import _pack_site as pack_site
+from repro.obs.causal import build_causal_graph, commit_critical_paths
+from repro.transport import MemoryTransport, TcpTransport
 from tests.test_tcp_transport import two_addrs, wait_for
 
 
-def sim_transport(latency_ms: float = 10.0, seed: int = 0) -> SimTransport:
-    scheduler = Scheduler()
-    return SimTransport(Network(scheduler, latency=FixedLatency(latency_ms), seed=seed))
+def sim_transport(latency_ms: float = 10.0, seed: int = 0) -> Network:
+    return Network(Scheduler(), latency=FixedLatency(latency_ms), seed=seed)
 
 
-class TestPacking:
-    """The private stride packing behind the ABC's ``*_scoped`` defaults."""
+@pytest.mark.parametrize("make_transport", [MemoryTransport, sim_transport])
+class TestTenantKeys:
+    """Every fabric keys its own tables by the ``(tenant, site)`` pair."""
 
-    def test_tenant_zero_is_identity(self):
-        # Why a bare session on a flat fabric *is* tenant 0 of that fabric.
-        assert pack_site(0, 17) == 17
-
-    def test_roundtrip(self):
-        for tenant, site in [(0, 3), (1, 0), (1, 5), (999, TENANT_STRIDE - 1), (12345, 3)]:
-            assert divmod(pack_site(tenant, site), TENANT_STRIDE) == (tenant, site)
-
-    def test_site_out_of_range_rejected(self):
-        for tenant in (0, 1):
-            with pytest.raises(TransportError):
-                pack_site(tenant, TENANT_STRIDE)
-            with pytest.raises(TransportError):
-                pack_site(tenant, -1)
-        with pytest.raises(TransportError):
-            pack_site(-1, 0)
-
-    def test_distinct_tenants_never_collide(self):
-        seen = set()
-        for tenant in range(1, 50):
+    def test_distinct_tenants_never_collide(self, make_transport):
+        inner = make_transport()
+        got = {}
+        for tenant in range(50):
+            facade = TenantTransport(inner, tenant)
             for site in range(4):
-                seen.add(pack_site(tenant, site))
-        assert len(seen) == 49 * 4
+                key = (tenant, site)
+                facade.register(site, lambda src, p, key=key: got.setdefault(key, (src, p)))
+        assert len(inner._handlers) == 50 * 4
+        for tenant in range(50):
+            TenantTransport(inner, tenant).send(3, 0, tenant)
+        inner.quiesce()
+        # One delivery per tenant, each to that tenant's own site 0.
+        assert got == {(tenant, 0): (3, tenant) for tenant in range(50)}
+
+    def test_handlers_see_tenant_local_ids(self, make_transport):
+        inner = make_transport()
+        got = []
+        inner.register_scoped(12345, 5, lambda src, p: got.append((src, p)))
+        inner.send_scoped(12345, 3, 5, "x")
+        inner.quiesce()
+        assert got == [(3, "x")]
+        assert list(inner._handlers) == [(12345, 5)]
+
+    def test_tenant_zero_facade_and_bare_session_share_replicas(self, make_transport):
+        inner = make_transport()
+        got = []
+        TenantTransport(inner, 0).register(0, lambda src, p: got.append(p))
+        inner.send(1, 0, "bare")  # the flat names are tenant 0
+        inner.quiesce()
+        assert got == ["bare"]
+        assert list(inner._handlers) == [(0, 0)]
+
+    def test_negative_tenant_rejected(self, make_transport):
+        with pytest.raises(TransportError, match="non-negative"):
+            TenantTransport(make_transport(), -1)
 
 
 class TestTenantTransport:
@@ -83,7 +95,7 @@ class TestTenantTransport:
         sim = sim_transport()
         facade = TenantTransport(sim, 2)
         assert facade.scheduler() is sim.scheduler()
-        assert facade.network() is sim.network()
+        assert facade.network() is sim
         session = Session(transport=facade)
         assert session.scheduler is sim.scheduler()
         mem_session = Session(transport=TenantTransport(MemoryTransport(), 2))
@@ -137,7 +149,7 @@ class TestEvictionInFlight:
         survivor = host.tenant(6)
         d0, d1 = doomed.replicate(DInt, "x", doomed.sites, initial=0)
         v0, v1 = survivor.replicate(DInt, "x", survivor.sites, initial=0)
-        dropped_before = sim.network().stats.messages_dropped
+        dropped_before = sim.stats.messages_dropped
         # Launch writes in both tenants, then evict one while its commit
         # traffic is still in flight.
         doomed.sites[0].transact(lambda: d0.set(9))
@@ -145,7 +157,7 @@ class TestEvictionInFlight:
         assert host.evict(5)
         host.settle()  # must not raise on deliveries to the evicted tenant
         assert v1.get() == 7  # the surviving tenant is unaffected
-        assert sim.network().stats.messages_dropped > dropped_before
+        assert sim.stats.messages_dropped > dropped_before
         assert host.stats() == {"active": 1, "activations": 2, "evictions": 1}
 
     def test_evict_unknown_tenant_is_false(self):
@@ -182,7 +194,7 @@ class TestCrossTenantFailureIsolation:
         # Fail tenant 1's site 1 only.
         s1.transport.fail_site(1)
         host.settle()
-        assert notices1 == [1]  # tenant-local id, not the packed one
+        assert notices1 == [1]  # the tenant-local id
         assert notices2 == []
         assert s1.transport.is_failed(1)
         assert not s2.transport.is_failed(1)
@@ -201,6 +213,50 @@ class TestCrossTenantFailureIsolation:
         host.settle()
         assert notices == []
         assert not tenant.transport.is_failed(1)
+
+
+class TestSimulatedFabricNamesReplicasLikeTcp:
+    def test_hosted_tenant_reads_like_tenant_zero_in_the_causal_graph(self):
+        """The same remote commit, as tenant 0 and as tenant 2 of one
+        Network, yields the same happens-before graph and the same
+        critical-path attribution: message events carry the tenant-local
+        site (program order with the site's protocol events) and the
+        tenant in their data."""
+        sim = sim_transport()
+        host = SessionHost(sim, local_sites=(0, 1), roster=(0, 1))
+        runs = {}
+        for tid in (0, 2):
+            session = host.tenant(tid)
+            replicas = session.replicate(DInt, "x", session.sites, initial=0)
+            sim.bus.enable()
+            start = len(sim.bus.events)
+            # Site 1 is not the primary: the commit needs site 0's validation.
+            session.sites[1].transact(lambda: replicas[1].set(7))
+            host.settle()
+            sim.bus.disable()
+            runs[tid] = sim.bus.events[start:]
+        for tid, events in runs.items():
+            messages = [e for e in events if e.kind.startswith("message_")]
+            assert messages and {e.site for e in messages} <= {0, 1}
+            assert {e.data["tenant"] for e in messages} == {tid}
+        assert build_causal_graph(runs[0]).counts() == build_causal_graph(runs[2]).counts()
+        (path0,), (path2,) = (commit_critical_paths(runs[tid]) for tid in (0, 2))
+        assert path0.segments == path2.segments
+        assert path0.segments["transit"] == 10.0
+        for path in (path0, path2):
+            assert (path.origin, path.validator_site) == (1, 0)
+
+    def test_retry_timer_is_offered_under_the_tenant_local_site(self):
+        sim = sim_transport()
+        offered = []
+
+        class Controller:
+            def offer_timer(self, site, fire, delay_ms):
+                offered.append((site, delay_ms))
+
+        sim.choice = Controller()
+        TenantTransport(sim, 2).defer(lambda: None, 5.0, site=1)
+        assert offered == [(1, 5.0)]
 
 
 class TestHostObservability:

@@ -3,12 +3,9 @@
 Covers: per-destination envelope coalescing (metrics, FIFO, convergence
 digests identical with and without batching), Envelope accounting in the
 simulated network's stats, the explicit ``session.batched()`` window, the
-``Transport.pending``/``quiesce`` drain contract, broadcast skipping failed
-destinations, and the class-keyed replicate registry with its deprecated
-string aliases.
+``Transport.pending``/``quiesce`` drain contract, and the class-keyed
+replicate registry.
 """
-
-import asyncio
 
 import pytest
 
@@ -16,9 +13,7 @@ from repro import DInt, DList, Session
 from repro.core.messages import CommitMsg, Envelope
 from repro.core.scalars import DString
 from repro.core.session import register_replicable
-from repro.errors import ReproError, TransportError
-from repro.transport.asyncio_transport import AsyncioTransport
-from repro.transport.base import Transport
+from repro.errors import ReproError
 from repro.transport.memory import MemoryTransport
 from repro.vtime import VirtualTime
 
@@ -113,7 +108,7 @@ class TestOutbox:
         b = session.add_site("b")
         with a.outbox.turn():
             a.send(b.site_id, CommitMsg(VirtualTime(1, 0), 1))
-        src, dst, payload = transport._queue[-1]
+        _tenant, src, dst, payload = transport._queue[-1]
         assert not isinstance(payload, Envelope)
         assert a.outbox.envelopes_sent == 1
         assert a.outbox.messages_batched == 0
@@ -127,7 +122,7 @@ class TestOutbox:
         with a.outbox.turn():
             for m in msgs:
                 a.send(b.site_id, m)
-        src, dst, payload = transport._queue[-1]
+        _tenant, src, dst, payload = transport._queue[-1]
         assert isinstance(payload, Envelope)
         assert list(payload.messages) == msgs
         assert a.outbox.envelopes_sent == 1
@@ -176,20 +171,6 @@ class TestTransportContract:
         assert delivered > 0
         assert session.transport.pending() == 0
 
-    def test_asyncio_sync_quiesce_raises(self):
-        transport = AsyncioTransport()
-        with pytest.raises(TransportError, match="aquiesce"):
-            transport.quiesce()
-
-    def test_asyncio_pending_counts_queued(self):
-        async def main():
-            transport = AsyncioTransport()
-            transport.register(0, lambda src, p: None)
-            transport.send(1, 0, "x")
-            assert transport.pending() == 1
-
-        asyncio.run(main())
-
     def test_session_settle_uses_transport_quiesce(self):
         class Recording(MemoryTransport):
             def __init__(self):
@@ -206,40 +187,6 @@ class TestTransportContract:
         session.settle()
         assert transport.quiesce_calls == 1
 
-    def test_broadcast_skips_failed_destinations(self):
-        sent = []
-
-        class Probe(Transport):
-            def register(self, site, handler):
-                pass
-
-            def send(self, src, dst, payload):
-                sent.append(dst)
-
-            def now(self):
-                return 0.0
-
-            def pending(self):
-                return 0
-
-            def quiesce(self, max_events=None):
-                return 0
-
-            def is_failed(self, site):
-                return site == 2
-
-        Probe().broadcast(0, [1, 2, 3], "msg")
-        assert sent == [1, 3]
-
-    def test_memory_broadcast_skips_failed(self):
-        transport = MemoryTransport(auto_drain=False)
-        for site in (0, 1, 2):
-            transport.register(site, lambda src, p: None)
-        transport.fail_site(2)
-        before = transport.messages_sent
-        transport.broadcast(0, [1, 2], "msg")
-        assert transport.messages_sent == before + 1  # only site 1
-
 
 class TestReplicateRegistry:
     def test_class_keyed_replicate(self):
@@ -249,27 +196,23 @@ class TestReplicateRegistry:
         session.settle()
         assert all(type(o) is DList for o in objs)
 
-    def test_string_alias_is_deprecated_but_identical(self):
-        def build(kind):
-            session = Session.simulated(latency_ms=10.0, seed=4)
-            sites = session.add_sites(2)
-            objs = session.replicate(kind, "x", sites, initial=7)
-            session.settle()
-            return [s.state_digest() for s in session.sites], [type(o) for o in objs]
-
-        new_digests, new_types = build(DInt)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old_digests, old_types = build("int")
-        assert old_digests == new_digests
-        assert old_types == new_types
+    def test_string_kind_is_an_unregistered_kind(self):
+        # The historical "int"/"list"/... spellings are gone: a string is
+        # refused exactly like any other unregistered kind.
+        session = Session.simulated()
+        site = session.add_site("a")
+        with pytest.raises(ReproError) as by_name:
+            session.replicate("int", "x", [site])
+        with pytest.raises(ReproError) as by_type:
+            session.replicate(int, "x", [site])
+        assert str(by_name.value).replace("'int'", "<class 'int'>") == str(by_type.value)
 
     def test_unknown_kinds_raise(self):
         session = Session.simulated()
         site = session.add_site("a")
-        with pytest.raises(ReproError, match="cannot replicate"):
-            session.replicate("blob", "x", [site])
-        with pytest.raises(ReproError, match="register_replicable"):
-            session.replicate(dict, "x", [site])
+        for kind in ("blob", dict):
+            with pytest.raises(ReproError, match="register_replicable"):
+                session.replicate(kind, "x", [site])
 
     def test_register_replicable_extension(self):
         class DTag(DString):

@@ -102,12 +102,6 @@ class TestDelivery:
         with pytest.raises(TransportError):
             net.send(0, 99, "?")
 
-    def test_broadcast(self):
-        sched, net, inboxes = make_net()
-        net.broadcast(0, [1, 2, 3], "all")
-        sched.run_until_quiescent()
-        assert all(inboxes[i] for i in (1, 2, 3))
-
     def test_stats(self):
         sched, net, _ = make_net()
         net.send(0, 1, "a")

@@ -5,7 +5,7 @@ import pytest
 from repro import Session
 from repro.core.repgraph import GraphNode
 from repro.errors import ReproError
-from repro.transport import MemoryTransport, SimTransport
+from repro.transport import MemoryTransport, Network
 from repro import DFloat, DInt, DList, DMap, DString
 
 
@@ -17,7 +17,7 @@ class TestConstruction:
 
     def test_simulated_factory(self):
         session = Session.simulated(latency_ms=10.0, seed=3)
-        assert isinstance(session.transport, SimTransport)
+        assert isinstance(session.transport, Network)
         assert session.scheduler is not None
         assert session.network is not None
 
@@ -74,15 +74,6 @@ class TestReplicateHelper:
         sites = session.add_sites(2)
         objs = session.replicate(kind, "obj", sites, initial=initial)
         assert [o.get() for o in objs] == [expected, expected]
-
-    def test_string_kind_emits_deprecation_warning(self):
-        # The legacy string spelling still works but is on a removal
-        # schedule; the warning names the replacement class and the date.
-        session = Session.simulated(latency_ms=10.0)
-        sites = session.add_sites(2)
-        with pytest.warns(DeprecationWarning, match=r"removed on 2026-12-31"):
-            objs = session.replicate("int", "obj", sites, initial=3)
-        assert [o.get() for o in objs] == [3, 3]
 
     def test_composite_kinds(self):
         session = Session.simulated(latency_ms=10.0)

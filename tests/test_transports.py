@@ -1,12 +1,11 @@
-"""Tests for the transport abstraction: memory, sim, and asyncio."""
-
-import asyncio
+"""Tests for the transport abstraction: the in-process queue and the
+simulated network (the socket fabric has tests/test_tcp_transport.py)."""
 
 import pytest
 
 from repro.errors import TransportError
 from repro.sim import FixedLatency, Network, Scheduler
-from repro.transport import AsyncioTransport, MemoryTransport, SimTransport
+from repro.transport import MemoryTransport
 
 
 class TestMemoryTransport:
@@ -65,10 +64,12 @@ class TestMemoryTransport:
 
 
 class TestSimTransport:
+    """The simulated network *is* the transport a simulated session runs on."""
+
     def test_wraps_network(self):
         sched = Scheduler()
-        net = Network(sched, latency=FixedLatency(30.0))
-        transport = SimTransport(net)
+        transport = Network(sched, latency=FixedLatency(30.0))
+        assert transport.network() is transport and transport.scheduler() is sched
         inbox = []
         transport.register(1, lambda src, p: inbox.append((p, sched.now)))
         transport.send(0, 1, "x")
@@ -78,7 +79,7 @@ class TestSimTransport:
 
     def test_defer_schedules_on_scheduler(self):
         sched = Scheduler()
-        transport = SimTransport(Network(sched))
+        transport = Network(sched)
         log = []
         transport.defer(lambda: log.append(sched.now))
         assert log == []
@@ -87,64 +88,11 @@ class TestSimTransport:
 
     def test_failure_listener_via_network(self):
         sched = Scheduler()
-        net = Network(sched)
-        transport = SimTransport(net)
+        transport = Network(sched)
         transport.register(0, lambda s, p: None)
         transport.register(1, lambda s, p: None)
         notices = []
         transport.add_failure_listener(notices.append)
-        net.fail_site(1)
+        transport.fail_site(1)
         sched.run_until_quiescent()
         assert notices == [1]
-
-
-class TestAsyncioTransport:
-    def test_delivery(self):
-        async def main():
-            transport = AsyncioTransport()
-            inbox = []
-            transport.register(1, lambda src, p: inbox.append((src, p)))
-            await transport.start()
-            transport.send(0, 1, "hello")
-            await transport.aquiesce(settle_ms=5)
-            await transport.stop()
-            return inbox
-
-        assert asyncio.run(main()) == [(0, "hello")]
-
-    def test_delay(self):
-        async def main():
-            transport = AsyncioTransport(delay_ms=30.0)
-            times = []
-            transport.register(1, lambda src, p: times.append(transport.now()))
-            await transport.start()
-            start = transport.now()
-            transport.send(0, 1, "x")
-            await transport.aquiesce(settle_ms=5)
-            await transport.stop()
-            return times[0] - start
-
-        elapsed = asyncio.run(main())
-        assert elapsed >= 25.0
-
-    def test_failed_site_dropped(self):
-        async def main():
-            transport = AsyncioTransport()
-            inbox, notices = [], []
-            transport.register(1, lambda src, p: inbox.append(p))
-            transport.add_failure_listener(notices.append)
-            await transport.start()
-            transport.fail_site(1)
-            transport.send(0, 1, "lost")
-            await transport.aquiesce(settle_ms=5)
-            await transport.stop()
-            return inbox, notices
-
-        inbox, notices = asyncio.run(main())
-        assert inbox == []
-        assert notices == [1]
-
-    def test_unknown_destination(self):
-        transport = AsyncioTransport()
-        with pytest.raises(TransportError):
-            transport.send(0, 3, "?")
