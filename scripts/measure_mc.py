@@ -21,10 +21,12 @@ from repro.explore.plan import exhaustive_config
 CASES = [
     ("2s-2rmw", 2, [(0, "rmw"), (1, "rmw")], False, True),
     ("2s-2rmw+views", 2, [(0, "rmw"), (1, "rmw")], True, True),
+    ("2s-2blind+views", 2, [(0, "blind"), (1, "blind")], True, True),
     ("2s-2xfer", 2, [(0, "xfer"), (1, "xfer")], False, True),
     ("2s-3txn", 2, [(0, "rmw"), (1, "rmw"), (0, "blind")], False, True),
     ("3s-2rmw", 3, [(0, "rmw"), (1, "rmw")], False, False),
     ("3s-2rmw-remote", 3, [(1, "rmw"), (2, "rmw")], False, False),
+    ("3s-2rmw-third-party+views", 3, [(2, "rmw"), (0, "rmw")], True, False),
 ]
 
 

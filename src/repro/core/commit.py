@@ -88,15 +88,10 @@ class TransactionEngine:
         max_retries: int = 50,
         delegation_enabled: bool = True,
         retry_backoff_ms: float = 5.0,
-        eager_view_confirms: bool = False,
     ) -> None:
         self.site = site
         self.max_retries = max_retries
         self.delegation_enabled = delegation_enabled
-        #: Section 5.3 "faster commit of snapshots": primaries broadcast
-        #: confirmed write intervals so remote views resolve RL guesses
-        #: without their own CONFIRM-READ round trip.
-        self.eager_view_confirms = eager_view_confirms
         #: Base delay before automatic re-execution.  Retrying immediately
         #: (in the same simulated instant) livelocks under contention: the
         #: in-flight state that caused the conflict has not changed yet.
@@ -110,6 +105,10 @@ class TransactionEngine:
         self.status: Dict[VirtualTime, str] = {}
         #: Ops applied locally per transaction (for rollback/commit).
         self.applied: Dict[VirtualTime, List[Tuple["ModelObject", Any]]] = {}
+        #: Read time of each non-blind write applied locally per transaction:
+        #: the interval its COMMIT vouches for (pessimistic views skip their
+        #: own CONFIRM-READ over it).  Blind writes are not recorded.
+        self.write_reads: Dict[VirtualTime, Dict["ModelObject", VirtualTime]] = {}
         #: Objects on which this site (as primary) reserved intervals per txn.
         self.reserved: Dict[VirtualTime, List["ModelObject"]] = {}
         #: RC / snapshot dependency index.
@@ -434,42 +433,7 @@ class TransactionEngine:
         self.reserved.setdefault(vt, []).append(target)
         if root is not target:
             self.reserved.setdefault(vt, []).append(root)
-        if is_write and self.eager_view_confirms and target is root:
-            self._broadcast_write_confirmed(root, read_vt, vt)
         return True, "", ()
-
-    def _broadcast_write_confirmed(
-        self, root: "ModelObject", read_vt: VirtualTime, vt: VirtualTime
-    ) -> None:
-        """Eagerly distribute the confirmed write-free interval (section 5.3).
-
-        Only root scalars are broadcast: a composite check covers a whole
-        subtree, which a single node's confirmation cannot vouch for.
-        """
-        from repro.core.messages import WriteConfirmedMsg
-
-        if root.kind not in ("int", "float", "string", "association"):
-            return
-        if not read_vt < vt:
-            return  # blind write: nothing new confirmed
-        graph = root.graph()
-        me = self.site.site_id
-        for dst in graph.sites():
-            if dst == me:
-                continue
-            dst_uid = graph.uid_at_site(dst)
-            if dst_uid is None:
-                continue
-            self.site.send(
-                dst,
-                WriteConfirmedMsg(
-                    object_uid=dst_uid,
-                    txn_vt=vt,
-                    lo_vt=read_vt,
-                    hi_vt=vt,
-                    clock=self.site.clock.counter,
-                ),
-            )
 
     def _is_graph_write(self, target: "ModelObject", vt: VirtualTime) -> bool:
         entry = target.graph_history().entry_at(vt)
@@ -571,12 +535,7 @@ class TransactionEngine:
             # "If any future update messages arrive, the updates are
             # ignored" (section 3.1).
             return
-        committed = state == COMMITTED
-        self.site.views.begin_batch()
-        try:
-            remaining = self._apply_writes(msg.writes, vt, committed)
-        finally:
-            self.site.views.end_batch()
+        remaining = self._apply_writes(msg.writes, vt, state == COMMITTED)
         if remaining:
             self.pending_propagates.append(PendingPropagate(src, msg, remaining))
             bus = self.site.bus
@@ -594,22 +553,34 @@ class TransactionEngine:
     def _apply_writes(
         self, writes: Tuple[WriteOp, ...], vt: VirtualTime, committed: bool
     ) -> List[WriteOp]:
-        """Apply ops in order; returns the suffix blocked on missing paths."""
+        """Apply ops in order, as one view batch; returns the suffix blocked
+        on missing paths."""
         pending: List[WriteOp] = []
-        for i, write in enumerate(writes):
-            if pending:
-                # Preserve op order within the transaction once blocked.
-                pending.append(write)
-                continue
-            root = self.site.objects.get(write.object_uid)
-            if root is None:
-                pending.append(write)
-                continue
-            try:
-                target = propagation.resolve_path(root, write.path)
-                propagation.apply_op(target, write.op, vt, committed)
-            except InvalidPath:
-                pending.append(write)
+        self.site.views.begin_batch()
+        try:
+            for write in writes:
+                if pending:
+                    # Preserve op order within the transaction once blocked.
+                    pending.append(write)
+                    continue
+                root = self.site.objects.get(write.object_uid)
+                if root is None:
+                    pending.append(write)
+                    continue
+                try:
+                    target = propagation.resolve_path(root, write.path)
+                    propagation.apply_op(target, write.op, vt, committed)
+                except InvalidPath:
+                    pending.append(write)
+                else:
+                    if write.read_vt < vt:
+                        self.write_reads.setdefault(vt, {})[target] = write.read_vt
+        finally:
+            self.site.views.end_batch()
+        if committed:
+            # The COMMIT overtook this propagate (a delegate's, on a faster
+            # link), so its cleanup ran before these writes were recorded.
+            self._garbage_collect(vt)
         return pending
 
     def retry_pending_propagates(self) -> None:
@@ -625,13 +596,9 @@ class TransactionEngine:
                 if state == ABORTED:
                     self.pending_propagates.remove(pending)
                     continue
-                self.site.views.begin_batch()
-                try:
-                    remaining = self._apply_writes(
-                        tuple(pending.remaining), vt, state == COMMITTED
-                    )
-                finally:
-                    self.site.views.end_batch()
+                remaining = self._apply_writes(
+                    tuple(pending.remaining), vt, state == COMMITTED
+                )
                 if len(remaining) < len(pending.remaining):
                     progressed = True
                 pending.remaining = remaining
@@ -816,6 +783,7 @@ class TransactionEngine:
 
     def _rollback_applied(self, vt: VirtualTime) -> None:
         ops = self.applied.pop(vt, [])
+        self.write_reads.pop(vt, None)
         for obj, op in reversed(ops):
             propagation.undo_op(obj, op, vt)
 
@@ -859,6 +827,7 @@ class TransactionEngine:
         # Applied-op records for committed transactions are no longer
         # needed for rollback; keep the status entry, drop the op list.
         self.applied.pop(vt, None)
+        self.write_reads.pop(vt, None)
         self.reserved.pop(vt, None)
         record = self.records.get(vt)
         if record is not None and record.state in (TxnState.COMMITTED, TxnState.ABORTED):

@@ -512,6 +512,7 @@ class FailureManager:
         # orphaned by the dead primary.
         self.site.engine.deps.resolve_commit(msg.apply_vt)
         self.site.views.on_txn_resolved(msg.apply_vt, committed=True)
+        self.site.engine._garbage_collect(msg.apply_vt)
         bus = self.site.bus
         if bus.active:
             bus.emit(

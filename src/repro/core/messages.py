@@ -254,26 +254,6 @@ class SnapshotReplyMsg:
     clock: int
 
 
-@dataclass(frozen=True)
-class WriteConfirmedMsg:
-    """Eager distribution of a confirmed write (section 5.1.2 / 5.3).
-
-    "For objects that are updated in the transaction, confirmations are
-    eagerly distributed by the primary copy when the originating site
-    requests confirmation."  When the primary confirms a transaction's
-    write on an object, it broadcasts the write-free interval it just
-    validated to every replica site; pessimistic view proxies there can
-    resolve their own snapshot RL guesses over sub-intervals locally,
-    without a CONFIRM-READ round trip of their own.
-    """
-
-    object_uid: str  # the receiving site's replica uid
-    txn_vt: VirtualTime
-    lo_vt: VirtualTime  # confirmed write-free open interval (lo, hi)
-    hi_vt: VirtualTime
-    clock: int
-
-
 # ---------------------------------------------------------------------------
 # Collaboration establishment messages (section 3.3)
 # ---------------------------------------------------------------------------
@@ -415,9 +395,9 @@ class Envelope:
 
     The batching layer (:class:`repro.wire.batch.Outbox`) coalesces every
     message a site emits to the same destination within one protocol turn —
-    a commit fan-out, a burst of view confirms, an eager write-confirm
-    broadcast — into a single envelope, so the transport pays one frame
-    (one latency sample, one wire header) for the whole burst.  Inner
+    a commit fan-out, a burst of view confirms — into a single envelope, so
+    the transport pays one frame (one latency sample, one wire header) for
+    the whole burst.  Inner
     message order is the send order, and an envelope travels as one unit
     on the per-pair channel, so per-pair FIFO is preserved exactly.
 

@@ -73,7 +73,6 @@ class Session:
         primary_selector: Optional[PrimarySelector] = None,
         max_retries: int = 50,
         delegation_enabled: bool = True,
-        eager_view_confirms: bool = False,
         batching: bool = False,
         roster: Optional[Iterable[int]] = None,
     ) -> None:
@@ -81,10 +80,6 @@ class Session:
         self.primary_selector = primary_selector
         self.max_retries = max_retries
         self.delegation_enabled = delegation_enabled
-        #: The "faster commit of snapshots" optimization (section 5.3):
-        #: primaries eagerly broadcast confirmed write intervals so remote
-        #: pessimistic views resolve RL guesses without their own round trip.
-        self.eager_view_confirms = eager_view_confirms
         #: When True, each site's outbox coalesces every protocol turn's
         #: fan-out into one Envelope per destination (repro.wire.batch).
         self.batching = batching
@@ -151,7 +146,6 @@ class Session:
             session=self,
             max_retries=self.max_retries,
             delegation_enabled=self.delegation_enabled,
-            eager_view_confirms=self.eager_view_confirms,
             batching=self.batching,
         )
         self.sites.append(site)

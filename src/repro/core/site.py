@@ -36,7 +36,6 @@ from repro.core.messages import (
     SnapshotConfirmMsg,
     SnapshotReplyMsg,
     TxnPropagateMsg,
-    WriteConfirmedMsg,
 )
 from repro.core.model import ModelObject
 from repro.core.repgraph import ReplicationGraph
@@ -71,7 +70,6 @@ class SiteRuntime:
         session: Optional["Session"] = None,
         max_retries: int = 50,
         delegation_enabled: bool = True,
-        eager_view_confirms: bool = False,
         batching: bool = False,
     ) -> None:
         from repro.core.failures import FailureManager
@@ -100,10 +98,7 @@ class SiteRuntime:
         self.objects: Dict[str, ModelObject] = {}
         self.views = ViewManager(self)
         self.engine = TransactionEngine(
-            self,
-            max_retries=max_retries,
-            delegation_enabled=delegation_enabled,
-            eager_view_confirms=eager_view_confirms,
+            self, max_retries=max_retries, delegation_enabled=delegation_enabled
         )
         self.joins = JoinManager(self)
         self.failures = FailureManager(self)
@@ -126,7 +121,6 @@ class SiteRuntime:
             AbortMsg: self.engine.on_abort,
             SnapshotConfirmMsg: self.views.on_confirm_request,
             SnapshotReplyMsg: self.views.on_confirm_reply,
-            WriteConfirmedMsg: self.views.on_write_confirmed,
             JoinRequestMsg: self.joins.on_join_request,
             JoinReplyMsg: self.joins.on_join_reply,
             FailQueryMsg: self.failures.on_query,
@@ -375,7 +369,8 @@ class SiteRuntime:
 
         Any entry left after ``run_until_quiescent`` is a leak: a guess that
         never resolved, a reservation owned by an aborted transaction, an
-        undelivered pessimistic snapshot, or an uncommitted history entry.
+        undelivered pessimistic snapshot, an uncommitted history entry, or
+        applied-op bookkeeping of a transaction that already resolved.
         Used by the conformance explorer's residue oracle.
         """
         from repro.core.transaction import TxnState
@@ -394,6 +389,11 @@ class SiteRuntime:
                 )
         for pending in self.engine.pending_propagates:
             add("pending-propagates", f"{pending.msg.txn_vt} remaining={len(pending.remaining)}")
+        for vt in sorted(set(self.engine.applied) | set(self.engine.write_reads)):
+            state = self.engine.status.get(vt)
+            if state is not None:
+                # Recorded after commit/abort cleanup ran: never collected.
+                add("applied-after-resolution", f"{vt} {state}")
         for vt in sorted(self.engine.deps.pending_vts()):
             add("dangling-dependencies", str(vt))
         for snap_id, rec in sorted(self.views.records.items()):

@@ -219,6 +219,8 @@ class TransactionContext:
         from repro.core import propagation  # local import; cycle with model layer
 
         result = propagation.apply_op(obj, op, self.vt, committed=False)
+        if read_vt < self.vt:
+            self.site.engine.write_reads.setdefault(self.vt, {})[obj] = read_vt
         # A write makes the object's current value our own; a subsequent
         # read in this transaction must use our own VT as its read time.
         self.reads[id(obj)] = ReadAccess(target=obj, read_vt=self.vt, graph_vt=obj.graph_vt())

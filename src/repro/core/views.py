@@ -15,13 +15,15 @@ machinery as transactions (section 4):
   and stragglers simply trigger superseding update notifications.
 * **Pessimistic views** are notified only of committed state, losslessly,
   in monotonic VT order.  The proxy creates one snapshot per VT at which an
-  attached object receives an update, eagerly requests RL confirmations
-  (concurrently with the transaction's own commit protocol — this is what
-  makes pessimistic notification latency 2t at the origin and 3t elsewhere,
-  section 5.1.2), and delivers snapshots in VT order once the writing
-  transaction has committed and every guess is confirmed.  Confirmed
-  pessimistic intervals are *reserved* at the primary so no straggler can
-  later commit inside them (monotonicity protection).
+  attached object receives an update and delivers snapshots in VT order
+  once the writing transaction has committed and every guess is confirmed.
+  An RL guess the writing transaction's own read interval covers is
+  confirmed by its summary COMMIT (see :meth:`PessimisticProxy._send_checks`
+  — 2t everywhere, the section 5.1.2 figure); any other is confirmed by a
+  CONFIRM-READ sent concurrently with the commit protocol (3t away from
+  the primary).  Confirmed pessimistic intervals are *reserved* at the
+  primary so no straggler can later commit inside them (monotonicity
+  protection).
 
 The module also implements the primary-copy side of snapshot CONFIRM-READ:
 immediate verdicts for optimistic checks, and deferred verdicts for
@@ -148,6 +150,10 @@ def _children_of(obj: "ModelObject") -> Sequence["ModelObject"]:
     return ()
 
 
+#: Kinds without embedded children (``_children_of`` is empty by construction).
+_LEAF_KINDS = frozenset(("int", "float", "string", "association"))
+
+
 def blocking_subtree_reservation(target: "ModelObject", vt: VirtualTime) -> Optional[Any]:
     """NC helper: a pessimistic-snapshot reservation covering ``vt`` on the
     target or any ancestor (snapshot reservations protect whole subtrees)."""
@@ -177,6 +183,7 @@ class SnapshotRecord:
     __slots__ = (
         "snap_id", "proxy", "ts", "committed_only", "created_ms", "pending_sites",
         "pending_rc", "denied", "dead", "changed", "delivered", "outstanding",
+        "write_reads",
     )
 
     def __init__(
@@ -201,8 +208,11 @@ class SnapshotRecord:
         self.changed = changed
         self.delivered = False  # pessimistic: update() already called
         #: Remote checks still awaiting a verdict: (primary site, check, local
-        #: object).  Eager write confirmations resolve entries early.
+        #: object); re-addressed if that primary fails.
         self.outstanding: List[Tuple[int, SnapshotCheck, Any]] = []
+        #: Pessimistic: ``engine.write_reads[ts]`` as of creation — kept here
+        #: because a revision can come after the engine's commit-time cleanup.
+        self.write_reads: Optional[Dict["ModelObject", VirtualTime]] = None
 
     def ready(self) -> bool:
         return not self.denied and not self.pending_sites and not self.pending_rc
@@ -552,6 +562,7 @@ class PessimisticProxy(ViewProxy):
 
     def _create_snapshot(self, ts: VirtualTime, changed: List["ModelObject"]) -> None:
         record = self.manager.new_record(self, ts, committed_only=True, changed=list(changed))
+        record.write_reads = self.site.engine.write_reads.get(ts)
         self.pending[ts] = record
         insort(self._pending_order, ts)
         # RC guess: the updating transaction must commit.
@@ -565,12 +576,35 @@ class PessimisticProxy(ViewProxy):
             self._revise(successor)
 
     def _send_checks(self, record: SnapshotRecord) -> None:
+        """Request confirmation of the RL guesses "(lo, ts) is write-free",
+        one per attached object, except those the summary COMMIT confirms.
+
+        No CONFIRM-READ is needed for an object the transaction at ``ts``
+        itself wrote non-blind with ``read_vt <= lo``, provided the object
+        has no embedded children.  The record's RC guess already gates
+        delivery on ``ts`` committing, and ``ts`` commits only if the
+        primary found no entry, committed or not, in ``(read_vt, ts)`` and
+        reserved that interval in ``value_reservations`` — where it
+        NC-denies every later straggler exactly as this snapshot's
+        ``subtree_reservations`` entry would, and is pruned at the same
+        stability floor.  With ``read_vt > lo`` the write at ``read_vt``
+        has not reached this site yet; the check goes out as before, and
+        that write's arrival revises the interval to one that is covered.
+        A composite's check covers a subtree that one node's write cannot
+        vouch for, and a blind write (``t_R = t_T``) vouches for nothing.
+        """
         lo_default = self._predecessor_ts(record.ts)
+        write_reads = record.write_reads
         checks: List[Tuple[int, SnapshotCheck, Any]] = []
         for obj in self.objects:
             lo = lo_default
             if not lo < record.ts:
                 continue
+            if write_reads is not None:
+                read_vt = write_reads.get(obj)
+                if read_vt is not None and read_vt <= lo and obj.kind in _LEAF_KINDS:
+                    self.site.metrics.inc("view.rl_confirmed_by_commit")
+                    continue
             root = obj.propagation_root()
             primary = self.site.primary_site_of(root.graph())
             dst_uid = root.graph().uid_at_site(primary)
@@ -597,6 +631,7 @@ class PessimisticProxy(ViewProxy):
             self, record.ts, committed_only=True, changed=list(record.changed)
         )
         fresh.pending_rc = record.pending_rc  # RC waits carry over by ts
+        fresh.write_reads = record.write_reads
         self.manager.discard_record(record)
         self.pending[record.ts] = fresh
         # Re-register RC in case the old record's callbacks were tied to it.
@@ -807,6 +842,13 @@ class ViewManager:
             else:
                 for check, obj in site_checks:
                     record.outstanding.append((primary, check, obj))
+                # ``metrics.inc`` spelled out: one CONFIRM-READ per remote
+                # snapshot is the blind-write path, whose Python call count
+                # is pinned (tests/test_call_budget.py).
+                counters = self.site.metrics.counters
+                counters["view.confirm_requests_sent"] = (
+                    counters.get("view.confirm_requests_sent", 0) + 1
+                )
                 self.site.send(primary, msg)
 
     # -- failure handling (requester and primary side) ---------------------
@@ -1016,38 +1058,6 @@ class ViewManager:
         if not msg.ok:
             record.denied = True
         record.proxy.on_snapshot_reply(record, ok=msg.ok)
-
-    def on_write_confirmed(self, src: int, msg) -> None:
-        """Eager write confirmation (section 5.3 "faster commit of snapshots").
-
-        The primary vouches that ``(lo_vt, hi_vt)`` is write-free for the
-        named object; any outstanding snapshot check whose interval lies
-        inside it is resolved locally, without waiting for its own reply.
-        (The CONFIRM-READ already in flight still installs the monotonicity
-        reservation at the primary; its late reply is ignored.)
-        """
-        obj = self.site.objects.get(msg.object_uid)
-        if obj is None:
-            return
-        for record in list(self.records.values()):
-            if not record.outstanding:
-                continue
-            satisfied = [
-                entry
-                for entry in record.outstanding
-                if entry[2] is obj
-                and msg.lo_vt <= entry[1].lo_vt
-                and entry[1].hi_vt <= msg.hi_vt
-            ]
-            if not satisfied:
-                continue
-            record.outstanding = [e for e in record.outstanding if e not in satisfied]
-            resolved_sites = {site for site, _c, _o in satisfied}
-            for site_id in resolved_sites:
-                if all(e[0] != site_id for e in record.outstanding):
-                    record.pending_sites.discard(site_id)
-            if not record.dead:
-                record.proxy.on_snapshot_reply(record, ok=True)
 
     # -- GC support -----------------------------------------------------------
 

@@ -9,9 +9,8 @@ messages bound for the same destination leave in **one**
 :class:`~repro.core.messages.Envelope` frame.
 
 This is where the fan-out savings come from: a commit that must notify N
-peers about K objects, a view manager confirming a batch of snapshot
-checks, or an eager write-confirm broadcast all collapse to one frame per
-peer instead of one frame per message.
+peers about K objects and a view manager confirming a batch of snapshot
+checks both collapse to one frame per peer instead of one frame per message.
 
 Guarantees:
 

@@ -81,7 +81,6 @@ from repro.core.messages import (
     SnapshotConfirmMsg,
     SnapshotReplyMsg,
     TxnPropagateMsg,
-    WriteConfirmedMsg,
     WriteOp,
 )
 from repro.core.repgraph import GraphNode, ReplicationGraph
@@ -1425,7 +1424,8 @@ _REGISTRY: Tuple[Tuple[int, type], ...] = (
     (0x2A, SnapshotCheck),
     (0x2B, SnapshotConfirmMsg),
     (0x2C, SnapshotReplyMsg),
-    (0x2D, WriteConfirmedMsg),
+    # 0x2D is retired (the eager write-confirmation broadcast); not reused, so
+    # every other tag and golden byte stays put.
     (0x2E, JoinRequestMsg),
     (0x2F, JoinReplyMsg),
     (0x30, FailQueryMsg),
@@ -1460,7 +1460,6 @@ MESSAGE_TYPES: Tuple[type, ...] = (
     AbortMsg,
     SnapshotConfirmMsg,
     SnapshotReplyMsg,
-    WriteConfirmedMsg,
     JoinRequestMsg,
     JoinReplyMsg,
     FailQueryMsg,

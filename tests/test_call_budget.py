@@ -33,6 +33,12 @@ The message counts and the converged state are pinned to the values the
 same scenario produced on ``main``, so a lower call count provably comes
 from cheaper handling of the same messages, not from sending fewer.
 
+The same scenario with every site read-modify-writing instead (arrivals
+eight delays apart, so that about one attempt in eight is rolled back) has
+its own pins further down: there a pessimistic snapshot's RL guess is
+confirmed by the writing transaction's COMMIT, and the count that matters
+is how few CONFIRM-READ round trips are left.
+
 The socket path has its own clock-free budget at the bottom of this file:
 event-loop turns per commit over loopback TCP.
 """
@@ -45,7 +51,7 @@ import sys
 import repro
 from repro import DInt, Session
 from repro.core.views import View
-from repro.workloads import BlindWriteWorkload, PoissonArrivals
+from repro.workloads import BlindWriteWorkload, PoissonArrivals, ReadModifyWriteWorkload
 from tests.test_host import TcpHostPair
 
 SITES, OBJECTS, TXNS, SEED, DELAY_MS = 4, 2, 240, 7, 20.0
@@ -82,7 +88,11 @@ class _Quiet(View):
             snapshot.read(obj)
 
 
-def _build():
+def _blind(obj, index):
+    return BlindWriteWorkload(obj, party_tag=index + 1)
+
+
+def _build(workload_for=_blind, mean_interval_delays=1.0):
     session = Session.simulated(latency_ms=DELAY_MS, seed=SEED)
     sites = session.add_sites(SITES)
     replicas = [session.replicate(DInt, f"obj{i}", sites) for i in range(OBJECTS)]
@@ -95,12 +105,12 @@ def _build():
     rng = random.Random(SEED)
     scheduler = session.scheduler
     for index, site in enumerate(sites):
-        workload = BlindWriteWorkload(replicas[index % OBJECTS][index], party_tag=index + 1)
+        workload = workload_for(replicas[index % OBJECTS][index], index)
 
         def fire(site=site, workload=workload):
             outcomes.append(site.transact(workload()))
 
-        for due in PoissonArrivals(DELAY_MS).times(TXNS // SITES, rng):
+        for due in PoissonArrivals(mean_interval_delays * DELAY_MS).times(TXNS // SITES, rng):
             scheduler.call_at(scheduler.now + due, fire)
     return session, sites, outcomes
 
@@ -145,6 +155,55 @@ def test_python_calls_per_commit_stay_under_budget():
         f"{per_commit:.1f} Python calls per commit; the recorded ceiling is "
         f"{CALLS_PER_COMMIT_CEILING}"
     )
+
+
+# ---------------------------------------------------------------------------
+# The read-modify-write twin
+# ---------------------------------------------------------------------------
+
+#: ``per_type_sent`` of the twin's window.  With every pessimistic snapshot
+#: sending its own check (f0677f8) the same plan took 879 / 720 / 159 / 88
+#: of the first four, 1,001 CONFIRM-READ round trips, 53 retries and
+#: 1,227.6 Python calls per commit; what is left of the round trips are
+#: snapshots whose writer read a value that had not reached the site yet.
+RMW_MESSAGES = {
+    "TxnPropagateMsg": 825,
+    "CommitMsg": 720,
+    "AbortMsg": 105,
+    "ConfirmMsg": 80,
+    "SnapshotConfirmMsg": 36,
+    "SnapshotReplyMsg": 36,
+}
+RMW_RETRIES = 35
+RMW_DIGEST = {
+    "s0:obj0": ((198, 2), "120"),
+    "s0:obj0.assoc": MAIN_DIGEST["s0:obj0.assoc"],
+    "s0:obj1": ((226, 3), "120"),
+    "s0:obj1.assoc": MAIN_DIGEST["s0:obj1.assoc"],
+}
+RMW_CALLS_PER_COMMIT_CEILING = 851.0
+
+
+def test_rmw_twin_is_confirmed_by_commit():
+    session, sites, outcomes = _build(
+        lambda obj, _index: ReadModifyWriteWorkload(obj), mean_interval_delays=8.0
+    )
+    before = dict(session.network.stats.per_type_sent)
+    calls = _count_python_calls(session.settle)
+
+    assert len(outcomes) == TXNS and all(o.committed for o in outcomes)
+    assert sum(o.attempts for o in outcomes) == TXNS + RMW_RETRIES
+    sent = session.network.stats.per_type_sent
+    delta = {name: count - before.get(name, 0) for name, count in sent.items()}
+    assert {name: count for name, count in delta.items() if count} == RMW_MESSAGES
+    for site in sites:
+        assert site.state_digest() == RMW_DIGEST  # 120 increments each, none lost
+        assert site.protocol_residue() == {}
+    asked = sum(site.metrics.value("view.confirm_requests_sent") for site in sites)
+    by_commit = sum(site.metrics.value("view.rl_confirmed_by_commit") for site in sites)
+    assert asked == RMW_MESSAGES["SnapshotConfirmMsg"]
+    assert by_commit > 25 * asked
+    assert calls / TXNS <= RMW_CALLS_PER_COMMIT_CEILING
 
 
 def test_the_count_is_exact_for_a_seed():

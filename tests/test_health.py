@@ -320,7 +320,10 @@ class TestHealthMonitorDeterminism:
         reports = []
         for _run in range(2):
             fired = {}
-            for index in range(6):
+            # Trial 7 is the first whose blind writes put a CONFIRM-READ round
+            # trip past the notify-lag SLO; a read-modify-write's view is
+            # confirmed by its COMMIT and no longer lags that far.
+            for index in range(8):
                 config = sample_config(0, index, mutations=(), faults=True)
                 monitor = HealthMonitor()
                 run_trial(config, subscribers=(monitor,))

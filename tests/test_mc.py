@@ -76,16 +76,49 @@ def test_cross_check_proves_por_sound_on_tiny_config():
     assert 0 < verdict["por_schedules"] <= verdict["full_schedules"]
 
 
-@pytest.mark.slow
-def test_cross_check_2s2t_with_views_meets_reduction_target():
-    # The canonical 2-site/2-transaction config (views attached, the
-    # default): POR must cover the same outcomes and violations while
-    # exploring at most 30% of the unreduced interleavings.  Measured:
-    # 4428 full vs 10 POR schedules.
+def test_canonical_rmw_space_is_small_and_por_sound():
+    # A read-modify-write's pessimistic snapshot is confirmed by the
+    # transaction's own COMMIT, so the canonical config carries no
+    # CONFIRM-READ traffic to interleave: 11 unreduced schedules (4,428 when
+    # every snapshot sent its own check), 4 under POR.
     verdict = cross_check(tiny(views=True))
     assert verdict["violations_match"]
     assert verdict["outcomes_match"]
+    assert (verdict["full_schedules"], verdict["por_schedules"]) == (11, 4)
+
+
+@pytest.mark.slow
+def test_cross_check_2s2t_with_views_meets_reduction_target():
+    # Two blind writers, views attached: a blind write vouches for no
+    # interval, so every snapshot still sends its CONFIRM-READ and the
+    # request/reply path stays inside the exhaustively checked space.  POR
+    # must cover the same outcomes and violations while exploring at most
+    # 30% of the unreduced interleavings.  The counts and schedule digests
+    # are those of the commit before COMMIT-confirmed snapshots: the blind
+    # path did not move.
+    config = exhaustive_config(2, [(0, "blind"), (1, "blind")], views=True)
+    verdict = cross_check(config)
+    assert verdict["violations_match"]
+    assert verdict["outcomes_match"]
     assert verdict["ratio"] <= 0.30
+    full, reduced = verdict["full"], verdict["reduced"]
+    assert full.ok and reduced.ok
+    assert (full.stats.schedules, reduced.stats.schedules) == (1116, 8)
+    assert full.stats.distinct_outcomes == reduced.stats.distinct_outcomes == 4
+    assert full.stats.schedule_digest == "ae11c8837ce03609"
+    assert reduced.stats.schedule_digest == "d697f37b542afa07"
+
+
+@pytest.mark.slow
+def test_third_party_view_confirmed_by_commit_is_clean_exhaustively():
+    # Site 1 neither writes nor is primary: its pessimistic views are
+    # confirmed by COMMIT alone while a straggler (the other writer's
+    # propagate) may still be in flight.  Every schedule, all six oracles.
+    config = exhaustive_config(3, ((2, "rmw"), (0, "rmw")), views=True)
+    result = explore(config, por=True)
+    assert result.exhausted
+    assert result.ok, [str(v) for vs in result.outcomes.values() for v in vs]
+    assert (result.stats.schedules, result.stats.distinct_outcomes) == (40, 9)
 
 
 # ----------------------------------------------------------------------

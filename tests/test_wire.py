@@ -38,7 +38,6 @@ from repro.core.messages import (
     SnapshotConfirmMsg,
     SnapshotReplyMsg,
     TxnPropagateMsg,
-    WriteConfirmedMsg,
     WriteOp,
 )
 from repro.core.repgraph import GraphNode, ReplicationGraph
@@ -137,7 +136,6 @@ MESSAGE_STRATEGIES = {
         st.builds(tuple, st.lists(snapshot_checks, max_size=3)), clocks,
     ),
     SnapshotReplyMsg: st.builds(SnapshotReplyMsg, ids, st.booleans(), uid_tuples, clocks),
-    WriteConfirmedMsg: st.builds(WriteConfirmedMsg, uids, vts, vts, vts, clocks),
     JoinRequestMsg: st.builds(
         JoinRequestMsg, ids, st.integers(0, 64), vts, uids, uids, graphs, clocks,
     ),
@@ -317,7 +315,6 @@ GOLDEN_VT_CARRIERS = [
         SnapshotConfirmMsg((2, 7), 2, (SnapshotCheck("s0:x", VT_ZERO, _V(8, 3), False),), 14),
         "012b07020304030e030407012a050473303a780b00010b1006020700031c",
     ),
-    (WriteConfirmedMsg("s1:x", _V(8, 3), _V(5, 1), _V(8, 3), 15), "012d050473313a780b10060b0a020b1006031e"),
     (
         JoinRequestMsg((1, 1), 1, _V(10, 1), "s0:x", "s1:x", _GRAPH, 16),
         "012e07020302030203020b1402050473303a78050473313a78370a02360300050473303a78360302050473"
@@ -402,6 +399,13 @@ def test_rejects_unknown_version():
 def test_rejects_unknown_tag():
     with pytest.raises(WireError, match="unknown wire tag"):
         decode(bytes([WIRE_VERSION, 0xFF]))
+
+
+def test_rejects_retired_tag():
+    # 0x2D carried the eager write-confirmation broadcast; these are the
+    # golden bytes of its last encoding, and the tag is not reused.
+    with pytest.raises(WireError, match="unknown wire tag"):
+        decode(bytes.fromhex("012d050473313a780b10060b0a020b1006031e"))
 
 
 def test_rejects_trailing_garbage():
