@@ -27,6 +27,7 @@ CASES = [
     ("3s-2rmw", 3, [(0, "rmw"), (1, "rmw")], False, False),
     ("3s-2rmw-remote", 3, [(1, "rmw"), (2, "rmw")], False, False),
     ("3s-2rmw-third-party+views", 3, [(2, "rmw"), (0, "rmw")], True, False),
+    ("3s-2blind-third-party+views", 3, [(1, "blind"), (1, "blind")], True, False),
 ]
 
 

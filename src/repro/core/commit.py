@@ -42,7 +42,7 @@ from repro.core.transaction import (
     TxnRecord,
     TxnState,
 )
-from repro.core.views import blocking_subtree_reservation
+from repro.core.views import blocking_subtree_reservation, is_vouchable
 from repro.errors import (
     ConcurrencyConflict,
     InvalidPath,
@@ -111,14 +111,20 @@ class TransactionEngine:
         self.write_reads: Dict[VirtualTime, Dict["ModelObject", VirtualTime]] = {}
         #: Objects on which this site (as primary) reserved intervals per txn.
         self.reserved: Dict[VirtualTime, List["ModelObject"]] = {}
+        #: ``uid -> prev`` this site vouched for per transaction (as primary,
+        #: see :meth:`_vouch`) or was told by its primaries (as origin), from
+        #: validation until the CONFIRM / COMMIT that carries it.
+        self.vouched: Dict[VirtualTime, Dict[str, VirtualTime]] = {}
         #: RC / snapshot dependency index.
         self.deps = DependencyIndex()
         #: Deliberate protocol breakages for conformance-canary tests ONLY
         #: (see repro.explore): "skip_rl_check" disables the RL interval
         #: check, "skip_nc_check" disables the NC reservation checks,
         #: "views_pre_commit" makes pessimistic views deliver uncommitted
-        #: state.  Empty in production; the explorer's oracles must detect
-        #: each mutant, proving they are not vacuous.
+        #: state, "vouch_without_reserve" makes a primary vouch for a blind
+        #: write's interval without reserving it.  Empty in production; the
+        #: explorer's oracles must detect each mutant, proving they are not
+        #: vacuous.
         self.mutations: Set[str] = set()
         #: Propagate messages blocked on missing structural predecessors.
         self.pending_propagates: List[PendingPropagate] = []
@@ -428,12 +434,39 @@ class TransactionEngine:
             if target is root and self._is_graph_write(target, vt):
                 if graph_blocking is not None:
                     return False, f"graph NC denied on {root.uid}", (graph_blocking.owner,)
+        if read_vt == vt and target.watched and is_write:
+            read_vt = self._vouch(target, vt)
         target.value_reservations.reserve(read_vt, vt, owner=vt)
         root.graph_reservations.reserve(graph_vt, vt, owner=vt)
         self.reserved.setdefault(vt, []).append(target)
         if root is not target:
             self.reserved.setdefault(vt, []).append(root)
         return True, "", ()
+
+    def _vouch(self, target: "ModelObject", vt: VirtualTime) -> VirtualTime:
+        """The lower end of the interval to reserve for a blind write at
+        ``vt`` on a watched primary copy.
+
+        A blind write read nothing (``t_R = t_T``), so its own RL guess
+        covers no interval; but this primary knows what every replica's
+        CONFIRM-READ for the snapshot at ``vt`` is about to ask — that
+        nothing lies between ``vt`` and the entry below it in this history,
+        ``prev``, committed or not — and can answer once, on the summary
+        COMMIT all of them already wait for: it reserves ``(prev, vt)`` as
+        the first CONFIRM-READ would (released if ``vt`` aborts, pruned at
+        the stability floor) and records the pair for the message.  Only a
+        value write is vouched for (a graph change leaves no value entry at
+        ``vt``), and only where :func:`~repro.core.views.is_vouchable`.
+        """
+        prev = target.history.predecessor_of(vt) if is_vouchable(target) else None
+        if prev is None:
+            return vt
+        self.vouched.setdefault(vt, {})[target.uid] = prev.vt
+        counters = self.site.metrics.counters
+        counters["txn.intervals_vouched"] = counters.get("txn.intervals_vouched", 0) + 1
+        if "vouch_without_reserve" in self.mutations:
+            return vt
+        return prev.vt
 
     def _is_graph_write(self, target: "ModelObject", vt: VirtualTime) -> bool:
         entry = target.graph_history().entry_at(vt)
@@ -458,9 +491,12 @@ class TransactionEngine:
         if self.status.get(vt) == ABORTED or record.state in (TxnState.COMMITTED, TxnState.ABORTED):
             return
         record.state = TxnState.COMMITTED
+        vouched = tuple(self.vouched.pop(vt, {}).items())
         for dst in sorted(record.involved_sites):
-            self.site.send(dst, CommitMsg(txn_vt=vt, clock=self.site.clock.counter))
-        self._apply_commit_locally(vt)
+            self.site.send(
+                dst, CommitMsg(txn_vt=vt, clock=self.site.clock.counter, vouched=vouched)
+            )
+        self._apply_commit_locally(vt, vouched)
         self.record_commit_outcome(record.outcome)
 
     def record_commit_outcome(self, outcome: TransactionOutcome) -> None:
@@ -622,15 +658,16 @@ class TransactionEngine:
                 scope="delegate" if msg.delegate is not None else "primary",
                 against=against,
             )
+        vouched = tuple(self.vouched.pop(vt, {}).items())
         if msg.delegate is not None:
-            self._decide_as_delegate(msg, ok, reason)
+            self._decide_as_delegate(msg, ok, reason, vouched)
             return
         if msg.force_confirm or self._any_checks_addressed_here(msg):
             self.site.send(
                 msg.origin,
                 ConfirmMsg(
                     txn_vt=vt, site=self.site.site_id, ok=ok,
-                    clock=self.site.clock.counter, reason=reason,
+                    clock=self.site.clock.counter, reason=reason, vouched=vouched,
                 ),
             )
 
@@ -678,14 +715,22 @@ class TransactionEngine:
                 return False, reason, against
         return True, "", ()
 
-    def _decide_as_delegate(self, msg: TxnPropagateMsg, ok: bool, reason: str) -> None:
+    def _decide_as_delegate(
+        self,
+        msg: TxnPropagateMsg,
+        ok: bool,
+        reason: str,
+        vouched: Tuple[Tuple[str, VirtualTime], ...],
+    ) -> None:
         """Delegated commit: this site broadcasts the summary decision."""
         assert msg.delegate is not None
         vt = msg.txn_vt
         if ok:
             for dst in msg.delegate.all_sites:
-                self.site.send(dst, CommitMsg(txn_vt=vt, clock=self.site.clock.counter))
-            self._apply_commit_locally(vt)
+                self.site.send(
+                    dst, CommitMsg(txn_vt=vt, clock=self.site.clock.counter, vouched=vouched)
+                )
+            self._apply_commit_locally(vt, vouched)
         else:
             for dst in msg.delegate.all_sites:
                 self.site.send(
@@ -707,6 +752,8 @@ class TransactionEngine:
             self._abort_origin(record, f"denied by site {msg.site}: {msg.reason}")
             return
         record.pending_confirm_sites.discard(msg.site)
+        if msg.vouched:
+            self.vouched.setdefault(msg.txn_vt, {}).update(msg.vouched)
         if record.all_confirmed():
             self._commit_origin(record)
 
@@ -716,10 +763,10 @@ class TransactionEngine:
         if record is not None and record.state == TxnState.DELEGATED:
             # Our delegate committed the transaction for us.
             record.state = TxnState.COMMITTED
-            self._apply_commit_locally(vt)
+            self._apply_commit_locally(vt, msg.vouched)
             self.record_commit_outcome(record.outcome)
             return
-        self._apply_commit_locally(vt)
+        self._apply_commit_locally(vt, msg.vouched)
 
     def on_abort(self, src: int, msg: AbortMsg) -> None:
         vt = msg.txn_vt
@@ -737,12 +784,20 @@ class TransactionEngine:
     # Site-local commit/abort application (shared origin/remote)
     # ------------------------------------------------------------------
 
-    def _apply_commit_locally(self, vt: VirtualTime) -> None:
+    def _apply_commit_locally(
+        self, vt: VirtualTime, vouched: Tuple[Tuple[str, VirtualTime], ...] = ()
+    ) -> None:
         if self.status.get(vt) == COMMITTED:
             return
         if self.status.get(vt) == ABORTED:
             raise ProtocolError(f"commit arrived for aborted transaction {vt}")
         self.status[vt] = COMMITTED
+        # Pessimistic snapshots at ``vt`` that sent no CONFIRM-READ because
+        # they expected this COMMIT to vouch for their interval: whichever
+        # path committed, with or without a vouch, they are settled here.
+        listening = self.site.views.listening.pop(vt, None)
+        if listening is not None:
+            self.site.views.on_commit_vouch(listening, vouched)
         bus = self.site.bus
         if bus.active:
             bus.emit(
@@ -778,6 +833,8 @@ class TransactionEngine:
         for obj in self.reserved.pop(vt, []):
             obj.value_reservations.release_owner(vt)
             obj.graph_reservations.release_owner(vt)
+        self.vouched.pop(vt, None)
+        self.site.views.listening.pop(vt, None)  # the undo dropped the records
         self.deps.resolve_abort(vt)
         self.site.views.on_txn_resolved(vt, committed=False)
 
@@ -829,6 +886,7 @@ class TransactionEngine:
         self.applied.pop(vt, None)
         self.write_reads.pop(vt, None)
         self.reserved.pop(vt, None)
+        self.vouched.pop(vt, None)  # an origin's own, when its delegate sent the COMMIT
         record = self.records.get(vt)
         if record is not None and record.state in (TxnState.COMMITTED, TxnState.ABORTED):
             self.records.pop(vt, None)

@@ -114,6 +114,15 @@ class ValueHistory(Generic[V]):
             return self._entries[i]
         return None
 
+    def predecessor_of(self, vt: VirtualTime) -> Optional[HistoryEntry[V]]:
+        """The entry just below the one written at ``vt``, committed or not
+        (None when nothing was written at ``vt`` or nothing lies below it)."""
+        keys = self._keys
+        i = bisect_left(keys, vt)
+        if 0 < i < len(keys) and keys[i] == vt:
+            return self._entries[i - 1]
+        return None
+
     def entries_in_open_interval(
         self, lo: VirtualTime, hi: VirtualTime, committed_only: bool = False
     ) -> List[HistoryEntry[V]]:

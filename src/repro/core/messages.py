@@ -190,14 +190,27 @@ class ConfirmMsg:
     ok: bool
     clock: int
     reason: str = ""
+    #: What this primary vouches for (see :class:`CommitMsg`); the origin
+    #: forwards it on its COMMIT.
+    vouched: Tuple[Tuple[str, VirtualTime], ...] = ()
 
 
 @dataclass(frozen=True)
 class CommitMsg:
-    """Summary commit of the transaction at ``txn_vt`` (origin or delegate)."""
+    """Summary commit of the transaction at ``txn_vt`` (origin or delegate).
+
+    ``vouched`` pairs ``(uid of the primary copy, prev)``: for a blind write
+    the primary found ``prev`` to be the latest entry below ``txn_vt`` in
+    its history and reserved ``(prev, txn_vt)`` write-free, so a pessimistic
+    snapshot at ``txn_vt`` whose RL guess starts at or above ``prev`` needs
+    no CONFIRM-READ (section 5.1.2: "confirmations are eagerly distributed
+    by the primary copy").  Empty unless some other site has asked that
+    primary to confirm a pessimistic snapshot of the object.
+    """
 
     txn_vt: VirtualTime
     clock: int
+    vouched: Tuple[Tuple[str, VirtualTime], ...] = ()
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,15 @@ class ModelObject:
 
     kind: str = "abstract"
 
+    #: Primary copy: some other site has asked this copy to confirm a
+    #: pessimistic snapshot, so blind writes reserve and vouch ``(prev,
+    #: t_T)`` on their COMMIT.  Sticky, site-local (``sync`` never exports
+    #: it); a new primary relearns it from the first CONFIRM-READ.
+    watched: bool = False
+    #: Replica: the last blind write's COMMIT applied to this object here
+    #: carried such a vouch, so the next one is expected to as well.
+    vouch_expected: bool = False
+
     def __init__(
         self,
         site: "SiteRuntime",
@@ -88,8 +97,6 @@ class ModelObject:
         self.subtree_reservations = IntervalSet()
         #: Attached view proxies (always local — section 4).
         self.proxies: List["ViewProxy"] = []
-        #: Primary-side deferred snapshot checks awaiting commit/abort.
-        self.pending_snapshot_checks: List[Any] = []
         #: Optional authorization monitor gating access (section 1).
         self.auth: Optional["AuthorizationMonitor"] = None
         site.register_object(self)

@@ -389,7 +389,12 @@ class SiteRuntime:
                 )
         for pending in self.engine.pending_propagates:
             add("pending-propagates", f"{pending.msg.txn_vt} remaining={len(pending.remaining)}")
-        for vt in sorted(set(self.engine.applied) | set(self.engine.write_reads)):
+        for vt in sorted(
+            set(self.engine.applied)
+            | set(self.engine.write_reads)
+            | set(self.engine.vouched)
+            | set(self.views.listening)
+        ):
             state = self.engine.status.get(vt)
             if state is not None:
                 # Recorded after commit/abort cleanup ran: never collected.

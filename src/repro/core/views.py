@@ -17,13 +17,14 @@ machinery as transactions (section 4):
   in monotonic VT order.  The proxy creates one snapshot per VT at which an
   attached object receives an update and delivers snapshots in VT order
   once the writing transaction has committed and every guess is confirmed.
-  An RL guess the writing transaction's own read interval covers is
-  confirmed by its summary COMMIT (see :meth:`PessimisticProxy._send_checks`
-  — 2t everywhere, the section 5.1.2 figure); any other is confirmed by a
-  CONFIRM-READ sent concurrently with the commit protocol (3t away from
-  the primary).  Confirmed pessimistic intervals are *reserved* at the
-  primary so no straggler can later commit inside them (monotonicity
-  protection).
+  An RL guess covered by an interval the primary reserved for the writing
+  transaction — the one it read, or for a blind write the one the primary
+  vouches for on the message — is confirmed by the summary COMMIT (see
+  :meth:`PessimisticProxy._send_checks` — 2t everywhere, the section 5.1.2
+  figure); any other is confirmed by a CONFIRM-READ sent concurrently with
+  the commit protocol (3t away from the primary).  Confirmed pessimistic
+  intervals are *reserved* at the primary so no straggler can later commit
+  inside them (monotonicity protection).
 
 The module also implements the primary-copy side of snapshot CONFIRM-READ:
 immediate verdicts for optimistic checks, and deferred verdicts for
@@ -154,6 +155,14 @@ def _children_of(obj: "ModelObject") -> Sequence["ModelObject"]:
 _LEAF_KINDS = frozenset(("int", "float", "string", "association"))
 
 
+def is_vouchable(obj: "ModelObject") -> bool:
+    """Whether a primary may vouch for a blind write's interval on ``obj``
+    (and so whether a replica may wait for it): a root of a kind without
+    children, which one history describes completely and one uid addresses.
+    A snapshot of an embedded object is checked through its root's subtree."""
+    return obj.parent is None and obj.kind in _LEAF_KINDS
+
+
 def blocking_subtree_reservation(target: "ModelObject", vt: VirtualTime) -> Optional[Any]:
     """NC helper: a pessimistic-snapshot reservation covering ``vt`` on the
     target or any ancestor (snapshot reservations protect whole subtrees)."""
@@ -183,7 +192,7 @@ class SnapshotRecord:
     __slots__ = (
         "snap_id", "proxy", "ts", "committed_only", "created_ms", "pending_sites",
         "pending_rc", "denied", "dead", "changed", "delivered", "outstanding",
-        "write_reads",
+        "write_reads", "vouchable", "awaiting",
     )
 
     def __init__(
@@ -211,11 +220,18 @@ class SnapshotRecord:
         #: object); re-addressed if that primary fails.
         self.outstanding: List[Tuple[int, SnapshotCheck, Any]] = []
         #: Pessimistic: ``engine.write_reads[ts]`` as of creation — kept here
-        #: because a revision can come after the engine's commit-time cleanup.
+        #: because a revision can come after the engine's commit-time cleanup
+        #: — plus, once ``ts`` commits, what its primaries vouched for.
         self.write_reads: Optional[Dict["ModelObject", VirtualTime]] = None
+        #: Pessimistic, while ``ts`` is undecided: (object, uid of its primary
+        #: copy, CONFIRM-READ withheld?) per blind-written attached object
+        #: whose primary may vouch for the RL guess on the COMMIT.
+        self.vouchable: Optional[List[Tuple["ModelObject", str, bool]]] = None
+        #: Some CONFIRM-READ above is withheld until the COMMIT settles it.
+        self.awaiting = False
 
     def ready(self) -> bool:
-        return not self.denied and not self.pending_sites and not self.pending_rc
+        return not (self.denied or self.awaiting or self.pending_sites or self.pending_rc)
 
 
 @dataclass
@@ -579,42 +595,71 @@ class PessimisticProxy(ViewProxy):
         """Request confirmation of the RL guesses "(lo, ts) is write-free",
         one per attached object, except those the summary COMMIT confirms.
 
-        No CONFIRM-READ is needed for an object the transaction at ``ts``
-        itself wrote non-blind with ``read_vt <= lo``, provided the object
-        has no embedded children.  The record's RC guess already gates
-        delivery on ``ts`` committing, and ``ts`` commits only if the
-        primary found no entry, committed or not, in ``(read_vt, ts)`` and
-        reserved that interval in ``value_reservations`` — where it
-        NC-denies every later straggler exactly as this snapshot's
-        ``subtree_reservations`` entry would, and is pruned at the same
-        stability floor.  With ``read_vt > lo`` the write at ``read_vt``
-        has not reached this site yet; the check goes out as before, and
-        that write's arrival revises the interval to one that is covered.
-        A composite's check covers a subtree that one node's write cannot
-        vouch for, and a blind write (``t_R = t_T``) vouches for nothing.
+        A snapshot is delivered only when every guess is either answered by
+        a CONFIRM-READ or covered by an interval ``(v, ts)`` with
+        ``v <= lo`` that the object's primary reserved for the transaction
+        at ``ts`` — ``write_reads`` holds ``v`` — and the object has no
+        embedded children.  The record's RC guess already gates delivery on
+        ``ts`` committing, and ``ts`` commits only after the primary found
+        no entry, committed or not, in ``(v, ts)`` and reserved it in
+        ``value_reservations`` — where it NC-denies every later straggler
+        exactly as this snapshot's ``subtree_reservations`` entry would,
+        and is pruned at the same stability floor.
+
+        For a non-blind write ``v`` is the time it read, known when the
+        write is applied.  For a blind write (``t_R = t_T``) it is the
+        entry below ``ts`` in the primary's history, which only the COMMIT
+        can tell (:meth:`on_commit_vouch`): if the last blind write's did,
+        this one's CONFIRM-READ is withheld until its COMMIT arrives.  That
+        expectation decides only *when* a CONFIRM-READ is sent, never
+        whether the guess is checked.
+
+        With ``v > lo`` the write at ``v`` has not reached this site yet;
+        the check goes out, and that write's arrival revises the interval
+        to one that is covered.  A composite's check covers a subtree that
+        one node's write cannot vouch for.
         """
-        lo_default = self._predecessor_ts(record.ts)
+        ts = record.ts
+        lo = self._predecessor_ts(ts)
+        if not lo < ts:
+            return
+        site = self.site
+        undecided = site.engine.status.get(ts) is None
         write_reads = record.write_reads
         checks: List[Tuple[int, SnapshotCheck, Any]] = []
         for obj in self.objects:
-            lo = lo_default
-            if not lo < record.ts:
+            read_vt = write_reads.get(obj) if write_reads is not None else None
+            if read_vt is not None and read_vt <= lo and obj.kind in _LEAF_KINDS:
+                site.metrics.inc("view.rl_confirmed_by_commit")
                 continue
-            if write_reads is not None:
-                read_vt = write_reads.get(obj)
-                if read_vt is not None and read_vt <= lo and obj.kind in _LEAF_KINDS:
-                    self.site.metrics.inc("view.rl_confirmed_by_commit")
-                    continue
             root = obj.propagation_root()
-            primary = self.site.primary_site_of(root.graph())
+            primary = site.primary_site_of(root.graph())
             dst_uid = root.graph().uid_at_site(primary)
+            uid = dst_uid if dst_uid else root.uid
+            if (
+                read_vt is None
+                and undecided
+                and primary != site.site_id
+                and is_vouchable(obj)
+                and obj in record.changed
+            ):
+                # Blind-written, and the COMMIT is still to come.
+                entry = (obj, uid, obj.vouch_expected)
+                if record.vouchable is None:
+                    record.vouchable = [entry]
+                    self.manager.listening.setdefault(ts, []).append(record)
+                else:
+                    record.vouchable.append(entry)
+                if obj.vouch_expected:
+                    record.awaiting = True
+                    continue
             checks.append(
                 (
                     primary,
                     SnapshotCheck(
-                        object_uid=dst_uid if dst_uid else root.uid,
+                        object_uid=uid,
                         lo_vt=lo,
-                        hi_vt=record.ts,
+                        hi_vt=ts,
                         committed_only=True,
                         path=obj.path_from_root(),
                     ),
@@ -622,6 +667,46 @@ class PessimisticProxy(ViewProxy):
                 )
             )
         self.manager.dispatch_checks(record, checks)
+
+    def on_commit_vouch(self, record: SnapshotRecord, vouched: Dict[str, VirtualTime]) -> None:
+        """The transaction at ``record.ts`` committed, by whatever path:
+        note what its COMMIT vouched for and settle the guesses withheld.
+
+        A vouch ``(prev, ts)`` goes where a non-blind write's read time is
+        (``write_reads``), so :meth:`_send_checks` finds the guess covered
+        now and on any later revision.  A withheld guess the COMMIT did not
+        cover — no vouch (a failure-resolution or repair commit, a primary
+        that has not been asked yet), or ``prev > lo`` — is checked after
+        all: the record is revised with ``ts`` decided, which sends its
+        CONFIRM-READ through :meth:`ViewManager.dispatch_checks`.  That
+        costs a round trip (4t once), never the check.
+        """
+        lo = self._predecessor_ts(record.ts)
+        covered = missed = 0
+        for obj, uid, withheld in record.vouchable:
+            prev = vouched.get(uid)
+            obj.vouch_expected = prev is not None
+            if prev is not None:
+                if record.write_reads is None:
+                    record.write_reads = {}
+                record.write_reads[obj] = prev
+            if withheld:
+                if prev is not None and prev <= lo:
+                    covered += 1
+                else:
+                    missed += 1
+        record.vouchable = None
+        record.awaiting = False
+        # ``metrics.inc`` spelled out, as in ``dispatch_checks``: this runs
+        # once per blind write and replica.
+        counters = self.site.metrics.counters
+        if missed:
+            counters["view.vouch_missed"] = counters.get("view.vouch_missed", 0) + missed
+            self._revise(record)  # counts what it finds covered
+        elif covered:
+            counters["view.rl_confirmed_by_commit"] = (
+                counters.get("view.rl_confirmed_by_commit", 0) + covered
+            )
 
     def _revise(self, record: SnapshotRecord) -> None:
         """Recompute and resend a snapshot's RL checks with a narrower lo."""
@@ -730,6 +815,9 @@ class ViewManager:
         #: Snapshot ids whose CONFIRM-READ was addressed to a primary that
         #: failed; re-dispatched once graph repair names a live primary.
         self._orphans: List[Tuple[int, int]] = []
+        #: Requester-side pessimistic records by ``ts`` with ``vouchable``
+        #: guesses; popped by the engine when ``ts`` commits or aborts.
+        self.listening: Dict[VirtualTime, List[SnapshotRecord]] = {}
 
     # -- attachment ------------------------------------------------------
 
@@ -979,6 +1067,11 @@ class ViewManager:
         check: SnapshotCheck,
         target: "ModelObject",
     ) -> Optional[bool]:
+        if origin != self.site.site_id:
+            # Another site watches this copy pessimistically: from now on a
+            # blind write's COMMIT answers this question before it is asked
+            # (``TransactionEngine._vouch``).
+            target.watched = True
         if subtree_has_entry_in_interval(target, check.lo_vt, check.hi_vt, committed_only=True):
             return False
         unresolved = subtree_uncommitted_in_interval(target, check.lo_vt, check.hi_vt)
@@ -1014,6 +1107,16 @@ class ViewManager:
                 clock=self.site.clock.counter,
             ),
         )
+
+    def on_commit_vouch(
+        self, records: List[SnapshotRecord], vouched: Tuple[Tuple[str, VirtualTime], ...]
+    ) -> None:
+        """Hand a COMMIT's vouches to the records still listening for it
+        (one revised meanwhile was discarded; its replacement listens too)."""
+        by_uid = dict(vouched)
+        for record in records:
+            if record.snap_id in self.records:
+                record.proxy.on_commit_vouch(record, by_uid)
 
     def on_txn_resolved(self, vt: VirtualTime, committed: bool) -> None:
         """Re-evaluate deferred pessimistic checks after a commit/abort."""

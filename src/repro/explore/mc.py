@@ -53,7 +53,7 @@ from repro.sim.choice import EventKey, PruneBranch, ScheduleController
 
 MC_ARTIFACT_FORMAT = "repro-mc/1"
 
-#: The three protocol-mutation canaries, each with the smallest exhaustive
+#: The four protocol-mutation canaries, each with the smallest exhaustive
 #: config that exposes it (found by descending config size until detection
 #: was lost) and the oracles allowed to report it.
 CANARY_CONFIGS: Dict[str, Dict[str, Any]] = {
@@ -79,6 +79,19 @@ CANARY_CONFIGS: Dict[str, Dict[str, Any]] = {
         "views": True,
         "oracles": {"pessimistic"},
     },
+    # A vouch is relied on only by a replica that saw an earlier one, so
+    # the writer (site 2) needs two blind writes; the straggler comes from
+    # the lower site id, whose VT sorts below the second write's at equal
+    # clocks.  Views at the writer only: a pessimistic view at the primary
+    # reserves every snapshot interval locally and would hide the missing
+    # reservation, and site 1's would only widen the space.
+    "vouch_without_reserve": {
+        "n_sites": 3,
+        "txns": ((2, "blind"), (2, "blind"), (1, "blind")),
+        "views": True,
+        "view_sites": (2,),
+        "oracles": {"pessimistic"},
+    },
 }
 
 
@@ -99,6 +112,7 @@ def canary_config(mutation: str) -> TrialConfig:
         spec["n_sites"],
         spec["txns"],
         views=spec["views"],
+        view_sites=spec.get("view_sites"),
         mutations=(mutation,),
         label=f"mc-canary-{mutation}",
     )

@@ -31,7 +31,7 @@ protocol is explicitly built on, so violations under it are expected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 TXN_KINDS = ("rmw", "blind", "xfer")
@@ -125,6 +125,10 @@ class TrialConfig:
     faults: List[FaultEvent] = field(default_factory=list)
     mutations: Tuple[str, ...] = ()
     views: bool = True
+    #: Sites that attach the recording views (``None``: every site).  A
+    #: pessimistic view at a primary copy reserves every snapshot interval
+    #: locally, which hides what the primary does for *remote* views alone.
+    view_sites: Optional[Tuple[int, ...]] = None
     max_events: int = 5_000_000
     #: Transaction retry cap.  The campaign default (50) never binds in
     #: practice; exhaustive exploration lowers it (it is one of the bounds
@@ -134,7 +138,7 @@ class TrialConfig:
     label: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        out = {
             "n_sites": self.n_sites,
             "latency": dict(self.latency),
             "net_seed": self.net_seed,
@@ -146,6 +150,9 @@ class TrialConfig:
             "max_retries": self.max_retries,
             "label": self.label,
         }
+        if self.view_sites is not None:
+            out["view_sites"] = list(self.view_sites)
+        return out
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "TrialConfig":
@@ -157,6 +164,9 @@ class TrialConfig:
             faults=[FaultEvent.from_dict(f) for f in data.get("faults", [])],
             mutations=tuple(data.get("mutations", ())),
             views=bool(data.get("views", True)),
+            view_sites=(
+                None if data.get("view_sites") is None else tuple(data["view_sites"])
+            ),
             max_events=int(data.get("max_events", 5_000_000)),
             max_retries=int(data.get("max_retries", 50)),
             label=str(data.get("label", "")),
@@ -170,18 +180,7 @@ class TrialConfig:
             kept = [f for i, f in enumerate(self.faults) if i != index]
         else:
             kept = [f for f in self.faults if f.group != target.group]
-        return TrialConfig(
-            n_sites=self.n_sites,
-            latency=dict(self.latency),
-            net_seed=self.net_seed,
-            parties=list(self.parties),
-            faults=kept,
-            mutations=self.mutations,
-            views=self.views,
-            max_events=self.max_events,
-            max_retries=self.max_retries,
-            label=self.label,
-        )
+        return replace(self, latency=dict(self.latency), parties=list(self.parties), faults=kept)
 
 
 def exhaustive_config(
@@ -191,6 +190,7 @@ def exhaustive_config(
     mutations: Sequence[str] = (),
     max_retries: int = 2,
     label: str = "",
+    view_sites: Optional[Sequence[int]] = None,
 ) -> TrialConfig:
     """A tiny, fault-free config sized for bounded-exhaustive exploration.
 
@@ -236,6 +236,7 @@ def exhaustive_config(
         faults=[],
         mutations=tuple(mutations),
         views=views,
+        view_sites=None if view_sites is None else tuple(view_sites),
         max_retries=max_retries,
         label=label or f"mc-{n_sites}s-{len(parties)}t",
     )

@@ -9,9 +9,10 @@ Every trial replicates the same four integer objects across all sites:
   XferTrans).  ``xa`` starts at 1000 so the conservation invariant
   ``xa + xb == 1000`` is checkable.
 
-When ``config.views`` is set, each site attaches one recording pessimistic
-view and one recording optimistic view per viewed object; their logs are
-the evidence for the view-notification oracles.
+When ``config.views`` is set, each site (each of ``config.view_sites``, if
+given) attaches one recording pessimistic view and one recording optimistic
+view per viewed object; their logs are the evidence for the
+view-notification oracles.
 """
 
 from __future__ import annotations
@@ -224,6 +225,8 @@ def run_trial(
 
     if config.views:
         for site in sites:
+            if config.view_sites is not None and site.site_id not in config.view_sites:
+                continue
             for name in VIEW_OBJECTS:
                 obj = objects[name][site.site_id]
                 pess = RecordingPessimisticView(obj)

@@ -26,12 +26,17 @@ inlines comprehensions, so it counts fewer frames still; the bound is
 one-sided.)  Recorded again at 53b9ce7, before the simulated network became
 the transport itself: **306,711 calls = 1,278.0 per commit**, and the same
 306,711 after — the adapter's ``send -> Network.send`` hop became the base
-class's ``send -> send_scoped``, one for one.  That count is the second,
-tighter ceiling below.
+class's ``send -> send_scoped``, one for one.  At fcb0218 every pessimistic
+snapshot of a blind write still sent its own CONFIRM-READ (1,265 round
+trips, 4,294 messages in all); since the primary vouches for the interval
+on the COMMIT, 40 are left — the first two writes of each object, while
+primary and replicas learn of each other — and the same plan takes 1,844
+messages and **231,932 calls = 966.4 per commit**, the ceiling below.
 
-The message counts and the converged state are pinned to the values the
-same scenario produced on ``main``, so a lower call count provably comes
-from cheaper handling of the same messages, not from sending fewer.
+The propagate / COMMIT / ABORT counts, the 54 retries and the converged
+state are pinned to the values the same scenario produced on ``main``, so
+the same transactions were denied and retried: what went is the
+confirmation traffic, and nothing may add calls to what is left.
 
 The same scenario with every site read-modify-writing instead (arrivals
 eight delays apart, so that about one attempt in eight is rolled back) has
@@ -60,16 +65,18 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: Python-level calls per commit of this scenario on ``main`` (see above).
 MAIN_CALLS_PER_COMMIT = 1989.1
 
-#: The same count at 53b9ce7 (306,711 calls); nothing since may add to it.
-CALLS_PER_COMMIT_CEILING = 1278.0
+#: 231,932 calls with the COMMIT vouching for blind writes (1,278.0 when
+#: every snapshot asked, 53b9ce7 .. fcb0218); nothing since may add to it.
+CALLS_PER_COMMIT_CEILING = 966.4
 
-#: ``NetworkStats.per_type_sent`` of the measured window on ``main``.
+#: ``NetworkStats.per_type_sent`` of the measured window: the first three as
+#: on ``main``, the CONFIRM-READ round trips down from 1,265.
 MAIN_MESSAGES = {
     "TxnPropagateMsg": 882,
     "CommitMsg": 720,
     "AbortMsg": 162,
-    "SnapshotConfirmMsg": 1265,
-    "SnapshotReplyMsg": 1265,
+    "SnapshotConfirmMsg": 40,
+    "SnapshotReplyMsg": 40,
 }
 
 #: Every site's ``state_digest()`` at quiescence on ``main``.

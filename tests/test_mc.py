@@ -89,13 +89,13 @@ def test_canonical_rmw_space_is_small_and_por_sound():
 
 @pytest.mark.slow
 def test_cross_check_2s2t_with_views_meets_reduction_target():
-    # Two blind writers, views attached: a blind write vouches for no
-    # interval, so every snapshot still sends its CONFIRM-READ and the
-    # request/reply path stays inside the exhaustively checked space.  POR
-    # must cover the same outcomes and violations while exploring at most
-    # 30% of the unreduced interleavings.  The counts and schedule digests
-    # are those of the commit before COMMIT-confirmed snapshots: the blind
-    # path did not move.
+    # Two blind writers, views attached.  Each site's first snapshot still
+    # sends its CONFIRM-READ — that is what tells the primary it is watched
+    # — so the request/reply path, the vouch on the COMMIT and the withheld
+    # check are all inside the exhaustively checked space.  POR must cover
+    # the same outcomes and violations while exploring at most 30% of the
+    # unreduced interleavings.  With every snapshot asking (fcb0218) the
+    # same config took 1,116 / 8 schedules for the same 4 outcomes.
     config = exhaustive_config(2, [(0, "blind"), (1, "blind")], views=True)
     verdict = cross_check(config)
     assert verdict["violations_match"]
@@ -103,10 +103,29 @@ def test_cross_check_2s2t_with_views_meets_reduction_target():
     assert verdict["ratio"] <= 0.30
     full, reduced = verdict["full"], verdict["reduced"]
     assert full.ok and reduced.ok
-    assert (full.stats.schedules, reduced.stats.schedules) == (1116, 8)
+    assert (full.stats.schedules, reduced.stats.schedules) == (286, 7)
     assert full.stats.distinct_outcomes == reduced.stats.distinct_outcomes == 4
-    assert full.stats.schedule_digest == "ae11c8837ce03609"
-    assert reduced.stats.schedule_digest == "d697f37b542afa07"
+    assert full.stats.schedule_digest == "5e98fd34dd3872fb"
+    assert reduced.stats.schedule_digest == "f2e8a75dfe8fa067"
+
+
+@pytest.mark.slow
+def test_third_party_wait_for_a_vouching_commit_is_clean_exhaustively():
+    # Site 1 blind-writes twice, site 0 is the primary, site 2 only watches:
+    # whenever the first COMMIT (vouched for, thanks to site 1's own
+    # CONFIRM-READ travelling ahead of its propagate) reaches site 2 before
+    # the second propagate, site 2 withholds its check and waits for the
+    # second COMMIT.  Every schedule, all six oracles — and the space
+    # provably contains that wait.
+    config = exhaustive_config(3, ((1, "blind"), (1, "blind")), views=True)
+    result = explore(config, por=True, keep_schedules=True)
+    assert result.exhausted
+    assert result.ok, [str(v) for vs in result.outcomes.values() for v in vs]
+    assert (result.stats.schedules, result.stats.distinct_outcomes) == (274, 2)
+    assert any(
+        run_schedule(config, schedule).sites[2].metrics.value("view.rl_confirmed_by_commit")
+        for schedule in result.schedules
+    )
 
 
 @pytest.mark.slow
@@ -148,6 +167,13 @@ def test_mc_catches_skip_nc_check():
 
 def test_mc_catches_views_pre_commit():
     _assert_caught("views_pre_commit")
+
+
+def test_mc_catches_vouch_without_reserve():
+    # Needs a primary with no pessimistic view of its own (its local
+    # snapshot reservation would stand in for the missing one), hence the
+    # config's ``view_sites``.
+    _assert_caught("vouch_without_reserve")
 
 
 def test_healthy_canary_configs_are_clean():

@@ -187,3 +187,13 @@ def test_list_scripts_converge(ops, seed):
     # Structure histories agree on commit status.
     assert lists[0].history.current().committed
     assert lists[1].history.current().committed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP first open item")
+def test_list_scripts_converge_known_counterexample():
+    """The input Hypothesis found in PR 16, pinned so tier-1 keeps seeing it:
+    two ``DList`` replicas settle at ``[1, 6, 4]`` vs ``[7, 1, 6, 4]`` with
+    one propagate parked forever — no crash, no drop, two sites."""
+    test_list_scripts_converge.hypothesis.inner_test(
+        ops=[(1, 0), (0, 0), (1, 1), (1, 0), (0, 0), (1, 0)], seed=0
+    )

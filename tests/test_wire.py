@@ -115,6 +115,7 @@ snapshot_checks = st.builds(SnapshotCheck, uids, vts, vts, st.booleans(), paths)
 vt_tuples = st.builds(tuple, st.lists(vts, max_size=4))
 int_tuples = st.builds(tuple, st.lists(st.integers(0, 32), max_size=4))
 uid_tuples = st.builds(tuple, st.lists(uids, max_size=4))
+vouches = st.builds(tuple, st.lists(st.tuples(uids, vts), max_size=3))
 
 #: One strategy per wire-registered message type, covering every field.
 MESSAGE_STRATEGIES = {
@@ -128,8 +129,10 @@ MESSAGE_STRATEGIES = {
         st.one_of(st.none(), delegate_grants),
         st.booleans(),
     ),
-    ConfirmMsg: st.builds(ConfirmMsg, vts, st.integers(0, 64), st.booleans(), clocks, texts),
-    CommitMsg: st.builds(CommitMsg, vts, clocks),
+    ConfirmMsg: st.builds(
+        ConfirmMsg, vts, st.integers(0, 64), st.booleans(), clocks, texts, vouches
+    ),
+    CommitMsg: st.builds(CommitMsg, vts, clocks, vouches),
     AbortMsg: st.builds(AbortMsg, vts, clocks, texts),
     SnapshotConfirmMsg: st.builds(
         SnapshotConfirmMsg, ids, st.integers(0, 64),
@@ -240,8 +243,8 @@ def test_bool_is_not_confused_with_int():
 
 GOLDEN = [
     (VirtualTime(7, 2), "010b0e04"),
-    (CommitMsg(VirtualTime(5, 1), 12), "01280b0a020318"),
-    (ConfirmMsg(VirtualTime(3, 0), 2, True, 9, ""), "01270b060003040103120500"),
+    (CommitMsg(VirtualTime(5, 1), 12), "01280b0a0203180700"),
+    (ConfirmMsg(VirtualTime(3, 0), 2, True, 9, ""), "01270b0600030401031205000700"),
     (
         TxnPropagateMsg(
             txn_vt=VirtualTime(9, 1),
@@ -265,7 +268,7 @@ GOLDEN = [
     ),
     (
         Envelope((CommitMsg(VirtualTime(5, 1), 12), AbortMsg(VirtualTime(6, 1), 13, "x"))),
-        "01390702280b0a020318290b0c02031a050178",
+        "01390702280b0a0203180700290b0c02031a050178",
     ),
     # Trace headers: the sampled flag (head-based sampling decision) is
     # the last field, so pre-sampling captures differ only in the one
@@ -304,8 +307,8 @@ GOLDEN_VT_CARRIERS = [
         "01260b12020302070123050473303a782205037365740701030a0b00010b12020700070124050473313a79"
         "0b08000b0400070003162507020300030401",
     ),
-    (ConfirmMsg(_V(3, 0), 2, False, 9, "RL denied"), "01270b060003040203120509524c2064656e696564"),
-    (CommitMsg(_V(70000, 129), 12), "01280be0c50882020318"),
+    (ConfirmMsg(_V(3, 0), 2, False, 9, "RL denied"), "01270b060003040203120509524c2064656e6965640700"),
+    (CommitMsg(_V(70000, 129), 12), "01280be0c508820203180700"),
     (AbortMsg(_V(6, 1), 13, "x"), "01290b0c02031a050178"),
     (
         SnapshotCheck("s0:x", _V(1, 0), _V(8, 3), True, (_STEP_LIST,)),
@@ -358,6 +361,27 @@ def test_golden_bytes_of_vt_carriers(value, hex_bytes):
     assert encode(value).hex() == hex_bytes  # first encode fills the VT cache
     assert encode(value).hex() == hex_bytes  # second one is served from it
     assert decode(bytes.fromhex(hex_bytes)) == value
+
+
+# A primary's vouches: (uid of the primary copy, prev) pairs at the end of
+# the two summary messages (two bytes, ``0700``, when there are none).
+GOLDEN_VOUCHES = [
+    (CommitMsg(_V(9, 2), 12, (("s0:x", _V(7, 1)),)), "01280b1204031807010702050473303a780b0e02"),
+    (
+        ConfirmMsg(_V(9, 2), 0, True, 9, "", (("s0:x", _V(7, 1)), ("s0:y", _V(300, 1)))),
+        "01270b12040300010312050007020702050473303a780b0e020702050473303a790bd80402",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value,hex_bytes", GOLDEN_VOUCHES, ids=[type(v).__name__ for v, _ in GOLDEN_VOUCHES]
+)
+def test_golden_bytes_and_roundtrip_of_a_vouch(value, hex_bytes):
+    assert encode(value).hex() == hex_bytes
+    decoded = decode(bytes.fromhex(hex_bytes))
+    assert decoded == value and decoded.vouched == value.vouched
+    assert encode(decoded).hex() == hex_bytes
 
 
 @given(st.integers(-(2**40), 2**40), st.integers(-1, 2**20))
@@ -500,11 +524,11 @@ def test_frame_rejects_non_triple_body():
 # trace-or-None) 5-tuple.  The untraced frame ends in the None tag; the
 # traced ones end in the TraceContext struct, whose last byte is the
 # sampled flag (True=0x01, head-dropped=0x02).
-GOLDEN_FRAME = "0000001003070503000306030e280b0a02031800"
-GOLDEN_FRAME_TRACED = "0000001a03070503000306030e280b0a0203183a03060503354031035401"
-GOLDEN_FRAME_DROPPED = "0000001a03070503000306030e280b0a0203183a03060503354031035402"
+GOLDEN_FRAME = "0000001203070503000306030e280b0a020318070000"
+GOLDEN_FRAME_TRACED = "0000001c03070503000306030e280b0a02031807003a03060503354031035401"
+GOLDEN_FRAME_DROPPED = "0000001c03070503000306030e280b0a02031807003a03060503354031035402"
 #: Tenant 9, untraced: identical but for the tenant varint.
-GOLDEN_FRAME_TENANT = "0000001003070503120306030e280b0a02031800"
+GOLDEN_FRAME_TENANT = "0000001203070503120306030e280b0a020318070000"
 
 
 def test_golden_frame_bytes_both_versions():
