@@ -21,8 +21,8 @@ VT-positional query (``read_at``, ``committed_read_at``, ``entry_at``,
 ``entries_in_open_interval``, ``insert``) runs in O(log n) via
 :mod:`bisect` instead of a linear scan.  A cached index of the latest
 committed entry makes ``committed_current()`` O(1).  The naive linear
-implementation is preserved verbatim in :mod:`repro.bench.reference` as
-the equivalence/benchmark baseline.
+implementation is preserved verbatim in ``tests/reference_hotpaths.py`` as
+the equivalence baseline.
 """
 
 from __future__ import annotations

@@ -218,24 +218,38 @@ def _import_structure_history(obj: "ModelObject", entries: Tuple) -> None:
     obj.history = history
 
 
+def build_from_spec(
+    site: Any, name: str, spec: Tuple, parent: Any = None, embed: Any = None, key: Any = None
+) -> "ModelObject":
+    """Construct a fresh object of ``spec``'s kind and import ``spec`` into it.
+
+    With ``parent`` it is an embedded child (the join's import); without,
+    a root object named ``name`` at ``site`` (checkpoint restore).
+    """
+    from repro.core.association import Association
+    from repro.core.composites import DList, DMap
+    from repro.core.scalars import scalar_class_for
+
+    kind = spec[0]
+    if kind == "list":
+        obj = DList(site, name, parent=parent, embed_vt=embed, key=key)
+    elif kind == "map":
+        obj = DMap(site, name, parent=parent, embed_vt=embed, key=key)
+    elif kind in ("int", "float", "string"):
+        first_value = spec[1][0][1]
+        obj = scalar_class_for(kind)(site, name, first_value, parent=parent, embed_vt=embed, key=key)
+    elif kind == "association" and parent is None:
+        obj = Association(site, name)
+    else:
+        raise ProtocolError(f"cannot import object of kind {kind!r}")
+    _import_node(obj, spec)
+    return obj
+
+
 def _build_imported_child(
     parent: "ModelObject", key: Any, embed: Any, child_spec: Tuple
 ) -> "ModelObject":
-    from repro.core.composites import DList, DMap
     from repro.core.model import embed_tag
-    from repro.core.scalars import scalar_class_for
 
-    kind = child_spec[0]
     child_name = f"{parent.name}.{key if key is not None else embed_tag(embed)}"
-    if kind == "list":
-        child = DList(parent.site, child_name, parent=parent, embed_vt=embed, key=key)
-    elif kind == "map":
-        child = DMap(parent.site, child_name, parent=parent, embed_vt=embed, key=key)
-    elif kind in ("int", "float", "string"):
-        cls = scalar_class_for(kind)
-        first_value = child_spec[1][0][1]
-        child = cls(parent.site, child_name, first_value, parent=parent, embed_vt=embed, key=key)
-    else:
-        raise ProtocolError(f"cannot import child of kind {kind!r}")
-    _import_node(child, child_spec)
-    return child
+    return build_from_spec(parent.site, child_name, child_spec, parent, embed, key)

@@ -27,8 +27,8 @@ runtime that actually exercises that claim:
   replicate its objects and a failure notice for one tenant's site never
   leaks into another tenant's protocol (cross-tenant isolation).
 
-See docs/HOST.md for the architecture and benchmarks/bench_scale.py for
-the open-loop many-small-collaborations load harness.
+See docs/HOST.md for the architecture and the ``host_1k_open`` /
+``host_1k_saturated`` workloads of perf/ for the 1,000-tenant load harness.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Prometheus text-exposition rendering for MetricsRegistry snapshots.
 
-Live processes (the two-process TCP example, ``bench_wire --sockets``)
+Live processes (the two-process TCP example, ``tcp_turn_observed`` in perf/)
 periodically write their registries as a Prometheus 0.0.4 text snapshot —
 a plain file any scraper, ``promtool``, or a human with ``cat`` can read.
 There is no HTTP server and no client library: the repo's no-new-deps

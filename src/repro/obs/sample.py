@@ -67,8 +67,8 @@ class TraceSampler:
     existed without recording its deliveries.  ``repro trace --merge``
     tallies such sends as ``sampled_out`` instead of unmatched edges.
     The default (False) emits nothing for dropped traces — the
-    bounded-cost configuration the overhead gate in
-    ``benchmarks/bench_obs.py`` measures.
+    bounded-cost configuration (``tests/test_sampling.py`` counts the
+    shed sends; ``obs.overhead_ratio`` on ``tcp_turn_observed`` prices it).
 
     Decisions are memoized per trace id (a transaction sends many frames;
     the hash is computed once).  The memo is bounded and its eviction is

@@ -1,28 +1,7 @@
-"""Persistence store and recovery (paper section 5.3 future work).
+"""Persistence store and recovery (paper section 5.3: "We are also
+incorporating a persistence store and recovery from a variety of failures
+into the algorithms of DECAF"); :mod:`repro.persist.store` has the design."""
 
-"We are also incorporating a persistence store and recovery from a variety
-of failures into the algorithms of DECAF."
+from repro.persist.store import CheckpointError, checkpoint_site, restore_site
 
-This package implements that roadmap item: a site can checkpoint the
-*committed* state of its model objects to a JSON-serializable document
-(:func:`~repro.persist.store.checkpoint_site`), and a restarted application
-can restore those objects (:func:`~repro.persist.store.restore_site`) and
-rejoin its collaborations through the ordinary invitation/join protocol —
-the state sync then reconciles anything missed while down.
-"""
-
-from repro.persist.store import (
-    CheckpointError,
-    checkpoint_site,
-    checkpoint_to_json,
-    restore_from_json,
-    restore_site,
-)
-
-__all__ = [
-    "CheckpointError",
-    "checkpoint_site",
-    "checkpoint_to_json",
-    "restore_from_json",
-    "restore_site",
-]
+__all__ = ["CheckpointError", "checkpoint_site", "restore_site"]

@@ -1,269 +1,113 @@
 """Checkpoint and restore of a site's committed model-object state.
 
-A checkpoint captures, for every root (non-embedded) model object the
-application created, its latest **committed** state — optimistic
-uncommitted values are deliberately excluded, exactly as a recovery log
-would only contain committed transactions.  Composite checkpoints preserve
-slot identities (VT tags), so a cluster restored from checkpoints keeps
-resolvable indirect-propagation paths.
-
-Replication graphs are NOT checkpointed: membership reflects live sites,
-so a restarted application re-establishes its collaborations through the
-ordinary invitation/join protocol, and the join's state sync reconciles
-anything missed while down (see ``examples``/``tests`` for the pattern).
+A checkpoint is the join protocol's state export (:mod:`repro.core.sync`,
+paper section 3.3) of every root model object, reduced to **committed**
+state and written by the wire codec: no committed effect is lost, and no
+optimistic value, insert, remove or put that may still abort comes back.
+Slot identities (VT tags) ride in the export, so restored composites keep
+resolvable indirect-propagation paths.  Replication graphs are NOT saved:
+a restarted application rejoins through the ordinary invitation/join
+protocol, whose state sync reconciles what it missed while down.
 """
 
-from __future__ import annotations
+from typing import Dict, Tuple
 
-import json
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.core.association import Association
-from repro.core.composites import DList, DMap, KeySlot, ListSlot
-from repro.core.history import ValueHistory
 from repro.core.messages import SlotId
 from repro.core.model import ModelObject
-from repro.core.scalars import ScalarObject, scalar_class_for
+from repro.core.scalars import SCALAR_KINDS
 from repro.core.site import SiteRuntime
+from repro.core.sync import build_from_spec, export_state
 from repro.errors import ReproError
 from repro.vtime import VirtualTime
+from repro.wire.codec import decode, encode
 
-FORMAT_VERSION = 1
+#: First element of the payload (1 was the JSON document this replaces).
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ReproError):
-    """A checkpoint document is malformed or incompatible."""
+    """Checkpoint bytes are malformed, incompatible, or name a live object."""
 
 
-# ---------------------------------------------------------------------------
-# VT / SlotId codecs
-# ---------------------------------------------------------------------------
+def _expect(ok: bool, what: str) -> None:
+    if not ok:
+        raise CheckpointError(f"malformed checkpoint: {what}")
 
 
-def _enc_vt(vt: VirtualTime) -> List[int]:
-    return [vt.counter, vt.site]
+def _committed_history(entries: Tuple, value_types: Tuple[type, ...] = (str,)) -> Tuple:
+    """The newest committed ``(vt, value, True)`` entry of an exported history
+    (a composite's structure history holds debug text, hence the default)."""
+    kept = tuple(e for e in entries if e[2] is True)[-1:]
+    _expect(len(kept) == 1, "no committed entry")
+    # Exact types: a bool is an int to isinstance, and DInt refuses it.
+    _expect(type(kept[0][0]) is VirtualTime and type(kept[0][1]) in value_types, "entry")
+    return kept
 
 
-def _dec_vt(doc: List[int]) -> VirtualTime:
-    return VirtualTime(int(doc[0]), int(doc[1]))
+def _committed(spec: Tuple, root: bool = True) -> Tuple:
+    """Reduce an exported node spec to its committed state: a filter over
+    the spec, not a walk over objects.  Restore accepts only its fixed
+    points, so it also decides what a well-formed spec is."""
+    kind, entries, *rest = spec
+    if kind == "list":
+        (slots,) = rest
+        kept = tuple(
+            (slot_id, True, tuple(r for r in removes if r[1] is True), _committed(child, False))
+            for slot_id, embed_committed, removes, child in slots
+            if embed_committed is True
+        )
+        ids = [s[0] for s in kept]
+        _expect(len(set(ids)) == len(ids) and all(type(i) is SlotId for i in ids), "slot id")
+        _expect(all(type(i.vt) is VirtualTime and type(i.seq) is int for i in ids), "slot id")
+        _expect(all(type(vt) is VirtualTime for s in kept for vt, _ in s[2]), "remove")
+        return (kind, _committed_history(entries), kept)
+    if kind == "map":
+        (keys,) = rest
+        kept = tuple(
+            (key, ((vt, True, None if child is None else _committed(child, False)),))
+            for key, slots in keys
+            for vt, _, child in tuple(s for s in slots if s[1] is True)[-1:]
+        )
+        _expect(len({k for k, _ in kept}) == len(kept), "duplicate key")
+        _expect(all(type(s[0][0]) is VirtualTime for _, s in kept), "map slot")
+        return (kind, _committed_history(entries), kept)
+    _expect(not rest and (kind in SCALAR_KINDS or (kind == "association" and root)), "kind")
+    if kind != "association":
+        return (kind, _committed_history(entries, SCALAR_KINDS[kind].value_types))
+    history = _committed_history(entries, (tuple,))
+    for rel_id, members in history[0][1]:
+        _expect(type(rel_id) is str, "relationship")
+        _expect(all(type(u) is str and type(s) is int for u, s in members), "member")
+    return (kind, history)
 
 
-def _enc_slot_id(slot_id: SlotId) -> List[int]:
-    return [slot_id.vt.counter, slot_id.vt.site, slot_id.seq]
-
-
-def _dec_slot_id(doc: List[int]) -> SlotId:
-    return SlotId(VirtualTime(int(doc[0]), int(doc[1])), int(doc[2]))
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint (committed state only)
-# ---------------------------------------------------------------------------
-
-
-def checkpoint_site(site: SiteRuntime) -> Dict[str, Any]:
+def checkpoint_site(site: SiteRuntime) -> bytes:
     """Capture the committed state of all root objects at ``site``."""
-    objects: Dict[str, Any] = {}
-    for obj in site.objects.values():
-        if obj.parent is not None:
-            continue  # embedded children ride inside their roots
-        objects[obj.name] = _checkpoint_node(obj)
-    return {
-        "format": FORMAT_VERSION,
-        "site_id": site.site_id,
-        "site_name": site.name,
-        "clock": site.clock.counter,
-        "objects": objects,
-    }
-
-
-def _committed_entry(history: ValueHistory):
-    return history.committed_current()
-
-
-def _checkpoint_node(obj: ModelObject) -> Dict[str, Any]:
-    if isinstance(obj, DList):
-        slots = []
-        for slot in obj._slots:
-            if not slot.embed_committed and not _is_initial(slot.slot_id.vt):
-                continue  # uncommitted insert: not part of durable state
-            slots.append(
-                {
-                    "slot_id": _enc_slot_id(slot.slot_id),
-                    "removed_vts": [
-                        _enc_vt(e.vt) for e in slot.removes if e.committed
-                    ],
-                    "removed": any(e.committed for e in slot.removes),
-                    "child": _checkpoint_node(slot.child),
-                }
-            )
-        entry = _committed_entry(obj.history)
-        return {"kind": "list", "structure_vt": _enc_vt(entry.vt), "slots": slots}
-    if isinstance(obj, DMap):
-        entries = []
-        for key, key_slots in sorted(obj._keys.items(), key=lambda kv: repr(kv[0])):
-            best: Optional[KeySlot] = None
-            for slot in key_slots:
-                if slot.committed and (best is None or slot.vt > best.vt):
-                    best = slot
-            if best is None:
-                continue
-            entries.append(
-                {
-                    "key": key,
-                    "vt": _enc_vt(best.vt),
-                    "child": _checkpoint_node(best.child) if best.child is not None else None,
-                }
-            )
-        entry = _committed_entry(obj.history)
-        return {"kind": "map", "structure_vt": _enc_vt(entry.vt), "entries": entries}
-    if isinstance(obj, Association):
-        entry = _committed_entry(obj.history)
-        return {
-            "kind": "association",
-            "vt": _enc_vt(entry.vt),
-            "value": _assoc_to_doc(entry.value),
-        }
-    if isinstance(obj, ScalarObject):
-        entry = _committed_entry(obj.history)
-        return {"kind": obj.kind, "vt": _enc_vt(entry.vt), "value": entry.value}
-    raise CheckpointError(f"cannot checkpoint {type(obj).__name__}")
-
-
-def _is_initial(vt: VirtualTime) -> bool:
-    return vt.site == -1
-
-
-def _assoc_to_doc(value) -> List:
-    return [
-        [rel_id, [[uid, site] for uid, site in members]] for rel_id, members in value
-    ]
-
-
-def _assoc_from_doc(doc: List):
-    return tuple(
-        (rel_id, tuple((uid, int(site)) for uid, site in members))
-        for rel_id, members in doc
+    objects = tuple(
+        (obj.name, _committed(export_state(obj)[0]))
+        for obj in site.objects.values()
+        if obj.parent is None  # embedded children ride inside their roots
     )
+    return encode((FORMAT_VERSION, site.clock.counter, objects))
 
 
-# ---------------------------------------------------------------------------
-# Restore
-# ---------------------------------------------------------------------------
-
-
-def restore_site(site: SiteRuntime, checkpoint: Dict[str, Any]) -> Dict[str, ModelObject]:
-    """Recreate the checkpointed objects at a (fresh) site runtime.
-
-    Returns the restored objects keyed by name.  The site's Lamport clock
-    is advanced past the checkpoint's clock so new transactions sort after
-    everything in the recovered state.
-    """
-    if checkpoint.get("format") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format {checkpoint.get('format')!r}"
-        )
-    restored: Dict[str, ModelObject] = {}
-    for name, doc in checkpoint["objects"].items():
-        restored[name] = _restore_root(site, name, doc)
-    site.clock.observe(VirtualTime(int(checkpoint["clock"]), site.site_id))
-    return restored
-
-
-def _restore_root(site: SiteRuntime, name: str, doc: Dict[str, Any]) -> ModelObject:
-    kind = doc["kind"]
-    if kind in ("int", "float", "string"):
-        cls = scalar_class_for(kind)
-        obj = cls(site, name, doc["value"])
-        obj.history = ValueHistory(doc["value"], initial_vt=_dec_vt(doc["vt"]))
-        return obj
-    if kind == "association":
-        assoc = Association(site, name)
-        assoc.history = ValueHistory(
-            _assoc_from_doc(doc["value"]), initial_vt=_dec_vt(doc["vt"])
-        )
-        return assoc
-    if kind == "list":
-        lst = DList(site, name)
-        _restore_list(lst, doc)
-        return lst
-    if kind == "map":
-        mapping = DMap(site, name)
-        _restore_map(mapping, doc)
-        return mapping
-    raise CheckpointError(f"unknown checkpointed kind {kind!r}")
-
-
-def _restore_list(lst: DList, doc: Dict[str, Any]) -> None:
-    lst.history = ValueHistory("restored", initial_vt=_dec_vt(doc["structure_vt"]))
-    lst._slots = []
-    from repro.core.composites import RemoveEvent
-
-    for slot_doc in doc["slots"]:
-        slot_id = _dec_slot_id(slot_doc["slot_id"])
-        child = _restore_child(lst, None, slot_id, slot_doc["child"])
-        lst._slots.append(
-            ListSlot(
-                slot_id=slot_id,
-                child=child,
-                embed_committed=True,
-                removes=[
-                    RemoveEvent(vt=_dec_vt(r), committed=True)
-                    for r in slot_doc["removed_vts"]
-                ],
-            )
-        )
-
-
-def _restore_map(mapping: DMap, doc: Dict[str, Any]) -> None:
-    mapping.history = ValueHistory("restored", initial_vt=_dec_vt(doc["structure_vt"]))
-    mapping._keys = {}
-    for entry in doc["entries"]:
-        vt = _dec_vt(entry["vt"])
-        child = (
-            _restore_child(mapping, entry["key"], vt, entry["child"])
-            if entry["child"] is not None
-            else None
-        )
-        mapping._keys[entry["key"]] = [KeySlot(vt=vt, child=child, committed=True)]
-
-
-def _restore_child(parent: ModelObject, key: Any, embed: Any, doc: Dict[str, Any]) -> ModelObject:
-    from repro.core.model import embed_tag
-
-    kind = doc["kind"]
-    child_name = f"{parent.name}.{key if key is not None else embed_tag(embed)}"
-    vt = getattr(embed, "vt", embed)
-    if kind in ("int", "float", "string"):
-        cls = scalar_class_for(kind)
-        child = cls(parent.site, child_name, doc["value"], parent=parent, embed_vt=embed, key=key)
-        child.history = ValueHistory(doc["value"], initial_vt=_dec_vt(doc["vt"]))
-        return child
-    if kind == "list":
-        child = DList(parent.site, child_name, parent=parent, embed_vt=embed, key=key)
-        _restore_list(child, doc)
-        return child
-    if kind == "map":
-        child = DMap(parent.site, child_name, parent=parent, embed_vt=embed, key=key)
-        _restore_map(child, doc)
-        return child
-    raise CheckpointError(f"unknown checkpointed child kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# JSON convenience
-# ---------------------------------------------------------------------------
-
-
-def checkpoint_to_json(site: SiteRuntime, indent: Optional[int] = None) -> str:
-    """Checkpoint ``site`` straight to a JSON string."""
-    return json.dumps(checkpoint_site(site), indent=indent, sort_keys=True)
-
-
-def restore_from_json(site: SiteRuntime, payload: str) -> Dict[str, ModelObject]:
-    """Restore a site from a JSON checkpoint produced by :func:`checkpoint_to_json`."""
+def restore_site(site: SiteRuntime, data: bytes) -> Dict[str, ModelObject]:
+    """Recreate the checkpointed objects at a (fresh) site, keyed by name, and
+    advance its Lamport clock past the checkpoint's.  ``data`` is untrusted:
+    nothing is built unless all of it is well-formed and no name is taken."""
+    specs: Dict[str, Tuple] = {}
     try:
-        document = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"invalid checkpoint JSON: {exc}") from exc
-    return restore_site(site, document)
+        version, clock, objects = decode(data)
+        _expect(version == FORMAT_VERSION, f"format {version!r}")
+        _expect(type(clock) is int and clock >= 0, "clock")
+        for name, spec in objects:
+            _expect(type(name) is str and name not in specs, "object name")
+            _expect(_committed(spec) == spec, f"{name!r} is not committed state")
+            site._check_fresh(name)
+            specs[name] = spec
+    except CheckpointError:
+        raise
+    except (ReproError, TypeError, ValueError, IndexError) as exc:
+        raise CheckpointError(f"checkpoint refused: {type(exc).__name__}: {exc}") from exc
+    site.clock.observe(VirtualTime(clock, site.site_id))
+    return {name: build_from_spec(site, name, spec) for name, spec in specs.items()}

@@ -462,8 +462,8 @@ class TcpTransport(Transport):
         if sampler is not None and not sampler.sample(trace_id):
             # Head-dropped at the origin: the decision still rides the
             # frame so downstream processes skip their deliveries too.
-            # No event is built (the bounded-cost contract bench_obs
-            # gates) unless record_dropped marks the send for debugging.
+            # No event is built (the bounded-cost contract
+            # tests/test_sampling.py holds) unless record_dropped marks it.
             fields["sampled"] = False
             self.metrics.inc("transport.sends_sampled_out")
             if sampler.record_dropped:

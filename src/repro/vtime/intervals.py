@@ -20,7 +20,7 @@ reservations on abort is O(k) in the number released.  Removals from the
 ``hi``-sorted list are lazy (tombstoned via absence from the live dict) and
 the list is compacted once dead entries exceed half its length.  The naive
 linear implementation is preserved verbatim in
-:mod:`repro.bench.reference` as the equivalence/benchmark baseline.
+``tests/reference_hotpaths.py`` as the equivalence baseline.
 """
 
 from __future__ import annotations

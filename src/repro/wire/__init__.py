@@ -2,9 +2,7 @@
 
 :mod:`repro.wire.codec` — deterministic, versioned binary codec for every
 protocol message, built around per-struct compiled packers, interning
-caches, and a span memo; :mod:`repro.wire.reference` — the original
-generic implementation, kept as the executable specification the compiled
-codec is property-tested against; :mod:`repro.wire.batch` — per-destination
+caches, and a span memo; :mod:`repro.wire.batch` — per-destination
 outbox that coalesces a protocol turn's fan-out into
 :class:`~repro.core.messages.Envelope` frames.
 """

@@ -33,7 +33,7 @@ Hot-path architecture (docs/WIRE.md has the full treatment):
   specialized encode closure and decode closure per dataclass — tag byte
   and field walk baked into straight-line code — and installs them in the
   type-keyed encoder dispatch and the 256-entry tag table.  The original
-  generic implementation survives verbatim in :mod:`repro.wire.reference`
+  generic implementation survives verbatim in ``tests/reference_wire.py``
   and property tests assert byte-identical output.
 * **One join per frame.**  Encoders append pre-built byte constants
   (fused tag+payload singletons for small ints, small string/collection

@@ -3,15 +3,11 @@
 These are verbatim copies of the *seed* (pre-optimization) algorithms for
 :class:`~repro.core.history.ValueHistory`,
 :class:`~repro.vtime.intervals.IntervalSet`, and
-:class:`~repro.sim.scheduler.Scheduler`, kept for two purposes:
-
-1. **Equivalence testing** — the property-based tests in
-   ``tests/test_hotpath_equivalence.py`` drive the optimized structures and
-   these references with identical operation sequences and assert identical
-   observable behavior, so the bisect indexes can never silently diverge
-   from the simple semantics.
-2. **Performance baseline** — ``benchmarks/bench_hotpaths.py`` times both
-   and records the seed-vs-optimized trajectory in ``BENCH_hotpaths.json``.
+:class:`~repro.sim.scheduler.Scheduler`, kept as a test oracle: the
+property-based tests in ``tests/test_hotpath_equivalence.py`` drive the
+optimized structures and these references with identical operation
+sequences and assert identical observable behavior, so the bisect indexes
+can never silently diverge from the simple semantics.
 
 Do not "improve" these: their entire value is staying naive.
 """

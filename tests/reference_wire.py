@@ -5,7 +5,7 @@ registered struct and takes several fast paths (fused tag+payload byte
 constants, interning caches, a zero-copy cursor).  This module keeps the
 *original* recursive implementation — one generic ``isinstance`` chain for
 encode, one tag ``if`` ladder for decode — as the executable specification
-of the wire format, mirroring the ``repro.bench.reference`` pattern: the
+of the wire format, mirroring ``tests/reference_hotpaths.py``: the
 optimized codec must be byte-identical to this one on every encodable
 value, and ``tests/test_wire_packers.py`` enforces that with Hypothesis
 property tests over every registered struct.

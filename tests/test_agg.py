@@ -115,6 +115,16 @@ class TestMergeSnapshots:
         expected = self.build(-1, stream)
         assert merged["windows"] == expected["windows"]
 
+    def test_merge_keeps_every_tenant_at_fleet_scale(self):
+        # 120 collaboration sets sharded over 4 per-site aggregators, the
+        # shape ``repro top`` consumes: no tenant and no commit is lost.
+        stream = [(f"obj:doc{t}", i * 25.0, float(i + 1)) for i in range(8) for t in range(120)]
+        merged = merge_agg_snapshots(*(self.build(s, stream[s::4]) for s in range(4)))
+        cells = [c for w in merged["windows"] for c in w["tenants"].items()]
+        assert {tenant for tenant, _ in cells} == {f"obj:doc{t}" for t in range(120)}
+        assert sum(cell["counters"]["commits"] for _, cell in cells) == len(stream)
+        assert merged["windows"] == self.build(-1, stream)["windows"]
+
     @settings(max_examples=30)
     @given(st.permutations(list(range(4))))
     def test_merge_is_order_insensitive(self, order):

@@ -2,11 +2,14 @@
 
 The CLI (`repro.cli`) and EXPERIMENTS.md both rely on structural
 conventions across `benchmarks/bench_e*.py`; these tests pin them so a new
-experiment cannot silently break the tooling.
+experiment cannot silently break the tooling.  CI and the documentation
+name benchmark, script and test files by path; those names must resolve.
 """
 
+import glob
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -70,3 +73,36 @@ class TestResultsArtifacts:
         names = os.listdir(directory)
         assert any(name.startswith("E1") for name in names)
         assert any(name.startswith("E6") for name in names)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: A repository file named by path (or a benchmark by bare file name).
+FILE_POINTER = re.compile(
+    r"(?<![\w/.-])("
+    r"(?:benchmarks|scripts|tests|examples|perf|docs|src/repro)/[\w./-]*\w\.(?:py|md|json)"
+    r"|BENCH_\w+\.json|bench_\w+\.py)"
+)
+
+
+def pointing_files():
+    """CI's commands and the maintained documents (CHANGES/ROADMAP/ISSUE are
+    history and may name what is gone; perf/ documents itself)."""
+    names = ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"]
+    return names + sorted(
+        os.path.relpath(p, ROOT) for p in glob.glob(os.path.join(ROOT, "docs", "*.md"))
+    )
+
+
+class TestFilePointers:
+    @pytest.mark.parametrize("name", pointing_files())
+    def test_every_named_file_exists(self, name):
+        with open(os.path.join(ROOT, name), encoding="utf-8") as handle:
+            pointers = set(FILE_POINTER.findall(handle.read()))
+        stale = sorted(
+            p
+            for p in pointers
+            if not os.path.exists(os.path.join(ROOT, p))
+            and not os.path.exists(os.path.join(ROOT, "benchmarks", p))
+        )
+        assert not stale, f"{name} names files that do not exist: {stale}"

@@ -1,7 +1,5 @@
 """Unit tests for the bench harness and reporting tools."""
 
-import os
-
 import pytest
 
 from repro.bench import (
@@ -113,108 +111,3 @@ class TestProbeView:
         assert probe.proxy is not None
         assert probe.proxy.view is probe
 
-
-class TestBenchTrajectory:
-    """scripts/bench_trajectory.py: BENCH_*.json merge + obs overhead gate."""
-
-    def _load_script(self):
-        import importlib.util
-
-        path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "scripts",
-            "bench_trajectory.py",
-        )
-        spec = importlib.util.spec_from_file_location("bench_trajectory", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def _obs_doc(self, disabled_pct=0.5, noise_pct=8.0, emit_calls=0):
-        return {
-            "schema": "bench_obs/v1",
-            "timestamp": "2026-01-01T00:00:00Z",
-            "transactions": 100,
-            "modes": {"disabled": {"emit_calls": emit_calls, "best_s": 0.1}},
-            "overhead": {
-                "disabled_vs_baseline_pct": disabled_pct,
-                "baseline_noise_pct": noise_pct,
-            },
-        }
-
-    def test_flatten_skips_lists_bools_and_provenance(self):
-        mod = self._load_script()
-        metrics = mod.flatten_metrics(
-            {
-                "schema": "x/v1",
-                "timestamp": "now",
-                "a": {"wall_s": [1.0, 2.0], "best": 3.0, "flag": True},
-                "n": 2,
-            },
-            "",
-        )
-        assert metrics == {"a.best": 3.0, "n": 2.0}
-
-    def test_merge_is_keyed_and_idempotent_per_commit(self, tmp_path, monkeypatch):
-        import json
-
-        mod = self._load_script()
-        root = tmp_path
-        (root / "BENCH_obs.json").write_text(json.dumps(self._obs_doc()))
-        monkeypatch.setattr(mod, "current_commit", lambda _root: "abc123")
-        first = mod.build_trajectory(str(root))
-        assert "obs.overhead.disabled_vs_baseline_pct" in first["series"]
-        # Re-running on the same commit must not duplicate samples.
-        second = mod.build_trajectory(str(root))
-        for samples in second["series"].values():
-            assert [s["commit"] for s in samples] == ["abc123"]
-        # A new commit appends a second sample per metric.
-        monkeypatch.setattr(mod, "current_commit", lambda _root: "def456")
-        third = mod.build_trajectory(str(root))
-        for samples in third["series"].values():
-            assert [s["commit"] for s in samples] == ["abc123", "def456"]
-        # The trajectory file itself is never treated as an input.
-        assert not any(m.startswith("trajectory") for m in third["series"])
-
-    def test_gate_passes_within_recorded_noise(self, tmp_path):
-        import json
-
-        mod = self._load_script()
-        (tmp_path / "BENCH_obs.json").write_text(
-            json.dumps(self._obs_doc(disabled_pct=-0.5, noise_pct=11.0))
-        )
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(self._obs_doc(disabled_pct=9.0)))
-        assert mod.gate_obs_overhead(str(tmp_path), str(current)) == 0
-
-    def test_gate_fails_past_recorded_noise(self, tmp_path):
-        import json
-
-        mod = self._load_script()
-        (tmp_path / "BENCH_obs.json").write_text(
-            json.dumps(self._obs_doc(noise_pct=6.0))
-        )
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(self._obs_doc(disabled_pct=7.5)))
-        assert mod.gate_obs_overhead(str(tmp_path), str(current)) == 1
-
-    def test_gate_fails_on_disabled_path_emit_calls(self, tmp_path):
-        import json
-
-        mod = self._load_script()
-        (tmp_path / "BENCH_obs.json").write_text(json.dumps(self._obs_doc()))
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(self._obs_doc(emit_calls=3)))
-        assert mod.gate_obs_overhead(str(tmp_path), str(current)) == 1
-
-    def test_gate_floor_is_five_percent(self, tmp_path):
-        import json
-
-        mod = self._load_script()
-        # Tiny recorded noise: the 5% floor still applies.
-        (tmp_path / "BENCH_obs.json").write_text(
-            json.dumps(self._obs_doc(noise_pct=0.1))
-        )
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(self._obs_doc(disabled_pct=4.9)))
-        assert mod.gate_obs_overhead(str(tmp_path), str(current)) == 0

@@ -11,7 +11,7 @@ import pytest
 from repro import Session, View
 from repro.apps import ChatRoom, Whiteboard
 from repro.core.adaptive import AdaptiveOptimismController
-from repro.persist import checkpoint_to_json, restore_from_json
+from repro.persist import checkpoint_site, restore_site
 from repro import DInt, DList, DMap
 
 
@@ -79,7 +79,7 @@ def test_full_collaborative_session():
     assert value(guest_board_obj) == value(boards[0])
 
     # --- Phase 3: checkpoint, crash, recover ------------------------------
-    payload = checkpoint_to_json(editor)
+    payload = checkpoint_site(editor)
     session.network.fail_site(editor.site_id)
     session.settle()
     # Survivors continue.
@@ -91,7 +91,7 @@ def test_full_collaborative_session():
 
     # The editor restarts with its checkpoint and rejoins the counter.
     editor2 = session.add_site("editor-restarted")
-    restored = restore_from_json(editor2, payload)
+    restored = restore_site(editor2, payload)
     assert restored["revision"].get() == 12  # pre-crash committed state
     rev_assoc = host.objects["s0:revision.assoc"]
     editor2_assoc = editor2.import_invitation(rev_assoc.make_invitation(), "revision.assoc")

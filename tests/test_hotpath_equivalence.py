@@ -3,7 +3,7 @@
 The bisect-backed ``ValueHistory`` and ``IntervalSet`` (and the compacting
 ``Scheduler``) must be *observably identical* to the seed's naive linear
 implementations, which are preserved verbatim in
-:mod:`repro.bench.reference`.  Hypothesis drives both sides with the same
+:mod:`tests.reference_hotpaths`.  Hypothesis drives both sides with the same
 random operation sequences — including GC with pinned snapshot floors and
 purge-on-abort interleavings — and asserts every result, every exception,
 and the full post-state match.
@@ -12,7 +12,7 @@ and the full post-state match.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.reference import NaiveIntervalSet, NaiveScheduler, NaiveValueHistory
+from tests.reference_hotpaths import NaiveIntervalSet, NaiveScheduler, NaiveValueHistory
 from repro.core.history import ValueHistory
 from repro.errors import ProtocolError
 from repro.sim.scheduler import Scheduler

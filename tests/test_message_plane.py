@@ -7,6 +7,8 @@ simulated network's stats, the explicit ``session.batched()`` window, the
 replicate registry.
 """
 
+import contextlib
+
 import pytest
 
 from repro import DInt, DList, Session
@@ -18,17 +20,19 @@ from repro.transport.memory import MemoryTransport
 from repro.vtime import VirtualTime
 
 
-def run_commit_fanout(batching: bool, n_sites: int = 4, txns: int = 6):
+def run_commit_fanout(batching: bool, n_sites: int = 4, txns: int = 6, burst: bool = False):
     """The standard commit-fanout workload: K increments from a non-primary
-    origin against one fully replicated counter."""
+    origin against one fully replicated counter (``burst``: submitted inside
+    one explicit ``session.batched()`` window)."""
     session = Session.simulated(latency_ms=20.0, seed=7, batching=batching)
     sites = session.add_sites(n_sites)
     objs = session.replicate(DInt, "ctr", sites, initial=0)
     session.settle()
     origin = sites[-1]
     obj = objs[-1]
-    for _ in range(txns):
-        origin.transact(lambda: obj.set(obj.get() + 1))
+    with session.batched() if burst else contextlib.nullcontext():
+        for _ in range(txns):
+            origin.transact(lambda: obj.set(obj.get() + 1))
     session.settle()
     digests = [s.state_digest() for s in sites]
     wire = {
@@ -57,6 +61,17 @@ class TestBatching:
         assert wire_on["envelopes"] < wire_off["envelopes"]
         assert wire_on["batched"] > 0
         assert session.network.stats.envelopes_sent > 0
+
+    def test_burst_window_cuts_envelopes_at_least_3x(self):
+        # The message-plane contract on the commit-fanout workload: a burst
+        # window changes framing only (same messages, same digests) and
+        # cuts the frames on the wire at least threefold.
+        digests_off, wire_off, _ = run_commit_fanout(batching=False, txns=60)
+        digests_on, wire_on, _ = run_commit_fanout(batching=True, txns=60, burst=True)
+        assert digests_on == digests_off
+        assert wire_on["messages"] == wire_off["messages"]
+        assert wire_on["batched"] > 0
+        assert wire_off["envelopes"] >= 3 * wire_on["envelopes"]
 
     def test_batching_preserves_commit_counters(self):
         _, _, off = run_commit_fanout(batching=False)

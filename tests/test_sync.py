@@ -179,7 +179,6 @@ class TestFalsyChildren:
         m = site.create_map("m")
         site.transact(lambda: m.put("empty", "map", {}))
         session.settle()
-        doc = checkpoint_site(site)
         fresh = Session.simulated(latency_ms=10).add_site("app")
-        restored = restore_site(fresh, doc)
+        restored = restore_site(fresh, checkpoint_site(site))
         assert value(restored["m"]) == {"empty": {}}

@@ -2,7 +2,7 @@
 
 :mod:`repro.wire.codec` compiles a specialized encoder/decoder per
 registered struct, with fused byte tables, interning caches, and a span
-memo.  :mod:`repro.wire.reference` keeps the original generic
+memo.  :mod:`tests.reference_wire` keeps the original generic
 implementation as the executable specification of the wire format.  These
 properties pin the two together for every registered struct: byte-identical
 encodings, identical decodes (in both directions), and well-behaved caches.
@@ -26,9 +26,10 @@ from repro.core.messages import (
 )
 from repro.core.repgraph import GraphNode, ReplicationGraph
 from repro.vtime import VirtualTime
-from repro.wire import codec, reference
+from repro.wire import codec
 from repro.wire.codec import WIRE_STRUCTS, decode, encode
 
+from tests import reference_wire as reference
 from tests.test_wire import (
     MESSAGE_STRATEGIES,
     delegate_grants,
