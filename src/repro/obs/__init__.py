@@ -41,7 +41,6 @@ from repro.obs.sample import TraceSampler, sample_decision
 from repro.obs.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     QuantileSketch,
-    SketchSnapshot,
     merge_sketches,
 )
 from repro.obs.health import (
@@ -63,13 +62,17 @@ from repro.obs.health import (
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS_MS,
-    SUMMARY_QUANTILES,
     Histogram,
     MetricsRegistry,
     counter_property,
-    summary_dict,
 )
-from repro.obs.spans import TxnSpan, build_spans, span_summary
+from repro.obs.spans import (
+    SpanTracker,
+    TxnSpan,
+    build_spans,
+    origin_resolution,
+    span_summary,
+)
 
 __all__ = [
     "EVENT_KINDS",
@@ -89,7 +92,6 @@ __all__ = [
     "TraceSampler",
     "sample_decision",
     "QuantileSketch",
-    "SketchSnapshot",
     "merge_sketches",
     "DEFAULT_RELATIVE_ACCURACY",
     "TelemetryAggregator",
@@ -101,12 +103,12 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "counter_property",
-    "summary_dict",
     "LATENCY_BUCKETS_MS",
     "COUNT_BUCKETS",
-    "SUMMARY_QUANTILES",
+    "SpanTracker",
     "TxnSpan",
     "build_spans",
+    "origin_resolution",
     "span_summary",
     "CausalGraph",
     "HBEdge",

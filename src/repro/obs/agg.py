@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import ProtocolEvent
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from repro.obs.spans import DEFAULT_MAX_SPANS, SpanTracker, TxnSpan, origin_resolution
 
 __all__ = [
     "AGG_FORMAT",
@@ -55,6 +56,38 @@ class _TenantWindow:
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         self.sketches: Dict[str, QuantileSketch] = {}
+
+
+def _render(
+    windows: Dict[int, Dict[str, _TenantWindow]], window_ms: float, site: int
+) -> Dict[str, Any]:
+    """The ``repro-agg/1`` form of ``window index -> tenant -> accumulators``
+    (what an aggregator holds and what a merge rebuilds), keys sorted."""
+    rendered: List[Dict[str, Any]] = []
+    for index in sorted(windows):
+        tenants: Dict[str, Any] = {}
+        for tenant in sorted(windows[index]):
+            cell = windows[index][tenant]
+            tenants[tenant] = {
+                "counters": {k: cell.counters[k] for k in sorted(cell.counters)},
+                "sketches": {k: cell.sketches[k].to_dict() for k in sorted(cell.sketches)},
+                "quantiles": {
+                    k: {
+                        f"p{int(q * 100)}": round(cell.sketches[k].quantile(q), 6)
+                        for q in SNAPSHOT_QUANTILES
+                    }
+                    for k in sorted(cell.sketches)
+                },
+            }
+        rendered.append(
+            {
+                "index": index,
+                "start_ms": index * window_ms,
+                "end_ms": (index + 1) * window_ms,
+                "tenants": tenants,
+            }
+        )
+    return {"format": AGG_FORMAT, "site": site, "window_ms": window_ms, "windows": rendered}
 
 
 class TelemetryAggregator:
@@ -117,38 +150,7 @@ class TelemetryAggregator:
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic JSON-stable dump of every retained window."""
-        windows: List[Dict[str, Any]] = []
-        for index in sorted(self._windows):
-            tenants: Dict[str, Any] = {}
-            for tenant in sorted(self._windows[index]):
-                cell = self._windows[index][tenant]
-                tenants[tenant] = {
-                    "counters": {k: cell.counters[k] for k in sorted(cell.counters)},
-                    "sketches": {
-                        k: cell.sketches[k].to_dict() for k in sorted(cell.sketches)
-                    },
-                    "quantiles": {
-                        k: {
-                            f"p{int(q * 100)}": round(cell.sketches[k].quantile(q), 6)
-                            for q in SNAPSHOT_QUANTILES
-                        }
-                        for k in sorted(cell.sketches)
-                    },
-                }
-            windows.append(
-                {
-                    "index": index,
-                    "start_ms": index * self.window_ms,
-                    "end_ms": (index + 1) * self.window_ms,
-                    "tenants": tenants,
-                }
-            )
-        return {
-            "format": AGG_FORMAT,
-            "site": self.site,
-            "window_ms": self.window_ms,
-            "windows": windows,
-        }
+        return _render(self._windows, self.window_ms, self.site)
 
     def to_json(self) -> str:
         """Canonical byte-stable serialization of :meth:`snapshot`."""
@@ -182,7 +184,7 @@ def merge_agg_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
     sketch merge laws.
     """
     if not snapshots:
-        return {"format": AGG_FORMAT, "site": -1, "window_ms": 0.0, "windows": []}
+        return _render({}, 0.0, site=-1)
     window_ms = snapshots[0]["window_ms"]
     for snap in snapshots:
         if snap.get("format") != AGG_FORMAT:
@@ -191,56 +193,33 @@ def merge_agg_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
             raise ValueError(
                 f"window_ms mismatch: {snap['window_ms']} vs {window_ms}"
             )
-    # (window index, tenant) -> merged counters / sketches
-    counters: Dict[Tuple[int, str], Dict[str, int]] = {}
-    sketches: Dict[Tuple[int, str], Dict[str, QuantileSketch]] = {}
+    windows: Dict[int, Dict[str, _TenantWindow]] = {}
     for snap in snapshots:
         for window in snap["windows"]:
-            index = window["index"]
-            for tenant, cell in window["tenants"].items():
-                key = (index, tenant)
-                ctrs = counters.setdefault(key, {})
-                for name, value in cell["counters"].items():
-                    ctrs[name] = ctrs.get(name, 0) + value
-                sks = sketches.setdefault(key, {})
-                for name, data in cell["sketches"].items():
-                    sketch = QuantileSketch.from_dict(data)
-                    if name in sks:
-                        sks[name].merge(sketch)
+            for tenant, data in window["tenants"].items():
+                cells = windows.setdefault(window["index"], {})
+                cell = cells.get(tenant)
+                if cell is None:
+                    cell = cells[tenant] = _TenantWindow()
+                for name, value in data["counters"].items():
+                    cell.counters[name] = cell.counters.get(name, 0) + value
+                for name, sketch_data in data["sketches"].items():
+                    sketch = QuantileSketch.from_dict(sketch_data)
+                    if name in cell.sketches:
+                        cell.sketches[name].merge(sketch)
                     else:
-                        sks[name] = sketch
-    windows: List[Dict[str, Any]] = []
-    for index in sorted({i for i, _ in counters}):
-        tenants: Dict[str, Any] = {}
-        for win_index, tenant in sorted(counters):
-            if win_index != index:
-                continue
-            key = (index, tenant)
-            tenants[tenant] = {
-                "counters": {k: counters[key][k] for k in sorted(counters[key])},
-                "sketches": {k: sketches[key][k].to_dict() for k in sorted(sketches[key])},
-                "quantiles": {
-                    k: {
-                        f"p{int(q * 100)}": round(sketches[key][k].quantile(q), 6)
-                        for q in SNAPSHOT_QUANTILES
-                    }
-                    for k in sorted(sketches[key])
-                },
-            }
-        windows.append(
-            {
-                "index": index,
-                "start_ms": index * window_ms,
-                "end_ms": (index + 1) * window_ms,
-                "tenants": tenants,
-            }
-        )
-    return {
-        "format": AGG_FORMAT,
-        "site": -1,
-        "window_ms": window_ms,
-        "windows": windows,
-    }
+                        cell.sketches[name] = sketch
+    return _render(windows, window_ms, site=-1)
+
+
+#: Lifecycle kinds TenantTelemetry reads (attribution and series alike).
+_TELEMETRY_KINDS = frozenset(
+    {"txn_submitted", "guess_made", "op_applied", "committed", "aborted", "view_notified"}
+)
+
+
+def _tenant(span: TxnSpan) -> str:
+    return span.annotation if span.annotation is not None else f"site:{span.vt.site}"
 
 
 class TenantTelemetry:
@@ -250,14 +229,15 @@ class TenantTelemetry:
     its lifecycle mentions (``obj`` in ``guess_made`` / ``op_applied``
     data — the collaboration set it writes), falling back to
     ``site:<origin>`` for transactions whose recorded events never name
-    an object.  The mapping is bounded (``max_txns`` live transactions)
-    and evicted FIFO, deterministic under replay.
+    an object.  Lifecycle times come from a :class:`~repro.obs.spans.SpanTracker`
+    bounded to ``max_txns`` live transactions (FIFO, deterministic under
+    replay); the label rides on the span, so it is evicted with it.
 
     Derived per-tenant series (all in the transaction origin's window):
 
     * ``commits`` / ``aborts`` — origin-site resolutions.
     * ``commit_latency_ms`` sketch — ``txn_submitted`` to origin
-      ``committed``.
+      ``committed`` (the span's ``duration_ms``).
     * ``notify_lag_ms`` sketch — origin ``committed`` to each
       pessimistic ``view_notified`` (the NotifyLagSLO quantity).
     """
@@ -266,70 +246,42 @@ class TenantTelemetry:
         self,
         agg: Optional[TelemetryAggregator] = None,
         tenant_of: Optional[Callable[[ProtocolEvent], Optional[str]]] = None,
-        max_txns: int = 4096,
+        max_txns: int = DEFAULT_MAX_SPANS,
     ) -> None:
         self.agg = agg if agg is not None else TelemetryAggregator()
         self._tenant_of = tenant_of
-        self._max_txns = max_txns
-        # txn key -> (tenant or None, submitted_ms or None, committed_ms or None)
-        self._txns: "OrderedDict[Any, List[Any]]" = OrderedDict()
-
-    def _entry(self, key: Any) -> List[Any]:
-        entry = self._txns.get(key)
-        if entry is None:
-            entry = self._txns[key] = [None, None, None]
-            while len(self._txns) > self._max_txns:
-                self._txns.popitem(last=False)
-        return entry
-
-    def _tenant(self, entry: List[Any], event: ProtocolEvent) -> str:
-        if entry[0] is not None:
-            return entry[0]
-        origin = event.txn_vt.site if event.txn_vt is not None else event.site
-        return f"site:{origin}"
-
-    def __call__(self, event: ProtocolEvent) -> None:
-        self.observe(event)
+        self._spans = SpanTracker(max_txns)
 
     def observe(self, event: ProtocolEvent) -> None:
-        if event.txn_vt is None:
-            return
         kind = event.kind
-        if kind not in (
-            "txn_submitted", "guess_made", "op_applied", "committed",
-            "aborted", "view_notified",
-        ):
+        if kind not in _TELEMETRY_KINDS:
             return
-        key = event.txn_vt.key
-        if self._tenant_of is not None:
-            entry = self._entry(key)
-            if entry[0] is None:
-                entry[0] = self._tenant_of(event)
+        if kind == "op_applied":  # names the object; no lifecycle mark
+            span = self._spans.spans.get(event.txn_vt)
         else:
-            entry = self._entry(key)
-            if entry[0] is None:
+            span = self._spans.observe(event)
+        if span is None:
+            return
+        if span.annotation is None:
+            if self._tenant_of is not None:
+                span.annotation = self._tenant_of(event)
+            else:
                 obj = event.data.get("obj")
                 if obj is not None:
-                    entry[0] = f"obj:{obj}"
-        if kind == "txn_submitted":
-            if event.site == event.txn_vt.site and entry[1] is None:
-                entry[1] = event.time_ms
-        elif kind == "committed":
-            if event.site == event.txn_vt.site and entry[2] is None:
-                entry[2] = event.time_ms
-                tenant = self._tenant(entry, event)
+                    span.annotation = f"obj:{obj}"
+        if kind == "view_notified":
+            lag = span.pessimistic_lag_ms(event)
+            if lag is not None:
+                self.agg.observe(_tenant(span), "notify_lag_ms", event.time_ms, lag)
+        elif origin_resolution(event):
+            tenant = _tenant(span)
+            if kind == "aborted":
+                self.agg.inc(tenant, "aborts", event.time_ms)
+            else:
                 self.agg.inc(tenant, "commits", event.time_ms)
-                if entry[1] is not None:
+                if span.submit_ms is not None:
                     self.agg.observe(
-                        tenant, "commit_latency_ms", event.time_ms,
-                        event.time_ms - entry[1],
+                        tenant, "commit_latency_ms", event.time_ms, span.duration_ms
                     )
-        elif kind == "aborted":
-            if event.site == event.txn_vt.site:
-                self.agg.inc(self._tenant(entry, event), "aborts", event.time_ms)
-        elif kind == "view_notified":
-            if event.data.get("mode") == "pessimistic" and entry[2] is not None:
-                self.agg.observe(
-                    self._tenant(entry, event), "notify_lag_ms", event.time_ms,
-                    event.time_ms - entry[2],
-                )
+
+    __call__ = observe  # the instance itself is the bus subscriber

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import ProtocolEvent, event_to_dict
-from repro.obs.spans import TxnSpan, build_spans
+from repro.obs.spans import TxnSpan, build_spans, origin_resolution
 from repro.vtime import VirtualTime
 
 #: Critical-path segment names, in causal order.  Ties in the dominant-hop
@@ -76,7 +76,7 @@ def normalize_events(events: Iterable[ProtocolEvent]) -> List[ProtocolEvent]:
     byte-identically.
     """
     out = [
-        e if e.time_ms == round(e.time_ms, 6) else replace(e, time_ms=round(e.time_ms, 6))
+        e if e.time_ms == round(e.time_ms, 6) else e._replace(time_ms=round(e.time_ms, 6))
         for e in events
     ]
     out.sort(key=lambda e: e.seq)
@@ -322,7 +322,7 @@ def abort_causal_chain(graph: CausalGraph, vt: VirtualTime) -> Dict[str, Any]:
     events = graph.txn_events(vt)
     submit = next((e for e in events if e.kind == "txn_submitted"), None)
     origin_abort = next(
-        (e for e in events if e.kind == "aborted" and e.site == vt.site), None
+        (e for e in events if e.kind == "aborted" and origin_resolution(e)), None
     )
     denial = next(
         (e for e in events if e.kind == "validated" and not e.data.get("ok", True)),

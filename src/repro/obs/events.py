@@ -8,6 +8,9 @@ subscribers (message tracing, live dashboards).  Instrumented code guards
 every emission with ``if bus.active:`` so a disabled bus costs exactly one
 attribute load and one branch on the hot paths; no event object, kwargs
 dict, or payload formatting is ever built unless someone is listening.
+When someone is, :meth:`EventBus.emit` is the one way an event comes to
+exist: it builds the :class:`ProtocolEvent` and hands that one object to the
+recording buffer and to every subscriber.
 
 Events are stamped with the owning transport's clock (:mod:`repro.obs.clock`).
 In the simulator that is *simulated* time, never the wall clock, so a
@@ -22,8 +25,7 @@ fused — send/deliver pairing plus clock-skew estimation — by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.vtime import VirtualTime
 
@@ -64,8 +66,7 @@ EVENT_KINDS = frozenset(
 _EXPORT_SKIP_KEYS = frozenset({"payload"})
 
 
-@dataclass(frozen=True)
-class ProtocolEvent:
+class ProtocolEvent(NamedTuple):
     """One recorded protocol moment.
 
     ``seq`` is a bus-wide monotone counter that breaks simulated-time ties
@@ -73,6 +74,10 @@ class ProtocolEvent:
     (``-1`` for events with no site, e.g. nothing currently); ``txn_vt``
     links the event to a transaction lifecycle (or a snapshot's ``t_S``,
     which for pessimistic views equals the writing transaction's VT).
+
+    A tuple-backed record: immutable, no per-instance ``__dict__``, built by
+    one ordinary constructor call; ``event._replace(time_ms=...)`` derives a
+    modified copy.
     """
 
     seq: int
@@ -134,36 +139,15 @@ class EventBus:
     stacking bug this bus replaced).
     """
 
-    __slots__ = ("active", "recording", "_events", "_staged", "_subscribers", "_seq")
+    __slots__ = ("active", "recording", "events", "_subscribers", "_seq")
 
     def __init__(self) -> None:
         self.active = False
         self.recording = False
-        self._events: List[ProtocolEvent] = []
-        # Raw (seq, time_ms, site, kind, txn_vt, data) tuples staged by the
-        # recording-only fast lane of emit_event(); materialized into
-        # ProtocolEvents the first time anyone reads :attr:`events`.
-        self._staged: List[tuple] = []
+        #: Recorded events, in emission (``seq``) order.
+        self.events: List[ProtocolEvent] = []
         self._subscribers: List[Callable[[ProtocolEvent], None]] = []
         self._seq = 0
-
-    @property
-    def events(self) -> List[ProtocolEvent]:
-        """Recorded events, materializing any staged fast-lane tuples first."""
-        if self._staged:
-            self._materialize()
-        return self._events
-
-    def _materialize(self) -> None:
-        staged = self._staged
-        self._staged = []
-        append = self._events.append
-        for seq, time_ms, site, kind, txn_vt, data in staged:
-            event = object.__new__(ProtocolEvent)
-            event.__dict__.update(
-                seq=seq, time_ms=time_ms, site=site, kind=kind, txn_vt=txn_vt, data=data
-            )
-            append(event)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -179,8 +163,7 @@ class EventBus:
 
     def clear(self) -> None:
         """Drop all recorded events (the sequence counter keeps running)."""
-        self._staged.clear()
-        self._events.clear()
+        self.events.clear()
 
     def subscribe(self, fn: Callable[[ProtocolEvent], None]) -> None:
         """Add a live consumer called synchronously on every event."""
@@ -197,11 +180,6 @@ class EventBus:
 
     def _refresh(self) -> None:
         self.active = self.recording or bool(self._subscribers)
-        # With a subscriber present, emissions construct events eagerly and
-        # append straight to _events; drain the fast lane first so recorded
-        # order matches emission order across the transition.
-        if self._staged:
-            self._materialize()
 
     # -- emission --------------------------------------------------------
 
@@ -220,58 +198,19 @@ class EventBus:
         e.g. view_notified's kind=update/commit.)"""
         if not self.active:
             return None
-        if self._staged:
-            self._materialize()
         seq = self._seq
         self._seq = seq + 1
-        event = object.__new__(ProtocolEvent)
-        event.__dict__.update(
-            seq=seq, time_ms=time_ms, site=site, kind=event_kind, txn_vt=txn_vt, data=data
-        )
+        event = ProtocolEvent(seq, time_ms, site, event_kind, txn_vt, data)
         if self.recording:
-            self._events.append(event)
+            self.events.append(event)
         for fn in self._subscribers:
             fn(event)
         return event
 
-    def emit_event(
-        self,
-        event_kind: str,
-        site: int,
-        time_ms: float,
-        txn_vt: Optional[VirtualTime],
-        data: Dict[str, Any],
-    ) -> None:
-        """Hot-path emit: the caller hands over ``data`` (dict ownership
-        included — it must not be mutated afterwards) and gets nothing back.
-
-        With no live subscribers, the event is *staged* as a raw tuple and
-        only turned into a :class:`ProtocolEvent` when :attr:`events` is
-        next read — a tuple append is several times cheaper than frozen
-        dataclass construction, and on the real-socket path four emissions
-        ride every RTT.  With subscribers attached (MessageTrace, a flight
-        recorder), events are built eagerly as in :meth:`emit`."""
-        if not self.active:
-            return
-        seq = self._seq
-        self._seq = seq + 1
-        if not self._subscribers:
-            if self.recording:
-                self._staged.append((seq, time_ms, site, event_kind, txn_vt, data))
-            return
-        event = object.__new__(ProtocolEvent)
-        event.__dict__.update(
-            seq=seq, time_ms=time_ms, site=site, kind=event_kind, txn_vt=txn_vt, data=data
-        )
-        if self.recording:
-            self._events.append(event)
-        for fn in self._subscribers:
-            fn(event)
-
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._events) + len(self._staged)
+        return len(self.events)
 
     def filter(
         self,

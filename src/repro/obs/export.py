@@ -49,33 +49,14 @@ def to_chrome_trace(
     trace_events: List[Dict[str, Any]] = []
     sites = sorted({e.site for e in events})
     for site in sites:
-        trace_events.append(
-            {
-                "ph": "M",
-                "pid": site,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": f"site {site}"},
-            }
-        )
-        trace_events.append(
-            {
-                "ph": "M",
-                "pid": site,
-                "tid": 1,
-                "name": "thread_name",
-                "args": {"name": "events"},
-            }
-        )
-        trace_events.append(
-            {
-                "ph": "M",
-                "pid": site,
-                "tid": 2,
-                "name": "thread_name",
-                "args": {"name": "txn spans"},
-            }
-        )
+        for tid, name, label in (
+            (0, "process_name", f"site {site}"),
+            (1, "thread_name", "events"),
+            (2, "thread_name", "txn spans"),
+        ):
+            trace_events.append(
+                {"ph": "M", "pid": site, "tid": tid, "name": name, "args": {"name": label}}
+            )
 
     for event in events:
         entry = event_to_dict(event)

@@ -9,12 +9,13 @@ fail-stop detection (``TcpTransport`` calls :meth:`dump` from its
 it writes the ring as a postmortem JSONL file — first a header line with
 the dump reason and provenance, then one event per line, oldest first.
 
-Subscribing activates the bus (``bus.active`` becomes True), so a process
-with only a flight recorder attached pays recording cost without growing
-the unbounded ``bus.events`` buffer: the recorder is the *bounded*
-consumer for processes that cannot afford full recording.  A process
-already recording the full timeline can attach one too — the ring is
-independent of the recording buffer.
+Subscribing activates the bus (``bus.active`` becomes True).  There is one
+emit path, so a process with only a flight recorder attached pays what any
+consumer pays — each event is built once, one tuple and its data dict, and
+handed over — and retains just the ring: ``bus.events`` grows only under
+``bus.enable()``.  The recorder is the *bounded* consumer for processes
+that cannot afford full recording; a process already recording the full
+timeline can attach one too, and both hold the same event objects.
 
 Dumps are append-numbered (``.1``, ``.2``, ...) when the target path
 already exists, so a crash that follows a fail-stop does not overwrite the
@@ -24,6 +25,7 @@ first postmortem.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import deque
 from typing import Any, Deque, Dict, Optional
@@ -81,8 +83,6 @@ class FlightRecorder:
         """
         path = self.path
         suffix = 0
-        import os
-
         while os.path.exists(path):
             suffix += 1
             path = f"{self.path}.{suffix}"

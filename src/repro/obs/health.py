@@ -29,13 +29,13 @@ event while the state persists, so reports stay small and stable.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.events import ProtocolEvent
+from repro.obs.spans import DEFAULT_MAX_SPANS, SpanTracker, origin_resolution
 
 #: Finding severities, in increasing order of badness.
 SEVERITIES: Tuple[str, ...] = ("info", "warning", "critical")
@@ -84,16 +84,6 @@ class HealthRule:
         return []
 
 
-def _is_origin_resolution(event: ProtocolEvent) -> bool:
-    """Commit/abort at the transaction's origin site (fires once per txn;
-    the same kinds also fire at every replica applying the summary)."""
-    return (
-        event.kind in ("committed", "aborted")
-        and event.txn_vt is not None
-        and event.site == event.txn_vt.site
-    )
-
-
 class AbortRateSpike(HealthRule):
     """Abort fraction of recent origin resolutions crossed ``threshold``."""
 
@@ -112,7 +102,7 @@ class AbortRateSpike(HealthRule):
         self._breached = False
 
     def observe(self, event: ProtocolEvent) -> List[HealthFinding]:
-        if not _is_origin_resolution(event):
+        if not origin_resolution(event):
             return []
         aborted = event.kind == "aborted"
         self._window.append((event.time_ms, aborted))
@@ -189,32 +179,24 @@ class StragglerCascade(HealthRule):
 
 class NotifyLagSLO(HealthRule):
     """A pessimistic view's commit notification lagged the origin commit
-    by more than ``slo_ms`` (fires once per (site, VT) pair)."""
+    by more than ``slo_ms`` (fires once per (site, VT) pair).  State is one
+    bounded span table; the sites already flagged ride on the span."""
 
     name = "notify_lag_slo"
 
     def __init__(self, slo_ms: float = 120.0) -> None:
         self.slo_ms = slo_ms
-        self._commit_ms: Dict[Any, float] = {}  # vt.key -> origin commit time
-        self._flagged: set = set()
+        self._spans = SpanTracker(DEFAULT_MAX_SPANS)
 
     def observe(self, event: ProtocolEvent) -> List[HealthFinding]:
-        if event.kind == "committed" and _is_origin_resolution(event):
-            self._commit_ms.setdefault(event.txn_vt.key, event.time_ms)
+        span = self._spans.observe(event)
+        lag = span.pessimistic_lag_ms(event) if span is not None else None
+        if lag is None or lag <= self.slo_ms:
             return []
-        if (
-            event.kind != "view_notified"
-            or event.data.get("mode") != "pessimistic"
-            or event.txn_vt is None
-        ):
-            return []
-        committed_at = self._commit_ms.get(event.txn_vt.key)
-        if committed_at is None:
-            return []
-        lag = event.time_ms - committed_at
-        key = (event.site, event.txn_vt.key)
-        if lag > self.slo_ms and key not in self._flagged:
-            self._flagged.add(key)
+        if span.annotation is None:
+            span.annotation = set()
+        if event.site not in span.annotation:
+            span.annotation.add(event.site)
             return [
                 HealthFinding(
                     rule=self.name,
@@ -408,22 +390,12 @@ class NotifyLagBurnRate(MultiWindowBurnRate):
     def __init__(self, slo_ms: float = 120.0, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self.slo_ms = slo_ms
-        self._commit_ms: Dict[Any, float] = {}
+        self._spans = SpanTracker(DEFAULT_MAX_SPANS)
 
     def classify(self, event: ProtocolEvent) -> Optional[bool]:
-        if event.kind == "committed" and _is_origin_resolution(event):
-            self._commit_ms.setdefault(event.txn_vt.key, event.time_ms)
-            return None
-        if (
-            event.kind != "view_notified"
-            or event.data.get("mode") != "pessimistic"
-            or event.txn_vt is None
-        ):
-            return None
-        committed_at = self._commit_ms.get(event.txn_vt.key)
-        if committed_at is None:
-            return None
-        return event.time_ms - committed_at > self.slo_ms
+        span = self._spans.observe(event)
+        lag = span.pessimistic_lag_ms(event) if span is not None else None
+        return None if lag is None else lag > self.slo_ms
 
 
 class AbortRateBurnRate(MultiWindowBurnRate):
@@ -443,7 +415,7 @@ class AbortRateBurnRate(MultiWindowBurnRate):
         )
 
     def classify(self, event: ProtocolEvent) -> Optional[bool]:
-        if not _is_origin_resolution(event):
+        if not origin_resolution(event):
             return None
         return event.kind == "aborted"
 
@@ -534,20 +506,19 @@ class HealthMonitor:
         self._last_ms = 0.0
         self._finished = False
 
-    def __call__(self, event: ProtocolEvent) -> None:
-        self.observe(event)
-
     def observe(self, event: ProtocolEvent) -> None:
         # Round to export precision (matching event_to_dict) so live
         # subscription and offline replay of the exported timeline yield
         # byte-identical reports.
         rounded = round(event.time_ms, 6)
         if rounded != event.time_ms:
-            event = dataclasses.replace(event, time_ms=rounded)
+            event = event._replace(time_ms=rounded)
         self.events_seen += 1
         self._last_ms = max(self._last_ms, event.time_ms)
         for rule in self.rules:
             self.findings.extend(rule.observe(event))
+
+    __call__ = observe  # the instance itself is the bus subscriber
 
     def finish(self) -> None:
         """Flush rules whose verdict needed end-of-stream (idempotent)."""

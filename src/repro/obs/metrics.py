@@ -7,28 +7,29 @@ registry per :class:`~repro.core.site.SiteRuntime`.  Existing attribute
 registry-backed properties — but every counter is now also enumerable,
 snapshotable, and exported alongside traces.
 
-Everything here is deterministic: histograms use *fixed* bucket boundaries
-and observe *simulated* quantities (latency in simulated ms, attempt
-counts), never the wall clock, so a metrics snapshot for a given seed is
-byte-stable across runs and platforms.
+A registry holds one distribution type, the fixed-bucket :class:`Histogram`:
+constant memory per series and exact, mergeable counts — "how many commits
+were slower than X".  "What is p99, to 1 %" is the windowed per-tenant
+aggregator's question (:mod:`repro.obs.agg`), which observes a
+:class:`~repro.obs.sketch.QuantileSketch` instead; nothing carries both.
+
+Accounting is deterministic: bucket boundaries are *fixed* and values are
+stamped by the session's clock, so under the simulator a metrics snapshot
+for a given seed is byte-stable across runs and platforms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # import cycle: sketch -> wire -> batch -> metrics
-    from repro.obs.sketch import QuantileSketch
-
-#: Quantiles a summary exports (Prometheus ``quantile`` label values).
-SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-#: Default bucket upper bounds (simulated milliseconds) for latency
-#: histograms.  Chosen to straddle the simulator's common latency models
-#: (5–200 ms links): sub-RTT, one-RTT, multi-round, and retry-backoff tails.
+#: The one latency ladder (bucket upper bounds, milliseconds of whichever
+#: clock stamps the run): 1–2.5–5 steps from 50 µs to 5 s, so a 0.2 ms
+#: loopback commit, a socket write flush and a 200 ms simulated commit on
+#: 5–200 ms links each land in a bucket that brackets them.
 LATENCY_BUCKETS_MS: Tuple[float, ...] = (
-    5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
+    100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
 )
 
 #: Bucket bounds for small integer distributions (attempt counts, fanout
@@ -48,7 +49,7 @@ class Histogram:
     __slots__ = ("bounds", "counts", "total", "sum", "min", "max")
 
     def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS_MS) -> None:
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
+        self.bounds: Tuple[float, ...] = tuple(map(float, bounds))
         if list(self.bounds) != sorted(set(self.bounds)):
             raise ValueError("histogram bounds must be strictly increasing")
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
@@ -97,14 +98,13 @@ class MetricsRegistry:
     :meth:`histogram` (re-declaring with the same bounds is a no-op).
     """
 
-    __slots__ = ("site", "counters", "gauges", "histograms", "summaries")
+    __slots__ = ("site", "counters", "gauges", "histograms")
 
     def __init__(self, site: int = -1) -> None:
         self.site = site
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.summaries: Dict[str, "QuantileSketch"] = {}
 
     # -- counters --------------------------------------------------------
 
@@ -137,72 +137,22 @@ class MetricsRegistry:
                 bounds: Sequence[float] = LATENCY_BUCKETS_MS) -> None:
         self.histogram(name, bounds).observe(value)
 
-    # -- summaries (sketch-backed quantiles) -----------------------------
-
-    def summary(
-        self, name: str, relative_accuracy: Optional[float] = None
-    ) -> "QuantileSketch":
-        """Get-or-create the quantile sketch behind summary ``name``.
-
-        Unlike :meth:`histogram`, a summary has no fixed bounds: the
-        sketch guarantees every exported quantile is within
-        ``relative_accuracy`` (default
-        :data:`repro.obs.sketch.DEFAULT_RELATIVE_ACCURACY`) of the true
-        value regardless of scale.
-        """
-        sketch = self.summaries.get(name)
-        if sketch is None:
-            # Deferred import: sketch pulls the wire codec, which pulls
-            # this module back in through repro.wire.batch.
-            from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
-
-            if relative_accuracy is None:
-                relative_accuracy = DEFAULT_RELATIVE_ACCURACY
-            sketch = self.summaries[name] = QuantileSketch(relative_accuracy)
-        return sketch
-
-    def observe_summary(self, name: str, value: float) -> None:
-        self.summary(name).observe(value)
-
     # -- export ----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Deterministic full dump: keys sorted, histograms expanded.
-
-        The ``summaries`` key appears only when a summary exists, so
-        snapshots from registries that never used one keep their
-        pre-sketch shape byte-for-byte.
-        """
-        snap = {
+        """Deterministic full dump: keys sorted, histograms expanded."""
+        return {
             "site": self.site,
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
             "histograms": {k: self.histograms[k].to_dict() for k in sorted(self.histograms)},
         }
-        if self.summaries:
-            snap["summaries"] = {
-                k: summary_dict(self.summaries[k]) for k in sorted(self.summaries)
-            }
-        return snap
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(site={self.site}, {len(self.counters)} counters, "
             f"{len(self.histograms)} histograms)"
         )
-
-
-def summary_dict(sketch: "QuantileSketch") -> Dict[str, Any]:
-    """The prom.py-consumable rendering of one summary sketch.
-
-    Quantile keys are strings (``"0.5"``) because they become Prometheus
-    ``quantile`` label values verbatim.
-    """
-    return {
-        "quantiles": {str(q): round(sketch.quantile(q), 6) for q in SUMMARY_QUANTILES},
-        "sum": round(sketch.sum, 6),
-        "count": sketch.total,
-    }
 
 
 def counter_property(name: str, doc: Optional[str] = None) -> property:

@@ -17,9 +17,6 @@ Rendering rules:
 - histograms expand to cumulative ``_bucket{le="..."}`` series plus
   ``+Inf``, ``_sum`` and ``_count``, exactly the shape Prometheus
   histogram_quantile() expects;
-- sketch-backed summaries (``snapshot()["summaries"]``, derived from
-  :class:`repro.obs.sketch.QuantileSketch`) render as the Prometheus
-  summary type: ``quantile``-labeled gauges plus ``_sum``/``_count``;
 - a registry's ``site`` becomes a ``site`` label when >= 0 (the transport
   registry uses site -1 = process-wide, rendered without the label);
 - output is deterministic: metrics sorted by (name, labels), one
@@ -112,19 +109,6 @@ def prometheus_text(snapshots: Iterable[Dict[str, Any]]) -> str:
                 f"{family}_sum{slbl} {_fmt_value(hist['sum'])}")
             add(family, "histogram", f"{slbl}|999999b",
                 f"{family}_count{slbl} {hist['total']}")
-        for name, summ in snap.get("summaries", {}).items():
-            family = sanitize_name(name)
-            slbl = _labels(site_labels)
-            # Quantile series stay in increasing-q order via the index key,
-            # mirroring the bucket ordering above.
-            for i, q in enumerate(sorted(summ["quantiles"], key=float)):
-                lbl = _labels(site_labels + [("quantile", q)])
-                add(family, "summary", f"{slbl}|{i:06d}",
-                    f"{family}{lbl} {_fmt_value(summ['quantiles'][q])}")
-            add(family, "summary", f"{slbl}|999999a",
-                f"{family}_sum{slbl} {_fmt_value(summ['sum'])}")
-            add(family, "summary", f"{slbl}|999999b",
-                f"{family}_count{slbl} {summ['count']}")
 
     lines: List[str] = []
     for family in sorted(families):

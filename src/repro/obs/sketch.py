@@ -17,25 +17,21 @@ bucket-count addition — commutative, and associative up to float
 round-off in ``sum``.  Sketches therefore merge across sites and OS
 processes exactly like the event timelines in :mod:`repro.obs.merge`.
 
-A :class:`SketchSnapshot` is the frozen, wire-encodable form
-(:func:`repro.wire.codec.register_struct`, tag ``0x3B``), so snapshots
-travel between processes as ordinary frames and land in
-``prom.py`` quantile gauges or the windowed per-tenant rollups in
-:mod:`repro.obs.agg`.
+Sketches live in the windowed per-tenant rollups of :mod:`repro.obs.agg`
+(the per-site registries keep fixed-bucket histograms) and have one
+serialization, :meth:`QuantileSketch.to_dict` / ``from_dict``: the JSON
+form ``repro-agg/1`` snapshots carry between processes and ``repro top``
+merges.  This module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
-
-from repro.wire import codec
+from typing import Any, Dict, Iterable, Optional
 
 __all__ = [
     "DEFAULT_RELATIVE_ACCURACY",
     "QuantileSketch",
-    "SketchSnapshot",
     "merge_sketches",
 ]
 
@@ -46,29 +42,6 @@ DEFAULT_RELATIVE_ACCURACY = 0.01
 #: Values in (0, _MIN_VALUE] collapse into the zero bucket so the index
 #: range stays bounded (a denormal would otherwise need ~35k buckets).
 _MIN_VALUE = 1e-9
-
-
-@dataclass(frozen=True)
-class SketchSnapshot:
-    """Immutable, wire-encodable sketch state.
-
-    ``buckets`` is a tuple of ``(index, count)`` pairs sorted by index;
-    ``relative_accuracy`` pins the bucket geometry so only snapshots
-    with identical accuracy merge.  ``low`` / ``high`` are the exact
-    observed extremes (0.0 when empty — the wire codec round-trips
-    floats exactly, None would widen the field type for no benefit).
-    """
-
-    relative_accuracy: float
-    zero_count: int
-    total: int
-    sum: float
-    low: float
-    high: float
-    buckets: Tuple[Tuple[int, int], ...]
-
-
-codec.register_struct(0x3B, SketchSnapshot)
 
 
 class QuantileSketch:
@@ -203,35 +176,7 @@ class QuantileSketch:
         out.merge(self)
         return out
 
-    # -- snapshots -------------------------------------------------------
-
-    def snapshot(self) -> SketchSnapshot:
-        """Frozen wire-encodable state (buckets sorted by index)."""
-        return SketchSnapshot(
-            relative_accuracy=self.relative_accuracy,
-            zero_count=self.zero_count,
-            total=self.total,
-            sum=self.sum,
-            low=self.min if self.min is not None else 0.0,
-            high=self.max if self.max is not None else 0.0,
-            buckets=tuple(sorted(self.buckets.items())),
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls, snap: SketchSnapshot, max_buckets: int = 2048
-    ) -> "QuantileSketch":
-        out = cls(snap.relative_accuracy, max_buckets)
-        out.buckets = dict(snap.buckets)
-        out.zero_count = snap.zero_count
-        out.total = snap.total
-        out.sum = snap.sum
-        if snap.total:
-            out.min = snap.low
-            out.max = snap.high
-        if len(out.buckets) > max_buckets:
-            out._collapse()
-        return out
+    # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """Stable JSON-serializable snapshot (same shape as Histogram's)."""

@@ -5,14 +5,21 @@ virtual time: submit → guess → fanout → validate → commit/abort → noti
 Each retry executes under a fresh VT, so retries are separate spans linked
 by the ``attempt`` number carried on ``txn_submitted``.
 
-Spans are derived purely from recorded :class:`~repro.obs.events.ProtocolEvent`
+Spans are derived purely from :class:`~repro.obs.events.ProtocolEvent`
 sequences — nothing in the protocol tracks them at runtime — which keeps the
 hot paths clean and makes span reconstruction usable on any saved timeline,
 including the ones embedded in explorer violation artifacts.
+
+This is the one place the lifecycle is derived.  A :class:`SpanTracker`
+folds events into spans one at a time: unbounded over a recorded timeline
+it *is* :func:`build_spans`; FIFO-bounded behind a live subscription it is
+where ``TenantTelemetry`` and the notify-lag health rules read origin submit
+and commit times — so live and offline numbers agree by construction.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -35,14 +42,29 @@ _SPAN_KINDS = frozenset(
 )
 
 
+#: Default bound on the spans a live tracker retains (oldest evicted first).
+DEFAULT_MAX_SPANS = 4096
+
+
+def origin_resolution(event: ProtocolEvent) -> bool:
+    """Commit/abort at the transaction's origin site: once per txn (the same
+    kinds fire at every replica applying the summary — under a delegated
+    commit at the primary, one transit *before* the origin hears)."""
+    vt = event.txn_vt
+    return vt is not None and event.site == vt.site and event.kind in ("committed", "aborted")
+
+
 @dataclass
 class TxnSpan:
     """One transaction attempt's lifecycle, with simulated-time phase marks.
 
     ``resolution`` is ``"committed"``, ``"aborted"``, or ``None`` when the
-    trace ended mid-flight.  Resolution time is taken from the *origin
-    site's* resolution event (the first one observed); replica applications
-    of the same commit show up in :attr:`events` but don't move the marks.
+    trace ended mid-flight.  Resolution is the *origin site's*
+    (:func:`origin_resolution`; ``origin_resolved`` says it was seen) — what
+    the submitting application waits for.  Other sites' applications of
+    the same commit count toward ``event_count`` but move no mark, except
+    that the first of them stands in while the origin's has not appeared
+    (a single-site recording of a remote transaction).
     """
 
     vt: VirtualTime
@@ -54,6 +76,7 @@ class TxnSpan:
     first_validated_ms: Optional[float] = None
     resolved_ms: Optional[float] = None
     resolution: Optional[str] = None
+    origin_resolved: bool = False
     abort_reason: Optional[str] = None
     #: True when the transaction aborted before any fan-out was sent (user
     #: abort or a local-primary denial): the span is degenerate — no
@@ -64,7 +87,10 @@ class TxnSpan:
     guesses: Dict[str, int] = field(default_factory=dict)
     fanout_sites: List[int] = field(default_factory=list)
     notify_count: int = 0
-    events: List[ProtocolEvent] = field(default_factory=list)
+    event_count: int = 0
+    #: The tracker owner's per-transaction state, evicted with the span
+    #: (TenantTelemetry's tenant label, NotifyLagSLO's flagged sites).
+    annotation: Any = None
 
     @property
     def duration_ms(self) -> Optional[float]:
@@ -86,6 +112,18 @@ class TxnSpan:
         if self.resolved_ms is None or self.first_notify_ms is None:
             return None
         return self.first_notify_ms - self.resolved_ms
+
+    def pessimistic_lag_ms(self, event: ProtocolEvent) -> Optional[float]:
+        """Origin commit to ``event`` if that is a pessimistic notification
+        of this transaction and the origin's commit was seen, else None."""
+        if (
+            event.kind != "view_notified"
+            or not self.origin_resolved
+            or self.resolution != "committed"
+            or event.data.get("mode") != "pessimistic"
+        ):
+            return None
+        return event.time_ms - self.resolved_ms
 
     @property
     def complete(self) -> bool:
@@ -109,29 +147,35 @@ class TxnSpan:
             "guesses": {k: self.guesses[k] for k in sorted(self.guesses)},
             "fanout_sites": list(self.fanout_sites),
             "notify_count": self.notify_count,
-            "event_count": len(self.events),
+            "event_count": self.event_count,
         }
 
 
-def build_spans(events: Iterable[ProtocolEvent]) -> List[TxnSpan]:
-    """Group an event stream into per-VT lifecycle spans.
+class SpanTracker:
+    """Incremental span derivation: feed events in bus order, read spans.
+    ``max_spans`` bounds the table for live subscribers (FIFO by first
+    appearance, deterministic under replay); ``None`` keeps every span."""
 
-    Spans come back ordered by first appearance in the stream, which for a
-    recorded bus equals simulated-time order (seq breaks ties).  Events
-    whose VT never saw a ``txn_submitted`` (e.g. a remote replica's view of
-    a transaction when only one site was recorded) still form a span — its
-    ``submit_ms`` stays None and ``complete`` is False.
-    """
-    spans: Dict[VirtualTime, TxnSpan] = {}
-    for event in events:
-        if event.txn_vt is None or event.kind not in _SPAN_KINDS:
-            continue
-        span = spans.get(event.txn_vt)
-        if span is None:
-            span = TxnSpan(vt=event.txn_vt, origin=event.site)
-            spans[event.txn_vt] = span
-        span.events.append(event)
+    __slots__ = ("max_spans", "spans")
+
+    def __init__(self, max_spans: Optional[int] = None) -> None:
+        self.max_spans = max_spans
+        #: VT -> span, in order of first appearance.
+        self.spans: "OrderedDict[VirtualTime, TxnSpan]" = OrderedDict()
+
+    def observe(self, event: ProtocolEvent) -> Optional[TxnSpan]:
+        """Fold one event into its transaction's span and return the span
+        (None for events outside any lifecycle)."""
+        vt = event.txn_vt
         kind = event.kind
+        if vt is None or kind not in _SPAN_KINDS:
+            return None
+        span = self.spans.get(vt)
+        if span is None:
+            span = self.spans[vt] = TxnSpan(vt=vt, origin=event.site)
+            if self.max_spans is not None and len(self.spans) > self.max_spans:
+                self.spans.popitem(last=False)
+        span.event_count += 1
         if kind == "txn_submitted":
             span.submit_ms = event.time_ms
             span.origin = event.site
@@ -151,17 +195,34 @@ def build_spans(events: Iterable[ProtocolEvent]) -> List[TxnSpan]:
             if span.first_validated_ms is None:
                 span.first_validated_ms = event.time_ms
         elif kind in ("committed", "aborted"):
-            if span.resolution is None:
+            at_origin = origin_resolution(event)
+            if not span.origin_resolved and (at_origin or span.resolution is None):
+                span.origin_resolved = at_origin
                 span.resolution = kind
                 span.resolved_ms = event.time_ms
-                if kind == "aborted":
-                    span.abort_reason = event.data.get("reason")
-                    span.aborted_pre_fanout = span.first_fanout_ms is None
+                aborted = kind == "aborted"
+                span.abort_reason = event.data.get("reason") if aborted else None
+                span.aborted_pre_fanout = aborted and span.first_fanout_ms is None
         elif kind == "view_notified":
             span.notify_count += 1
             if span.first_notify_ms is None:
                 span.first_notify_ms = event.time_ms
-    return list(spans.values())
+        return span
+
+
+def build_spans(events: Iterable[ProtocolEvent]) -> List[TxnSpan]:
+    """Group an event stream into per-VT lifecycle spans.
+
+    Spans come back ordered by first appearance in the stream, which for a
+    recorded bus equals simulated-time order (seq breaks ties).  Events
+    whose VT never saw a ``txn_submitted`` (e.g. a remote replica's view of
+    a transaction when only one site was recorded) still form a span — its
+    ``submit_ms`` stays None and ``complete`` is False.
+    """
+    tracker = SpanTracker()
+    for event in events:
+        tracker.observe(event)
+    return list(tracker.spans.values())
 
 
 def span_summary(spans: Iterable[TxnSpan]) -> Dict[str, Any]:

@@ -6,7 +6,7 @@ process using :func:`repro.obs.prom.flush_periodically` plus a
 kinds of files into a directory:
 
 * ``metrics*.prom`` — Prometheus 0.0.4 text snapshots of their
-  registries (counters, histograms, sketch-backed summaries);
+  registries (counters, gauges, fixed-bucket histograms);
 * ``agg*.json`` — windowed per-tenant rollup snapshots (``repro-agg/1``).
 
 This module is the read side: :func:`read_dashboard` tails those files

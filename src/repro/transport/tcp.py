@@ -74,14 +74,6 @@ from repro.wire.codec import (
 #: A TCP endpoint: (host, port).
 Addr = Tuple[str, int]
 
-#: Bucket bounds (wall-clock ms) for transport latency histograms: dial
-#: RTTs and coalesced write flushes sit well under the simulator's
-#: 5 ms-floor latency buckets, so these start at 50 µs.
-RTT_BUCKETS_MS: Tuple[float, ...] = (
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
-)
-
-
 def _transport_counter(name: str) -> property:
     """A read-only registry-backed int attribute on the transport itself.
 
@@ -333,8 +325,8 @@ class TcpTransport(Transport):
         self.bus = EventBus()
         #: Transport-level metrics (site -1: not owned by any one site).
         self.metrics = MetricsRegistry(site=-1)
-        self.metrics.histogram("transport.connect_rtt_ms", RTT_BUCKETS_MS)
-        self.metrics.histogram("transport.write_flush_ms", RTT_BUCKETS_MS)
+        self.metrics.histogram("transport.connect_rtt_ms")
+        self.metrics.histogram("transport.write_flush_ms")
         #: Optional :class:`repro.obs.flight.FlightRecorder`; when set, a
         #: postmortem ring-buffer dump is written the moment a peer is
         #: declared failed.
@@ -467,18 +459,16 @@ class TcpTransport(Transport):
             fields["sampled"] = False
             self.metrics.inc("transport.sends_sampled_out")
             if sampler.record_dropped:
-                self.bus.emit_event(
+                self.bus.emit(
                     "message_sent",
                     src,
                     self.clock.now_ms(),
                     txn_vt,
-                    {
-                        "tenant": tenant,
-                        "dst": dst,
-                        "msg_type": type(payload).__name__,
-                        "msg_id": f"{src}:{seq}",
-                        "sampled": False,
-                    },
+                    tenant=tenant,
+                    dst=dst,
+                    msg_type=type(payload).__name__,
+                    msg_id=f"{src}:{seq}",
+                    sampled=False,
                 )
             return trace
         fields["sampled"] = True
@@ -486,17 +476,15 @@ class TcpTransport(Transport):
         # nothing subscribes for payloads on the real-socket path, exports
         # skip the key anyway, and retaining every message would pin the
         # payload objects in memory for the life of the recording.
-        self.bus.emit_event(
+        self.bus.emit(
             "message_sent",
             src,
             self.clock.now_ms(),
             txn_vt,
-            {
-                "tenant": tenant,
-                "dst": dst,
-                "msg_type": type(payload).__name__,
-                "msg_id": f"{src}:{seq}",
-            },
+            tenant=tenant,
+            dst=dst,
+            msg_type=type(payload).__name__,
+            msg_id=f"{src}:{seq}",
         )
         return trace
 
@@ -667,18 +655,16 @@ class TcpTransport(Transport):
             # Pairs with the sender process's message_sent via the trace
             # header's msg_id — the cross-process happens-before edge the
             # merged timeline (repro.obs.merge) reconstructs.
-            self.bus.emit_event(
+            self.bus.emit(
                 "message_delivered",
                 dst,
                 self.clock.now_ms(),
                 getattr(payload, "txn_vt", None),
-                {
-                    "tenant": tenant,
-                    "src": src,
-                    "msg_type": type(payload).__name__,
-                    # inline trace.msg_id: no property hop on the hot path
-                    "msg_id": f"{trace.origin}:{trace.parent_span}",
-                },
+                tenant=tenant,
+                src=src,
+                msg_type=type(payload).__name__,
+                # inline trace.msg_id: no property hop on the hot path
+                msg_id=f"{trace.origin}:{trace.parent_span}",
             )
         self._dispatching += 1
         try:
@@ -735,9 +721,7 @@ class TcpTransport(Transport):
             metrics.inc("transport.writes")
             metrics.inc("transport.frames_coalesced", len(batch) - 1)
             metrics.observe(
-                "transport.write_flush_ms",
-                (time.monotonic() - flush_start) * 1000.0,
-                RTT_BUCKETS_MS,
+                "transport.write_flush_ms", (time.monotonic() - flush_start) * 1000.0
             )
 
     async def _connect(self, link: _PeerLink) -> None:
@@ -781,9 +765,7 @@ class TcpTransport(Transport):
             was_down = link.unreachable or link.ever_connected
             link.unreachable = False
             self.metrics.observe(
-                "transport.connect_rtt_ms",
-                (time.monotonic() - dial_start) * 1000.0,
-                RTT_BUCKETS_MS,
+                "transport.connect_rtt_ms", (time.monotonic() - dial_start) * 1000.0
             )
             if was_down:
                 # A re-dial after an outage or a broken connection — the

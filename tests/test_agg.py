@@ -231,4 +231,4 @@ class TestTenantTelemetry:
         telemetry = TenantTelemetry(TelemetryAggregator(), max_txns=16)
         for i in range(100):
             telemetry(make_event(i, float(i), 0, "txn_submitted", VirtualTime(i, 0)))
-        assert len(telemetry._txns) <= 16
+        assert len(telemetry._spans.spans) <= 16

@@ -15,6 +15,7 @@ from repro.explore.plan import sample_config
 from repro.explore.trial import run_trial
 from repro.obs import run_health
 from repro.obs.events import ProtocolEvent
+from repro.obs.spans import DEFAULT_MAX_SPANS
 from repro.obs.health import (
     AbortRateBurnRate,
     AbortRateSpike,
@@ -145,6 +146,40 @@ class TestNotifyLagSLO:
                        kind="update", changed=1),
         ]
         assert feed(rule, events) == []
+
+
+class TestLiveStateIsBounded:
+    def test_notify_lag_rules_retain_a_bounded_span_table(self):
+        """A monitor subscribed for the life of a process sees every commit:
+        the notify-lag rules may remember the last ``max_spans`` of them
+        (already-flagged sites included — they ride on the span), no more."""
+        slo, burn = NotifyLagSLO(slo_ms=100.0), NotifyLagBurnRate(slo_ms=100.0)
+        monitor = HealthMonitor([slo, burn])
+        bound = slo._spans.max_spans
+        assert bound == burn._spans.max_spans == DEFAULT_MAX_SPANS
+        seq = 0
+        for i in range(10_000):
+            vt, t = VirtualTime(i + 1, 0), 10.0 * i
+            for event in (
+                make_event(seq, t, 0, "txn_submitted", vt, attempt=1),
+                make_event(seq + 1, t + 2.0, 0, "committed", vt, ops=1),
+                make_event(seq + 2, t + 4.0, 1, "view_notified", vt,
+                           mode="pessimistic", kind="commit", changed=1),
+                # every 10th transaction reaches site 2 beyond the SLO
+                make_event(seq + 3, t + (152.0 if i % 10 == 0 else 5.0), 2,
+                           "view_notified", vt, mode="pessimistic", kind="commit",
+                           changed=1),
+            ):
+                monitor(event)
+            seq += 4
+        assert len(monitor.findings) == 1_000  # nothing missed, nothing twice
+        assert {f.site for f in monitor.findings} == {2}
+        for rule in (slo, burn):
+            assert len(rule._spans.spans) <= bound
+            assert not hasattr(rule, "_flagged") and not hasattr(rule, "_commit_ms")
+        flagged = sum(len(s.annotation or ()) for s in slo._spans.spans.values())
+        assert flagged <= bound
+        assert len(burn._window) < 1_000  # two notifications per 10 ms, 2 s of them
 
 
 class TestRepairStall:

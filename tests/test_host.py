@@ -411,6 +411,50 @@ class TestHostingOverTcp:
 
         asyncio.run(main())
 
+    def test_latency_histograms_resolve_a_loopback_commit(self):
+        # One ladder for simulated and wall-clock milliseconds: a loopback
+        # commit (a fraction of a millisecond) must not pile into the lowest
+        # bucket with everything else, as it did on the 5 ms-floor ladder.
+        from repro.core.views import View
+        from repro.obs.metrics import LATENCY_BUCKETS_MS
+
+        class Quiet(View):
+            def update(self, changed, snapshot):
+                for obj in changed:
+                    snapshot.read(obj)
+
+        def median_bucket(hist):
+            """(lower, upper] bounds of the bucket holding the median."""
+            edges = (0.0,) + hist.bounds + (float("inf"),)
+            seen = 0
+            for index, count in enumerate(hist.counts):
+                seen += count
+                if 2 * seen >= hist.total:
+                    return edges[index], edges[index + 1]
+
+        async def main():
+            async with TcpHostPair() as pair:
+                obj_a, obj_b = await pair.join(1)
+                obj_a.attach(Quiet(), mode="pessimistic")
+                obj_b.attach(Quiet(), mode="pessimistic")
+                site_b = pair.host_b.tenant(1).sites[0]
+                for value in range(1, 41):
+                    site_b.transact(lambda v=value: obj_b.set(v))
+                    await wait_for(
+                        lambda v=value: obj_a.get() == v and obj_b.get() == v,
+                        what=f"write {value} on both hosts",
+                    )
+                return site_b.metrics.histograms, pair.tcp_b.metrics.histograms
+
+        site_hists, transport_hists = asyncio.run(main())
+        for name in ("txn.commit_latency_ms", "view.pessimistic_delivery_ms"):
+            hist = site_hists[name]
+            assert hist.bounds == LATENCY_BUCKETS_MS and hist.total >= 40
+            lower, upper = median_bucket(hist)
+            assert lower > 0.0 and upper < 5.0, (name, hist.to_dict())
+        for name in ("transport.write_flush_ms", "transport.connect_rtt_ms"):
+            assert transport_hists[name].bounds == LATENCY_BUCKETS_MS
+
     def test_bare_session_is_tenant_zero_of_the_fabric(self):
         # A bare Session on host A's transport and host B's tenant(0) are
         # two halves of one collaboration.

@@ -11,6 +11,7 @@ import json
 
 from repro.explore import run_trial, sample_config
 from repro.obs import build_spans, chrome_trace_json, to_chrome_trace, to_jsonl
+from repro.obs.spans import _SPAN_KINDS
 
 #: Chrome trace-event phases this exporter may legally emit.
 ALLOWED_PHASES = {"M", "i", "X"}
@@ -73,7 +74,11 @@ class TestChromeTraceSchema:
         aborted = [s for s in spans if s.resolution == "aborted"]
         assert aborted, "seed 0 trial 0 is known to produce conflict aborts"
         for span in aborted:
-            assert span.events[-1].kind in ("aborted", "view_notified")
+            lifecycle = [
+                e for e in self.events if e.txn_vt == span.vt and e.kind in _SPAN_KINDS
+            ]
+            assert len(lifecycle) == span.event_count
+            assert lifecycle[-1].kind in ("aborted", "view_notified")
             assert span.abort_reason is not None
             entry_name = f"txn {span.vt} [aborted]"
             matches = [

@@ -22,9 +22,14 @@ from repro.obs import (
     build_spans,
     counter_property,
     event_to_dict,
+    commit_critical_paths,
     span_summary,
     to_jsonl,
 )
+from repro.obs.agg import TelemetryAggregator, TenantTelemetry
+from repro.obs.causal import SEGMENTS
+from repro.obs.spans import SpanTracker, origin_resolution
+from repro.workloads import ReadModifyWriteWorkload
 from repro.vtime import VirtualTime
 from repro import DInt
 
@@ -292,6 +297,101 @@ class TestSpans:
         assert summary["aborted"] == 0 and summary["in_flight"] == 0
         assert summary["aborted_pre_fanout"] == 0
         assert summary["commit_duration_ms"]["mean"] == 50.0
+
+
+class TestOriginResolution:
+    """One lifecycle derivation: a span resolves when its *origin* hears,
+    and the offline analyses and the live telemetry read the same number."""
+
+    def test_delegated_commit_reads_2t_everywhere(self):
+        # 3 sites, t = 50 ms, delegated commit (the default): the primary
+        # (site 0) commits at t, the origin (site 2) hears at 2t.
+        session = Session.simulated(latency_ms=50.0, seed=1)
+        sites = session.add_sites(3)
+        objs = session.replicate(DInt, "x", sites)
+        session.settle()
+        bus = session.observe()
+        telemetry = TenantTelemetry(TelemetryAggregator())
+        bus.subscribe(telemetry)
+        counts_before = list(sites[2].metrics.histogram("txn.commit_latency_ms").counts)
+        outcome = sites[2].transact(ReadModifyWriteWorkload(objs[2])())
+        session.settle()
+        assert outcome.committed and outcome.commit_latency_ms == 100.0
+
+        committed_at = [e.site for e in bus.filter(kind="committed", txn_vt=outcome.vt)]
+        assert committed_at[0] == 0 and 2 in committed_at  # the primary's comes first
+        (span,) = [s for s in build_spans(bus.events) if s.vt == outcome.vt]
+        assert span.origin == 2 and span.origin_resolved
+        assert span.duration_ms == outcome.commit_latency_ms == 100.0
+
+        (path,) = [p for p in commit_critical_paths(bus.events) if p.vt == outcome.vt]
+        assert path.duration_ms == 100.0
+        assert path.segments["transit"] == 50.0 and path.segments["ack"] == 50.0
+        assert sum(path.segments[name] for name in SEGMENTS) == path.duration_ms
+
+        (window,) = telemetry.agg.snapshot()["windows"]
+        (cell,) = window["tenants"].values()
+        assert cell["counters"] == {"commits": 1}
+        assert cell["quantiles"]["commit_latency_ms"]["p50"] == pytest.approx(100.0, rel=0.01)
+
+        # ... and the registry's histogram, on the one ladder that also
+        # resolves a 0.2 ms loopback commit, brackets it: (50, 100].
+        hist = sites[2].metrics.histograms["txn.commit_latency_ms"]
+        assert hist.bounds == LATENCY_BUCKETS_MS
+        (index,) = [i for i, n in enumerate(hist.counts) if n != counts_before[i]]
+        assert (hist.bounds[index - 1], hist.bounds[index]) == (50.0, 100.0)
+
+    def test_first_resolution_stands_in_until_the_origins_appears(self):
+        vt = VirtualTime(4, 2)
+        mk = lambda seq, t, site, event_kind, **data: ProtocolEvent(
+            seq=seq, time_ms=t, site=site, kind=event_kind, txn_vt=vt, data=data
+        )
+        replica_only = [mk(0, 50.0, 0, "committed"), mk(1, 60.0, 1, "committed")]
+        (span,) = build_spans(replica_only)  # a single-site style recording
+        assert (span.resolution, span.resolved_ms, span.origin_resolved) == (
+            "committed", 50.0, False,
+        )
+        (span,) = build_spans(replica_only + [mk(2, 100.0, 2, "committed")])
+        assert (span.resolved_ms, span.origin_resolved) == (100.0, True)
+        assert origin_resolution(mk(2, 100.0, 2, "committed"))
+        assert not origin_resolution(mk(0, 50.0, 0, "committed"))
+        assert not origin_resolution(mk(3, 100.0, 2, "view_notified"))
+
+    def test_pessimistic_lag_counts_from_the_origin_commit_only(self):
+        vt = VirtualTime(4, 2)
+        mk = lambda seq, t, site, event_kind, **data: ProtocolEvent(
+            seq=seq, time_ms=t, site=site, kind=event_kind, txn_vt=vt, data=data
+        )
+        tracker = SpanTracker()
+        early = mk(1, 50.0, 0, "view_notified", mode="pessimistic", kind="commit")
+        late = mk(3, 150.0, 1, "view_notified", mode="pessimistic", kind="commit")
+        span = tracker.observe(mk(0, 50.0, 0, "committed"))  # the primary's
+        assert tracker.observe(early) is span
+        assert span.pessimistic_lag_ms(early) is None  # origin has not heard yet
+        tracker.observe(mk(2, 100.0, 2, "committed"))
+        assert span.pessimistic_lag_ms(late) == 50.0
+        optimistic = mk(4, 150.0, 1, "view_notified", mode="optimistic", kind="commit")
+        assert span.pessimistic_lag_ms(optimistic) is None
+
+    def test_tracker_is_fifo_bounded_and_batch_equals_incremental(self):
+        session = Session.simulated(latency_ms=20.0, seed=3)
+        sites = session.add_sites(2)
+        objs = session.replicate(DInt, "x", sites)
+        bus = session.observe()
+        for i in range(6):
+            sites[i % 2].transact(ReadModifyWriteWorkload(objs[i % 2])())
+            session.settle()
+        full = build_spans(bus.events)
+        bounded = SpanTracker(max_spans=3)
+        for event in bus.events:
+            bounded.observe(event)
+            assert len(bounded.spans) <= 3
+        kept = list(bounded.spans.values())
+        assert len(full) > 3
+        # The survivors are the most recent spans; they read exactly as the
+        # batch derivation does unless their early events fell off with an
+        # eviction — here none did (transactions run one after another).
+        assert [s.to_dict() for s in kept] == [s.to_dict() for s in full[-3:]]
 
 
 class TestEndToEndDeterminism:

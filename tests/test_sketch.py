@@ -9,7 +9,7 @@ Two families of properties pin the sketch:
 * **Merge laws**: merging is equivalent to observing the concatenated
   stream (the property that makes cross-site aggregation sound), and is
   commutative/associative on the bucket state.  Order-insensitivity and
-  wire/JSON round-trips follow from the same state equality.
+  the JSON round-trip follow from the same state equality.
 """
 
 import math
@@ -22,10 +22,8 @@ from hypothesis import strategies as st
 from repro.obs.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     QuantileSketch,
-    SketchSnapshot,
     merge_sketches,
 )
-from repro.wire.codec import decode, encode
 
 QUANTILES = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
 
@@ -251,20 +249,11 @@ class TestMergeLaws:
 
 
 # ---------------------------------------------------------------------------
-# Snapshots: wire + JSON round-trips
+# Snapshots: the JSON round-trip
 # ---------------------------------------------------------------------------
 
 
 class TestSnapshots:
-    @settings(max_examples=60)
-    @given(value_lists)
-    def test_wire_round_trip(self, xs):
-        snap = fill(xs).snapshot()
-        assert isinstance(snap, SketchSnapshot)
-        decoded = decode(encode(snap))
-        assert decoded == snap
-        assert state(QuantileSketch.from_snapshot(decoded)) == state(fill(xs))
-
     @settings(max_examples=60)
     @given(value_lists)
     def test_json_round_trip(self, xs):
@@ -278,10 +267,3 @@ class TestSnapshots:
             sorted(sketch.buckets.items())
         )
         assert restored.total == sketch.total
-
-    def test_snapshot_quantiles_match_live(self):
-        rng = random.Random(10)
-        sketch = fill([rng.expovariate(0.1) for _ in range(5_000)])
-        restored = QuantileSketch.from_snapshot(sketch.snapshot())
-        for q in QUANTILES:
-            assert restored.quantile(q) == sketch.quantile(q)
