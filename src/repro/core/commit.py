@@ -330,11 +330,7 @@ class TransactionEngine:
 
         # Register RC waits after fan-out so resolution order is stable.
         for dep_vt in list(record.pending_rc):
-            self.deps.wait_for(
-                dep_vt,
-                on_commit=lambda d=dep_vt, r=record: self._rc_resolved(r, d),
-                on_abort=lambda d=dep_vt, r=record: self._rc_aborted(r, d),
-            )
+            self.deps.wait_for(dep_vt, record)
 
         if delegate_to is not None:
             record.state = TxnState.DELEGATED
@@ -792,12 +788,6 @@ class TransactionEngine:
         if self.status.get(vt) == ABORTED:
             raise ProtocolError(f"commit arrived for aborted transaction {vt}")
         self.status[vt] = COMMITTED
-        # Pessimistic snapshots at ``vt`` that sent no CONFIRM-READ because
-        # they expected this COMMIT to vouch for their interval: whichever
-        # path committed, with or without a vouch, they are settled here.
-        listening = self.site.views.listening.pop(vt, None)
-        if listening is not None:
-            self.site.views.on_commit_vouch(listening, vouched)
         bus = self.site.bus
         if bus.active:
             bus.emit(
@@ -807,11 +797,14 @@ class TransactionEngine:
                 txn_vt=vt,
                 ops=len(self.applied.get(vt, [])),
             )
-        self.site.views.begin_batch()
         for obj, op in self.applied.get(vt, []):
             propagation.commit_op(obj, op, vt)
-        self.site.views.end_batch()
-        self.deps.resolve_commit(vt)
+        # Everything here that guessed ``vt`` would commit, in the order it
+        # registered: transactions that read its writes, view snapshots
+        # showing them — and, on the same call, what the COMMIT vouched for,
+        # which settles the pessimistic snapshots that sent no CONFIRM-READ
+        # expecting it to (whichever path committed, with or without one).
+        self.deps.resolve_commit(vt, vouched)
         self.site.views.on_txn_resolved(vt, committed=True)
         self._garbage_collect(vt)
 
@@ -834,7 +827,6 @@ class TransactionEngine:
             obj.value_reservations.release_owner(vt)
             obj.graph_reservations.release_owner(vt)
         self.vouched.pop(vt, None)
-        self.site.views.listening.pop(vt, None)  # the undo dropped the records
         self.deps.resolve_abort(vt)
         self.site.views.on_txn_resolved(vt, committed=False)
 

@@ -22,10 +22,10 @@ guessed it will commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Set
 
-from repro.core.messages import OpPayload, PathStep
+from repro.core.messages import OpPayload
 from repro.vtime import VirtualTime
 
 
@@ -59,37 +59,45 @@ class DependencyIndex:
 
     "For each uncommitted transaction T at a site, a list of other
     transactions at the site which have guessed that T will commit is
-    maintained" (section 3.1).  We generalize the dependents to arbitrary
-    callbacks so both transactions (RC guesses) and view snapshots use the
-    same index.
+    maintained" (section 3.1).  We generalize the dependents to *targets* —
+    anything with ``on_dep_commit(vt, vouched)`` and ``on_dep_abort(vt)`` —
+    so transaction records (RC guesses), view snapshot records (RC guesses
+    and the intervals the COMMIT vouches for) and the join protocol's
+    outcome forwarding wait in one list per transaction and are told in the
+    order they registered.  It is the only way a resolution reaches them.
     """
 
     def __init__(self) -> None:
-        # txn VT -> list of (on_commit, on_abort) callbacks
-        self._waiters: Dict[VirtualTime, List[Tuple[Callable[[], None], Callable[[], None]]]] = {}
+        self._waiters: Dict[VirtualTime, List[Any]] = {}
 
-    def wait_for(
-        self,
-        vt: VirtualTime,
-        on_commit: Callable[[], None],
-        on_abort: Callable[[], None],
-    ) -> None:
-        """Register callbacks fired when the transaction at ``vt`` resolves."""
-        self._waiters.setdefault(vt, []).append((on_commit, on_abort))
+    def wait_for(self, vt: VirtualTime, target: Any) -> None:
+        """Tell ``target`` when the transaction at ``vt`` resolves."""
+        self._waiters.setdefault(vt, []).append(target)
 
-    def resolve_commit(self, vt: VirtualTime) -> int:
-        """Fire commit callbacks for ``vt``; returns how many fired."""
-        waiters = self._waiters.pop(vt, [])
-        for on_commit, _ in waiters:
-            on_commit()
+    def resolve_commit(self, vt: VirtualTime, vouched: Any = ()) -> int:
+        """Tell the targets waiting on ``vt`` that it committed, with what
+        its COMMIT vouched for; returns how many were told."""
+        waiters = self._waiters.pop(vt, ())
+        for target in waiters:
+            target.on_dep_commit(vt, vouched)
         return len(waiters)
 
     def resolve_abort(self, vt: VirtualTime) -> int:
-        """Fire abort callbacks for ``vt``; returns how many fired."""
-        waiters = self._waiters.pop(vt, [])
-        for _, on_abort in waiters:
-            on_abort()
+        """Tell the targets waiting on ``vt`` that it aborted."""
+        waiters = self._waiters.pop(vt, ())
+        for target in waiters:
+            target.on_dep_abort(vt)
         return len(waiters)
+
+    def forget(self, doomed: Callable[[Any], bool]) -> None:
+        """Drop every waiting target ``doomed`` selects (a detached view's
+        snapshot records): nothing resolves into them afterwards."""
+        for vt, waiters in list(self._waiters.items()):
+            kept = [target for target in waiters if not doomed(target)]
+            if kept:
+                self._waiters[vt] = kept
+            else:
+                del self._waiters[vt]
 
     def pending_vts(self) -> Set[VirtualTime]:
         """Transactions still being waited on (diagnostics/tests)."""

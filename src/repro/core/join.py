@@ -32,6 +32,7 @@ from repro.core import sync as syncmod
 from repro.core.association import Association, Invitation
 from repro.core.messages import (
     AbortMsg,
+    CommitMsg,
     ConfirmMsg,
     JoinReplyMsg,
     JoinRequestMsg,
@@ -270,15 +271,7 @@ class JoinManager:
                     AbortMsg(txn_vt=dep_vt, clock=self.site.clock.counter, reason="forwarded"),
                 )
                 continue
-            engine.deps.wait_for(
-                dep_vt,
-                on_commit=lambda d=dep_vt, o=msg.origin: self.site.send(
-                    o, _commit_msg(d, self.site)
-                ),
-                on_abort=lambda d=dep_vt, o=msg.origin: self.site.send(
-                    o, AbortMsg(txn_vt=d, clock=self.site.clock.counter, reason="forwarded")
-                ),
-            )
+            engine.deps.wait_for(dep_vt, _OutcomeForward(self.site, msg.origin))
 
         self.site.send(
             src,
@@ -378,11 +371,7 @@ class JoinManager:
                 return
             if dep_vt not in record.pending_rc:
                 record.pending_rc.add(dep_vt)
-                engine.deps.wait_for(
-                    dep_vt,
-                    on_commit=lambda d=dep_vt, r=record: engine._rc_resolved(r, d),
-                    on_abort=lambda d=dep_vt, r=record: engine._rc_aborted(r, d),
-                )
+                engine.deps.wait_for(dep_vt, record)
 
         # Local validation of our own old graph's primary, if that is us.
         if ga_primary == me:
@@ -520,7 +509,19 @@ def _rel_ids(assoc: Association) -> List[str]:
     return assoc.relationships()
 
 
-def _commit_msg(vt: VirtualTime, site: "SiteRuntime"):
-    from repro.core.messages import CommitMsg
+class _OutcomeForward:
+    """Dependency-index target: tell the joiner how a transaction that was
+    pending at B when it joined ended ("this fact is remembered at B")."""
 
-    return CommitMsg(txn_vt=vt, clock=site.clock.counter)
+    def __init__(self, site: "SiteRuntime", joiner: int) -> None:
+        self.site = site
+        self.joiner = joiner
+
+    def on_dep_commit(self, dep_vt: VirtualTime, vouched: Any) -> None:
+        self.site.send(self.joiner, CommitMsg(txn_vt=dep_vt, clock=self.site.clock.counter))
+
+    def on_dep_abort(self, dep_vt: VirtualTime) -> None:
+        self.site.send(
+            self.joiner,
+            AbortMsg(txn_vt=dep_vt, clock=self.site.clock.counter, reason="forwarded"),
+        )

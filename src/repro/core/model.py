@@ -200,8 +200,11 @@ class ModelObject:
     def notify_proxies(self, event: str, vt: VirtualTime) -> None:
         """Inform attached proxies (and ancestors' proxies) of an event at ``vt``.
 
-        ``event`` is ``"apply"`` (a value arrived, possibly uncommitted),
-        ``"undo"`` (an abort rolled a value back), or ``"commit"``.
+        ``event`` is ``"apply"`` (a value arrived, possibly uncommitted) or
+        ``"undo"`` (an abort rolled a value back) — the two that change what
+        a view can read.  How the writing transaction *resolves* is not an
+        object event: it reaches the proxies' snapshot records through the
+        engine's dependency index (``DependencyIndex``), where they wait.
         Proxies attached to any ancestor also observe the event, because a
         view attached to a composite tracks "changes to the composite as
         well as to any of its children" (section 2.5).

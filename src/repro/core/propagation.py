@@ -17,15 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core.messages import (
-    DelegateGrant,
-    OpPayload,
-    PathStep,
-    ReadCheck,
-    SlotId,
-    TxnPropagateMsg,
-    WriteOp,
-)
+from repro.core import sync as syncmod
+from repro.core.messages import OpPayload, PathStep, ReadCheck, SlotId, WriteOp
 from repro.errors import InvalidPath, ProtocolError
 from repro.vtime import VirtualTime
 
@@ -39,6 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover
 # Op application / undo / commit (shared by local execute and remote apply)
 # ---------------------------------------------------------------------------
 
+# Ops are matched to objects by the class-level ``kind`` (as
+# ``views._children_of`` does), so this module names no model class and no
+# import statement runs per operation.
+_COMPOSITE_KINDS = ("list", "map")
+_STRUCTURAL_OPS = ("insert", "remove", "put", "delete", "structural")
+
 
 def apply_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime, committed: bool) -> Any:
     """Apply ``op`` to ``obj`` at ``vt``; returns any created child object.
@@ -46,9 +45,6 @@ def apply_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime, committed: bool
     Raises :class:`InvalidPath` when a structural dependency (predecessor
     slot, remove target) has not arrived yet; callers buffer and retry.
     """
-    from repro.core.association import Association
-    from repro.core.composites import DList, DMap
-
     kind = op.kind
     result: Any = None
     if kind == "set":
@@ -57,28 +53,28 @@ def apply_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime, committed: bool
         else:
             obj.history.insert(vt, op.args[0], committed=committed)
     elif kind == "insert":
-        if not isinstance(obj, DList):
+        if obj.kind != "list":
             raise ProtocolError(f"insert targeted non-list {obj.uid}")
         after_id, spec, seq = op.args
         result = obj.apply_insert(SlotId(vt, seq), after_id, spec)
         if committed:
             obj.commit_structural(vt)
     elif kind == "remove":
-        if not isinstance(obj, DList):
+        if obj.kind != "list":
             raise ProtocolError(f"remove targeted non-list {obj.uid}")
         (target,) = op.args
         obj.apply_remove(vt, target)
         if committed:
             obj.commit_structural(vt)
     elif kind == "put":
-        if not isinstance(obj, DMap):
+        if obj.kind != "map":
             raise ProtocolError(f"put targeted non-map {obj.uid}")
         key, spec = op.args
         result = obj.apply_put(vt, key, spec)
         if committed:
             obj.commit_structural(vt)
     elif kind == "delete":
-        if not isinstance(obj, DMap):
+        if obj.kind != "map":
             raise ProtocolError(f"delete targeted non-map {obj.uid}")
         (key,) = op.args
         obj.apply_delete(vt, key)
@@ -92,12 +88,10 @@ def apply_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime, committed: bool
         else:
             history.insert(vt, graph, committed=committed)
     elif kind == "assoc":
-        if not isinstance(obj, Association):
+        if obj.kind != "association":
             raise ProtocolError(f"assoc op targeted non-association {obj.uid}")
         result = obj.apply_assoc(vt, op.args, committed=committed)
     elif kind == "sync":
-        from repro.core import sync as syncmod
-
         (spec,) = op.args
         syncmod.import_state(obj, spec, vt)
     else:
@@ -122,23 +116,16 @@ def apply_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime, committed: bool
 
 def undo_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime) -> None:
     """Roll back ``op`` applied at ``vt`` (transaction abort)."""
-    from repro.core.association import Association
-    from repro.core.composites import CompositeObject
-
     kind = op.kind
     if kind == "set":
         obj.history.purge(vt)
-    elif kind in ("insert", "remove", "put", "delete", "structural"):
-        assert isinstance(obj, CompositeObject)
+    elif kind in _STRUCTURAL_OPS:
         obj.undo_structural(vt)
     elif kind == "graph":
         obj.graph_history().purge(vt)
     elif kind == "assoc":
-        assert isinstance(obj, Association)
         obj.undo_assoc(vt)
     elif kind == "sync":
-        from repro.core import sync as syncmod
-
         syncmod.restore_state(obj, vt)
     else:
         raise ProtocolError(f"unknown op kind {kind!r}")
@@ -147,19 +134,14 @@ def undo_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime) -> None:
 
 def commit_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime) -> None:
     """Mark ``op`` applied at ``vt`` as committed."""
-    from repro.core.association import Association
-    from repro.core.composites import CompositeObject
-
     kind = op.kind
     if kind == "set":
         obj.history.commit(vt)
-    elif kind in ("insert", "remove", "put", "delete", "structural"):
-        assert isinstance(obj, CompositeObject)
+    elif kind in _STRUCTURAL_OPS:
         obj.commit_structural(vt)
     elif kind == "graph":
         obj.graph_history().commit(vt)
     elif kind == "assoc":
-        assert isinstance(obj, Association)
         obj.commit_assoc(vt)
     elif kind == "sync":
         # The imported committed entries are already final; any imported
@@ -167,7 +149,6 @@ def commit_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime) -> None:
         pass
     else:
         raise ProtocolError(f"unknown op kind {kind!r}")
-    obj.notify_proxies("commit", vt)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +163,9 @@ def resolve_path(root: "ModelObject", path: Tuple[PathStep, ...]) -> "ModelObjec
     ("the propagation will block until the earlier update is received" —
     section 3.2.1); the commit engine buffers the operation and retries.
     """
-    from repro.core.composites import CompositeObject
-
     node = root
     for step in path:
-        if not isinstance(node, CompositeObject):
+        if node.kind not in _COMPOSITE_KINDS:
             raise ProtocolError(f"path step {step} descends into non-composite {node.uid}")
         child = node.resolve_step(step)
         if child is None:

@@ -390,10 +390,7 @@ class SiteRuntime:
         for pending in self.engine.pending_propagates:
             add("pending-propagates", f"{pending.msg.txn_vt} remaining={len(pending.remaining)}")
         for vt in sorted(
-            set(self.engine.applied)
-            | set(self.engine.write_reads)
-            | set(self.engine.vouched)
-            | set(self.views.listening)
+            set(self.engine.applied) | set(self.engine.write_reads) | set(self.engine.vouched)
         ):
             state = self.engine.status.get(vt)
             if state is not None:

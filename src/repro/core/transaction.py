@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
+from repro.core import propagation
 from repro.core.guesses import ReadAccess, WriteAccess
 from repro.core.messages import OpPayload
 from repro.errors import ProtocolError
@@ -216,8 +217,6 @@ class TransactionContext:
         access = WriteAccess(target=obj, op=op, read_vt=read_vt, graph_vt=obj.graph_vt())
         self.writes.append(access)
         self._written[id(obj)] = obj
-        from repro.core import propagation  # local import; cycle with model layer
-
         result = propagation.apply_op(obj, op, self.vt, committed=False)
         if read_vt < self.vt:
             self.site.engine.write_reads.setdefault(self.vt, {})[obj] = read_vt
@@ -276,3 +275,11 @@ class TxnRecord:
 
     def all_confirmed(self) -> bool:
         return not self.pending_confirm_sites and not self.pending_rc and not self.pending_join
+
+    # A record waits in the site's DependencyIndex for its RC guesses.
+
+    def on_dep_commit(self, dep_vt: VirtualTime, vouched: Any) -> None:
+        self.ctx.site.engine._rc_resolved(self, dep_vt)
+
+    def on_dep_abort(self, dep_vt: VirtualTime) -> None:
+        self.ctx.site.engine._rc_aborted(self, dep_vt)

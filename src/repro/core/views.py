@@ -233,6 +233,22 @@ class SnapshotRecord:
     def ready(self) -> bool:
         return not (self.denied or self.awaiting or self.pending_sites or self.pending_rc)
 
+    # A record waits in the engine's DependencyIndex, under each transaction
+    # it guessed will commit: the one way a resolution reaches a view.
+
+    def on_dep_commit(
+        self, dep_vt: VirtualTime, vouched: Sequence[Tuple[str, VirtualTime]]
+    ) -> None:
+        self.pending_rc.discard(dep_vt)
+        if self.vouchable is not None:
+            self.proxy.on_commit_vouch(self, vouched)
+        if not self.dead and self.ready():
+            self.proxy.on_snapshot_ready(self)
+
+    def on_dep_abort(self, dep_vt: VirtualTime) -> None:
+        self.dead = True
+        self.proxy.on_snapshot_dead(self)
+
 
 @dataclass
 class DeferredCheck:
@@ -283,7 +299,8 @@ class ViewProxy:
         self._events: List[Tuple["ModelObject", str, VirtualTime]] = []
 
     def on_object_event(self, obj: "ModelObject", event: str, vt: VirtualTime) -> None:
-        """Buffer an event; the manager flushes at the end of the batch."""
+        """Buffer an ``"apply"`` or ``"undo"``; the manager flushes at the
+        end of the batch."""
         self._events.append((obj, event, vt))
         self.manager.mark_dirty(self)
 
@@ -343,33 +360,19 @@ class ViewProxy:
     # -- guess plumbing shared by subclasses ----------------------------
 
     def _register_rc(self, record: SnapshotRecord, dep_vt: VirtualTime) -> None:
+        """RC guess: ``record`` shows state written by ``dep_vt``."""
         engine = self.site.engine
         state = engine.status.get(dep_vt)
-        if state == "committed":
-            return
-        if state == "aborted":
+        if state is None:
+            record.pending_rc.add(dep_vt)
+            engine.deps.wait_for(dep_vt, record)
+        elif state == "aborted":
             record.dead = True
-            return
-        record.pending_rc.add(dep_vt)
-        engine.deps.wait_for(
-            dep_vt,
-            on_commit=lambda: self._rc_done(record, dep_vt),
-            on_abort=lambda: self._rc_abort(record, dep_vt),
-        )
-
-    def _rc_done(self, record: SnapshotRecord, dep_vt: VirtualTime) -> None:
-        record.pending_rc.discard(dep_vt)
-        if not record.dead and record.ready():
-            self.on_snapshot_ready(record)
-
-    def _rc_abort(self, record: SnapshotRecord, dep_vt: VirtualTime) -> None:
-        record.dead = True
-        self.on_snapshot_dead(record, dep_vt)
 
     def on_snapshot_ready(self, record: SnapshotRecord) -> None:
         raise NotImplementedError
 
-    def on_snapshot_dead(self, record: SnapshotRecord, dep_vt: VirtualTime) -> None:
+    def on_snapshot_dead(self, record: SnapshotRecord) -> None:
         """Default: the undo event rolls state back and re-notifies."""
 
 
@@ -391,8 +394,6 @@ class OptimisticProxy(ViewProxy):
         changed: List["ModelObject"] = []
         superseding = False
         for obj, event, vt in events:
-            if event == "commit":
-                continue  # RC resolution is handled through the dep index
             attached = self.attached_root_of(obj)
             if event == "undo":
                 # A previously shown value was rolled back: an *update
@@ -440,31 +441,15 @@ class OptimisticProxy(ViewProxy):
             for dep_vt in set(subtree_uncommitted_upto(obj, ts)):
                 self._register_rc(record, dep_vt)
         # RL guesses: per attached object, interval (current value VT, ts).
-        checks: List[Tuple[int, SnapshotCheck, Any]] = []
+        guesses: List[Tuple["ModelObject", VirtualTime, VirtualTime]] = []
         for obj in self.objects:
             lo = obj.current_value_vt()
-            if not lo < ts:
-                continue
-            root = obj.propagation_root()
-            primary = self.site.primary_site_of(root.graph())
-            dst_uid = root.graph().uid_at_site(primary)
-            checks.append(
-                (
-                    primary,
-                    SnapshotCheck(
-                        object_uid=dst_uid if dst_uid else root.uid,
-                        lo_vt=lo,
-                        hi_vt=ts,
-                        committed_only=False,
-                        path=obj.path_from_root(),
-                    ),
-                    obj,
-                )
-            )
+            if lo < ts:
+                guesses.append((obj, lo, ts))
         self.notifications += 1
         self._record_notify("update", ts, len(changed))
         self.view.update(changed, Snapshot(ts=ts, committed_only=False))
-        self.manager.dispatch_checks(record, checks)
+        self.manager.dispatch_checks(record, guesses)
         if record.ready() and not record.dead:
             self.on_snapshot_ready(record)
 
@@ -526,7 +511,6 @@ class PessimisticProxy(ViewProxy):
 
     def process_events(self, events: List[Tuple["ModelObject", str, VirtualTime]]) -> None:
         for obj, event, vt in events:
-            attached = self.attached_root_of(obj)
             if event == "apply":
                 if vt <= self.last_notified_vt:
                     # A committed straggler below the delivered frontier is
@@ -536,20 +520,15 @@ class PessimisticProxy(ViewProxy):
                     self.monotonicity_skips += 1
                     self._record_straggler("monotonicity_skip", vt)
                     continue
+                attached = self.attached_root_of(obj)
                 existing = self.pending.get(vt)
                 if existing is not None:
                     if all(attached is not c for c in existing.changed):
                         existing.changed.append(attached)
-                    continue
-                self._create_snapshot(vt, [attached])
-            elif event == "undo":
-                record = self._drop_pending(vt)
-                if record is not None:
-                    self.manager.discard_record(record)
-                    self._revise_successor_of(vt)
-            elif event == "commit":
-                # RC resolution flows through the dep index; nothing here.
-                pass
+                else:
+                    self._create_snapshot(vt, [attached])
+            else:  # "undo"
+                self._drop_revising(vt)
         self._deliver_ready()
 
     # -- snapshot lifecycle ---------------------------------------------
@@ -559,7 +538,16 @@ class PessimisticProxy(ViewProxy):
         if record is not None:
             order = self._pending_order
             del order[bisect_left(order, ts)]
+            self.manager.discard_record(record)
         return record
+
+    def _drop_revising(self, ts: VirtualTime) -> None:
+        """Drop the snapshot at ``ts``, if any (rolled back, or its writer
+        aborted); its successor's interval now reaches further down."""
+        if self._drop_pending(ts) is not None:
+            successor = self._successor(ts)
+            if successor is not None:
+                self._revise(successor)
 
     def earliest_pending(self) -> Optional[VirtualTime]:
         """The lowest pending snapshot VT (None when nothing is pending)."""
@@ -626,51 +614,35 @@ class PessimisticProxy(ViewProxy):
         site = self.site
         undecided = site.engine.status.get(ts) is None
         write_reads = record.write_reads
-        checks: List[Tuple[int, SnapshotCheck, Any]] = []
+        guesses: List[Tuple["ModelObject", VirtualTime, VirtualTime]] = []
         for obj in self.objects:
             read_vt = write_reads.get(obj) if write_reads is not None else None
             if read_vt is not None and read_vt <= lo and obj.kind in _LEAF_KINDS:
                 site.metrics.inc("view.rl_confirmed_by_commit")
                 continue
-            root = obj.propagation_root()
-            primary = site.primary_site_of(root.graph())
-            dst_uid = root.graph().uid_at_site(primary)
-            uid = dst_uid if dst_uid else root.uid
-            if (
-                read_vt is None
-                and undecided
-                and primary != site.site_id
-                and is_vouchable(obj)
-                and obj in record.changed
-            ):
-                # Blind-written, and the COMMIT is still to come.
-                entry = (obj, uid, obj.vouch_expected)
-                if record.vouchable is None:
-                    record.vouchable = [entry]
-                    self.manager.listening.setdefault(ts, []).append(record)
-                else:
-                    record.vouchable.append(entry)
-                if obj.vouch_expected:
-                    record.awaiting = True
-                    continue
-            checks.append(
-                (
-                    primary,
-                    SnapshotCheck(
-                        object_uid=uid,
-                        lo_vt=lo,
-                        hi_vt=ts,
-                        committed_only=True,
-                        path=obj.path_from_root(),
-                    ),
-                    obj,
-                )
-            )
-        self.manager.dispatch_checks(record, checks)
+            if read_vt is None and undecided and is_vouchable(obj) and obj in record.changed:
+                primary, uid = self.manager.primary_copy_of(obj)
+                if primary != site.site_id:
+                    # Blind-written, and the COMMIT is still to come.
+                    entry = (obj, uid, obj.vouch_expected)
+                    if record.vouchable is None:
+                        record.vouchable = [entry]
+                    else:
+                        record.vouchable.append(entry)
+                    if obj.vouch_expected:
+                        record.awaiting = True
+                        continue
+            guesses.append((obj, lo, ts))
+        self.manager.dispatch_checks(record, guesses)
 
-    def on_commit_vouch(self, record: SnapshotRecord, vouched: Dict[str, VirtualTime]) -> None:
-        """The transaction at ``record.ts`` committed, by whatever path:
-        note what its COMMIT vouched for and settle the guesses withheld.
+    def on_commit_vouch(
+        self, record: SnapshotRecord, vouched: Sequence[Tuple[str, VirtualTime]]
+    ) -> None:
+        """The transaction at ``record.ts`` committed, by whatever path —
+        with or without a vouch, this is where a record that expected one
+        is settled: note what the COMMIT vouched for (``uid -> prev`` pairs,
+        handed over by the dependency index with the resolution itself) and
+        settle the guesses withheld.
 
         A vouch ``(prev, ts)`` goes where a non-blind write's read time is
         (``write_reads``), so :meth:`_send_checks` finds the guess covered
@@ -681,10 +653,13 @@ class PessimisticProxy(ViewProxy):
         CONFIRM-READ through :meth:`ViewManager.dispatch_checks`.  That
         costs a round trip (4t once), never the check.
         """
+        if self.pending.get(record.ts) is not record:
+            return  # revised meanwhile; its replacement waits in the index too
         lo = self._predecessor_ts(record.ts)
         covered = missed = 0
+        by_uid = dict(vouched)
         for obj, uid, withheld in record.vouchable:
-            prev = vouched.get(uid)
+            prev = by_uid.get(uid)
             obj.vouch_expected = prev is not None
             if prev is not None:
                 if record.write_reads is None:
@@ -719,16 +694,10 @@ class PessimisticProxy(ViewProxy):
         fresh.write_reads = record.write_reads
         self.manager.discard_record(record)
         self.pending[record.ts] = fresh
-        # Re-register RC in case the old record's callbacks were tied to it.
-        state = self.site.engine.status.get(record.ts)
-        if state != "committed":
-            self._register_rc(fresh, record.ts)
+        # The replacement waits in the index in its own right (the old
+        # record's entry stays, and finds itself replaced).
+        self._register_rc(fresh, record.ts)
         self._send_checks(fresh)
-
-    def _revise_successor_of(self, ts: VirtualTime) -> None:
-        successor = self._successor(ts)
-        if successor is not None:
-            self._revise(successor)
 
     # -- delivery ----------------------------------------------------------
 
@@ -740,9 +709,7 @@ class PessimisticProxy(ViewProxy):
             first_ts = order[0]
             record = self.pending[first_ts]
             if record.dead:
-                self._drop_pending(first_ts)
-                self.manager.discard_record(record)
-                self._revise_successor_of(first_ts)
+                self._drop_revising(first_ts)
                 continue
             if pre_commit_mutant:
                 # Deliberately broken gating (conformance-canary tests
@@ -751,13 +718,9 @@ class PessimisticProxy(ViewProxy):
                 # pessimistic-view oracle must catch this.
                 if record.denied or record.pending_sites:
                     return
-            else:
-                if not record.ready():
-                    return
-                if self.site.engine.status.get(first_ts) != "committed":
-                    return
+            elif not record.ready() or self.site.engine.status.get(first_ts) != "committed":
+                return
             self._drop_pending(first_ts)
-            self.manager.discard_record(record)
             self.last_notified_vt = first_ts
             record.delivered = True
             self.notifications += 1
@@ -771,14 +734,11 @@ class PessimisticProxy(ViewProxy):
     def on_snapshot_ready(self, record: SnapshotRecord) -> None:
         self._deliver_ready()
 
-    def on_snapshot_dead(self, record: SnapshotRecord, dep_vt: VirtualTime) -> None:
+    def on_snapshot_dead(self, record: SnapshotRecord) -> None:
         # The undo event (same batch) removes the pending snapshot; if the
         # abort resolved through the dep index first, clean up here.
-        existing = self.pending.get(record.ts)
-        if existing is record:
-            self._drop_pending(record.ts)
-            self.manager.discard_record(record)
-            self._revise_successor_of(record.ts)
+        if self.pending.get(record.ts) is record:
+            self._drop_revising(record.ts)
         self._deliver_ready()
 
     def on_snapshot_reply(self, record: SnapshotRecord, ok: bool) -> None:
@@ -815,9 +775,6 @@ class ViewManager:
         #: Snapshot ids whose CONFIRM-READ was addressed to a primary that
         #: failed; re-dispatched once graph repair names a live primary.
         self._orphans: List[Tuple[int, int]] = []
-        #: Requester-side pessimistic records by ``ts`` with ``vouchable``
-        #: guesses; popped by the engine when ``ts`` commits or aborts.
-        self.listening: Dict[VirtualTime, List[SnapshotRecord]] = {}
 
     # -- attachment ------------------------------------------------------
 
@@ -835,6 +792,7 @@ class ViewManager:
         return proxy
 
     def detach(self, proxy: ViewProxy) -> None:
+        """Final: no event, reply or resolution reaches ``proxy`` again."""
         if proxy in self.proxies:
             self.proxies.remove(proxy)
         for obj in proxy.objects:
@@ -843,6 +801,9 @@ class ViewManager:
         for snap_id, record in list(self.records.items()):
             if record.proxy is proxy:
                 del self.records[snap_id]
+        self.site.engine.deps.forget(
+            lambda target: isinstance(target, SnapshotRecord) and target.proxy is proxy
+        )
 
     # -- batching ----------------------------------------------------------
 
@@ -899,12 +860,32 @@ class ViewManager:
     def discard_record(self, record: SnapshotRecord) -> None:
         self.records.pop(record.snap_id, None)
 
+    def primary_copy_of(self, obj: "ModelObject") -> Tuple[int, str]:
+        """Where ``obj``'s RL guesses are checked: the primary site of its
+        propagation root under the current graph, and the root's uid there."""
+        root = obj.propagation_root()
+        graph = root.graph()
+        primary = self.site.primary_site_of(graph)
+        return primary, graph.uid_at_site(primary) or root.uid
+
     def dispatch_checks(
-        self, record: SnapshotRecord, checks: List[Tuple[int, SnapshotCheck, Any]]
+        self,
+        record: SnapshotRecord,
+        guesses: List[Tuple["ModelObject", VirtualTime, VirtualTime]],
     ) -> None:
-        """Evaluate local checks and send one CONFIRM-READ per remote primary."""
+        """Have the RL guesses ``(obj, lo, hi)`` — "``obj``'s subtree is
+        write-free in ``(lo, hi)``" — checked at each object's primary copy:
+        local ones evaluated here, one CONFIRM-READ per remote primary."""
         by_site: Dict[int, List[Tuple[SnapshotCheck, Any]]] = {}
-        for primary, check, obj in checks:
+        for obj, lo, hi in guesses:
+            primary, uid = self.primary_copy_of(obj)
+            check = SnapshotCheck(
+                object_uid=uid,
+                lo_vt=lo,
+                hi_vt=hi,
+                committed_only=record.committed_only,
+                path=obj.path_from_root(),
+            )
             by_site.setdefault(primary, []).append((check, obj))
         me = self.site.site_id
         for primary, site_checks in sorted(by_site.items()):
@@ -983,34 +964,14 @@ class ViewManager:
                 still.append(snap_id)
                 continue
             entries = [e for e in record.outstanding if e[0] in failed]
-            new_checks: List[Tuple[int, SnapshotCheck, Any]] = []
-            repaired = True
-            for _old_primary, check, obj in entries:
-                root = obj.propagation_root()
-                primary = self.site.primary_site_of(root.graph())
-                if primary in failed:
-                    repaired = False
-                    break
-                dst_uid = root.graph().uid_at_site(primary)
-                new_checks.append(
-                    (
-                        primary,
-                        SnapshotCheck(
-                            object_uid=dst_uid if dst_uid else root.uid,
-                            lo_vt=check.lo_vt,
-                            hi_vt=check.hi_vt,
-                            committed_only=check.committed_only,
-                            path=check.path,
-                        ),
-                        obj,
-                    )
-                )
-            if not repaired:
+            if any(self.primary_copy_of(obj)[0] in failed for _p, _check, obj in entries):
                 still.append(snap_id)  # graph repair has not committed yet
                 continue
             record.outstanding = [e for e in record.outstanding if e[0] not in failed]
             record.pending_sites -= failed
-            self.dispatch_checks(record, new_checks)
+            self.dispatch_checks(
+                record, [(obj, check.lo_vt, check.hi_vt) for _p, check, obj in entries]
+            )
             if record.ready() and not record.dead:
                 record.proxy.on_snapshot_ready(record)
         # dispatch_checks above may have re-orphaned records (e.g. the new
@@ -1107,16 +1068,6 @@ class ViewManager:
                 clock=self.site.clock.counter,
             ),
         )
-
-    def on_commit_vouch(
-        self, records: List[SnapshotRecord], vouched: Tuple[Tuple[str, VirtualTime], ...]
-    ) -> None:
-        """Hand a COMMIT's vouches to the records still listening for it
-        (one revised meanwhile was discarded; its replacement listens too)."""
-        by_uid = dict(vouched)
-        for record in records:
-            if record.snap_id in self.records:
-                record.proxy.on_commit_vouch(record, by_uid)
 
     def on_txn_resolved(self, vt: VirtualTime, committed: bool) -> None:
         """Re-evaluate deferred pessimistic checks after a commit/abort."""

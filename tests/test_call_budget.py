@@ -38,6 +38,22 @@ state are pinned to the values the same scenario produced on ``main``, so
 the same transactions were denied and retried: what went is the
 confirmation traffic, and nothing may add calls to what is left.
 
+At 93c8ab4 ``core/views.py`` alone made 413.6 of those 966.2 calls per
+commit and 26.6 ``import`` statements *executed* per commit inside
+``propagation.apply_op`` / ``commit_op`` / ``resolve_path``.  Since a
+resolution reaches a view's snapshot records only through the dependency
+index (no ``"commit"`` object event, no closure pair per guess, no
+``ViewManager.listening``) and nothing on the message path imports, the
+same plan takes **214,217 calls = 892.6 per commit, 349.3 of them in
+views.py**, and the further columns below are pinned with it: import
+statements executed (``builtins.__import__`` wrapped: 0),
+dataclass-generated ``__init__``s (compiled under ``<string>``, so not among
+the calls: 45.0 per commit), and — on a 2-site session after warm-up —
+GC-tracked objects retained per commit (the ``engine.status`` key).
+``scripts/call_budget.py`` prints the per-module and per-function table
+behind these numbers; the calls that return at once are still in it
+(CHANGES.md, PR 24, says why they stayed).
+
 The same scenario with every site read-modify-writing instead (arrivals
 eight delays apart, so that about one attempt in eight is rolled back) has
 its own pins further down: there a pessimistic snapshot's RL guess is
@@ -48,10 +64,14 @@ The socket path has its own clock-free budget at the bottom of this file:
 event-loop turns per commit over loopback TCP.
 """
 
+import ast
 import asyncio
+import builtins
+import gc
 import os
 import random
 import sys
+from collections import Counter
 
 import repro
 from repro import DInt, Session
@@ -65,9 +85,16 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: Python-level calls per commit of this scenario on ``main`` (see above).
 MAIN_CALLS_PER_COMMIT = 1989.1
 
-#: 231,932 calls with the COMMIT vouching for blind writes (1,278.0 when
-#: every snapshot asked, 53b9ce7 .. fcb0218); nothing since may add to it.
-CALLS_PER_COMMIT_CEILING = 966.4
+#: 214,217 calls with one way from a resolution into the views (966.4 with
+#: the COMMIT vouching for blind writes, .. 93c8ab4; 1,278.0 when every
+#: snapshot asked, 53b9ce7 .. fcb0218); nothing since may add to it.
+CALLS_PER_COMMIT_CEILING = 892.6
+#: ... of which in ``core/views.py`` (413.6 at 93c8ab4).
+VIEWS_CALLS_PER_COMMIT_CEILING = 349.3
+#: Dataclass-generated ``__init__``s per commit: wire structs, history
+#: entries, reservation intervals, scheduled events, access and
+#: transaction records, snapshots.
+DATACLASS_INITS_PER_COMMIT_CEILING = 45.0
 
 #: ``NetworkStats.per_type_sent`` of the measured window: the first three as
 #: on ``main``, the CONFIRM-READ round trips down from 1,265.
@@ -99,6 +126,18 @@ def _blind(obj, index):
     return BlindWriteWorkload(obj, party_tag=index + 1)
 
 
+def _rmw(obj, _index):
+    return ReadModifyWriteWorkload(obj)
+
+
+#: ``_build`` arguments of the two pinned scenarios (``scripts/call_budget.py``
+#: replays the same two).
+SCENARIOS = {
+    "blind": {"workload_for": _blind, "mean_interval_delays": 1.0},
+    "rmw": {"workload_for": _rmw, "mean_interval_delays": 8.0},
+}
+
+
 def _build(workload_for=_blind, mean_interval_delays=1.0):
     session = Session.simulated(latency_ms=DELAY_MS, seed=SEED)
     sites = session.add_sites(SITES)
@@ -122,27 +161,60 @@ def _build(workload_for=_blind, mean_interval_delays=1.0):
     return session, sites, outcomes
 
 
-def _count_python_calls(fn):
-    calls = 0
+class _Counts:
+    """What one profiled call cost, none of it a clock reading."""
+
+    def __init__(self):
+        #: Python frames entered, by (file under ``repro/``, function name).
+        self.by_function = Counter()
+        #: ``__init__``s that ``@dataclass`` generated (compiled under ``<string>``).
+        self.dataclass_inits = 0
+        #: ``import`` statements executed (a cached module still costs the call).
+        self.imports = 0
+
+    @property
+    def calls(self):
+        return sum(self.by_function.values())
+
+    def in_module(self, module):
+        return sum(n for (name, _function), n in self.by_function.items() if name == module)
+
+
+def _count(fn):
+    counts = _Counts()
+    by_function = counts.by_function
 
     def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE_DIR):
-            calls += 1
+        if event != "call":
+            return
+        code = frame.f_code
+        filename = code.co_filename
+        if filename.startswith(PACKAGE_DIR):
+            by_function[filename[len(PACKAGE_DIR):], code.co_name] += 1
+        elif filename == "<string>" and code.co_name == "__init__":
+            counts.dataclass_inits += 1
+
+    real_import = builtins.__import__
+
+    def counting_import(*args, **kwargs):
+        counts.imports += 1
+        return real_import(*args, **kwargs)
 
     previous = sys.getprofile()
+    builtins.__import__ = counting_import
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(previous)
-    return calls
+        builtins.__import__ = real_import
+    return counts
 
 
 def test_python_calls_per_commit_stay_under_budget():
     session, sites, outcomes = _build()
     before = dict(session.network.stats.per_type_sent)
-    calls = _count_python_calls(session.settle)
+    counts = _count(session.settle)
 
     assert len(outcomes) == TXNS and all(o.committed for o in outcomes)
     assert sum(o.attempts for o in outcomes) == TXNS + 54  # 54 retries on main
@@ -153,7 +225,10 @@ def test_python_calls_per_commit_stay_under_budget():
         assert site.state_digest() == MAIN_DIGEST
         assert site.protocol_residue() == {}
 
-    per_commit = calls / TXNS
+    assert counts.imports == 0, "an import statement executed on the message path"
+    assert counts.in_module(os.path.join("core", "views.py")) / TXNS <= VIEWS_CALLS_PER_COMMIT_CEILING
+    assert counts.dataclass_inits / TXNS <= DATACLASS_INITS_PER_COMMIT_CEILING
+    per_commit = counts.calls / TXNS
     assert per_commit <= 0.8 * MAIN_CALLS_PER_COMMIT, (
         f"{per_commit:.1f} Python calls per commit; main made {MAIN_CALLS_PER_COMMIT} "
         f"and the budget is 0.8 x that"
@@ -188,15 +263,13 @@ RMW_DIGEST = {
     "s0:obj1": ((226, 3), "120"),
     "s0:obj1.assoc": MAIN_DIGEST["s0:obj1.assoc"],
 }
-RMW_CALLS_PER_COMMIT_CEILING = 851.0
+RMW_CALLS_PER_COMMIT_CEILING = 783.2  # 187,964 calls; 850.6 at 93c8ab4
 
 
 def test_rmw_twin_is_confirmed_by_commit():
-    session, sites, outcomes = _build(
-        lambda obj, _index: ReadModifyWriteWorkload(obj), mean_interval_delays=8.0
-    )
+    session, sites, outcomes = _build(**SCENARIOS["rmw"])
     before = dict(session.network.stats.per_type_sent)
-    calls = _count_python_calls(session.settle)
+    counts = _count(session.settle)
 
     assert len(outcomes) == TXNS and all(o.committed for o in outcomes)
     assert sum(o.attempts for o in outcomes) == TXNS + RMW_RETRIES
@@ -210,15 +283,78 @@ def test_rmw_twin_is_confirmed_by_commit():
     by_commit = sum(site.metrics.value("view.rl_confirmed_by_commit") for site in sites)
     assert asked == RMW_MESSAGES["SnapshotConfirmMsg"]
     assert by_commit > 25 * asked
-    assert calls / TXNS <= RMW_CALLS_PER_COMMIT_CEILING
+    assert counts.imports == 0
+    assert counts.calls / TXNS <= RMW_CALLS_PER_COMMIT_CEILING
 
 
 def test_the_count_is_exact_for_a_seed():
     counts = []
     for _ in range(2):
         session, _sites, _outcomes = _build()
-        counts.append(_count_python_calls(session.settle))
+        counts.append(_count(session.settle).by_function)
     assert counts[0] == counts[1]
+
+
+def test_a_commit_retains_one_object():
+    """Steady state on two sites: after warm-up the process holds one more
+    GC-tracked object per commit — the ``VirtualTime`` key of the site-wide
+    ``engine.status`` log, shared by both sites — and nothing else: no
+    record, closure, history version or reservation outlives its commit."""
+    commits = 2000
+    session = Session.simulated(latency_ms=DELAY_MS, seed=SEED)
+    sites = session.add_sites(2)
+    objs = session.replicate(DInt, "x", sites)
+    session.settle()
+
+    def run(count, base):
+        for i in range(count):
+            sites[i % 2].transact(lambda i=i: objs[i % 2].set(base + i))
+            session.settle()
+
+    run(200, 0)
+    gc.collect()
+    before = len(gc.get_objects())
+    run(commits, 1000)
+    gc.collect()
+    retained = (len(gc.get_objects()) - before) / commits
+    assert objs[0].get() == objs[1].get() == 1000 + commits - 1
+    assert retained <= 1.01, f"{retained:.4f} GC-tracked objects retained per commit"
+
+
+# ---------------------------------------------------------------------------
+# No import statement inside a function on the message path
+# ---------------------------------------------------------------------------
+
+#: Modules every protocol message runs through.
+MESSAGE_PATH_MODULES = (
+    [f"core/{name}.py" for name in (
+        "propagation", "commit", "views", "site", "model", "transaction",
+        "scalars", "history", "guesses",
+    )]
+    + ["wire/batch.py", "sim/network.py", "sim/scheduler.py", "transport/base.py", "transport/tcp.py"]
+)
+
+#: Function-level imports that run once per process or per site, or only for
+#: diagnostics — never per message.
+DEFERRED_IMPORTS_ALLOWED = {
+    ("core/site.py", "__init__"),  # FailureManager / JoinManager: cycle with site
+    ("core/site.py", "unregister_subtree"),
+    ("core/site.py", "state_digest"),
+    ("core/site.py", "protocol_residue"),
+    ("transport/tcp.py", "maybe_install_uvloop"),
+}
+
+
+def test_no_import_statement_inside_a_message_path_function():
+    found = set()
+    for module in MESSAGE_PATH_MODULES:
+        with open(os.path.join(PACKAGE_DIR, *module.split("/"))) as fh:
+            tree = ast.parse(fh.read())
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(function)):
+                    found.add((module, function.name))
+    assert found == DEFERRED_IMPORTS_ALLOWED
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,24 @@ class TestPaths:
         assert child.path_from_root() == ()
 
 
+class _Target:
+    """A dependency-index target that logs how it was told."""
+
+    def __init__(self, fired, tag=None):
+        self.fired, self.tag = fired, tag
+
+    def on_dep_commit(self, dep_vt, vouched):
+        self.fired.append("c" if self.tag is None else self.tag)
+
+    def on_dep_abort(self, dep_vt):
+        self.fired.append("a")
+
+
 class TestDependencyIndex:
     def test_commit_resolution(self):
         index = DependencyIndex()
         fired = []
-        index.wait_for(vt(5), on_commit=lambda: fired.append("c"), on_abort=lambda: fired.append("a"))
+        index.wait_for(vt(5), _Target(fired))
         assert index.resolve_commit(vt(5)) == 1
         assert fired == ["c"]
         assert len(index) == 0
@@ -118,7 +131,7 @@ class TestDependencyIndex:
     def test_abort_resolution(self):
         index = DependencyIndex()
         fired = []
-        index.wait_for(vt(5), on_commit=lambda: fired.append("c"), on_abort=lambda: fired.append("a"))
+        index.wait_for(vt(5), _Target(fired))
         index.resolve_abort(vt(5))
         assert fired == ["a"]
 
@@ -126,7 +139,7 @@ class TestDependencyIndex:
         index = DependencyIndex()
         fired = []
         for i in range(3):
-            index.wait_for(vt(5), on_commit=lambda i=i: fired.append(i), on_abort=lambda: None)
+            index.wait_for(vt(5), _Target(fired, i))
         assert index.resolve_commit(vt(5)) == 3
         assert fired == [0, 1, 2]
 
@@ -136,8 +149,8 @@ class TestDependencyIndex:
 
     def test_pending_vts(self):
         index = DependencyIndex()
-        index.wait_for(vt(1), on_commit=lambda: None, on_abort=lambda: None)
-        index.wait_for(vt(2), on_commit=lambda: None, on_abort=lambda: None)
+        index.wait_for(vt(1), _Target([]))
+        index.wait_for(vt(2), _Target([]))
         assert index.pending_vts() == {vt(1), vt(2)}
 
 

@@ -202,3 +202,51 @@ class TestOptimisticSupersede:
         new_commits = rec.commit_count - commits_before
         assert new_commits == 1
         assert rec.values[-1] == [3]
+
+
+class TestDetach:
+    def test_detach_is_final(self):
+        """Detaching while a shown write is still undecided: neither view
+        hears of it again, and nothing of theirs is left waiting — not in
+        the dependency index (the one way a resolution reaches a view), not
+        in the manager's records."""
+        session = Session.simulated(latency_ms=20)
+        s0, s1, s2 = session.add_sites(3)
+        objs = session.replicate(DInt, "x", [s0, s1, s2], initial=0)
+        session.settle()
+        calls = []
+
+        class Tagged(View):
+            def __init__(self, tag):
+                self.tag = tag
+
+            def update(self, changed, snapshot):
+                calls.append((self.tag, "update"))
+
+            def commit(self):
+                calls.append((self.tag, "commit"))
+
+        proxies = [objs[2].attach(Tagged("opt"), "optimistic"),
+                   objs[2].attach(Tagged("pess"), "pessimistic")]
+        for value in (1, 2):  # the primary learns it is watched, then vouches
+            s1.transact(lambda: objs[1].set(value))
+            session.settle()
+        assert objs[2].vouch_expected
+        outcome = s1.transact(lambda: objs[1].set(3))
+        scheduler = session.scheduler
+        while objs[2].history.entry_at(outcome.vt) is None:
+            assert scheduler.step()
+        assert s2.engine.status.get(outcome.vt) is None  # applied, undecided
+        assert proxies[1].pending[outcome.vt].awaiting
+        assert s2.engine.deps.pending_vts() == {outcome.vt}
+
+        del calls[:]
+        for proxy in proxies:
+            s2.views.detach(proxy)
+        still_waiting = s2.engine.deps.pending_vts()
+        session.settle()
+        assert calls == []
+        assert still_waiting == set() and s2.views.records == {}
+        assert objs[2].get() == 3 and outcome.committed
+        for site in (s0, s1, s2):
+            assert site.protocol_residue() == {}
