@@ -47,15 +47,7 @@ class SlotId:
     the tag is extended with an operation sequence number assigned at the
     originating site (negative numbers are reserved for children created
     inside nested initial-value specs, so the two namespaces never clash).
-
-    Slot ids recur across every fragile-index path of a collaboration, so
-    the wire codec interns decoded instances (``__wire_intern__``): a slot
-    decoded from the same byte span again (duplicate delivery, repeated
-    paths) reuses the previously decoded object.
     """
-
-    #: Opt-in marker for the wire codec's decode-side intern cache.
-    __wire_intern__ = True
 
     vt: VirtualTime
     seq: int = 0
@@ -70,13 +62,7 @@ class PathStep:
     regardless of the order in which structure-changing operations arrive.
     ``embed_vt`` is a :class:`SlotId` for list children and the put VT for
     map children.
-
-    Path steps recur across every write addressing the same composite, so
-    decoded instances are interned like :class:`SlotId`.
     """
-
-    #: Opt-in marker for the wire codec's decode-side intern cache.
-    __wire_intern__ = True
 
     key: Any  # None for list children, the map key for map children
     embed_vt: Any  # SlotId (lists) or VirtualTime (maps)
@@ -95,14 +81,7 @@ class OpPayload:
     * ``"delete"``    — map removal; ``args = (key, embed_vt)``
     * ``"graph"``     — replication-graph replacement; ``args = (graph,)``
     * ``"assoc"``     — association membership delta; ``args = (rel_id, action, member)``
-
-    Op descriptors are small immutable values that repeat heavily (the same
-    ``("set", (v,))`` shape dominates most workloads), so the wire codec
-    interns decoded instances and caches their canonical encoding.
     """
-
-    #: Opt-in marker for the wire codec's intern / encode caches.
-    __wire_intern__ = True
 
     kind: str
     args: Tuple[Any, ...]
@@ -117,14 +96,7 @@ class WriteOp:
     to the embedded target (empty for root-level writes).  ``read_vt`` and
     ``graph_vt`` are the transaction's recorded read times, checked by the
     primary copy (RL guesses); blind writes carry ``read_vt == txn_vt``.
-
-    A write op is encoded once per destination during commit fan-out and
-    decoded unchanged on every duplicate delivery, so it participates in
-    the wire codec's span-interning and per-instance encode cache.
     """
-
-    #: Opt-in marker for the wire codec's intern / encode caches.
-    __wire_intern__ = True
 
     object_uid: str
     op: OpPayload
@@ -136,9 +108,6 @@ class WriteOp:
 @dataclass(frozen=True)
 class ReadCheck:
     """A CONFIRM-READ item: object read (not written) by the transaction."""
-
-    #: Opt-in marker for the wire codec's intern / encode caches.
-    __wire_intern__ = True
 
     object_uid: str
     read_vt: VirtualTime
@@ -236,9 +205,6 @@ class SnapshotCheck:
     answer until they resolve) from optimistic snapshots (any in-interval
     value denies immediately).
     """
-
-    #: Opt-in marker for the wire codec's intern / encode caches.
-    __wire_intern__ = True
 
     object_uid: str
     lo_vt: VirtualTime

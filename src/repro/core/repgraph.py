@@ -31,14 +31,7 @@ from repro.errors import ProtocolError
 
 @dataclass(frozen=True, order=True)
 class GraphNode:
-    """A reference to one replica: the hosting site and the object's uid.
-
-    The same node appears in every graph mentioning that replica, so the
-    wire codec interns decoded instances (``__wire_intern__``).
-    """
-
-    #: Opt-in marker for the wire codec's intern / encode caches.
-    __wire_intern__ = True
+    """A reference to one replica: the hosting site and the object's uid."""
 
     site: int
     uid: str

@@ -1,8 +1,8 @@
 """Wire format for the DECAF message plane.
 
 :mod:`repro.wire.codec` — deterministic, versioned binary codec for every
-protocol message, built around per-struct compiled packers, interning
-caches, and a span memo; :mod:`repro.wire.batch` — per-destination
+protocol message, one exact-type table with one generic packer per
+registered struct; :mod:`repro.wire.batch` — per-destination
 outbox that coalesces a protocol turn's fan-out into
 :class:`~repro.core.messages.Envelope` frames.
 """

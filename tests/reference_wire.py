@@ -1,8 +1,8 @@
 """The reference wire codec: the original generic tag-dispatch implementation.
 
-:mod:`repro.wire.codec` compiles a specialized packer/unpacker pair per
-registered struct and takes several fast paths (fused tag+payload byte
-constants, interning caches, a zero-copy cursor).  This module keeps the
+:mod:`repro.wire.codec` dispatches on exact types and takes several fast
+paths (fused tag+payload byte constants, inline element loops, bounded
+caches, a zero-copy cursor).  This module keeps the
 *original* recursive implementation — one generic ``isinstance`` chain for
 encode, one tag ``if`` ladder for decode — as the executable specification
 of the wire format, mirroring ``tests/reference_hotpaths.py``: the

@@ -60,8 +60,10 @@ its own pins further down: there a pessimistic snapshot's RL guess is
 confirmed by the writing transaction's COMMIT, and the count that matters
 is how few CONFIRM-READ round trips are left.
 
-The socket path has its own clock-free budget at the bottom of this file:
-event-loop turns per commit over loopback TCP.
+The codec has its own column (Python calls per routed frame over every
+payload of the blind scenario), and the socket path its own clock-free
+budget at the bottom of this file: event-loop turns per commit over
+loopback TCP.
 """
 
 import ast
@@ -76,6 +78,8 @@ from collections import Counter
 import repro
 from repro import DInt, Session
 from repro.core.views import View
+from repro.wire import codec
+from repro.wire.codec import FRAME_HEADER_BYTES, decode_frame, encode_frame
 from repro.workloads import BlindWriteWorkload, PoissonArrivals, ReadModifyWriteWorkload
 from tests.test_host import TcpHostPair
 
@@ -287,6 +291,51 @@ def test_rmw_twin_is_confirmed_by_commit():
     assert counts.calls / TXNS <= RMW_CALLS_PER_COMMIT_CEILING
 
 
+# ---------------------------------------------------------------------------
+# The codec, per frame
+# ---------------------------------------------------------------------------
+
+#: Python calls per frame to encode / decode, as routed frames, every payload
+#: the blind scenario hands the simulated network (1,844 frames, 96,357
+#: bytes), caches warm.  At f9983f3 the codec compiled a packer and an
+#: unpacker per struct and took 6.02 / 9.94, its generated frames counted;
+#: one generic packer and unpacker per struct over the type table take
+#: 16.51 / 21.05 — more calls, each cheaper.  A codec change is judged by
+#: these counts first, not by a timing.
+ENCODE_CALLS_PER_FRAME_CEILING = 16.51
+DECODE_CALLS_PER_FRAME_CEILING = 21.05
+
+
+def test_codec_calls_per_frame_stay_under_budget():
+    session, _sites, _outcomes = _build()
+    network = session.network
+    sent = []
+    send = network.send_scoped
+
+    def recording_send(tenant, src, dst, payload):
+        sent.append((tenant, src, dst, payload))
+        send(tenant, src, dst, payload)
+
+    network.send_scoped = recording_send
+    session.settle()
+    assert len(sent) == sum(MAIN_MESSAGES.values())
+
+    for cache in (codec._VT_CACHE, codec._VT_WIRE, codec._STR_CACHE):
+        cache.clear()  # filled below from this scenario alone
+    frames = [encode_frame(src, dst, payload, tenant=tenant) for tenant, src, dst, payload in sent]
+    bodies = [frame[FRAME_HEADER_BYTES:] for frame in frames]
+    for frame, body, (tenant, src, dst, payload) in zip(frames, bodies, sent):
+        back = decode_frame(body)
+        assert back == (tenant, src, dst, payload, None)
+        assert encode_frame(src, dst, back[3], tenant=tenant) == frame
+
+    encoded = _count(lambda: [encode_frame(s, d, p, tenant=t) for t, s, d, p in sent])
+    decoded = _count(lambda: [decode_frame(body) for body in bodies])
+    assert encoded.imports == decoded.imports == 0
+    assert encoded.calls / len(sent) <= ENCODE_CALLS_PER_FRAME_CEILING, encoded.calls / len(sent)
+    assert decoded.calls / len(sent) <= DECODE_CALLS_PER_FRAME_CEILING, decoded.calls / len(sent)
+
+
 def test_the_count_is_exact_for_a_seed():
     counts = []
     for _ in range(2):
@@ -355,6 +404,30 @@ def test_no_import_statement_inside_a_message_path_function():
                 if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(function)):
                     found.add((module, function.name))
     assert found == DEFERRED_IMPORTS_ALLOWED
+
+
+def test_the_package_generates_and_evaluates_no_code():
+    """No ``exec``, ``eval`` or ``compile`` anywhere in the package: every
+    code path is in a source file, where the call counts above can see it."""
+    found = []
+    for root, _dirs, files in os.walk(PACKAGE_DIR):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    called = func.attr if func.value.id == "builtins" else None
+                else:
+                    called = getattr(func, "id", None)
+                if called in ("exec", "eval", "compile"):
+                    found.append(f"{os.path.relpath(path, PACKAGE_DIR)}:{node.lineno} {called}")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 The decoder's contract is that any byte string either decodes to a value or
 raises :class:`WireError` — never IndexError, struct.error, UnicodeError,
-RecursionError, or a hang.  The compiled unpackers take many speculative
-fast paths (fused tag reads, span memos, inline varints), so these
-properties hammer them with arbitrary bytes, mutated valid frames, and
-truncations of valid frames.
+RecursionError, or a hang.  The decoder takes speculative fast paths (fused
+tag reads, inline varints and virtual times), so these properties hammer it
+with arbitrary bytes, mutated valid frames, and truncations of valid
+frames; overlong varints must be refused in bounded time.
 """
+
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from repro.core.messages import OpPayload, TxnPropagateMsg, WriteOp
 from repro.errors import WireError
 from repro.vtime import VirtualTime
 from repro.wire import TraceContext, decode, decode_frame, encode, encode_frame
-from repro.wire.codec import FRAME_VERSION, WIRE_VERSION
+from repro.wire.codec import _VARINT_MAX_BYTES, FRAME_VERSION, WIRE_VERSION
 
 
 def _decode_or_wire_error(data):
@@ -153,6 +155,37 @@ def test_mutated_frame_bodies_never_escape_wire_error(body, data):
     _decode_frame_or_wire_error(body[: data.draw(st.integers(0, len(body) - 1))])
     with pytest.raises(WireError):
         decode_frame(body + bytes([new_byte]))
+
+
+OVERLONG = b"\xff" * 200_000 + b"\x01"  # one varint, 200,001 bytes
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        bytes([WIRE_VERSION, 0x03]) + OVERLONG,  # an int
+        bytes([WIRE_VERSION, 0x05]) + OVERLONG,  # a string length
+        bytes([WIRE_VERSION, 0x07]) + OVERLONG,  # a tuple count
+    ],
+    ids=["int", "str-length", "tuple-count"],
+)
+def test_overlong_varint_is_refused_in_linear_time(payload):
+    # Unbounded, each byte shifts a wider integer: 3 s for this one frame.
+    start = time.perf_counter()
+    with pytest.raises(WireError, match="varint"):
+        decode(payload)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_encoder_refuses_what_the_decoder_would_refuse():
+    widest = 2 ** (7 * _VARINT_MAX_BYTES) - 1  # the largest varint payload
+    assert decode(encode(widest // 2)) == widest // 2  # zigzag doubles it
+    assert decode(encode(VirtualTime(widest // 2, 0))) == VirtualTime(widest // 2, 0)
+    for value in (2 ** (7 * _VARINT_MAX_BYTES), -(2 ** (7 * _VARINT_MAX_BYTES))):
+        with pytest.raises(WireError, match="varint"):
+            encode(value)
+    with pytest.raises(WireError, match="varint"):
+        encode(VirtualTime(2 ** (7 * _VARINT_MAX_BYTES), 0))
 
 
 def test_deep_nesting_does_not_blow_the_stack():

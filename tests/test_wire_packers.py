@@ -1,11 +1,12 @@
-"""Equivalence of the compiled packers against the reference codec.
+"""Equivalence of the codec's struct packers against the reference codec.
 
-:mod:`repro.wire.codec` compiles a specialized encoder/decoder per
-registered struct, with fused byte tables, interning caches, and a span
-memo.  :mod:`tests.reference_wire` keeps the original generic
-implementation as the executable specification of the wire format.  These
-properties pin the two together for every registered struct: byte-identical
-encodings, identical decodes (in both directions), and well-behaved caches.
+:mod:`repro.wire.codec` encodes through an exact-type table with fused byte
+constants, a zero-copy decode cursor, and two bounded caches (virtual times
+and short strings).  :mod:`tests.reference_wire` keeps the original
+recursive implementation as the executable specification of the wire
+format.  These properties pin the two together for every registered struct:
+byte-identical encodings, identical decodes (in both directions),
+well-behaved caches, and values left untouched by encoding.
 """
 
 import dataclasses
@@ -132,31 +133,6 @@ def test_reencoding_a_decoded_message_is_byte_identical(msg):
 # ---------------------------------------------------------------------------
 
 
-def test_interned_structs_are_shared_across_decodes():
-    op = OpPayload(kind="set", args=(7,))
-    raw = encode(op)
-    first = decode(raw)
-    second = decode(raw)
-    assert first == op
-    assert first is second  # span memo returns the shared instance
-
-
-def test_interned_structs_are_shared_across_identical_frames():
-    # Duplicate delivery: the same bytes arriving twice (e.g. a retransmit)
-    # must reuse the instances decoded the first time, not rebuild them.
-    w = WriteOp(
-        object_uid="s2:list",
-        op=OpPayload(kind="insert", args=(0, "x")),
-        read_vt=VirtualTime(9, 2),
-        graph_vt=VirtualTime(3, 0),
-    )
-    raw = encode(w)
-    first = decode(raw)
-    second = decode(bytes(raw))  # a distinct buffer with equal contents
-    assert first == w
-    assert first is second
-
-
 def test_interning_does_not_conflate_distinct_values():
     a = OpPayload(kind="set", args=(1,))
     b = OpPayload(kind="set", args=(2,))
@@ -173,26 +149,22 @@ def test_interning_is_invisible_to_equality_and_hash():
     assert dataclasses.asdict(decoded) == dataclasses.asdict(op)
 
 
-def test_encode_cache_stamp_is_stable_and_invisible():
-    # The first encode stamps the canonical bytes on the instance (_wire);
-    # later encodes must be byte-identical and the stamp must not leak into
-    # equality, hashing, or dataclass introspection.
+def test_encoding_leaves_the_value_untouched():
+    # Encoding is a pure function of the value: two encodes are byte-identical
+    # and write nothing into the frozen value or any struct nested in it.
     w = WriteOp(
         object_uid="s1:obj",
         op=OpPayload(kind="set", args=(1,)),
         read_vt=VirtualTime(5, 1),
         graph_vt=VirtualTime(2, 0),
+        path=(PathStep(key=None, embed_vt=SlotId(VirtualTime(3, 1), 2)),),
     )
     first = encode(w)
     assert encode(w) == first
-    assert w == dataclasses.replace(w)
-    assert [f.name for f in dataclasses.fields(w)] == [
-        "object_uid",
-        "op",
-        "read_vt",
-        "graph_vt",
-        "path",
-    ]
+    for struct in (w, w.op, w.path[0], w.path[0].embed_vt):
+        assert vars(struct) == {
+            f.name: getattr(struct, f.name) for f in dataclasses.fields(struct)
+        }
 
 
 def test_overlong_varint_decodes_but_reencodes_canonically():
@@ -238,14 +210,6 @@ def test_str_cache_is_bounded():
     # long strings are never interned
     big = "x" * (codec._STR_INTERN_MAX_LEN + 1)
     assert decode(encode(big)) == big
-
-
-def test_struct_span_memo_is_bounded():
-    for i in range(1000):
-        decode(encode(OpPayload(kind="set", args=(i, f"v{i}"))))
-    assert len(codec._STRUCT_CACHE) <= codec._STRUCT_CACHE_MAX
-    for bucket in codec._STRUCT_CACHE.values():
-        assert len(bucket) <= codec._SPAN_BUCKET_MAX
 
 
 def test_reference_shares_the_live_registry():
