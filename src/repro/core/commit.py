@@ -22,7 +22,7 @@ section 3:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import propagation
 from repro.core.guesses import DependencyIndex
@@ -69,6 +69,11 @@ class PendingPropagate:
         self.src = src
         self.msg = msg
         self.remaining = remaining
+
+
+#: The mutation set of every engine outside a canary trial, shared: each
+#: ``frozenset()`` built is another object the collector tracks.
+_NO_MUTATIONS: AbstractSet[str] = frozenset()
 
 
 class TransactionEngine:
@@ -122,12 +127,13 @@ class TransactionEngine:
         #: check, "skip_nc_check" disables the NC reservation checks,
         #: "views_pre_commit" makes pessimistic views deliver uncommitted
         #: state, "vouch_without_reserve" makes a primary vouch for a blind
-        #: write's interval without reserving it.  Empty in production; the
-        #: explorer's oracles must detect each mutant, proving they are not
-        #: vacuous.
-        self.mutations: Set[str] = set()
-        #: Propagate messages blocked on missing structural predecessors.
-        self.pending_propagates: List[PendingPropagate] = []
+        #: write's interval without reserving it.  Empty in production (a
+        #: trial assigns its own set); the explorer's oracles must detect
+        #: each mutant, proving they are not vacuous.
+        self.mutations: AbstractSet[str] = _NO_MUTATIONS
+        #: Propagate messages blocked on missing structural predecessors:
+        #: ``()``, which the collector does not track, until the first one.
+        self.pending_propagates: Sequence[PendingPropagate] = ()
 
     # ==================================================================
     # Origin side: running a transaction
@@ -432,8 +438,8 @@ class TransactionEngine:
                     return False, f"graph NC denied on {root.uid}", (graph_blocking.owner,)
         if read_vt == vt and target.watched and is_write:
             read_vt = self._vouch(target, vt)
-        target.value_reservations.reserve(read_vt, vt, owner=vt)
-        root.graph_reservations.reserve(graph_vt, vt, owner=vt)
+        target.reserve("value_reservations", read_vt, vt, vt)
+        root.reserve("graph_reservations", graph_vt, vt, vt)
         self.reserved.setdefault(vt, []).append(target)
         if root is not target:
             self.reserved.setdefault(vt, []).append(root)
@@ -569,6 +575,8 @@ class TransactionEngine:
             return
         remaining = self._apply_writes(msg.writes, vt, state == COMMITTED)
         if remaining:
+            if not self.pending_propagates:
+                self.pending_propagates = []
             self.pending_propagates.append(PendingPropagate(src, msg, remaining))
             bus = self.site.bus
             if bus.active:

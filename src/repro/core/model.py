@@ -18,13 +18,14 @@ outside a transaction return the current (optimistic) value directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.core.history import ValueHistory
 from repro.core.messages import PathStep
 from repro.core.repgraph import GraphNode, ReplicationGraph
 from repro.errors import NotAuthorized, ProtocolError
 from repro.vtime import IntervalSet, VT_ZERO, VirtualTime
+from repro.vtime.intervals import NO_RESERVATIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.auth import AuthorizationMonitor
@@ -87,16 +88,22 @@ class ModelObject:
         self._graph_history: Optional[ValueHistory[ReplicationGraph]] = None
         if parent is None:
             self._graph_history = ValueHistory(ReplicationGraph.singleton(self.uid, site.site_id))
-        #: Write-free reservations, consulted when this site is primary.
-        self.value_reservations = IntervalSet()
-        #: Change-free graph reservations, consulted when this site is primary.
-        self.graph_reservations = IntervalSet()
-        #: Subtree-wide write-free reservations made by *pessimistic view
-        #: snapshots* at the primary: they block writes anywhere in this
-        #: object's subtree (monotonicity protection, section 4.2).
-        self.subtree_reservations = IntervalSet()
-        #: Attached view proxies (always local — section 4).
-        self.proxies: List["ViewProxy"] = []
+        #: Reservation tables, consulted when this site holds the primary
+        #: copy: write-free value intervals, change-free graph intervals, and
+        #: the subtree-wide write-free intervals of *pessimistic view
+        #: snapshots*, which block writes anywhere in this object's subtree
+        #: (monotonicity protection, section 4.2).  Only a primary copy ever
+        #: reserves, so every object starts on the one shared empty table
+        #: and :meth:`reserve` gives it its own on its first interval.  (All
+        #: three are assigned here, in one order, so replacing one later
+        #: keeps the instance's attributes inline instead of forcing a
+        #: ``__dict__`` into being.)
+        self.value_reservations: IntervalSet = NO_RESERVATIONS
+        self.graph_reservations: IntervalSet = NO_RESERVATIONS
+        self.subtree_reservations: IntervalSet = NO_RESERVATIONS
+        #: Attached view proxies (always local — section 4); a list of its
+        #: own from the first ``attach`` on.
+        self.proxies: Sequence["ViewProxy"] = ()
         #: Optional authorization monitor gating access (section 1).
         self.auth: Optional["AuthorizationMonitor"] = None
         site.register_object(self)
@@ -143,6 +150,21 @@ class ModelObject:
     def graph_vt(self) -> VirtualTime:
         """The VT at which the replication graph was last changed."""
         return self.graph_history().current().vt
+
+    def reserve(self, table: str, lo: VirtualTime, hi: VirtualTime, owner: Any) -> None:
+        """Reserve the open interval ``(lo, hi)`` for ``owner`` in the
+        reservation table named ``table`` (``"value_reservations"``, ...).
+
+        An empty interval (a blind write's, ``lo == hi``) can never block
+        anything and reserves nothing, so it leaves the object on the shared
+        empty table.
+        """
+        if lo < hi:
+            reservations = getattr(self, table)
+            if reservations is NO_RESERVATIONS:
+                reservations = IntervalSet()
+                setattr(self, table, reservations)
+            reservations.reserve(lo, hi, owner)
 
     def enable_direct_propagation(self) -> None:
         """Give this embedded object its own graph (the Fig. 7 switch).

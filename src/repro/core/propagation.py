@@ -146,7 +146,8 @@ def commit_op(obj: "ModelObject", op: OpPayload, vt: VirtualTime) -> None:
     elif kind == "sync":
         # The imported committed entries are already final; any imported
         # uncommitted entries are finalized by their own writers' COMMITs.
-        pass
+        # What is left is the pre-import state kept for an abort.
+        syncmod.forget_state(obj, vt)
     else:
         raise ProtocolError(f"unknown op kind {kind!r}")
 

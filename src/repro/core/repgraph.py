@@ -22,11 +22,31 @@ nothing is ever invalidated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ProtocolError
+
+
+class _computed_once:
+    """``functools.cached_property`` for a frozen dataclass, minus the
+    instance ``__dict__`` it forces into being: the value is stored with
+    ``object.__setattr__``, where the instance keeps its fields, so a graph
+    held in every replica's history costs the collector no dict."""
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, graph: Any, owner: Optional[type] = None) -> Any:
+        if graph is None:
+            return self
+        value = self.fn(graph)
+        # The attribute now shadows this (non-data) descriptor: one call per
+        # graph and fact, then plain attribute reads.
+        object.__setattr__(graph, self.name, value)
+        return value
 
 
 @dataclass(frozen=True, order=True)
@@ -97,14 +117,14 @@ class ReplicationGraph:
     # Queries
     # ------------------------------------------------------------------
 
-    # ``cached_property`` stores into the instance ``__dict__`` directly, which
-    # the frozen dataclass permits; ``==`` / ``hash`` look at fields only.
+    # ``==`` / ``hash`` look at fields only, so the facts stored on first
+    # use change neither.
 
-    @cached_property
+    @_computed_once
     def _sorted_sites(self) -> Tuple[int, ...]:
         return tuple(sorted({n.site for n in self.nodes}))
 
-    @cached_property
+    @_computed_once
     def _replica_at(self) -> Dict[int, Optional[str]]:
         """``site -> uid``; None marks a site hosting more than one replica."""
         replica_at: Dict[int, Optional[str]] = {}
@@ -112,7 +132,7 @@ class ReplicationGraph:
             replica_at[node.site] = None if node.site in replica_at else node.uid
         return replica_at
 
-    @cached_property
+    @_computed_once
     def min_node(self) -> GraphNode:
         """The minimum ``(site, uid)`` node: the default primary copy."""
         return min(self.nodes)

@@ -14,7 +14,7 @@ names the type directly, and applications extend the vocabulary with
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Type
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Type
 
 from repro.core.association import Association
 from repro.core.composites import DList, DMap
@@ -86,7 +86,9 @@ class Session:
         #: Site ids known to belong to the collaboration but hosted
         #: elsewhere (other processes); merged into every site's roster so
         #: the failure protocol and fan-outs see the full membership.
-        self.base_roster: set = set(roster) if roster is not None else set()
+        #: Immutable, so the tenants of one SessionHost share the host's
+        #: (``frozenset`` of a frozenset is that frozenset).
+        self.base_roster: FrozenSet[int] = frozenset(roster or ())
         self.sites: List[SiteRuntime] = []
         #: The protocol event bus (repro.obs).  Shared with the transport's
         #: network when there is one, so site-level protocol events and

@@ -15,6 +15,7 @@ them.  Application code interacts with a site through:
 from __future__ import annotations
 
 import contextlib
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from repro.core.association import Association, Invitation
@@ -56,6 +57,30 @@ from repro.wire.batch import Outbox
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import Session
+
+
+#: Exact-type route table for incoming protocol messages, one for the class:
+#: ``route(site)`` is the receiving component's handler.  Message classes
+#: are never subclassed, so one dict lookup on ``type(payload)`` replaces
+#: the isinstance chain on the hottest receive path, and ``attrgetter``
+#: resolves the handler in C — no Python call per message, and no table of
+#: bound methods (each a site <-> component cycle) built per site.
+_ROUTES: Dict[type, Callable[["SiteRuntime"], Callable[[int, Any], None]]] = {
+    TxnPropagateMsg: attrgetter("engine.on_propagate"),
+    ConfirmMsg: attrgetter("engine.on_confirm"),
+    CommitMsg: attrgetter("engine.on_commit"),
+    AbortMsg: attrgetter("engine.on_abort"),
+    SnapshotConfirmMsg: attrgetter("views.on_confirm_request"),
+    SnapshotReplyMsg: attrgetter("views.on_confirm_reply"),
+    JoinRequestMsg: attrgetter("joins.on_join_request"),
+    JoinReplyMsg: attrgetter("joins.on_join_reply"),
+    FailQueryMsg: attrgetter("failures.on_query"),
+    FailQueryReplyMsg: attrgetter("failures.on_query_reply"),
+    FailResolutionMsg: attrgetter("failures.on_resolution"),
+    GraphRepairProposeMsg: attrgetter("failures.on_repair_propose"),
+    GraphRepairAckMsg: attrgetter("failures.on_repair_ack"),
+    GraphRepairApplyMsg: attrgetter("failures.on_repair_apply"),
+}
 
 
 class SiteRuntime:
@@ -110,26 +135,6 @@ class SiteRuntime:
         #: reservation and history garbage collection safe.
         self.last_heard: Dict[int, int] = {}
         self._current_txn: Optional[TransactionContext] = None
-        #: Exact-type route table for incoming protocol messages.  Message
-        #: classes are never subclassed, so a single dict lookup on
-        #: ``type(payload)`` replaces the isinstance chain on the hottest
-        #: receive path.
-        self._routes: Dict[type, Callable[[int, Any], None]] = {
-            TxnPropagateMsg: self.engine.on_propagate,
-            ConfirmMsg: self.engine.on_confirm,
-            CommitMsg: self.engine.on_commit,
-            AbortMsg: self.engine.on_abort,
-            SnapshotConfirmMsg: self.views.on_confirm_request,
-            SnapshotReplyMsg: self.views.on_confirm_reply,
-            JoinRequestMsg: self.joins.on_join_request,
-            JoinReplyMsg: self.joins.on_join_reply,
-            FailQueryMsg: self.failures.on_query,
-            FailQueryReplyMsg: self.failures.on_query_reply,
-            FailResolutionMsg: self.failures.on_resolution,
-            GraphRepairProposeMsg: self.failures.on_repair_propose,
-            GraphRepairAckMsg: self.failures.on_repair_ack,
-            GraphRepairApplyMsg: self.failures.on_repair_apply,
-        }
         transport.register(site_id, self.dispatch)
         transport.add_failure_listener(self._on_failure_notice)
 
@@ -281,10 +286,10 @@ class SiteRuntime:
             self.clock.observe_counter(clock)
             if clock > self.last_heard.get(src, -1):
                 self.last_heard[src] = clock
-        handler = self._routes.get(type(payload))
-        if handler is None:
+        route = _ROUTES.get(type(payload))
+        if route is None:
             raise ProtocolError(f"unroutable payload {type(payload).__name__}")
-        handler(src, payload)
+        route(self)(src, payload)
         # New structure may unblock buffered indirect propagations.
         self.engine.retry_pending_propagates()
         # A repaired graph may name a live primary for orphaned view checks.

@@ -15,7 +15,7 @@ stashed so an abort of the joining transaction restores it exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.core.history import ValueHistory
 from repro.core.messages import OpPayload
@@ -132,11 +132,26 @@ def import_state(obj: "ModelObject", spec: Tuple, sync_txn_vt: VirtualTime) -> N
 
 def restore_state(obj: "ModelObject", sync_txn_vt: VirtualTime) -> None:
     """Abort path: restore the state stashed by :func:`import_state`."""
-    stash = getattr(obj, "_sync_undo", {})
-    old_spec = stash.pop(sync_txn_vt, None)
+    old_spec = _unstash(obj, sync_txn_vt)
     if old_spec is None:
         raise ProtocolError(f"no stashed state for sync at {sync_txn_vt} on {obj.uid}")
     _import_node(obj, old_spec)
+
+
+def forget_state(obj: "ModelObject", sync_txn_vt: VirtualTime) -> None:
+    """Commit path: the state stashed by :func:`import_state` can never be
+    restored now, so the object stops holding it."""
+    _unstash(obj, sync_txn_vt)
+
+
+def _unstash(obj: "ModelObject", sync_txn_vt: VirtualTime) -> Optional[Tuple]:
+    stash = getattr(obj, "_sync_undo", None)
+    if stash is None:
+        return None
+    spec = stash.pop(sync_txn_vt, None)
+    if not stash:
+        del obj._sync_undo  # type: ignore[attr-defined]
+    return spec
 
 
 def _import_history(obj: "ModelObject", entries: Tuple) -> None:

@@ -296,12 +296,16 @@ class ViewProxy:
         self.lost_updates = 0
         self.update_inconsistencies = 0
         self.read_inconsistencies = 0
-        self._events: List[Tuple["ModelObject", str, VirtualTime]] = []
+        #: The open batch's events: ``()`` between batches.
+        self._events: Sequence[Tuple["ModelObject", str, VirtualTime]] = ()
 
     def on_object_event(self, obj: "ModelObject", event: str, vt: VirtualTime) -> None:
         """Buffer an ``"apply"`` or ``"undo"``; the manager flushes at the
         end of the batch."""
-        self._events.append((obj, event, vt))
+        if self._events:
+            self._events.append((obj, event, vt))
+        else:
+            self._events = [(obj, event, vt)]
         self.manager.mark_dirty(self)
 
     def _record_straggler(self, flavor: str, vt: VirtualTime) -> None:
@@ -337,7 +341,7 @@ class ViewProxy:
             )
 
     def flush(self) -> None:
-        events, self._events = self._events, []
+        events, self._events = self._events, ()
         self.process_events(events)
 
     def process_events(self, events: List[Tuple["ModelObject", str, VirtualTime]]) -> None:
@@ -758,20 +762,27 @@ class PessimisticProxy(ViewProxy):
 
 
 class ViewManager:
-    """Owns proxies, snapshot bookkeeping, and the CONFIRM-READ protocol."""
+    """Owns proxies, snapshot bookkeeping, and the CONFIRM-READ protocol.
+
+    Most sites of a hosted collaboration never attach a view or defer a
+    check, so those lists start as ``()``, which the collector does not
+    track, and become lists on first use.
+    """
 
     def __init__(self, site: "SiteRuntime") -> None:
         self.site = site
-        self.proxies: List[ViewProxy] = []
+        #: Attached proxies, and those with events to flush when the
+        #: outermost batch ends (both lists from the first ``attach`` on).
+        self.proxies: Sequence[ViewProxy] = ()
         self._batch_depth = 0
-        self._dirty: List[ViewProxy] = []
+        self._dirty: Sequence[ViewProxy] = ()
         self._snap_seq = 0
         #: Requester-side snapshot records by id.
         self.records: Dict[Tuple[int, int], SnapshotRecord] = {}
         #: Primary-side reply aggregation by (snap_id).
         self.outstanding: Dict[Tuple[int, int], OutstandingReply] = {}
         #: Primary-side deferred pessimistic checks.
-        self.deferred: List[DeferredCheck] = []
+        self.deferred: Sequence[DeferredCheck] = ()
         #: Snapshot ids whose CONFIRM-READ was addressed to a primary that
         #: failed; re-dispatched once graph repair names a live primary.
         self._orphans: List[Tuple[int, int]] = []
@@ -785,8 +796,12 @@ class ViewManager:
             proxy = PessimisticProxy(self, view, objects)
         else:
             raise ValueError(f"unknown view mode {mode!r}")
+        if not self.proxies:
+            self.proxies, self._dirty = [], []
         self.proxies.append(proxy)
         for obj in objects:
+            if not obj.proxies:
+                obj.proxies = []
             obj.proxies.append(proxy)
         proxy.bootstrap()
         return proxy
@@ -938,7 +953,7 @@ class ViewManager:
         for snap_id, reply in list(self.outstanding.items()):
             if reply.origin == failed:
                 del self.outstanding[snap_id]
-        self.deferred = [d for d in self.deferred if d.origin != failed]
+        self.deferred = [d for d in self.deferred if d.origin != failed] or ()
         for record in self.records.values():
             if failed in record.pending_sites:
                 self._orphan(record.snap_id)
@@ -1038,13 +1053,15 @@ class ViewManager:
         unresolved = subtree_uncommitted_in_interval(target, check.lo_vt, check.hi_vt)
         if unresolved:
             # Defer: the answer depends on whether those transactions commit.
+            if not self.deferred:
+                self.deferred = []
             self.deferred.append(
                 DeferredCheck(snap_id=snap_id, origin=origin, check=check, target=target)
             )
             return None
         # Confirmed: reserve the interval so no straggler can ever commit
         # inside it (monotonicity protection for delivered snapshots).
-        target.subtree_reservations.reserve(check.lo_vt, check.hi_vt, owner=("snap",) + snap_id)
+        target.reserve("subtree_reservations", check.lo_vt, check.hi_vt, ("snap",) + snap_id)
         return True
 
     def _maybe_reply(self, reply: OutstandingReply) -> None:
@@ -1083,11 +1100,11 @@ class ViewManager:
             if subtree_uncommitted_in_interval(deferred.target, check.lo_vt, check.hi_vt):
                 still_deferred.append(deferred)
                 continue
-            deferred.target.subtree_reservations.reserve(
-                check.lo_vt, check.hi_vt, owner=("snap",) + deferred.snap_id
+            deferred.target.reserve(
+                "subtree_reservations", check.lo_vt, check.hi_vt, ("snap",) + deferred.snap_id
             )
             resolved.append((deferred, True))
-        self.deferred = still_deferred
+        self.deferred = still_deferred or ()
         for deferred, ok in resolved:
             reply = self.outstanding.get(deferred.snap_id)
             if reply is None:

@@ -212,7 +212,7 @@ def run_trial(
         objects[name] = session.replicate(DInt, name, sites, initial)
 
     for site in sites:
-        site.engine.mutations.update(config.mutations)
+        site.engine.mutations = frozenset(config.mutations)
 
     result = TrialResult(
         config=config,

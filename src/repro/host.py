@@ -82,7 +82,7 @@ class SessionHost:
         self.local_sites: Tuple[int, ...] = tuple(local_sites)
         if not self.local_sites:
             raise ReproError("SessionHost needs at least one local site index")
-        self.roster = set(roster) if roster is not None else set(self.local_sites)
+        self.roster = frozenset(roster if roster is not None else self.local_sites)
         if max_active is not None and max_active < 1:
             raise ReproError("max_active must be at least 1")
         self.max_active = max_active

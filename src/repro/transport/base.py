@@ -84,12 +84,15 @@ class Transport(ABC):
         """
         self._failure_handlers.setdefault(tenant, []).append(handler)
 
-    def remove_failure_listener(self, handler: FailureHandler) -> None:
-        """Unsubscribe a failure listener of any tenant (no-op if absent)."""
-        for listeners in self._failure_handlers.values():
-            if handler in listeners:
-                listeners.remove(handler)
-                return
+    def remove_failure_listener_scoped(self, tenant: int, handler: FailureHandler) -> None:
+        """Unsubscribe ``tenant``'s listener (no-op if absent).  A tenant
+        left without listeners leaves no entry behind, so fail-stop
+        detection never fans a notice out to an evicted tenant."""
+        listeners = self._failure_handlers.get(tenant)
+        if listeners is not None and handler in listeners:
+            listeners.remove(handler)
+            if not listeners:
+                del self._failure_handlers[tenant]
 
     def fail_site_scoped(self, tenant: int, site: int, **kwargs: Any) -> None:
         """Inject a fail-stop for site ``site`` of ``tenant`` (tests)."""
@@ -116,6 +119,9 @@ class Transport(ABC):
 
     def add_failure_listener(self, handler: FailureHandler) -> None:
         self.add_failure_listener_scoped(0, handler)
+
+    def remove_failure_listener(self, handler: FailureHandler) -> None:
+        self.remove_failure_listener_scoped(0, handler)
 
     def fail_site(self, site: int, **kwargs: Any) -> None:
         self.fail_site_scoped(0, site, **kwargs)
@@ -284,7 +290,7 @@ class TenantTransport(Transport):
             self.inner.unregister_scoped(self.tenant, site)
         self._registered.clear()
         for listener in self._listeners:
-            self.inner.remove_failure_listener(listener)
+            self.inner.remove_failure_listener_scoped(self.tenant, listener)
         self._listeners.clear()
 
     def __repr__(self) -> str:

@@ -576,15 +576,25 @@ class TcpTransport(Transport):
             )
 
     async def stop(self, flush: bool = True, flush_timeout_s: float = 5.0) -> None:
-        """Close servers, dial tasks, and peer connections.
+        """Close servers, dial tasks and peer connections, and return once
+        every connection it closed is released.
 
-        With ``flush`` (the default), frames already accepted by
-        :meth:`send` are written out first: new sends are rejected, then
-        the queues get up to ``flush_timeout_s`` to drain into every
-        *connected* peer's socket (closing a connection still sends what
-        its write buffer holds).  Frames queued for a peer that is down
-        (reconnecting) are not waited for — they are dropped exactly as
-        before.  ``flush=False`` restores the old hard-stop behaviour.
+        With ``flush`` (the default), what :meth:`send` already accepted
+        is written out first: new sends are rejected, then every
+        *connected* peer gets until ``flush_timeout_s`` from the call to
+        take both its queued frames and its connection's write buffer.
+        Frames queued for a peer that is down (reconnecting) are not
+        waited for — they are dropped exactly as before.  Each drained
+        connection is then closed; one a peer has not drained by the
+        deadline (it stopped reading) is ``abort()``-ed, dropping what its
+        write buffer still holds.  ``flush=False`` is the hard stop: every
+        connection is aborted at once.
+
+        Either way, stop returns one loop turn later, once every inbound
+        and outbound connection has run ``connection_lost``: until then the
+        loop's pending callbacks reference the protocols and, through
+        them, this transport, its hosts and every tenant, so a collection
+        right after ``await stop()`` would find nothing to free.
         """
         self._closing = True
         if flush:
@@ -593,7 +603,8 @@ class TcpTransport(Transport):
 
             def unflushed() -> bool:
                 return any(
-                    link.frames and not link.unreachable and not link.dead
+                    (link.frames and not link.unreachable and not link.dead)
+                    or (link.transport is not None and link.transport.get_write_buffer_size())
                     for link in self._links.values()
                 )
 
@@ -602,21 +613,28 @@ class TcpTransport(Transport):
         self._stopped = True
         for server in self._servers:
             server.close()
-            await server.wait_closed()
-        self._servers.clear()
-        # server.close() only stops listening; sever accepted connections
-        # too so still-running peers observe the outage promptly.
-        for transport in list(self._inbound):
-            transport.close()
-        self._inbound.clear()
+        connections: List[asyncio.Transport] = list(self._inbound)  # type: ignore[arg-type]
         for link in self._links.values():
             if link.dial is not None:
                 link.dial.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await link.dial
             if link.transport is not None:
-                link.transport.close()
+                connections.append(link.transport)
         self._links.clear()
+        # server.close() only stops listening; sever accepted connections
+        # too so still-running peers observe the outage promptly.  Both
+        # close() of a drained connection and abort() schedule its
+        # connection_lost for the next turn.
+        for transport in connections:
+            if flush and not transport.get_write_buffer_size():
+                transport.close()
+            else:
+                transport.abort()
+        await asyncio.sleep(0)
+        for server in self._servers:
+            await server.wait_closed()
+        self._servers.clear()
 
     # ------------------------------------------------------------------
     # Inbound path

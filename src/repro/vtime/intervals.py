@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.vtime.lamport import VirtualTime
 
@@ -77,9 +77,11 @@ class IntervalSet:
         self._live: Dict[int, Interval] = {}
         # (hi, seq) sorted ascending; may contain tombstoned seqs.
         self._by_hi: List[Tuple[VirtualTime, int]] = []
-        # owner -> seqs reserved by that owner (every live seq is listed;
-        # release_owner's tombstones linger until the next compaction).
-        self._by_owner: Dict[VirtualTime, List[int]] = {}
+        # owner -> the seq it reserved, or the list of its seqs once it
+        # holds more than one (every live seq is listed; release_owner's
+        # tombstones linger until the next compaction).  Nearly every owner
+        # holds one, and a bare int is no object the collector tracks.
+        self._by_owner: Dict[VirtualTime, Union[int, List[int]]] = {}
         self._next_seq = 0
         # Count of tombstoned entries still present in _by_hi.
         self._dead = 0
@@ -98,12 +100,19 @@ class IntervalSet:
         can never block anything.
         """
         interval = Interval(lo, hi, owner)
-        if not interval.is_empty():
+        if lo < hi:  # ``not interval.is_empty()``, without the call
             seq = self._next_seq
             self._next_seq = seq + 1
             self._live[seq] = interval
             insort(self._by_hi, (hi, seq))
-            self._by_owner.setdefault(owner, []).append(seq)
+            by_owner = self._by_owner
+            held = by_owner.get(owner)
+            if held is None:
+                by_owner[owner] = seq
+            elif held.__class__ is int:
+                by_owner[owner] = [held, seq]
+            else:
+                held.append(seq)
         return interval
 
     def blocking_reservation(
@@ -141,11 +150,11 @@ class IntervalSet:
 
     def release_owner(self, owner: VirtualTime) -> int:
         """Drop all reservations held by ``owner`` (on abort); returns count dropped."""
-        seqs = self._by_owner.pop(owner, None)
-        if not seqs:
+        held = self._by_owner.pop(owner, None)
+        if held is None:
             return 0
         dropped = 0
-        for seq in seqs:
+        for seq in (held,) if held.__class__ is int else held:
             if self._live.pop(seq, None) is not None:
                 dropped += 1
         self._dead += dropped
@@ -173,11 +182,14 @@ class IntervalSet:
                 continue
             dropped += 1
             # Leave the owner index too, or an abort-free stream keeps one
-            # owner -> [seq] entry per reservation forever.
-            seqs = by_owner[interval.owner]
-            seqs.remove(seq)
-            if not seqs:
+            # owner -> seq entry per reservation forever.
+            held = by_owner[interval.owner]
+            if held.__class__ is int:
                 del by_owner[interval.owner]
+            else:
+                held.remove(seq)
+                if len(held) == 1:
+                    by_owner[interval.owner] = held[0]
         del self._by_hi[:cut]
         return dropped
 
@@ -190,10 +202,10 @@ class IntervalSet:
         )
         self._dead = 0
         # Drop tombstoned seqs from the owner index while we are at it.
-        live = self._live
-        self._by_owner = {}
-        for seq, interval in live.items():
-            self._by_owner.setdefault(interval.owner, []).append(seq)
+        seqs: Dict[VirtualTime, List[int]] = {}
+        for seq, interval in self._live.items():
+            seqs.setdefault(interval.owner, []).append(seq)
+        self._by_owner = {owner: s[0] if len(s) == 1 else s for owner, s in seqs.items()}
 
     def covering_intervals(self, vt: VirtualTime) -> List[Interval]:
         """All reservations strictly containing ``vt`` (diagnostics/tests)."""
@@ -205,3 +217,19 @@ class IntervalSet:
 
     def __repr__(self) -> str:
         return f"IntervalSet({list(self._live.values())!r})"
+
+
+class _NoReservations(IntervalSet):
+    """The one shared table of every object that never reserved anything:
+    each query answers "nothing" and :meth:`reserve` refuses, since a
+    reservation here would land in every such object at once."""
+
+    __slots__ = ()
+
+    def reserve(self, lo: VirtualTime, hi: VirtualTime, owner: VirtualTime) -> Interval:
+        raise TypeError("NO_RESERVATIONS is shared and stays empty; reserve on a table of one's own")
+
+
+#: The empty table a model object starts with (``ModelObject.reserve``
+#: gives the object its own on its first non-empty interval).
+NO_RESERVATIONS: IntervalSet = _NoReservations()

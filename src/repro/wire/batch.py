@@ -35,7 +35,7 @@ travelled inside a multi-message envelope.  The ``envelopes_sent`` /
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from repro.core.messages import Envelope
 from repro.obs.metrics import counter_property
@@ -54,7 +54,9 @@ class Outbox:
         #: ``turn()`` windows batch regardless (used by ``Session.batched``).
         self.enabled = enabled
         self._depth = 0
-        self._buffer: List[Tuple[int, Any]] = []
+        #: What the open turn has sent: ``()`` between turns, so an idle
+        #: site holds no list.
+        self._buffer: Sequence[Tuple[int, Any]] = ()
 
     messages_sent = counter_property(
         "wire.messages_sent", "Protocol messages handed to the outbox."
@@ -73,7 +75,10 @@ class Outbox:
     def send(self, dst: int, payload: Any) -> None:
         """Send ``payload`` to ``dst`` now, or buffer it if a turn is open."""
         if self._depth > 0:
-            self._buffer.append((dst, payload))
+            if self._buffer:
+                self._buffer.append((dst, payload))
+            else:
+                self._buffer = [(dst, payload)]
             return
         site = self.site
         inc = site.metrics.inc
@@ -126,7 +131,7 @@ class Outbox:
     # ------------------------------------------------------------------
 
     def _flush(self) -> None:
-        buffered, self._buffer = self._buffer, []
+        buffered, self._buffer = self._buffer, ()
         site = self.site
         inc = site.metrics.inc
         if len(buffered) == 1:

@@ -61,9 +61,10 @@ confirmed by the writing transaction's COMMIT, and the count that matters
 is how few CONFIRM-READ round trips are left.
 
 The codec has its own column (Python calls per routed frame over every
-payload of the blind scenario), and the socket path its own clock-free
-budget at the bottom of this file: event-loop turns per commit over
-loopback TCP.
+payload of the blind scenario), a hosted tenant its own (GC-tracked
+objects per tenant joined on two hosts — what every gen-2 pass over a
+1,000-tenant host walks), and the socket path its own clock-free budget at
+the bottom of this file: event-loop turns per commit over loopback TCP.
 """
 
 import ast
@@ -368,6 +369,101 @@ def test_a_commit_retains_one_object():
     retained = (len(gc.get_objects()) - before) / commits
     assert objs[0].get() == objs[1].get() == 1000 + commits - 1
     assert retained <= 1.01, f"{retained:.4f} GC-tracked objects retained per commit"
+
+
+# ---------------------------------------------------------------------------
+# What a joined tenant holds
+# ---------------------------------------------------------------------------
+
+#: Tenants the census joins, after one warm-up tenant.
+CENSUS_TENANTS = 20
+
+#: GC-tracked objects one joined tenant holds across both hosts, views
+#: included (:class:`TenantCensus`), on CPython 3.11 and 3.12: 185.3–185.6.
+#: 265.8 at 39f6637 — a bound method per route per site, three reservation
+#: tables per replica, a graph's cached facts in an instance dict, the
+#: join's undo stash, a roster copy per tenant, per-site lists built empty.
+TENANT_GC_OBJECTS_CEILING = 190
+#: The same census with every instance ``__dict__`` that holds a tracked
+#: value counted: CPython before 3.11 builds one with each instance
+#: (3.9: 236.4; 305.9 at 39f6637), and on 3.11+
+#: ``TenantCensus.with_dicts`` builds them to count (236.3–236.6).
+TENANT_GC_OBJECTS_WITH_DICTS_CEILING = 245
+
+
+async def join_tenants(pair, tids):
+    """Join every tenant of ``tids`` through the real association /
+    invitation / join protocol, concurrently, and attach an optimistic and a
+    pessimistic view to host A's replica — the benchmark's hosted tenant."""
+
+    async def one(tid):
+        obj_a, _obj_b = await pair.join(tid)
+        obj_a.attach(_Quiet(), mode="optimistic")
+        obj_a.attach(_Quiet(), mode="pessimistic")
+
+    await asyncio.gather(*(one(tid) for tid in tids))
+
+
+def _settle():
+    """Collect twice.  A collection untracks a tuple only once every item
+    in it is untracked, so a nested tuple (an association's membership
+    value) can take a second pass; a host's gen-2 passes repeat, and the
+    census counts what the second one walks."""
+    gc.collect()
+    gc.collect()
+
+
+class TenantCensus:
+    """The GC-tracked objects ``tenants`` joined tenants added to two hosts
+    (:class:`TcpHostPair`), counted after one warm-up tenant, each count
+    taken once the collector has settled.  ``pair`` stays referenced, and
+    with it every tenant."""
+
+    def __init__(self, tenants):
+        self.tenants = tenants
+        self.pair = None
+        self.objects = []
+
+    async def run(self):
+        async with TcpHostPair() as pair:
+            self.pair = pair
+            await join_tenants(pair, [0])
+            await asyncio.sleep(0)  # the loop lets go of the finished joins
+            _settle()
+            before = {id(obj) for obj in gc.get_objects()}
+            await join_tenants(pair, range(1, self.tenants + 1))
+            await asyncio.sleep(0)
+            _settle()
+            self.objects = [obj for obj in gc.get_objects() if id(obj) not in before]
+        return self
+
+    @property
+    def per_tenant(self):
+        return len(self.objects) / self.tenants
+
+    @property
+    def with_dicts(self):
+        """``per_tenant`` with every instance ``__dict__`` that holds a tracked
+        value counted.  Before 3.11 CPython builds that dict with the
+        instance, so ``objects`` holds it already; 3.11+ keeps attributes
+        inline, and this builds the dicts (``vars``) to count them."""
+        if sys.version_info < (3, 11):
+            return self.per_tenant
+        instances = [
+            obj for obj in self.objects
+            if type(obj).__module__ != "builtins" and hasattr(obj, "__dict__")
+        ]
+        dicts = sum(1 for obj in instances if gc.is_tracked(vars(obj)))
+        return (len(self.objects) + dicts) / self.tenants
+
+
+def test_a_joined_tenant_holds_few_gc_objects():
+    """Every object a tenant holds is one the cyclic collector walks on each
+    gen-2 pass over a host: at 1,000 tenants the count is the pause."""
+    census = asyncio.run(TenantCensus(CENSUS_TENANTS).run())
+    if sys.version_info >= (3, 11):
+        assert census.per_tenant <= TENANT_GC_OBJECTS_CEILING, census.per_tenant
+    assert census.with_dicts <= TENANT_GC_OBJECTS_WITH_DICTS_CEILING, census.with_dicts
 
 
 # ---------------------------------------------------------------------------

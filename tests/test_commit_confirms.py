@@ -15,7 +15,6 @@ without a vouch — still asks.
 import pytest
 
 from repro import DInt, DList, Session, View
-from repro.core.messages import CommitMsg, SnapshotConfirmMsg
 from repro.sim.network import FixedLatency
 from repro.vtime import VirtualTime
 
@@ -75,16 +74,21 @@ class Window:
 
 def confirm_requests(sites):
     """Spy on every site's CONFIRM-READ handler; returns the shared log of
-    (receiving site, message)."""
+    (receiving site, message) for the requests that arrived as messages.
+    The route table resolves the handler on the site's view manager per
+    message, so the spy shadows it there; a local primary's own checks call
+    the same handler directly (``src`` is the site itself) and are not
+    messages."""
     log = []
     for site in sites:
         handler = site.views.on_confirm_request
 
         def spy(src, msg, site=site, handler=handler):
-            log.append((site.site_id, msg))
+            if src != site.site_id:
+                log.append((site.site_id, msg))
             handler(src, msg)
 
-        site._routes[SnapshotConfirmMsg] = spy
+        site.views.on_confirm_request = spy
     return log
 
 
@@ -273,7 +277,9 @@ def blind_rounds(session, site, obj, values):
 
 
 def commits_received(sites):
-    """Spy on every site's COMMIT handler; returns the shared message log."""
+    """Spy on every site's COMMIT handler; returns the shared message log.
+    The route table resolves the handler on the site's engine per message,
+    so the spy shadows it there."""
     log = []
     for site in sites:
         handler = site.engine.on_commit
@@ -282,7 +288,7 @@ def commits_received(sites):
             log.append(msg)
             handler(src, msg)
 
-        site._routes[CommitMsg] = spy
+        site.engine.on_commit = spy
     return log
 
 
@@ -474,7 +480,7 @@ class TestVouchedIntervalIsReserved:
         commits below a snapshot the writer's view already showed."""
         session, sites, objs = replicated_int(latency=10.0)
         for site in sites:
-            site.engine.mutations.add("vouch_without_reserve")
+            site.engine.mutations = frozenset({"vouch_without_reserve"})
         writer = Probe(sites[2])
         objs[2].attach(writer, "pessimistic")
         sites[2].transact(lambda: objs[2].set(1))

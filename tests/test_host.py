@@ -8,7 +8,9 @@ real loopback sockets.
 """
 
 import asyncio
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -553,6 +555,42 @@ class TestHostingOverTcp:
                 assert orphan == []
 
         asyncio.run(main())
+
+    def test_eviction_leaves_no_tenant_residue_in_the_transport(self):
+        # An evicted tenant keeps no handler and no (empty) listener list in
+        # the shared transport, so fail-stop detection never walks it.
+        async def main():
+            async with TcpHostPair() as pair:
+                for tid in (1, 2):
+                    await pair.join(tid)
+                assert pair.host_a.evict(1)
+                tcp = pair.tcp_a
+                assert [key for key in tcp._handlers if key[0] in (1, 2)] == [(2, 0)]
+                assert 1 not in tcp._failure_handlers
+                assert len(tcp._failure_handlers[2]) == 1
+
+        asyncio.run(main())
+
+    def test_stop_releases_the_transport_its_host_and_tenants(self):
+        # Once ``await stop()`` returns, nothing on the loop references the
+        # transport: the first collection, with no loop turn in between,
+        # frees it, its host and the tenants' sessions (set-up after set-up
+        # otherwise starts with a gen-2 pass over the previous rig).
+        async def main():
+            pair = TcpHostPair()
+            await pair.__aenter__()
+            await pair.join(1)
+            refs = [
+                weakref.ref(obj)
+                for obj in (pair.tcp_a, pair.host_a, pair.host_a.tenant(1), pair.host_b.tenant(1))
+            ]
+            await pair.tcp_a.stop()
+            await pair.tcp_b.stop()
+            del pair
+            gc.collect()
+            return [ref() for ref in refs]
+
+        assert asyncio.run(main()) == [None] * 4
 
     def test_evicted_tenants_frames_are_counted_unrouted(self):
         async def main():

@@ -563,6 +563,92 @@ class TestBackPressureAndFifo:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("flush", [True, False])
+    def test_stop_releases_a_stalled_peer_within_the_budget(self, flush):
+        """A peer that stopped reading would keep a closed connection open
+        for as long as its write buffer holds bytes.  ``stop()`` gives it
+        until ``flush_timeout_s`` from the call (nothing with
+        ``flush=False``), then ``abort()``s it — released, not leaked —
+        and returns one turn later."""
+
+        async def main():
+            addrs = two_addrs()
+            listener = socket.socket()
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            listener.bind(addrs[1])
+            release, done = asyncio.Event(), asyncio.Event()
+
+            async def stalled_peer(_reader, writer):
+                await release.wait()
+                writer.close()
+                done.set()
+
+            server = await asyncio.start_server(stalled_peer, sock=listener, limit=1024)
+            a = TcpTransport(addrs, local_sites={0})
+            await a.start()
+            a.send(0, 1, "probe")
+            await wait_for(lambda: a.frames_sent == 1, what="probe written")
+            link = a._links[addrs[1]]
+            connection = link.transport
+            connection.set_write_buffer_limits(high=1024)
+            connection.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            for i in range(300):
+                a.send(0, 1, f"{i:04d}" + "x" * 8192)
+            await wait_for(lambda: link.paused, what="pause_writing")
+
+            timeout_s = 0.4
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            await a.stop(flush=flush, flush_timeout_s=timeout_s)
+            elapsed = loop.time() - start
+            assert connection.is_closing() and link.transport is None  # connection_lost ran
+            assert not a._inbound and not a._links
+            release.set()
+            await asyncio.wait_for(done.wait(), 5.0)
+            server.close()
+            await server.wait_closed()
+            return elapsed
+
+        elapsed = asyncio.run(main())
+        assert (0.4 if flush else 0.0) <= elapsed < 0.4 + 2.0, elapsed
+
+    def test_stop_waits_for_a_slow_peer_to_take_the_write_buffer(self):
+        """A live peer that reads late still gets every frame ``stop()``
+        flushes: the flush budget covers the connection's write buffer, not
+        only the queue, so nothing the peer takes within it is dropped."""
+
+        async def main():
+            addrs = two_addrs()
+            a = TcpTransport(addrs, local_sites={0})
+            b = TcpTransport(addrs, local_sites={1})
+            inbox = []
+            b.register(1, lambda src, p: inbox.append(p))
+            await a.start()
+            await b.start()
+            a.send(0, 1, "probe")
+            await wait_for(lambda: inbox == ["probe"], what="probe delivered")
+            (accepted,) = b._inbound
+            accepted.pause_reading()
+            link = a._links[addrs[1]]
+            link.transport.set_write_buffer_limits(high=1024)
+            link.transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            msgs = [f"{i:04d}" + "x" * 8192 for i in range(100)]
+            for m in msgs:
+                a.send(0, 1, m)
+            await wait_for(lambda: link.paused, what="pause_writing")  # the peer is behind
+            asyncio.get_running_loop().call_later(0.2, accepted.resume_reading)
+            await a.stop(flush_timeout_s=5.0)
+            await wait_for(lambda: len(inbox) == 1 + len(msgs), what="every flushed frame")
+            assert inbox[1:] == msgs
+            await b.stop()
+
+        asyncio.run(main())
+
     def test_write_into_a_closing_connection_requeues_the_batch_first(self):
         async def main():
             addrs = two_addrs()

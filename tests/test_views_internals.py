@@ -81,7 +81,7 @@ class TestSubtreeHelpers:
         holder = []
         site.transact(lambda: holder.append(lst.append("int", 1)))
         child = holder[0]
-        lst.subtree_reservations.reserve(vt(1), vt(100), owner=("snap", 0, 1))
+        lst.reserve("subtree_reservations", vt(1), vt(100), ("snap", 0, 1))
         assert blocking_subtree_reservation(child, vt(50)) is not None
         assert blocking_subtree_reservation(child, vt(100)) is None
 
