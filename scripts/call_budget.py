@@ -46,7 +46,10 @@ def calls(top: int) -> None:
     per = float(budget.TXNS)
     for name, build_args in budget.SCENARIOS.items():
         session, _sites, outcomes = budget._build(**build_args)
+        stats = session.network.stats
+        sent = stats.messages_sent
         counts = budget._count(session.settle)
+        sent = stats.messages_sent - sent
         assert len(outcomes) == budget.TXNS and all(o.committed for o in outcomes)
         by_module: Counter = Counter()
         for (module, _function), n in counts.by_function.items():
@@ -58,6 +61,10 @@ def calls(top: int) -> None:
         )
         for module, n in by_module.most_common():
             print(f"  {n / per:8.1f}  {module}")
+        fabric = by_module[os.path.join("sim", "network.py")] + by_module[
+            os.path.join("sim", "scheduler.py")
+        ]
+        print(f"  {fabric / sent:8.1f}  simulated fabric calls per message ({sent} messages)")
         print(f"  -- top {top} functions")
         for (module, function), n in counts.by_function.most_common(top):
             print(f"  {n / per:8.1f}  {module}:{function}")

@@ -624,9 +624,8 @@ class TransactionEngine:
         return pending
 
     def retry_pending_propagates(self) -> None:
-        """Re-attempt blocked propagates after new structure has arrived."""
-        if not self.pending_propagates:
-            return
+        """Re-attempt blocked propagates after new structure has arrived
+        (the site calls it only while some are parked)."""
         progressed = True
         while progressed:
             progressed = False
@@ -813,7 +812,9 @@ class TransactionEngine:
         # which settles the pessimistic snapshots that sent no CONFIRM-READ
         # expecting it to (whichever path committed, with or without one).
         self.deps.resolve_commit(vt, vouched)
-        self.site.views.on_txn_resolved(vt, committed=True)
+        views = self.site.views
+        if views.deferred or views.orphans:
+            views.on_txn_resolved(vt, committed=True)
         self._garbage_collect(vt)
 
     def _apply_abort_locally(self, vt: VirtualTime, reason: str = "") -> None:
@@ -836,7 +837,9 @@ class TransactionEngine:
             obj.graph_reservations.release_owner(vt)
         self.vouched.pop(vt, None)
         self.deps.resolve_abort(vt)
-        self.site.views.on_txn_resolved(vt, committed=False)
+        views = self.site.views
+        if views.deferred or views.orphans:
+            views.on_txn_resolved(vt, committed=False)
 
     def _rollback_applied(self, vt: VirtualTime) -> None:
         ops = self.applied.pop(vt, [])

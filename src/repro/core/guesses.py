@@ -22,23 +22,27 @@ guessed it will commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Set
 
 from repro.core.messages import OpPayload
 from repro.vtime import VirtualTime
 
 
-@dataclass
+# One access record is built per read and per write of every transaction
+# attempt, so both are slotted.
+
+
 class ReadAccess:
     """A transaction's read of one model object (for CONFIRM-READ)."""
 
-    target: Any  # the local ModelObject read
-    read_vt: VirtualTime
-    graph_vt: VirtualTime
+    __slots__ = ("target", "read_vt", "graph_vt")
+
+    def __init__(self, target: Any, read_vt: VirtualTime, graph_vt: VirtualTime) -> None:
+        self.target = target  # the local ModelObject read
+        self.read_vt = read_vt
+        self.graph_vt = graph_vt
 
 
-@dataclass
 class WriteAccess:
     """A transaction's write of one model object (for WRITE propagation).
 
@@ -48,10 +52,15 @@ class WriteAccess:
     trivially satisfied").
     """
 
-    target: Any  # the local ModelObject written
-    op: OpPayload
-    read_vt: VirtualTime
-    graph_vt: VirtualTime
+    __slots__ = ("target", "op", "read_vt", "graph_vt")
+
+    def __init__(
+        self, target: Any, op: OpPayload, read_vt: VirtualTime, graph_vt: VirtualTime
+    ) -> None:
+        self.target = target  # the local ModelObject written
+        self.op = op
+        self.read_vt = read_vt
+        self.graph_vt = graph_vt
 
 
 class DependencyIndex:

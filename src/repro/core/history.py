@@ -28,7 +28,6 @@ the equivalence baseline.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Generic, Iterator, List, Optional, TypeVar
 
 from repro.errors import ProtocolError
@@ -37,13 +36,24 @@ from repro.vtime import VT_ZERO, VirtualTime
 V = TypeVar("V")
 
 
-@dataclass
 class HistoryEntry(Generic[V]):
-    """One version: the value written at ``vt`` by the transaction at ``vt``."""
+    """One version: the value written at ``vt`` by the transaction at ``vt``.
+    One is retained per write and replica, so it is slotted (by hand: a
+    field default and ``__slots__`` do not mix in a dataclass before 3.10)."""
 
-    vt: VirtualTime
-    value: V
-    committed: bool = False
+    __slots__ = ("vt", "value", "committed")
+
+    def __init__(self, vt: VirtualTime, value: V, committed: bool = False) -> None:
+        self.vt = vt
+        self.value = value
+        self.committed = committed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vt, self.value, self.committed) == (other.vt, other.value, other.committed)
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, as the dataclass was
 
     def __repr__(self) -> str:
         flag = "c" if self.committed else "u"

@@ -291,9 +291,11 @@ class SiteRuntime:
             raise ProtocolError(f"unroutable payload {type(payload).__name__}")
         route(self)(src, payload)
         # New structure may unblock buffered indirect propagations.
-        self.engine.retry_pending_propagates()
+        if self.engine.pending_propagates:
+            self.engine.retry_pending_propagates()
         # A repaired graph may name a live primary for orphaned view checks.
-        self.views.maybe_retry_orphans()
+        if self.views.orphans:
+            self.views.maybe_retry_orphans()
 
     def _on_failure_notice(self, failed_site: int) -> None:
         if failed_site == self.site_id:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import propagation
 from repro.core.messages import SnapshotCheck, SnapshotConfirmMsg, SnapshotReplyMsg
@@ -210,15 +210,16 @@ class SnapshotRecord:
         self.committed_only = committed_only
         #: Transport time at record creation (pessimistic delivery latency).
         self.created_ms = created_ms
-        self.pending_sites: Set[int] = set()
+        #: Primaries whose verdict is awaited (``()`` until one is asked).
+        self.pending_sites: AbstractSet[int] = ()
         self.pending_rc: Set[VirtualTime] = set()
         self.denied = False
         self.dead = False
         self.changed = changed
         self.delivered = False  # pessimistic: update() already called
-        #: Remote checks still awaiting a verdict: (primary site, check, local
-        #: object); re-addressed if that primary fails.
-        self.outstanding: List[Tuple[int, SnapshotCheck, Any]] = []
+        #: Remote RL guesses awaiting a verdict, ``()`` until the first:
+        #: (primary site, local object, lo, hi); re-addressed if it fails.
+        self.outstanding: Sequence[Tuple[int, Any, VirtualTime, VirtualTime]] = ()
         #: Pessimistic: ``engine.write_reads[ts]`` as of creation — kept here
         #: because a revision can come after the engine's commit-time cleanup
         #: — plus, once ``ts`` commits, what its primaries vouched for.
@@ -231,6 +232,7 @@ class SnapshotRecord:
         self.awaiting = False
 
     def ready(self) -> bool:
+        """Every guess confirmed.  The proxies' hot paths read this inline."""
         return not (self.denied or self.awaiting or self.pending_sites or self.pending_rc)
 
     # A record waits in the engine's DependencyIndex, under each transaction
@@ -242,7 +244,7 @@ class SnapshotRecord:
         self.pending_rc.discard(dep_vt)
         if self.vouchable is not None:
             self.proxy.on_commit_vouch(self, vouched)
-        if not self.dead and self.ready():
+        if not (self.dead or self.denied or self.awaiting or self.pending_sites or self.pending_rc):
             self.proxy.on_snapshot_ready(self)
 
     def on_dep_abort(self, dep_vt: VirtualTime) -> None:
@@ -300,13 +302,18 @@ class ViewProxy:
         self._events: Sequence[Tuple["ModelObject", str, VirtualTime]] = ()
 
     def on_object_event(self, obj: "ModelObject", event: str, vt: VirtualTime) -> None:
-        """Buffer an ``"apply"`` or ``"undo"``; the manager flushes at the
-        end of the batch."""
+        """Buffer an ``"apply"`` or ``"undo"``: processed when the outermost
+        view batch ends (:meth:`ViewManager.end_batch`), or at once outside one."""
         if self._events:
             self._events.append((obj, event, vt))
         else:
             self._events = [(obj, event, vt)]
-        self.manager.mark_dirty(self)
+        manager = self.manager
+        if not manager._batch_depth:
+            events, self._events = self._events, ()
+            self.process_events(events)
+        elif self not in manager._dirty:
+            manager._dirty.append(self)
 
     def _record_straggler(self, flavor: str, vt: VirtualTime) -> None:
         """Count a straggler symptom in the site registry and the event bus.
@@ -328,21 +335,16 @@ class ViewProxy:
             )
 
     def _record_notify(self, kind: str, ts: VirtualTime, changed: int) -> None:
-        bus = self.site.bus
-        if bus.active:
-            bus.emit(
-                "view_notified",
-                site=self.site.site_id,
-                time_ms=self.site.transport.now(),
-                txn_vt=ts,
-                mode=self.mode,
-                kind=kind,
-                changed=changed,
-            )
-
-    def flush(self) -> None:
-        events, self._events = self._events, ()
-        self.process_events(events)
+        """Emit ``view_notified``; callers test ``bus.active`` first."""
+        self.site.bus.emit(
+            "view_notified",
+            site=self.site.site_id,
+            time_ms=self.site.transport.now(),
+            txn_vt=ts,
+            mode=self.mode,
+            kind=kind,
+            changed=changed,
+        )
 
     def process_events(self, events: List[Tuple["ModelObject", str, VirtualTime]]) -> None:
         raise NotImplementedError
@@ -451,10 +453,12 @@ class OptimisticProxy(ViewProxy):
             if lo < ts:
                 guesses.append((obj, lo, ts))
         self.notifications += 1
-        self._record_notify("update", ts, len(changed))
+        if self.site.bus.active:
+            self._record_notify("update", ts, len(changed))
         self.view.update(changed, Snapshot(ts=ts, committed_only=False))
-        self.manager.dispatch_checks(record, guesses)
-        if record.ready() and not record.dead:
+        if guesses:
+            self.manager.dispatch_checks(record, guesses)
+        if not (record.dead or record.denied or record.pending_sites or record.pending_rc):
             self.on_snapshot_ready(record)
 
     def on_snapshot_ready(self, record: SnapshotRecord) -> None:
@@ -466,7 +470,8 @@ class OptimisticProxy(ViewProxy):
         self.latest = None
         self.manager.discard_record(record)
         self.commit_notifications += 1
-        self._record_notify("commit", record.ts, len(record.changed))
+        if self.site.bus.active:
+            self._record_notify("commit", record.ts, len(record.changed))
         self.view.commit()
 
     def on_snapshot_reply(self, record: SnapshotRecord, ok: bool) -> None:
@@ -503,7 +508,8 @@ class PessimisticProxy(ViewProxy):
         )
         self.last_notified_vt = ts0
         self.notifications += 1
-        self._record_notify("update", ts0, len(self.objects))
+        if self.site.bus.active:
+            self._record_notify("update", ts0, len(self.objects))
         self.view.update(list(self.objects), Snapshot(ts=ts0, committed_only=True))
         # Uncommitted values already applied locally become pending snapshots.
         seen: Set[VirtualTime] = set()
@@ -514,6 +520,10 @@ class PessimisticProxy(ViewProxy):
                     self._create_snapshot(vt, [obj])
 
     def process_events(self, events: List[Tuple["ModelObject", str, VirtualTime]]) -> None:
+        # Applies and undoes make the head deliverable only by replacing it;
+        # every other transition that can delivers where it happens.
+        pending, order = self.pending, self._pending_order
+        head = pending[order[0]] if order else None
         for obj, event, vt in events:
             if event == "apply":
                 if vt <= self.last_notified_vt:
@@ -533,7 +543,8 @@ class PessimisticProxy(ViewProxy):
                     self._create_snapshot(vt, [attached])
             else:  # "undo"
                 self._drop_revising(vt)
-        self._deliver_ready()
+        if order and pending[order[0]] is not head:
+            self._deliver_ready()
 
     # -- snapshot lifecycle ---------------------------------------------
 
@@ -637,7 +648,8 @@ class PessimisticProxy(ViewProxy):
                         record.awaiting = True
                         continue
             guesses.append((obj, lo, ts))
-        self.manager.dispatch_checks(record, guesses)
+        if guesses:
+            self.manager.dispatch_checks(record, guesses)
 
     def on_commit_vouch(
         self, record: SnapshotRecord, vouched: Sequence[Tuple[str, VirtualTime]]
@@ -722,7 +734,8 @@ class PessimisticProxy(ViewProxy):
                 # pessimistic-view oracle must catch this.
                 if record.denied or record.pending_sites:
                     return
-            elif not record.ready() or self.site.engine.status.get(first_ts) != "committed":
+            elif (record.denied or record.awaiting or record.pending_sites or record.pending_rc
+                  or self.site.engine.status.get(first_ts) != "committed"):
                 return
             self._drop_pending(first_ts)
             self.last_notified_vt = first_ts
@@ -732,7 +745,8 @@ class PessimisticProxy(ViewProxy):
                 "view.pessimistic_delivery_ms",
                 self.site.transport.now() - record.created_ms,
             )
-            self._record_notify("update", first_ts, len(record.changed))
+            if self.site.bus.active:
+                self._record_notify("update", first_ts, len(record.changed))
             self.view.update(record.changed, Snapshot(ts=first_ts, committed_only=True))
 
     def on_snapshot_ready(self, record: SnapshotRecord) -> None:
@@ -785,7 +799,7 @@ class ViewManager:
         self.deferred: Sequence[DeferredCheck] = ()
         #: Snapshot ids whose CONFIRM-READ was addressed to a primary that
         #: failed; re-dispatched once graph repair names a live primary.
-        self._orphans: List[Tuple[int, int]] = []
+        self.orphans: List[Tuple[int, int]] = []
 
     # -- attachment ------------------------------------------------------
 
@@ -832,13 +846,8 @@ class ViewManager:
         if self._batch_depth == 0:
             while self._dirty:
                 proxy = self._dirty.pop(0)
-                proxy.flush()
-
-    def mark_dirty(self, proxy: ViewProxy) -> None:
-        if self._batch_depth == 0:
-            proxy.flush()
-        elif proxy not in self._dirty:
-            self._dirty.append(proxy)
+                events, proxy._events = proxy._events, ()
+                proxy.process_events(events)
 
     # -- snapshot records (requester side) ---------------------------------
 
@@ -890,42 +899,39 @@ class ViewManager:
     ) -> None:
         """Have the RL guesses ``(obj, lo, hi)`` — "``obj``'s subtree is
         write-free in ``(lo, hi)``" — checked at each object's primary copy:
-        local ones evaluated here, one CONFIRM-READ per remote primary."""
-        by_site: Dict[int, List[Tuple[SnapshotCheck, Any]]] = {}
+        local ones evaluated here, one CONFIRM-READ per live remote primary.
+        Entered only with guesses; a ``SnapshotCheck`` is built only for a
+        primary that is asked."""
+        by_site: Dict[int, List[Tuple[str, "ModelObject", VirtualTime, VirtualTime]]] = {}
         for obj, lo, hi in guesses:
             primary, uid = self.primary_copy_of(obj)
-            check = SnapshotCheck(
-                object_uid=uid,
-                lo_vt=lo,
-                hi_vt=hi,
-                committed_only=record.committed_only,
-                path=obj.path_from_root(),
-            )
-            by_site.setdefault(primary, []).append((check, obj))
+            by_site.setdefault(primary, []).append((uid, obj, lo, hi))
         me = self.site.site_id
-        for primary, site_checks in sorted(by_site.items()):
+        if not record.pending_sites:
+            record.pending_sites = set()
+        for primary, site_guesses in sorted(by_site.items()):
             record.pending_sites.add(primary)
-            if primary != me and primary in self.site.failures.failed:
-                # The current graph still names a dead primary (repair has
-                # not committed yet); park the checks and re-dispatch once
-                # a live primary is implied by the repaired graph.
-                for check, obj in site_checks:
-                    record.outstanding.append((primary, check, obj))
-                self._orphan(record.snap_id)
-                continue
+            if primary != me:
+                parked = [(primary, obj, lo, hi) for _uid, obj, lo, hi in site_guesses]
+                record.outstanding = [*record.outstanding, *parked]
+                if primary in self.site.failures.failed:
+                    # The current graph still names a dead primary (repair
+                    # has not committed yet); the guesses wait, unsent, for
+                    # a live primary implied by the repaired graph.
+                    self._orphan(record.snap_id)
+                    continue
+            checks = tuple(
+                SnapshotCheck(uid, lo, hi, record.committed_only, obj.path_from_root())
+                for uid, obj, lo, hi in site_guesses
+            )
             msg = SnapshotConfirmMsg(
-                snap_id=record.snap_id,
-                origin=me,
-                checks=tuple(check for check, _obj in site_checks),
-                clock=self.site.clock.counter,
+                snap_id=record.snap_id, origin=me, checks=checks, clock=self.site.clock.counter
             )
             if primary == me:
                 # Local-primary fast path: same aggregation logic, no
                 # network round trip.
                 self.on_confirm_request(me, msg)
             else:
-                for check, obj in site_checks:
-                    record.outstanding.append((primary, check, obj))
                 # ``metrics.inc`` spelled out: one CONFIRM-READ per remote
                 # snapshot is the blind-write path, whose Python call count
                 # is pinned (tests/test_call_budget.py).
@@ -938,8 +944,8 @@ class ViewManager:
     # -- failure handling (requester and primary side) ---------------------
 
     def _orphan(self, snap_id: Tuple[int, int]) -> None:
-        if snap_id not in self._orphans:
-            self._orphans.append(snap_id)
+        if snap_id not in self.orphans:
+            self.orphans.append(snap_id)
 
     def on_site_failed(self, failed: int) -> None:
         """React to a fail-stop notification (paper section 3.4).
@@ -957,14 +963,14 @@ class ViewManager:
         for record in self.records.values():
             if failed in record.pending_sites:
                 self._orphan(record.snap_id)
-        self.maybe_retry_orphans()
+        if self.orphans:
+            self.maybe_retry_orphans()
 
     def maybe_retry_orphans(self) -> None:
-        """Re-dispatch orphaned checks whose object now has a live primary."""
-        if not self._orphans:
-            return
+        """Re-dispatch orphaned checks whose object now has a live primary
+        (callers test ``orphans`` first)."""
         failed = self.site.failures.failed
-        pending, self._orphans = self._orphans, []
+        pending, self.orphans = self.orphans, []
         still: List[Tuple[int, int]] = []
         for snap_id in pending:
             record = self.records.get(snap_id)
@@ -979,22 +985,21 @@ class ViewManager:
                 still.append(snap_id)
                 continue
             entries = [e for e in record.outstanding if e[0] in failed]
-            if any(self.primary_copy_of(obj)[0] in failed for _p, _check, obj in entries):
+            if any(self.primary_copy_of(obj)[0] in failed for _p, obj, _lo, _hi in entries):
                 still.append(snap_id)  # graph repair has not committed yet
                 continue
             record.outstanding = [e for e in record.outstanding if e[0] not in failed]
             record.pending_sites -= failed
-            self.dispatch_checks(
-                record, [(obj, check.lo_vt, check.hi_vt) for _p, check, obj in entries]
-            )
+            if entries:
+                self.dispatch_checks(record, [(obj, lo, hi) for _p, obj, lo, hi in entries])
             if record.ready() and not record.dead:
                 record.proxy.on_snapshot_ready(record)
         # dispatch_checks above may have re-orphaned records (e.g. the new
         # primary is dead too); keep those alongside the still-waiting ones.
-        for snap_id in self._orphans:
+        for snap_id in self.orphans:
             if snap_id not in still:
                 still.append(snap_id)
-        self._orphans = still
+        self.orphans = still
 
     # -- primary side --------------------------------------------------------
 
@@ -1087,7 +1092,8 @@ class ViewManager:
         )
 
     def on_txn_resolved(self, vt: VirtualTime, committed: bool) -> None:
-        """Re-evaluate deferred pessimistic checks after a commit/abort."""
+        """Re-evaluate deferred pessimistic checks after a commit/abort (the
+        engine skips the call while ``deferred`` and ``orphans`` are empty)."""
         still_deferred: List[DeferredCheck] = []
         resolved: List[Tuple[DeferredCheck, bool]] = []
         for deferred in self.deferred:
@@ -1116,7 +1122,8 @@ class ViewManager:
             self._maybe_reply(reply)
         # A commit may be the graph-repair transaction that names a new
         # primary for orphaned snapshot checks.
-        self.maybe_retry_orphans()
+        if self.orphans:
+            self.maybe_retry_orphans()
 
     # -- requester side: replies -------------------------------------------
 
@@ -1150,18 +1157,11 @@ class ViewManager:
 
     # -- aggregate metrics ------------------------------------------------
 
+    #: The per-proxy counters :meth:`total_counters` sums, in this order.
+    _TOTALS = (
+        "notifications", "commit_notifications", "lost_updates",
+        "update_inconsistencies", "read_inconsistencies",
+    )
+
     def total_counters(self) -> Dict[str, int]:
-        totals = {
-            "notifications": 0,
-            "commit_notifications": 0,
-            "lost_updates": 0,
-            "update_inconsistencies": 0,
-            "read_inconsistencies": 0,
-        }
-        for proxy in self.proxies:
-            totals["notifications"] += proxy.notifications
-            totals["commit_notifications"] += proxy.commit_notifications
-            totals["lost_updates"] += proxy.lost_updates
-            totals["update_inconsistencies"] += proxy.update_inconsistencies
-            totals["read_inconsistencies"] += proxy.read_inconsistencies
-        return totals
+        return {name: sum(getattr(p, name) for p in self.proxies) for name in self._TOTALS}

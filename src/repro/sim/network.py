@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import Envelope
@@ -249,7 +250,7 @@ class Network(Transport):
         return self
 
     def now(self) -> float:
-        return self._scheduler.now
+        return self._scheduler._now
 
     def pending(self) -> int:
         return self._scheduler.pending()
@@ -301,6 +302,7 @@ class Network(Transport):
         units = len(payload.messages) if isinstance(payload, Envelope) else 1
         msg_id = self._msg_seq
         self._msg_seq = msg_id + 1
+        scheduler = self._scheduler
         if self.bus.active:
             # Emitted for every send attempt — including ones dropped below —
             # matching what a wire sniffer at the sender would observe.
@@ -309,7 +311,7 @@ class Network(Transport):
             self.bus.emit(
                 "message_sent",
                 site=src,
-                time_ms=self._scheduler.now,
+                time_ms=scheduler._now,
                 txn_vt=getattr(payload, "txn_vt", None),
                 tenant=tenant,
                 dst=dst,
@@ -317,55 +319,22 @@ class Network(Transport):
                 msg_id=msg_id,
                 payload=payload,
             )
+        # Faults are armed at any time, so each send reads the tables anew;
+        # testing them for emptiness first keeps the fault-free send cheap.
         if (
             (tenant, src) in self._failed
             or dst_key in self._failed
-            or self._is_partitioned(src, dst)
+            or (self._partitioned and self._is_partitioned(src, dst))
         ):
             self.stats.messages_dropped += units
             return
-        if self._consume_drop_rule(src, dst):
+        if self._drop_rules and self._consume_drop_rule(src, dst):
             self.stats.messages_dropped += units
             self.stats.messages_dropped_injected += units
             return
-        def deliver() -> None:
-            # The keys are rebuilt here, not captured: a message in flight
-            # is one closure the collector has to walk, so it holds no more
-            # than the send's own arguments.
-            self.stats.messages_in_flight -= units
-            failed = self._failed
-            key = (tenant, dst)
-            if key in failed:
-                self.stats.messages_dropped += units
-                return
-            if (tenant, src) in failed and not self.flush_inflight_on_fail:
-                self.stats.messages_dropped += units
-                return
-            if self._is_partitioned(src, dst) and self.partition_cuts_inflight:
-                self.stats.messages_dropped += units
-                return
-            handler = self._handlers.get(key)
-            if handler is None:
-                # Destination evicted while the message was in flight
-                # (SessionHost tenant eviction): drop, never raise.
-                self.stats.messages_dropped += units
-                return
-            self.stats.messages_delivered += units
-            if self.bus.active:
-                # Paired with the message_sent event via msg_id: together
-                # they are the cross-site happens-before edges of the
-                # causal analyzer (repro.obs.causal).
-                self.bus.emit(
-                    "message_delivered",
-                    site=dst,
-                    time_ms=self._scheduler.now,
-                    txn_vt=getattr(payload, "txn_vt", None),
-                    tenant=tenant,
-                    src=src,
-                    msg_type=type(payload).__name__,
-                    msg_id=msg_id,
-                )
-            handler(src, payload)
+        # A message in flight is one partial over the send's own arguments,
+        # not a closure with a cell per captured name.
+        deliver = partial(self._deliver, tenant, src, dst, payload, msg_id, units)
 
         if self.choice is not None and src != dst:
             self.stats.messages_in_flight += units
@@ -376,10 +345,10 @@ class Network(Transport):
             # Local loopback delivers on the next scheduler step with zero
             # latency; it still goes through the queue so handler re-entrancy
             # is never required.
-            delivery_time = self._scheduler.now
+            delivery_time = scheduler._now
         else:
             model = self._link_latency.get((src, dst), self.default_latency)
-            delivery_time = self._scheduler.now + model.sample(self._rng, src, dst)
+            delivery_time = scheduler._now + model.sample(self._rng, src, dst)
         if self.delay_hook is not None and src != dst:
             delivery_time += max(0.0, self.delay_hook(src, dst, payload))
         if self.fifo:
@@ -389,7 +358,51 @@ class Network(Transport):
             self._last_delivery[key] = delivery_time
 
         self.stats.messages_in_flight += units
-        self._scheduler.call_at(delivery_time, deliver, label=f"deliver {src}->{dst}")
+        scheduler.call_at(delivery_time, deliver)
+
+    def _deliver(
+        self, tenant: int, src: int, dst: int, payload: Any, msg_id: int, units: int
+    ) -> None:
+        """The end of one send's flight: dropped if a fault armed since
+        cuts it, else handed to the destination's handler."""
+        self.stats.messages_in_flight -= units
+        failed = self._failed
+        key = (tenant, dst)
+        if key in failed:
+            self.stats.messages_dropped += units
+            return
+        if (tenant, src) in failed and not self.flush_inflight_on_fail:
+            self.stats.messages_dropped += units
+            return
+        if (
+            self._partitioned
+            and self.partition_cuts_inflight
+            and self._is_partitioned(src, dst)
+        ):
+            self.stats.messages_dropped += units
+            return
+        handler = self._handlers.get(key)
+        if handler is None:
+            # Destination evicted while the message was in flight
+            # (SessionHost tenant eviction): drop, never raise.
+            self.stats.messages_dropped += units
+            return
+        self.stats.messages_delivered += units
+        if self.bus.active:
+            # Paired with the message_sent event via msg_id: together
+            # they are the cross-site happens-before edges of the
+            # causal analyzer (repro.obs.causal).
+            self.bus.emit(
+                "message_delivered",
+                site=dst,
+                time_ms=self._scheduler._now,
+                txn_vt=getattr(payload, "txn_vt", None),
+                tenant=tenant,
+                src=src,
+                msg_type=type(payload).__name__,
+                msg_id=msg_id,
+            )
+        handler(src, payload)
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -17,7 +17,6 @@ live-event counter makes :meth:`Scheduler.pending` O(1).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -26,23 +25,44 @@ from repro.errors import SimulationError
 _COMPACT_MIN_HEAP = 64
 
 
-@dataclass
+def _event_name(label: str, action: Callable[[], None]) -> str:
+    """What an error calls an event: its label, or else the name of the
+    function it calls (the simulated network labels nothing, so a send
+    formats no string; its action is a ``functools.partial``)."""
+    function = getattr(action, "func", action)
+    return label or getattr(function, "__qualname__", None) or repr(action)
+
+
 class ScheduledEvent:
     """A pending callback in the event queue.
 
     Events fire in ``(time, seq)`` order; ``seq`` is a monotonically
     increasing insertion counter that makes simultaneous events fire in
-    FIFO order.
+    FIFO order.  One is allocated per simulated message, so it is slotted.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None]
-    label: str = ""
-    cancelled: bool = False
-    # Back-reference for cancellation bookkeeping; cleared once the event
-    # leaves the heap so late cancels cannot corrupt the live counter.
-    _sched: Optional["Scheduler"] = field(default=None, repr=False)
+    __slots__ = ("time", "seq", "action", "label", "cancelled", "_sched")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        action: Callable[[], None],
+        label: str = "",
+        _sched: Optional["Scheduler"] = None,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.label = label
+        self.cancelled = False
+        # Back-reference for cancellation bookkeeping; cleared once the event
+        # leaves the heap so late cancels cannot corrupt the live counter.
+        self._sched = _sched
+
+    def __repr__(self) -> str:
+        name = _event_name(self.label, self.action)
+        return f"ScheduledEvent(time={self.time}, seq={self.seq}, {name!r})"
 
     def cancel(self) -> None:
         """Prevent the event from firing (it stays in the heap but is skipped)."""
@@ -81,11 +101,12 @@ class Scheduler:
         """Schedule ``action`` at absolute simulated ``time``."""
         if time < self._now:
             raise SimulationError(
-                f"cannot schedule event {label!r} at {time} before current time {self._now}"
+                f"cannot schedule event {_event_name(label, action)!r} at {time} "
+                f"before current time {self._now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time=time, seq=seq, action=action, label=label, _sched=self)
+        event = ScheduledEvent(time, seq, action, label, self)
         heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
@@ -93,7 +114,9 @@ class Scheduler:
     def call_later(self, delay: float, action: Callable[[], None], label: str = "") -> ScheduledEvent:
         """Schedule ``action`` after ``delay`` simulated milliseconds."""
         if delay < 0:
-            raise SimulationError(f"negative delay {delay} for event {label!r}")
+            raise SimulationError(
+                f"negative delay {delay} for event {_event_name(label, action)!r}"
+            )
         return self.call_at(self._now + delay, action, label)
 
     def pending(self) -> int:

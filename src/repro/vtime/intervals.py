@@ -26,23 +26,37 @@ linear implementation is preserved verbatim in
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.vtime.lamport import VirtualTime
 
 
-@dataclass(frozen=True)
 class Interval:
-    """An open write-free interval ``(lo, hi)`` reserved by transaction ``owner``."""
+    """An open write-free interval ``(lo, hi)`` reserved by transaction ``owner``.
 
-    lo: VirtualTime
-    hi: VirtualTime
-    owner: VirtualTime
+    A value: compared and hashed by its three fields, and never changed
+    once built.  One is built per reservation, so it is slotted.
+    """
 
-    def __post_init__(self) -> None:
-        if self.hi < self.lo:
-            raise ValueError(f"interval upper bound {self.hi} precedes lower bound {self.lo}")
+    __slots__ = ("lo", "hi", "owner")
+
+    def __init__(self, lo: VirtualTime, hi: VirtualTime, owner: VirtualTime) -> None:
+        if hi < lo:
+            raise ValueError(f"interval upper bound {hi} precedes lower bound {lo}")
+        self.lo = lo
+        self.hi = hi
+        self.owner = owner
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self.lo, self.hi, self.owner) == (other.lo, other.hi, other.owner)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.owner))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r}, owner={self.owner!r})"
 
     def contains_strictly(self, vt: VirtualTime) -> bool:
         """True if ``vt`` lies strictly inside the open interval."""

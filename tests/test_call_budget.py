@@ -51,8 +51,18 @@ dataclass-generated ``__init__``s (compiled under ``<string>``, so not among
 the calls: 45.0 per commit), and — on a 2-site session after warm-up —
 GC-tracked objects retained per commit (the ``engine.status`` key).
 ``scripts/call_budget.py`` prints the per-module and per-function table
-behind these numbers; the calls that return at once are still in it
-(CHANGES.md, PR 24, says why they stayed).
+behind these numbers.
+
+Since a notification, a message and a commit pay only for what they use —
+no call into a function that would return at once (``dispatch_checks``
+with nothing to check, ``maybe_retry_orphans`` with no orphan, a bus-off
+``_record_notify``, ``ready()`` and the batch plumbing read inline), a
+simulated send that formats no label and looks up no empty fault table,
+and slotted engine records whose constructors are counted calls — the
+same plan takes **181,743 calls = 757.3 per commit, 255.1 in views.py,
+26.6 dataclass ``__init__``s**, and one more column is pinned: Python
+calls in the simulated fabric (``sim/network.py`` + ``sim/scheduler.py``)
+per message sent, 13.8 before, 8.5 now.
 
 The same scenario with every site read-modify-writing instead (arrivals
 eight delays apart, so that about one attempt in eight is rolled back) has
@@ -90,16 +100,22 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: Python-level calls per commit of this scenario on ``main`` (see above).
 MAIN_CALLS_PER_COMMIT = 1989.1
 
-#: 214,217 calls with one way from a resolution into the views (966.4 with
-#: the COMMIT vouching for blind writes, .. 93c8ab4; 1,278.0 when every
-#: snapshot asked, 53b9ce7 .. fcb0218); nothing since may add to it.
-CALLS_PER_COMMIT_CEILING = 892.6
-#: ... of which in ``core/views.py`` (413.6 at 93c8ab4).
-VIEWS_CALLS_PER_COMMIT_CEILING = 349.3
-#: Dataclass-generated ``__init__``s per commit: wire structs, history
-#: entries, reservation intervals, scheduled events, access and
-#: transaction records, snapshots.
-DATACLASS_INITS_PER_COMMIT_CEILING = 45.0
+#: 181,743 calls with nothing entered that returns at once (892.6 with one
+#: way from a resolution into the views, .. 35a2869; 966.4 with the COMMIT
+#: vouching for blind writes, .. 93c8ab4; 1,278.0 when every snapshot
+#: asked, 53b9ce7 .. fcb0218); nothing since may add to it.
+CALLS_PER_COMMIT_CEILING = 757.3
+#: ... of which in ``core/views.py`` (349.3 at 35a2869, 413.6 at 93c8ab4).
+VIEWS_CALLS_PER_COMMIT_CEILING = 255.2
+#: Dataclass-generated ``__init__``s per commit: wire structs, snapshots,
+#: transaction records (45.0 at 35a2869, before history entries,
+#: reservation intervals, scheduled events and access records were slotted
+#: by hand — their constructors are counted calls now).
+DATACLASS_INITS_PER_COMMIT_CEILING = 26.7
+#: Python calls in ``sim/network.py`` + ``sim/scheduler.py`` per message
+#: sent (13.8 at 35a2869: a label formatted per send, two partition and
+#: one drop-rule lookup in empty tables, ``now`` through a property).
+FABRIC_CALLS_PER_MESSAGE_CEILING = 8.5
 
 #: ``NetworkStats.per_type_sent`` of the measured window: the first three as
 #: on ``main``, the CONFIRM-READ round trips down from 1,265.
@@ -233,6 +249,10 @@ def test_python_calls_per_commit_stay_under_budget():
     assert counts.imports == 0, "an import statement executed on the message path"
     assert counts.in_module(os.path.join("core", "views.py")) / TXNS <= VIEWS_CALLS_PER_COMMIT_CEILING
     assert counts.dataclass_inits / TXNS <= DATACLASS_INITS_PER_COMMIT_CEILING
+    fabric = counts.in_module(os.path.join("sim", "network.py")) + counts.in_module(
+        os.path.join("sim", "scheduler.py")
+    )
+    assert fabric / sum(MAIN_MESSAGES.values()) <= FABRIC_CALLS_PER_MESSAGE_CEILING
     per_commit = counts.calls / TXNS
     assert per_commit <= 0.8 * MAIN_CALLS_PER_COMMIT, (
         f"{per_commit:.1f} Python calls per commit; main made {MAIN_CALLS_PER_COMMIT} "
@@ -268,7 +288,7 @@ RMW_DIGEST = {
     "s0:obj1": ((226, 3), "120"),
     "s0:obj1.assoc": MAIN_DIGEST["s0:obj1.assoc"],
 }
-RMW_CALLS_PER_COMMIT_CEILING = 783.2  # 187,964 calls; 850.6 at 93c8ab4
+RMW_CALLS_PER_COMMIT_CEILING = 659.0  # 158,145 calls; 783.2 at 35a2869, 850.6 at 93c8ab4
 
 
 def test_rmw_twin_is_confirmed_by_commit():

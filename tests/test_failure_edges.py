@@ -4,6 +4,8 @@ coordinator loss, failures during joins, and stability-bound GC."""
 import pytest
 
 from repro import Session
+from repro.core.messages import SnapshotConfirmMsg
+from repro.core.views import View
 from repro.sim.network import FixedLatency
 from repro.vtime import VirtualTime
 from repro import DInt
@@ -142,6 +144,60 @@ class TestStabilityBound:
         # The increment must not be lost OR double-applied: final = 4.
         assert out.committed
         assert [o.get() for o in objs] == [4, 4, 4]
+
+
+class _Recorder(View):
+    def __init__(self):
+        self.seen = []
+
+    def update(self, changed, snapshot):
+        self.seen.append((snapshot.ts, [snapshot.read(c) for c in changed]))
+
+
+class TestOrphanedSnapshotCheck:
+    def test_check_to_a_crashed_primary_is_re_sent_after_repair(self):
+        """A pessimistic view away from the primary asks it to confirm a
+        blind write's snapshot (an object's first blind writes still ask);
+        the primary crashes fail-stop before the request arrives.  The
+        check is orphaned, waits for graph repair to name a live primary,
+        and is re-sent there once — the one way ``maybe_retry_orphans``
+        re-dispatches."""
+        session, sites, objs = quad(latency=30.0)
+        watcher = sites[2]
+        view = _Recorder()
+        objs[2].attach(view, "pessimistic")
+        session.settle()
+        asked = []
+        send = watcher.send
+
+        def spy(dst, payload):
+            if isinstance(payload, SnapshotConfirmMsg):
+                asked.append((dst, payload.snap_id))
+            send(dst, payload)
+
+        watcher.send = spy
+        session.network.set_link_latency(2, 0, FixedLatency(500.0))  # the request is slow
+        outcome = sites[1].transact(lambda: objs[1].set(5))
+        session.run_for(100.0)
+        assert outcome.committed and watcher.engine.status[outcome.vt] == "committed"
+        ((primary, orphan),) = asked
+        assert primary == 0
+        assert [sorted(r.pending_sites) for r in watcher.views.records.values()] == [[0]]
+        sent_before = watcher.metrics.value("view.confirm_requests_sent")
+
+        session.network.fail_site(0)  # the request is lost with it
+        session.settle()
+
+        assert objs[2].primary_site() == 1
+        after = asked[1:]
+        assert [dst for dst, snap_id in after if snap_id == orphan] == [1]
+        # The rest is the snapshot the repair's own graph write raised.
+        assert all(dst == 1 for dst, _snap_id in after) and len(after) == 2
+        assert watcher.metrics.value("view.confirm_requests_sent") - sent_before == len(after)
+        assert [ts for ts, _values in view.seen].count(outcome.vt) == 1
+        assert [values for _ts, values in view.seen] == [[0], [5], [5]]
+        for site in sites[1:]:
+            assert site.protocol_residue() == {}
 
 
 class TestClockMerging:

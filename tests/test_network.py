@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import SimulationError, TransportError
 from repro.sim import (
     FixedLatency,
     Network,
@@ -258,6 +258,86 @@ class TestInjectedDrops:
         sched, net, _ = make_net()
         with pytest.raises(SimulationError):
             net.inject_drop(1, count=0)
+
+
+class TestFaultsArmedMidRun:
+    """A send skips the partition and drop-rule lookups while both tables
+    are empty; faults armed later must still be read at the next send and
+    the next delivery, and the lifecycle counters must reconcile."""
+
+    def test_drop_armed_while_traffic_flows_takes_exactly_the_next_n(self):
+        sched, net, inboxes = make_net(FixedLatency(50.0))
+        for i in range(3):
+            net.send(0, 1, f"early{i}")
+        sched.run(until=20)
+        assert net.stats.messages_in_flight == 3 and net.stats.reconcile()
+        net.inject_drop(1, count=2)
+        for i in range(4):
+            net.send(0, 1, f"late{i}")
+            assert net.stats.reconcile()
+        net.send(0, 2, "elsewhere")  # another destination never matches
+        sched.run_until_quiescent()
+        assert [p for _, p, _ in inboxes[1]] == ["early0", "early1", "early2", "late2", "late3"]
+        assert [p for _, p, _ in inboxes[2]] == ["elsewhere"]
+        assert net.stats.messages_dropped_injected == net.stats.messages_dropped == 2
+        assert net.stats.reconcile() and net.stats.messages_in_flight == 0
+        net.send(0, 1, "after")  # the rule is spent and gone
+        sched.run_until_quiescent()
+        assert inboxes[1][-1][1] == "after" and net.stats.reconcile()
+
+    @pytest.mark.parametrize("cuts", [True, False])
+    def test_partition_armed_with_messages_in_flight(self, cuts):
+        sched, net, inboxes = make_net(FixedLatency(50.0))
+        net.partition_cuts_inflight = cuts
+        net.send(0, 1, "warm-up")
+        sched.run_until_quiescent()
+        net.send(0, 1, "in-flight")
+        net.send(2, 3, "unaffected")
+        sched.run(until=10)
+        net.partition([0], [1])
+        assert net.stats.reconcile()
+        net.send(1, 0, "across")  # dropped at send time either way
+        assert net.stats.reconcile()
+        sched.run_until_quiescent()
+        expected = ["warm-up"] if cuts else ["warm-up", "in-flight"]
+        assert [p for _, p, _ in inboxes[1]] == expected
+        assert inboxes[0] == [] and [p for _, p, _ in inboxes[3]] == ["unaffected"]
+        assert net.stats.messages_dropped == (2 if cuts else 1)
+        assert net.stats.reconcile() and net.stats.messages_in_flight == 0
+        net.heal_partition()
+        net.send(0, 1, "healed")
+        sched.run_until_quiescent()
+        assert inboxes[1][-1][1] == "healed" and net.stats.reconcile()
+
+
+class TestSchedulingIntoThePast:
+    def test_call_at_names_the_label(self):
+        sched = Scheduler()
+        sched.advance_to(10.0)
+        with pytest.raises(SimulationError, match="'retry timer'"):
+            sched.call_at(5.0, lambda: None, label="retry timer")
+
+    def test_unlabelled_event_is_named_by_its_action(self):
+        sched = Scheduler()
+        sched.advance_to(10.0)
+
+        def deliver_the_reply():
+            pass
+
+        with pytest.raises(SimulationError, match="deliver_the_reply"):
+            sched.call_at(5.0, deliver_the_reply)
+        with pytest.raises(SimulationError, match="negative delay .*deliver_the_reply"):
+            sched.call_later(-1.0, deliver_the_reply)
+        assert sched.pending() == 0
+
+    def test_an_in_flight_message_is_named_by_the_network(self):
+        """A simulated send schedules a ``partial`` with no label."""
+        sched, net, _ = make_net(FixedLatency(10.0))
+        net.send(0, 1, "x")
+        (entry,) = sched._queue
+        sched.advance_to(20.0)
+        with pytest.raises(SimulationError, match="'Network._deliver' at 10.0"):
+            sched.call_at(entry[0], entry[2].action)
 
 
 class TestDelayHook:
