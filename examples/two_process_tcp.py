@@ -85,7 +85,7 @@ async def child_main(
     transport = TcpTransport(
         addrs, local_sites={site_id}, fail_after_ms=30_000.0, sampler=sampler
     )
-    session = Session(transport=transport, roster=set(addrs), batching=True)
+    session = Session(transport=transport, roster=set(addrs))
     site = session.add_site(f"proc{site_id}", site_id=site_id)
 
     # --trace-dir: record this process's full wall-clock timeline (session

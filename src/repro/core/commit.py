@@ -151,12 +151,17 @@ class TransactionEngine:
         transport the commit typically happens later — poll ``committed`` or
         register ``on_commit``.
 
-        The whole run is one outbox turn: with batching enabled, the
-        propagation fan-out (and any eagerly-resolved replies) leaves as
-        one envelope per destination.
+        The whole run is one outbox turn: the propagation fan-out (and any
+        eagerly-resolved replies) leaves as one envelope per destination.
         """
-        with self.site.outbox.auto_turn():
+        outbox = self.site.outbox
+        outbox.depth += 1
+        try:
             return self._run(txn, outcome, post_execute)
+        finally:
+            outbox.depth -= 1
+            if not outbox.depth and outbox.buffer:
+                outbox.flush()
 
     def _run(
         self,

@@ -13,7 +13,6 @@ names the type directly, and applications extend the vocabulary with
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Type
 
 from repro.core.association import Association
@@ -73,16 +72,12 @@ class Session:
         primary_selector: Optional[PrimarySelector] = None,
         max_retries: int = 50,
         delegation_enabled: bool = True,
-        batching: bool = False,
         roster: Optional[Iterable[int]] = None,
     ) -> None:
         self.transport = transport if transport is not None else MemoryTransport()
         self.primary_selector = primary_selector
         self.max_retries = max_retries
         self.delegation_enabled = delegation_enabled
-        #: When True, each site's outbox coalesces every protocol turn's
-        #: fan-out into one Envelope per destination (repro.wire.batch).
-        self.batching = batching
         #: Site ids known to belong to the collaboration but hosted
         #: elsewhere (other processes); merged into every site's roster so
         #: the failure protocol and fan-outs see the full membership.
@@ -148,7 +143,6 @@ class Session:
             session=self,
             max_retries=self.max_retries,
             delegation_enabled=self.delegation_enabled,
-            batching=self.batching,
         )
         self.sites.append(site)
         roster = self.base_roster | {s.site_id for s in self.sites}
@@ -178,23 +172,6 @@ class Session:
         if scheduler is None:
             raise ReproError("run_for requires a simulated transport")
         scheduler.run(until=scheduler.now + ms)
-
-    @contextlib.contextmanager
-    def batched(self):
-        """An explicit coalescing window across every local site.
-
-        All messages sent inside the block leave as one envelope per
-        (site, destination) pair when it closes — independent of the
-        session-level ``batching`` flag, so callers can batch a known
-        burst (bulk loading, many small transactions) ad hoc.
-        """
-        for site in self.sites:
-            site.outbox.begin_turn()
-        try:
-            yield self
-        finally:
-            for site in self.sites:
-                site.outbox.end_turn()
 
     # ------------------------------------------------------------------
     # Replication setup (uses the real join protocol)

@@ -95,7 +95,6 @@ class SiteRuntime:
         session: Optional["Session"] = None,
         max_retries: int = 50,
         delegation_enabled: bool = True,
-        batching: bool = False,
     ) -> None:
         from repro.core.failures import FailureManager
         from repro.core.join import JoinManager
@@ -116,10 +115,10 @@ class SiteRuntime:
             transport_bus = getattr(transport, "bus", None)
             self.bus = transport_bus if transport_bus is not None else EventBus()
         self.clock = LamportClock(site_id)
-        #: All outgoing protocol messages funnel through the outbox; with
-        #: batching enabled, one protocol turn's fan-out coalesces into one
-        #: Envelope per destination (see :mod:`repro.wire.batch`).
-        self.outbox = Outbox(self, enabled=batching)
+        #: All outgoing protocol messages funnel through the outbox: one
+        #: protocol turn's fan-out coalesces into one Envelope per
+        #: destination (see :mod:`repro.wire.batch`).
+        self.outbox = Outbox(self)
         self.objects: Dict[str, ModelObject] = {}
         self.views = ViewManager(self)
         self.engine = TransactionEngine(
@@ -259,16 +258,11 @@ class SiteRuntime:
     def dispatch(self, src: int, payload: Any) -> None:
         """Transport delivery handler: unpack envelopes, route each message.
 
-        One delivery is one protocol turn: with batching enabled, every
-        reply this turn produces leaves coalesced when the turn ends.  The
-        turn window is opened inline (not via ``auto_turn``) — this handler
-        runs once per delivered frame, and the context-manager generator
-        was measurable churn in the turn-loop profile.
+        One delivery is one protocol turn: every reply this turn produces
+        leaves coalesced when the turn ends.
         """
         outbox = self.outbox
-        batching = outbox.enabled
-        if batching:
-            outbox.begin_turn()
+        outbox.depth += 1
         try:
             if isinstance(payload, Envelope):
                 for message in payload.messages:
@@ -276,8 +270,9 @@ class SiteRuntime:
             else:
                 self._dispatch_one(src, payload)
         finally:
-            if batching:
-                outbox.end_turn()
+            outbox.depth -= 1
+            if not outbox.depth and outbox.buffer:
+                outbox.flush()
 
     def _dispatch_one(self, src: int, payload: Any) -> None:
         """Merge clocks and route one protocol message by type."""
@@ -307,9 +302,15 @@ class SiteRuntime:
                 time_ms=self.transport.now(),
                 failed_site=failed_site,
             )
-        with self.outbox.auto_turn():
+        outbox = self.outbox
+        outbox.depth += 1
+        try:
             self.failures.on_site_failed(failed_site)
             self.views.on_site_failed(failed_site)
+        finally:
+            outbox.depth -= 1
+            if not outbox.depth and outbox.buffer:
+                outbox.flush()
 
     # ------------------------------------------------------------------
     # Bookkeeping services used by the engines

@@ -907,10 +907,14 @@ class ViewManager:
             primary, uid = self.primary_copy_of(obj)
             by_site.setdefault(primary, []).append((uid, obj, lo, hi))
         me = self.site.site_id
-        if not record.pending_sites:
-            record.pending_sites = set()
+        # Every primary is pending before any check is evaluated: a local
+        # primary's immediate verdict must not find the record ready while
+        # a remote primary is still to be asked.
+        if record.pending_sites:
+            record.pending_sites.update(by_site)
+        else:
+            record.pending_sites = set(by_site)
         for primary, site_guesses in sorted(by_site.items()):
-            record.pending_sites.add(primary)
             if primary != me:
                 parked = [(primary, obj, lo, hi) for _uid, obj, lo, hi in site_guesses]
                 record.outstanding = [*record.outstanding, *parked]

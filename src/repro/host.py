@@ -74,7 +74,6 @@ class SessionHost:
         local_sites: Iterable[int] = (0,),
         roster: Optional[Iterable[int]] = None,
         max_active: Optional[int] = None,
-        batching: bool = True,
         on_activate: Optional[Callable[[int, Session], None]] = None,
         **session_kwargs: Any,
     ) -> None:
@@ -86,7 +85,6 @@ class SessionHost:
         if max_active is not None and max_active < 1:
             raise ReproError("max_active must be at least 1")
         self.max_active = max_active
-        self.batching = batching
         self.on_activate = on_activate
         self.session_kwargs = session_kwargs
         self._active: "OrderedDict[int, _ActiveTenant]" = OrderedDict()
@@ -117,12 +115,7 @@ class SessionHost:
             self._active.move_to_end(tenant_id)
             return active.session
         facade = TenantTransport(self.transport, tenant_id)
-        session = Session(
-            transport=facade,
-            batching=self.batching,
-            roster=self.roster,
-            **self.session_kwargs,
-        )
+        session = Session(transport=facade, roster=self.roster, **self.session_kwargs)
         for site_id in self.local_sites:
             session.add_site(f"t{tenant_id}s{site_id}", site_id=site_id)
         self._active[tenant_id] = _ActiveTenant(session, facade)

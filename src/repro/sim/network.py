@@ -104,8 +104,8 @@ class NetworkStats:
 
     All lifecycle counters are in units of *protocol messages*: an
     :class:`~repro.core.messages.Envelope` frame carrying K messages counts
-    as K sent/delivered/dropped, so message-complexity reports are
-    comparable with and without batching.  ``envelopes_sent`` additionally
+    as K sent/delivered/dropped, so message-complexity reports count
+    protocol messages, not frames.  ``envelopes_sent`` additionally
     counts multi-message frames; ``per_type_sent`` counts the inner types.
     """
 

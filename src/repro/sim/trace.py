@@ -1,7 +1,8 @@
 """Message tracing for the simulated network.
 
 A :class:`MessageTrace` subscribes to a network's protocol event bus
-(:mod:`repro.obs`) and records every send with its simulated timestamp,
+(:mod:`repro.obs`) and records every protocol message sent — each message
+of an envelope frame on its own — with its simulated timestamp,
 endpoints, message type, and (when present) transaction VT.  Traces
 support filtering and a compact textual rendering — the primary debugging
 tool for protocol work, and the source of the message-count numbers
@@ -18,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.messages import Envelope
 from repro.obs.events import ProtocolEvent
 from repro.sim.network import Network
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One recorded send."""
+    """One recorded protocol message."""
 
     time_ms: float
     src: int
@@ -49,18 +51,24 @@ class MessageTrace:
         network.bus.subscribe(self._on_event)
 
     def _on_event(self, event: ProtocolEvent) -> None:
+        """One entry per protocol message, as ``NetworkStats.record_send``
+        counts them."""
         if event.kind != "message_sent":
             return
-        self.entries.append(
-            TraceEntry(
-                time_ms=event.time_ms,
-                src=event.site,
-                dst=event.data["dst"],
-                msg_type=event.data["msg_type"],
-                txn_vt=event.txn_vt,
-                payload=event.data.get("payload") if self.capture_payloads else None,
+        data = event.data
+        payload = data["payload"]
+        messages = payload.messages if isinstance(payload, Envelope) else (payload,)
+        for message in messages:
+            self.entries.append(
+                TraceEntry(
+                    time_ms=event.time_ms,
+                    src=event.site,
+                    dst=data["dst"],
+                    msg_type=type(message).__name__,
+                    txn_vt=getattr(message, "txn_vt", None),
+                    payload=message if self.capture_payloads else None,
+                )
             )
-        )
 
     def uninstall(self) -> None:
         """Stop tracing (existing entries are kept).  Order-independent:

@@ -1,12 +1,13 @@
-"""Per-destination message coalescing (the batched message plane).
+"""Per-destination message coalescing: the one way out of a site.
 
 Every protocol send from a site funnels through its :class:`Outbox`.
-Outside a *turn* the outbox is transparent: each message goes straight to
-the transport, exactly as before.  Inside a turn — one protocol step such
-as dispatching an incoming frame or running a transaction to its fan-out —
-messages are buffered, then flushed when the outermost turn ends: all
-messages bound for the same destination leave in **one**
-:class:`~repro.core.messages.Envelope` frame.
+Every protocol step — dispatching an incoming frame, running a
+transaction to its fan-out, handling a failure notice — is a *turn*: the
+site runtime counts open turns in :attr:`Outbox.depth` inline, messages
+sent inside one are buffered, and when the outermost turn ends the buffer
+is flushed: all messages bound for the same destination leave in **one**
+:class:`~repro.core.messages.Envelope` frame.  A send outside any turn (a
+timer firing on its own) leaves at once.
 
 This is where the fan-out savings come from: a commit that must notify N
 peers about K objects and a view manager confirming a batch of snapshot
@@ -19,11 +20,8 @@ Guarantees:
   envelope's messages in order before any later frame.  Coalescing only
   ever *removes* interleavings with other destinations' traffic, which the
   protocol never relied on.
-* **Disabled means invisible.**  ``auto_turn`` is a no-op unless batching
-  was enabled for the site, and a destination with exactly one buffered
-  message gets the bare payload, not a one-element envelope — so with
-  batching off, the byte stream and simulator event sequence are identical
-  to a build without this module.
+* **One message travels bare.**  A destination with exactly one buffered
+  message gets the bare payload, not a one-element envelope.
 
 Metrics (per-site registry): ``wire.messages_sent`` counts protocol
 messages handed to the outbox, ``wire.envelopes_sent`` counts transport
@@ -34,7 +32,6 @@ travelled inside a multi-message envelope.  The ``envelopes_sent`` /
 
 from __future__ import annotations
 
-import contextlib
 from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from repro.core.messages import Envelope
@@ -47,16 +44,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class Outbox:
     """Buffers a site's outgoing messages and flushes them per destination."""
 
-    def __init__(self, site: "SiteRuntime", enabled: bool = False) -> None:
+    def __init__(self, site: "SiteRuntime") -> None:
         self.site = site
-        #: When False, ``auto_turn`` does not open a batching window and
-        #: every send is immediate — the seed behaviour.  Explicit
-        #: ``turn()`` windows batch regardless (used by ``Session.batched``).
-        self.enabled = enabled
-        self._depth = 0
+        #: Protocol turns open on this site.  Opened and closed inline by
+        #: the callers (``depth += 1`` ... ``depth -= 1``, then
+        #: :meth:`flush` once it is 0 and ``buffer`` is not empty): a turn
+        #: is entered once per delivered frame, so it costs no call.
+        self.depth = 0
         #: What the open turn has sent: ``()`` between turns, so an idle
         #: site holds no list.
-        self._buffer: Sequence[Tuple[int, Any]] = ()
+        self.buffer: Sequence[Tuple[int, Any]] = ()
 
     messages_sent = counter_property(
         "wire.messages_sent", "Protocol messages handed to the outbox."
@@ -68,78 +65,31 @@ class Outbox:
         "wire.messages_batched", "Messages that shared a multi-message envelope."
     )
 
-    # ------------------------------------------------------------------
-    # Sending
-    # ------------------------------------------------------------------
-
     def send(self, dst: int, payload: Any) -> None:
-        """Send ``payload`` to ``dst`` now, or buffer it if a turn is open."""
-        if self._depth > 0:
-            if self._buffer:
-                self._buffer.append((dst, payload))
+        """Buffer ``payload`` for ``dst`` if a turn is open, else send it now."""
+        if self.depth:
+            if self.buffer:
+                self.buffer.append((dst, payload))
             else:
-                self._buffer = [(dst, payload)]
+                self.buffer = [(dst, payload)]
             return
+        self.buffer = [(dst, payload)]
+        self.flush()
+
+    def flush(self) -> None:
+        """Send what the closed turn buffered: one frame per destination."""
+        buffered, self.buffer = self.buffer, ()
         site = self.site
-        inc = site.metrics.inc
-        inc("wire.messages_sent")
-        inc("wire.envelopes_sent")
-        site.transport.send(site.site_id, dst, payload)
-
-    # ------------------------------------------------------------------
-    # Turn windows
-    # ------------------------------------------------------------------
-
-    def begin_turn(self) -> None:
-        self._depth += 1
-
-    def end_turn(self) -> None:
-        if self._depth <= 0:
-            raise RuntimeError("Outbox.end_turn without matching begin_turn")
-        self._depth -= 1
-        if self._depth == 0 and self._buffer:
-            self._flush()
-
-    @contextlib.contextmanager
-    def turn(self):
-        """An explicit batching window (flushes when the outermost closes)."""
-        self.begin_turn()
-        try:
-            yield self
-        finally:
-            self.end_turn()
-
-    @contextlib.contextmanager
-    def auto_turn(self):
-        """A batching window around one protocol step — no-op when disabled.
-
-        Wrapped around message dispatch and transaction runs by the site
-        runtime; keeping it inert when batching is off means the default
-        configuration reproduces the seed's message flow exactly.
-        """
-        if not self.enabled:
-            yield self
-            return
-        self.begin_turn()
-        try:
-            yield self
-        finally:
-            self.end_turn()
-
-    # ------------------------------------------------------------------
-    # Flush
-    # ------------------------------------------------------------------
-
-    def _flush(self) -> None:
-        buffered, self._buffer = self._buffer, ()
-        site = self.site
-        inc = site.metrics.inc
+        # ``metrics.inc`` spelled out: a flush ends almost every protocol
+        # step, whose Python call count is pinned (tests/test_call_budget.py).
+        counters = site.metrics.counters
+        get = counters.get
         if len(buffered) == 1:
             # The overwhelmingly common turn outcome — one reply to one
             # destination — skips the grouping dict entirely.
             dst, payload = buffered[0]
-            inc("wire.messages_sent")
-            inc("wire.envelopes_sent")
+            counters["wire.messages_sent"] = get("wire.messages_sent", 0) + 1
+            counters["wire.envelopes_sent"] = get("wire.envelopes_sent", 0) + 1
             site.transport.send(site.site_id, dst, payload)
             return
         groups: Dict[int, List[Any]] = {}
@@ -148,14 +98,14 @@ class Outbox:
             setdefault(dst, []).append(payload)
         transport_send = site.transport.send
         site_id = site.site_id
+        counters["wire.messages_sent"] = get("wire.messages_sent", 0) + len(buffered)
+        counters["wire.envelopes_sent"] = get("wire.envelopes_sent", 0) + len(groups)
         for dst, msgs in groups.items():
             count = len(msgs)
-            inc("wire.messages_sent", count)
-            inc("wire.envelopes_sent")
             if count == 1:
                 transport_send(site_id, dst, msgs[0])
                 continue
-            inc("wire.messages_batched", count)
+            counters["wire.messages_batched"] = get("wire.messages_batched", 0) + count
             if site.bus.active:
                 site.bus.emit(
                     "envelope_sent",
@@ -168,6 +118,6 @@ class Outbox:
 
     def __repr__(self) -> str:
         return (
-            f"Outbox(site={self.site.site_id}, enabled={self.enabled}, "
-            f"depth={self._depth}, buffered={len(self._buffer)})"
+            f"Outbox(site={self.site.site_id}, depth={self.depth}, "
+            f"buffered={len(self.buffer)})"
         )

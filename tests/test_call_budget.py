@@ -64,6 +64,13 @@ same plan takes **181,743 calls = 757.3 per commit, 255.1 in views.py,
 calls in the simulated fabric (``sim/network.py`` + ``sim/scheduler.py``)
 per message sent, 13.8 before, 8.5 now.
 
+Since every protocol turn leaves through the outbox — a turn's messages to
+one destination travel as one ``Envelope`` frame, and a turn is a depth
+counter opened inline, not a context manager — the same plan sends its
+1,844 messages in 1,632 frames and takes **176,347 calls = 734.8 per
+commit, 27.5 dataclass ``__init__``s** (the 212 multi-message
+``Envelope``s are the rise) and 7.8 fabric calls per message.
+
 The same scenario with every site read-modify-writing instead (arrivals
 eight delays apart, so that about one attempt in eight is rolled back) has
 its own pins further down: there a pessimistic snapshot's RL guess is
@@ -100,22 +107,25 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: Python-level calls per commit of this scenario on ``main`` (see above).
 MAIN_CALLS_PER_COMMIT = 1989.1
 
-#: 181,743 calls with nothing entered that returns at once (892.6 with one
-#: way from a resolution into the views, .. 35a2869; 966.4 with the COMMIT
+#: 176,347 calls with every turn leaving through the outbox (757.3 with
+#: nothing entered that returns at once, .. e220fc5; 892.6 with one way
+#: from a resolution into the views, .. 35a2869; 966.4 with the COMMIT
 #: vouching for blind writes, .. 93c8ab4; 1,278.0 when every snapshot
 #: asked, 53b9ce7 .. fcb0218); nothing since may add to it.
-CALLS_PER_COMMIT_CEILING = 757.3
+CALLS_PER_COMMIT_CEILING = 734.8
 #: ... of which in ``core/views.py`` (349.3 at 35a2869, 413.6 at 93c8ab4).
 VIEWS_CALLS_PER_COMMIT_CEILING = 255.2
 #: Dataclass-generated ``__init__``s per commit: wire structs, snapshots,
-#: transaction records (45.0 at 35a2869, before history entries,
+#: transaction records, envelopes (45.0 at 35a2869, before history entries,
 #: reservation intervals, scheduled events and access records were slotted
-#: by hand — their constructors are counted calls now).
-DATACLASS_INITS_PER_COMMIT_CEILING = 26.7
+#: by hand — their constructors are counted calls now; 26.6 at e220fc5,
+#: before a turn's messages to one destination shared an ``Envelope``).
+DATACLASS_INITS_PER_COMMIT_CEILING = 27.5
 #: Python calls in ``sim/network.py`` + ``sim/scheduler.py`` per message
 #: sent (13.8 at 35a2869: a label formatted per send, two partition and
-#: one drop-rule lookup in empty tables, ``now`` through a property).
-FABRIC_CALLS_PER_MESSAGE_CEILING = 8.5
+#: one drop-rule lookup in empty tables, ``now`` through a property; 8.5
+#: at e220fc5, one frame per message).
+FABRIC_CALLS_PER_MESSAGE_CEILING = 7.8
 
 #: ``NetworkStats.per_type_sent`` of the measured window: the first three as
 #: on ``main``, the CONFIRM-READ round trips down from 1,265.
@@ -288,7 +298,8 @@ RMW_DIGEST = {
     "s0:obj1": ((226, 3), "120"),
     "s0:obj1.assoc": MAIN_DIGEST["s0:obj1.assoc"],
 }
-RMW_CALLS_PER_COMMIT_CEILING = 659.0  # 158,145 calls; 783.2 at 35a2869, 850.6 at 93c8ab4
+#: 153,006 calls; 659.0 at e220fc5, 783.2 at 35a2869, 850.6 at 93c8ab4.
+RMW_CALLS_PER_COMMIT_CEILING = 637.6
 
 
 def test_rmw_twin_is_confirmed_by_commit():
@@ -317,14 +328,19 @@ def test_rmw_twin_is_confirmed_by_commit():
 # ---------------------------------------------------------------------------
 
 #: Python calls per frame to encode / decode, as routed frames, every payload
-#: the blind scenario hands the simulated network (1,844 frames, 96,357
-#: bytes), caches warm.  At f9983f3 the codec compiled a packer and an
-#: unpacker per struct and took 6.02 / 9.94, its generated frames counted;
-#: one generic packer and unpacker per struct over the type table take
-#: 16.51 / 21.05 — more calls, each cheaper.  A codec change is judged by
-#: these counts first, not by a timing.
-ENCODE_CALLS_PER_FRAME_CEILING = 16.51
-DECODE_CALLS_PER_FRAME_CEILING = 21.05
+#: the blind scenario hands the simulated network, caches warm.  At f9983f3
+#: the codec compiled a packer and an unpacker per struct and took 6.02 /
+#: 9.94, its generated frames counted; one generic packer and unpacker per
+#: struct over the type table take 16.51 / 21.05 — more calls, each cheaper
+#: — over 1,844 one-message frames (96,357 bytes).  Since a turn's messages
+#: to one destination share an ``Envelope``, the same 1,844 messages travel
+#: in 1,632 frames (94,025 bytes): 18.66 / 23.90 per frame, 16.51 / 21.15
+#: per message.  A codec change is judged by these counts first, not by a
+#: timing.
+ENCODE_CALLS_PER_FRAME_CEILING = 18.66
+DECODE_CALLS_PER_FRAME_CEILING = 23.90
+#: Frames the blind scenario's 1,844 protocol messages travel in.
+MAIN_FRAMES = 1632
 
 
 def test_codec_calls_per_frame_stay_under_budget():
@@ -339,7 +355,8 @@ def test_codec_calls_per_frame_stay_under_budget():
 
     network.send_scoped = recording_send
     session.settle()
-    assert len(sent) == sum(MAIN_MESSAGES.values())
+    assert len(sent) == MAIN_FRAMES
+    assert sum(len(getattr(p, "messages", (p,))) for *_, p in sent) == sum(MAIN_MESSAGES.values())
 
     for cache in (codec._VT_CACHE, codec._VT_WIRE, codec._STR_CACHE):
         cache.clear()  # filled below from this scenario alone

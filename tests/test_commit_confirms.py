@@ -720,3 +720,43 @@ class TestCommitWithoutVouch:
         assert counter(sites[2], "view.vouch_missed") == 1
         for site in sites:
             assert site.engine.vouched == {} and site.protocol_residue() == {}
+
+
+class TestEveryPrimaryIsAsked:
+    def test_a_local_verdict_waits_for_the_remote_primary(self):
+        """A pessimistic view on two objects whose primaries sit on both
+        sides of the viewing site: ``y``'s here (site 0), ``x``'s at site 1.
+        ``x`` is written at site 2 and its delegated COMMIT overtakes the
+        propagate, so the snapshot is decided on arrival and both guesses
+        are checked at once.  The local verdict on ``y`` must not deliver it
+        before ``x``'s primary has been asked and has answered."""
+
+        def selector(graph):
+            nodes = sorted(graph.nodes)
+            if any(uid.endswith(":x") for uid in graph.uids()):
+                return nodes[min(1, len(nodes) - 1)]
+            return nodes[0]
+
+        session = Session.simulated(latency_ms=T, primary_selector=selector)
+        sites = session.add_sites(3)
+        xs = session.replicate(DInt, "x", sites, initial=0)
+        ys = session.replicate(DInt, "y", sites, initial=0)
+        session.settle()
+        assert (xs[0].primary_site(), ys[0].primary_site()) == (1, 0)
+        probe = Probe(sites[0])
+        sites[0].views.attach(probe, [xs[0], ys[0]], "pessimistic")
+        session.settle()
+        requests = confirm_requests(sites)
+        session.network.set_link_latency(2, 0, FixedLatency(4 * T))
+        t0 = session.scheduler.now
+        sites[2].transact(lambda: xs[2].set(5))
+        session.settle()
+        when, _ts, values = probe.updates[-1]
+        assert values == [5]
+        assert [(at, [c.object_uid for c in msg.checks]) for at, msg in requests] == [
+            (1, ["s1:x"])
+        ]
+        # The propagate lands at 4t; the CONFIRM-READ's round trip ends at 6t.
+        assert when - t0 == pytest.approx(6 * T)
+        for site in sites:
+            assert site.protocol_residue() == {}

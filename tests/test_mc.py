@@ -79,12 +79,14 @@ def test_cross_check_proves_por_sound_on_tiny_config():
 def test_canonical_rmw_space_is_small_and_por_sound():
     # A read-modify-write's pessimistic snapshot is confirmed by the
     # transaction's own COMMIT, so the canonical config carries no
-    # CONFIRM-READ traffic to interleave: 11 unreduced schedules (4,428 when
-    # every snapshot sent its own check), 4 under POR.
+    # CONFIRM-READ traffic to interleave, and a turn's messages to one
+    # destination travel as one envelope, one choice point: 7 unreduced
+    # schedules (11 with one frame per message, 4,428 when every snapshot
+    # also sent its own check), 3 under POR.
     verdict = cross_check(tiny(views=True))
     assert verdict["violations_match"]
     assert verdict["outcomes_match"]
-    assert (verdict["full_schedules"], verdict["por_schedules"]) == (11, 4)
+    assert (verdict["full_schedules"], verdict["por_schedules"]) == (7, 3)
 
 
 @pytest.mark.slow
@@ -95,7 +97,10 @@ def test_cross_check_2s2t_with_views_meets_reduction_target():
     # check are all inside the exhaustively checked space.  POR must cover
     # the same outcomes and violations while exploring at most 30% of the
     # unreduced interleavings.  With every snapshot asking (fcb0218) the
-    # same config took 1,116 / 8 schedules for the same 4 outcomes.
+    # same config took 1,116 / 8 schedules for 4 outcomes, and with one
+    # frame per message (e220fc5) 286 / 7 for 4.  An envelope delivers a
+    # turn's messages to one site at once, so the one outcome that needed
+    # another delivery between two of them is no longer reachable.
     config = exhaustive_config(2, [(0, "blind"), (1, "blind")], views=True)
     verdict = cross_check(config)
     assert verdict["violations_match"]
@@ -103,10 +108,10 @@ def test_cross_check_2s2t_with_views_meets_reduction_target():
     assert verdict["ratio"] <= 0.30
     full, reduced = verdict["full"], verdict["reduced"]
     assert full.ok and reduced.ok
-    assert (full.stats.schedules, reduced.stats.schedules) == (286, 7)
-    assert full.stats.distinct_outcomes == reduced.stats.distinct_outcomes == 4
-    assert full.stats.schedule_digest == "5e98fd34dd3872fb"
-    assert reduced.stats.schedule_digest == "f2e8a75dfe8fa067"
+    assert (full.stats.schedules, reduced.stats.schedules) == (15, 4)
+    assert full.stats.distinct_outcomes == reduced.stats.distinct_outcomes == 3
+    assert full.stats.schedule_digest == "a80482406e82a168"
+    assert reduced.stats.schedule_digest == "40f00d43cba25c30"
 
 
 @pytest.mark.slow
@@ -121,7 +126,7 @@ def test_third_party_wait_for_a_vouching_commit_is_clean_exhaustively():
     result = explore(config, por=True, keep_schedules=True)
     assert result.exhausted
     assert result.ok, [str(v) for vs in result.outcomes.values() for v in vs]
-    assert (result.stats.schedules, result.stats.distinct_outcomes) == (274, 2)
+    assert (result.stats.schedules, result.stats.distinct_outcomes) == (104, 2)  # 274 unbatched
     assert any(
         run_schedule(config, schedule).sites[2].metrics.value("view.rl_confirmed_by_commit")
         for schedule in result.schedules
@@ -137,7 +142,7 @@ def test_third_party_view_confirmed_by_commit_is_clean_exhaustively():
     result = explore(config, por=True)
     assert result.exhausted
     assert result.ok, [str(v) for vs in result.outcomes.values() for v in vs]
-    assert (result.stats.schedules, result.stats.distinct_outcomes) == (40, 9)
+    assert (result.stats.schedules, result.stats.distinct_outcomes) == (18, 9)  # 40 unbatched
 
 
 # ----------------------------------------------------------------------

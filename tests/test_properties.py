@@ -191,19 +191,19 @@ def test_list_scripts_converge(ops, seed):
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP first open item")
 def test_list_scripts_converge_known_counterexample():
-    """The input Hypothesis found in PR 16, pinned so tier-1 keeps seeing it:
-    two ``DList`` replicas settle at ``[1, 6, 4]`` vs ``[7, 1, 6, 4]`` with
-    one propagate parked forever — no crash, no drop, two sites."""
+    """An input that makes two ``DList`` replicas diverge, pinned so tier-1
+    keeps seeing the open bug: they settle at ``[4]`` vs ``[4, 5, 6]`` with
+    two propagates parked forever at site 0 — no crash, no drop, two sites."""
     test_list_scripts_converge.hypothesis.inner_test(
-        ops=[(1, 0), (0, 0), (1, 1), (1, 0), (0, 0), (1, 0)], seed=0
+        ops=[(1, 0), (1, 2), (0, 1), (0, 2), (0, 1), (1, 0), (0, 1), (1, 0)], seed=3
     )
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP first open item")
 def test_list_scripts_converge_second_counterexample():
-    """A second input tier-1's random ``dev`` profile drew: the values
-    converge, but site 0's structure history ends on an uncommitted insert.
-    Pinned beside the first so the fix has to flip both."""
+    """The bug's other face: the values converge, but site 0's structure
+    history ends on an uncommitted insert.  Pinned beside the first so the
+    fix has to flip both."""
     test_list_scripts_converge.hypothesis.inner_test(
-        ops=[(0, 0), (0, 1), (1, 0), (0, 0), (1, 1)], seed=4
+        ops=[(0, 0), (1, 1), (0, 1), (0, 1), (0, 0), (1, 1), (0, 0), (1, 1)], seed=3
     )

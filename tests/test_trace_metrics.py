@@ -39,6 +39,16 @@ class TestMessageTrace:
         assert story[0].msg_type == "TxnPropagateMsg"
         assert story[-1].msg_type == "CommitMsg"
 
+    def test_counts_protocol_messages_not_frames(self):
+        session = Session.simulated(latency_ms=20)
+        trace = MessageTrace(session.network)
+        sites = session.add_sites(3)
+        objs = session.replicate(DInt, "x", sites, initial=0)
+        sites[2].transact(lambda: objs[2].set(1))
+        session.settle()
+        assert session.network.stats.envelopes_sent > 0  # some frames carried several
+        assert trace.counts_by_type() == session.network.stats.per_type_sent
+
     def test_filters(self):
         session, trace, alice, bob, objs = self._traced_pair()
         alice.transact(lambda: objs[0].set(1))
