@@ -72,7 +72,7 @@ class Association(ModelObject):
     def _read_value(self) -> AssocValue:
         ctx = self.site.current_txn
         if ctx is not None:
-            return ctx.read_scalar(self)
+            return ctx.read(self)
         return self.history.current().value
 
     # ------------------------------------------------------------------

@@ -101,11 +101,6 @@ class ListSlot:
     embed_committed: bool = False
     removes: List[RemoveEvent] = field(default_factory=list)
 
-    @property
-    def removed_vts(self) -> List[VirtualTime]:
-        """The remove VTs (compatibility accessor)."""
-        return [event.vt for event in self.removes]
-
     def visible_at(self, vt: VirtualTime, committed_only: bool = False) -> bool:
         """Is this slot visible at ``vt`` (optionally committed-events-only)?"""
         if not self.slot_id.vt <= vt:
@@ -155,7 +150,7 @@ class CompositeObject(ModelObject):
     def _read_structure(self) -> None:
         ctx = self.site.current_txn
         if ctx is not None:
-            ctx.read_structure(self)
+            ctx.read(self)
 
     def _write_structure(self, op: OpPayload) -> Any:
         ctx = self.site.require_txn(op.kind)
@@ -165,14 +160,6 @@ class CompositeObject(ModelObject):
         """Record a structural event at ``vt`` (idempotent per transaction)."""
         if self.history.entry_at(vt) is None:
             self.history.insert(vt, desc)
-
-    def committed_structural_vts(self) -> set:
-        """VTs of committed structural events still present in the history.
-
-        Visibility does NOT use this (commit status lives on slot events,
-        which survive history GC); it exists for diagnostics and tests.
-        """
-        return {entry.vt for entry in self.history if entry.committed}
 
     # -- child construction --------------------------------------------
 
@@ -390,6 +377,19 @@ class DList(CompositeObject):
     def _children_embedded_at(self, vt: VirtualTime) -> List[ModelObject]:
         return [s.child for s in self._slots if s.slot_id.vt == vt]
 
+    def uncommitted_deps(self, upto: VirtualTime) -> List[VirtualTime]:
+        """A structure is an operation log: a read as of ``upto`` folds every
+        insert and remove at or before it, so it depends on each uncommitted
+        one.  The slot events hold the commit status (the history's GC drops
+        an uncommitted entry below a stable committed one); children answer
+        for themselves."""
+        found = []
+        for slot in self._slots:
+            if not slot.embed_committed and slot.slot_id.vt <= upto:
+                found.append(slot.slot_id.vt)
+            found.extend(e.vt for e in slot.removes if not e.committed and e.vt <= upto)
+        return found
+
     def resolve_step(self, step: PathStep) -> Optional[ModelObject]:
         slot = self._find_slot(step.embed_vt)
         return slot.child if slot is not None else None
@@ -538,6 +538,13 @@ class DMap(CompositeObject):
                 if slot.vt == vt:
                     slot.committed = True
         super().commit_structural(vt)
+
+    def uncommitted_deps(self, upto: VirtualTime) -> List[VirtualTime]:
+        """Every uncommitted put and delete at or before ``upto``, as for
+        :meth:`DList.uncommitted_deps`."""
+        return [
+            s.vt for slots in self._keys.values() for s in slots if not s.committed and s.vt <= upto
+        ]
 
     def _children_embedded_at(self, vt: VirtualTime) -> List[ModelObject]:
         out = []

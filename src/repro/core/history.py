@@ -144,13 +144,6 @@ class ValueHistory(Generic[V]):
             return [e for e in window if e.committed]
         return window
 
-    def has_uncommitted_in_open_interval(self, lo: VirtualTime, hi: VirtualTime) -> bool:
-        """True if an unresolved value sits inside ``(lo, hi)``."""
-        start = bisect_right(self._keys, lo)
-        stop = bisect_left(self._keys, hi)
-        entries = self._entries
-        return any(not entries[i].committed for i in range(start, stop))
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

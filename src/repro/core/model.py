@@ -278,5 +278,14 @@ class ModelObject:
         """The VT of the latest update affecting this object's value."""
         raise NotImplementedError
 
+    def uncommitted_deps(self, upto: VirtualTime) -> List[VirtualTime]:
+        """The uncommitted writes a read of this object as of ``upto`` folds.
+
+        A value is the one entry in effect at ``upto``: the read depends on
+        its writer if that is uncommitted, and on no write it overwrote.
+        """
+        entry = self.history.read_at(upto)
+        return [] if entry.committed else [entry.vt]
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.uid})"

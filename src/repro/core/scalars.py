@@ -55,7 +55,7 @@ class ScalarObject(ModelObject):
         """
         ctx = self.site.current_txn
         if ctx is not None:
-            return ctx.read_scalar(self)
+            return ctx.read(self)
         return self.history.current().value
 
     def set(self, value: Any) -> None:

@@ -9,7 +9,7 @@ During execution a :class:`TransactionContext` records every access:
 
 * reads record the VT at which the current value was written (``read_vt``,
   the RL guess evidence) and the graph VT (``graph_vt``),
-* reads of uncommitted values record RC dependencies,
+* reads record RC dependencies on the uncommitted writes they fold,
 * writes are applied locally at the transaction's VT immediately
   (optimistic execution) and queued for propagation.
 
@@ -149,27 +149,29 @@ class TransactionContext:
     # Read recording
     # ------------------------------------------------------------------
 
-    def _record_read(self, obj: "ModelObject", read_vt: VirtualTime) -> None:
+    def read(self, obj: "ModelObject") -> Any:
+        """Record a read of ``obj`` — a value, or a composite's structure —
+        and return its current (optimistic) value.
+
+        The read guesses RC on each uncommitted write it folds, as
+        ``obj.uncommitted_deps`` decides, and on an uncommitted replication
+        graph.
+        """
+        entry = obj.history.current()
         key = id(obj)
         if key not in self.reads:
             obj.check_read(self.site.principal)
-            self.reads[key] = ReadAccess(target=obj, read_vt=read_vt, graph_vt=obj.graph_vt())
-        self._note_rc(obj)
-
-    def _note_rc(self, obj: "ModelObject") -> None:
-        """Record RC dependencies on uncommitted current value and graph."""
-        entry = obj.history.current()
-        if not entry.committed and entry.vt != self.vt and entry.vt not in self.rc_deps:
-            self.rc_deps.add(entry.vt)
-            self._emit_rc_guess(obj, entry.vt)
+            self.reads[key] = ReadAccess(target=obj, read_vt=entry.vt, graph_vt=obj.graph_vt())
+        vt, rc_deps = self.vt, self.rc_deps
+        for dep_vt in obj.uncommitted_deps(vt):
+            if dep_vt != vt and dep_vt not in rc_deps:
+                rc_deps.add(dep_vt)
+                self._emit_rc_guess(obj, dep_vt)
         graph_entry = obj.graph_history().current()
-        if (
-            not graph_entry.committed
-            and graph_entry.vt != self.vt
-            and graph_entry.vt not in self.rc_deps
-        ):
-            self.rc_deps.add(graph_entry.vt)
+        if not graph_entry.committed and graph_entry.vt != vt and graph_entry.vt not in rc_deps:
+            rc_deps.add(graph_entry.vt)
             self._emit_rc_guess(obj, graph_entry.vt)
+        return entry.value
 
     def _emit_rc_guess(self, obj: "ModelObject", dep_vt: VirtualTime) -> None:
         bus = self.site.bus
@@ -183,17 +185,6 @@ class TransactionContext:
                 obj=obj.uid,
                 depends_on=dep_vt,
             )
-
-    def read_scalar(self, obj: "ModelObject") -> Any:
-        """Record a scalar read; returns the current (optimistic) value."""
-        entry = obj.history.current()
-        self._record_read(obj, entry.vt)
-        return entry.value
-
-    def read_structure(self, obj: "ModelObject") -> None:
-        """Record a read of a composite's structure (insert/remove/index)."""
-        entry = obj.history.current()
-        self._record_read(obj, entry.vt)
 
     # ------------------------------------------------------------------
     # Write recording

@@ -127,11 +127,11 @@ def subtree_uncommitted_in_interval(
     return found
 
 
-def subtree_uncommitted_upto(obj: "ModelObject", ts: VirtualTime) -> List[VirtualTime]:
-    """Uncommitted entry VTs with ``vt <= ts`` anywhere in the subtree."""
-    found = [e.vt for e in obj.history if not e.committed and e.vt <= ts]
+def subtree_uncommitted_deps(obj: "ModelObject", upto: VirtualTime) -> List[VirtualTime]:
+    """The uncommitted writes a read of the subtree as of ``upto`` folds."""
+    found = obj.uncommitted_deps(upto)
     for child in _children_of(obj):
-        found.extend(subtree_uncommitted_upto(child, ts))
+        found.extend(subtree_uncommitted_deps(child, upto))
     return found
 
 
@@ -442,9 +442,9 @@ class OptimisticProxy(ViewProxy):
         record = self.manager.new_record(self, ts, committed_only=False, changed=changed)
         self.latest = record
         self.last_ts = ts
-        # RC guesses: every uncommitted contributor at or before ts.
+        # RC guesses: every uncommitted write the snapshot folds.
         for obj in self.objects:
-            for dep_vt in set(subtree_uncommitted_upto(obj, ts)):
+            for dep_vt in set(subtree_uncommitted_deps(obj, ts)):
                 self._register_rc(record, dep_vt)
         # RL guesses: per attached object, interval (current value VT, ts).
         guesses: List[Tuple["ModelObject", VirtualTime, VirtualTime]] = []
@@ -514,8 +514,8 @@ class PessimisticProxy(ViewProxy):
         # Uncommitted values already applied locally become pending snapshots.
         seen: Set[VirtualTime] = set()
         for obj in self.objects:
-            for vt in subtree_uncommitted_upto(obj, VirtualTime(2**62, 2**30)):
-                if vt > ts0 and vt not in seen:
+            for vt in subtree_uncommitted_in_interval(obj, ts0, VirtualTime(2**62, 2**30)):
+                if vt not in seen:
                     seen.add(vt)
                     self._create_snapshot(vt, [obj])
 

@@ -90,9 +90,6 @@ class NaiveValueHistory(Generic[V]):
                 found.append(entry)
         return found
 
-    def has_uncommitted_in_open_interval(self, lo: VirtualTime, hi: VirtualTime) -> bool:
-        return any(lo < e.vt < hi and not e.committed for e in self._entries)
-
     def insert(self, vt: VirtualTime, value: V, committed: bool = False) -> HistoryEntry[V]:
         entry = HistoryEntry(vt=vt, value=value, committed=committed)
         for i in range(len(self._entries) - 1, -1, -1):

@@ -86,13 +86,6 @@ class TestIntervalQueries:
         assert history.entries_in_open_interval(vt(0), vt(99), committed_only=True) == []
         assert len(history.entries_in_open_interval(vt(0), vt(99))) == 1
 
-    def test_has_uncommitted_in_open_interval(self):
-        history = ValueHistory(0)
-        history.insert(vt(10), "u", committed=False)
-        assert history.has_uncommitted_in_open_interval(vt(0), vt(20))
-        history.commit(vt(10))
-        assert not history.has_uncommitted_in_open_interval(vt(0), vt(20))
-
 
 class TestCommitAbortGC:
     def test_commit_marks_entry(self):

@@ -56,9 +56,6 @@ def _apply_history_op(history, op):
             _, lo, hi, committed_only = op
             found = history.entries_in_open_interval(lo, hi, committed_only=committed_only)
             return ("ok", [(e.vt, e.value, e.committed) for e in found])
-        if kind == "has_uncommitted":
-            _, lo, hi, _ = op
-            return ("ok", history.has_uncommitted_in_open_interval(lo, hi))
         raise AssertionError(f"unknown op {kind}")
     except ProtocolError as exc:
         return ("ProtocolError", str(exc))
@@ -74,7 +71,6 @@ history_ops = st.one_of(
     st.tuples(st.just("committed_read_at"), vts),
     st.tuples(st.just("entry_at"), vts),
     st.tuples(st.just("in_interval"), vts, vts, st.booleans()),
-    st.tuples(st.just("has_uncommitted"), vts, vts, st.booleans()),
 )
 
 

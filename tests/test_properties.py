@@ -158,13 +158,11 @@ def test_map_scripts_converge(ops, seed):
     assert value(maps[0]) == value(maps[1])
 
 
-@SETTINGS
-@given(
-    ops=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), min_size=1, max_size=8),
-    seed=st.integers(0, 5),
-)
-def test_list_scripts_converge(ops, seed):
-    session, sites, lists = build(2, seed, kind=DList)
+def check_list_script(n_sites, ops, seed):
+    """Run ``(site, action)`` pairs as list transactions — 0 inserts, 1
+    removes, 2 writes an element — and check that every replica converges,
+    committed, with no protocol residue."""
+    session, sites, lists = build(n_sites, seed, kind=DList)
     rng = random.Random(seed)
     counter = [0]
     for site_i, action in ops:
@@ -183,27 +181,54 @@ def test_list_scripts_converge(ops, seed):
         sites[site_i].transact(body)
         session.run_for(rng.uniform(0, 120))
     session.settle()
-    assert value(lists[0]) == value(lists[1])
+    for lst in lists[1:]:
+        assert value(lst) == value(lists[0])
     # Structure histories agree on commit status.
-    assert lists[0].history.current().committed
-    assert lists[1].history.current().committed
+    for lst in lists:
+        assert lst.history.current().committed
+    for site in sites:
+        assert site.protocol_residue() == {}
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP first open item")
+@SETTINGS
+@given(
+    ops=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), min_size=1, max_size=8),
+    seed=st.integers(0, 5),
+)
+def test_list_scripts_converge(ops, seed):
+    check_list_script(2, ops, seed)
+
+
 def test_list_scripts_converge_known_counterexample():
-    """An input that makes two ``DList`` replicas diverge, pinned so tier-1
-    keeps seeing the open bug: they settle at ``[4]`` vs ``[4, 5, 6]`` with
-    two propagates parked forever at site 0 — no crash, no drop, two sites."""
-    test_list_scripts_converge.hypothesis.inner_test(
-        ops=[(1, 0), (1, 2), (0, 1), (0, 2), (0, 1), (1, 0), (0, 1), (1, 0)], seed=3
-    )
+    """Two ``DList`` replicas once settled at ``[4]`` vs ``[4, 5, 6]``: an
+    insert anchored after its own site's uncommitted insert guessed RC only
+    on the newest structural entry, a committed one, so when the older
+    insert aborted the newer one parked at site 0 for good.  A read of an
+    operation log depends on every uncommitted entry it folds."""
+    check_list_script(2, [(1, 0), (1, 2), (0, 1), (0, 2), (0, 1), (1, 0), (0, 1), (1, 0)], 3)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP first open item")
 def test_list_scripts_converge_second_counterexample():
-    """The bug's other face: the values converge, but site 0's structure
-    history ends on an uncommitted insert.  Pinned beside the first so the
-    fix has to flip both."""
-    test_list_scripts_converge.hypothesis.inner_test(
-        ops=[(0, 0), (1, 1), (0, 1), (0, 1), (0, 0), (1, 1), (0, 0), (1, 1)], seed=3
-    )
+    """The same missing guess's other face: the values converged, but site
+    0's structure history ended on an uncommitted insert."""
+    check_list_script(2, [(0, 0), (1, 1), (0, 1), (0, 1), (0, 0), (1, 1), (0, 0), (1, 1)], 3)
+
+
+@pytest.mark.parametrize(
+    "ops, seed",
+    [
+        pytest.param([(1, 2), (0, 0), (2, 1), (1, 0), (1, 1)], 4, id="ends-uncommitted"),
+        pytest.param([(2, 2), (1, 1), (2, 0), (1, 0), (0, 0), (0, 1)], 3, id="leaves-residue"),
+        pytest.param([(1, 2), (1, 1), (2, 1), (1, 0), (0, 0)], 3, id="diverges"),
+        pytest.param(
+            [(1, 0), (1, 1), (2, 1), (2, 0), (0, 2), (1, 2), (1, 2), (2, 0)], 3, id="gc-dropped"
+        ),
+    ],
+)
+def test_list_scripts_converge_three_sites(ops, seed):
+    """Three-site inputs, drawn by the generator above, that failed while a
+    structure read guessed RC only on the newest entry.  In the last, site
+    1's history GC had dropped its own uncommitted insert below a committed
+    one before a write to that insert's child read the list: the guess must
+    come from the slot events, not the history."""
+    check_list_script(3, ops, seed)

@@ -8,9 +8,10 @@ from repro.core.views import (
     Snapshot,
     blocking_subtree_reservation,
     subtree_has_entry_in_interval,
+    subtree_uncommitted_deps,
     subtree_uncommitted_in_interval,
-    subtree_uncommitted_upto,
 )
+from repro.core.messages import SlotId
 from repro.vtime import VT_ZERO, VirtualTime
 from repro import DInt, DList
 
@@ -70,11 +71,26 @@ class TestSubtreeHelpers:
         assert subtree_has_entry_in_interval(lst, lo, hi, committed_only=False)
 
     def test_uncommitted_collection(self, site):
+        """A read folds the one value in effect at ``upto``, but every
+        structural event at or before it."""
         x = site.create_int("x", 0)
         x.history.insert(vt(10, 9), 1, committed=False)
         x.history.insert(vt(20, 9), 2, committed=False)
         assert set(subtree_uncommitted_in_interval(x, vt(5), vt(15))) == {vt(10, 9)}
-        assert set(subtree_uncommitted_upto(x, vt(25, 9))) == {vt(10, 9), vt(20, 9)}
+        assert x.uncommitted_deps(vt(25, 9)) == [vt(20, 9)]
+        assert x.uncommitted_deps(vt(15, 9)) == [vt(10, 9)]
+        assert x.uncommitted_deps(vt(5, 9)) == []
+        lst = site.create_list("l")
+        lst.apply_insert(SlotId(vt(10, 9), 0), None, ("int", 1))
+        lst.apply_insert(SlotId(vt(20, 9), 0), None, ("int", 2))
+        lst.commit_structural(vt(20, 9))
+        lst.apply_remove(vt(30, 9), SlotId(vt(20, 9), 0))
+        assert lst.uncommitted_deps(vt(25, 9)) == [vt(10, 9)]
+        assert sorted(lst.uncommitted_deps(vt(35, 9))) == [vt(10, 9), vt(30, 9)]
+        # The history's GC drops the uncommitted insert below the committed
+        # one; the read still folds it.
+        assert lst.history.gc(vt(35, 9)) == 2
+        assert sorted(subtree_uncommitted_deps(lst, vt(35, 9))) == [vt(10, 9), vt(30, 9)]
 
     def test_blocking_subtree_reservation_walks_ancestors(self, site):
         lst = site.create_list("l")

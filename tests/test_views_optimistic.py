@@ -142,6 +142,29 @@ class TestCommitNotifications:
         assert view.last_values == {"x": 2}
         assert view.commits  # quiescent state: final snapshot committed
 
+    def test_scalar_commit_waits_only_for_the_write_it_shows(self):
+        """A snapshot of a value folds the one entry it shows: an older,
+        overwritten write still in flight does not hold its commit back."""
+        from repro.sim.network import FixedLatency
+
+        session = Session.simulated(latency_ms=10)
+        p, w1, w2 = session.add_sites(3)
+        xs = session.replicate(DInt, "x", [p, w1, w2], initial=0)
+        session.settle()
+        session.network.set_link_latency(w1.site_id, p.site_id, FixedLatency(200.0))
+        view = RecordingView(w2, [xs[2]])
+        xs[2].attach(view, "optimistic")
+        t0 = session.scheduler.now
+        older = w1.transact(lambda: xs[1].set(1))  # 200 ms to the primary
+        session.run_for(15)
+        newer = w2.transact(lambda: xs[2].set(2))
+        shown = len(view.updates)
+        session.settle()
+        assert view.updates[shown - 1][:2] == (t0 + 15.0, {"x": 2})
+        assert len(view.updates) == shown
+        assert newer.commit_time_ms == t0 + 35.0 < older.commit_time_ms == t0 + 210.0
+        assert view.commits[-1] == newer.commit_time_ms
+
 
 class TestDeviations:
     """The three deviation types of section 5.1.2."""
