@@ -17,13 +17,14 @@ from repro.bench import two_party_scenario
 from repro.bench.report import Table, emit, format_table
 from repro import Session
 from repro import DInt
+from repro.core.transaction import TxnState
 
 T = 50.0  # one-way delay in ms
 
 
 def _commit_time_at(site, vt):
     """Simulated time at which `site` marked txn `vt` committed (probe)."""
-    return site.engine.status.get(vt) == "committed"
+    return site.engine.status.get(vt) is TxnState.COMMITTED
 
 
 def run_experiment():
@@ -68,7 +69,7 @@ def run_experiment():
 
     def poll():
         if not remote_done and out.vt is not None:
-            if sites[1].engine.status.get(out.vt) == "committed":
+            if sites[1].engine.status.get(out.vt) is TxnState.COMMITTED:
                 remote_done["t"] = session.scheduler.now
                 return
         if session.scheduler.now - t0 < 10 * T:
@@ -92,7 +93,7 @@ def _remote_commit_latency(scenario, out, t0):
 
     def poll():
         if "t" not in done:
-            if scenario.bob.engine.status.get(out.vt) == "committed":
+            if scenario.bob.engine.status.get(out.vt) is TxnState.COMMITTED:
                 done["t"] = session.scheduler.now - t0
                 return
             if session.scheduler.now - t0 < 10 * T:

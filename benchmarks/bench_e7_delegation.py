@@ -15,6 +15,7 @@ import pytest
 from repro import Session
 from repro.bench.report import Table, emit, format_table
 from repro import DInt
+from repro.core.transaction import TxnState
 
 T = 50.0
 
@@ -33,7 +34,7 @@ def run_case(n_sites: int, delegation: bool):
 
     def poll():
         for i, site in enumerate(sites):
-            if i not in commit_times and site.engine.status.get(out.vt) == "committed":
+            if i not in commit_times and site.engine.status.get(out.vt) is TxnState.COMMITTED:
                 commit_times[i] = session.scheduler.now - t0
         if len(commit_times) < n_sites and session.scheduler.now - t0 < 20 * T:
             session.scheduler.call_later(1.0, poll)

@@ -8,7 +8,9 @@ commit for every ``repro`` module and for the busiest functions — the same
 frames the test counts, with the test's own counter, so the totals are its
 ceilings' readings.  Also prints the two counts that are not calls: import
 statements executed and dataclass ``__init__``s (generated code, compiled
-under ``<string>``).
+under ``<string>``) and, below the table, the GC-tracked objects a commit
+and a user-aborted transaction leave behind on two sites (the test's
+retention pins).
 
 With ``--tenants N`` it instead joins N tenants on two hosts over loopback
 TCP through the real invitation / join protocol (the test's tenant census)
@@ -68,6 +70,14 @@ def calls(top: int) -> None:
         print(f"  -- top {top} functions")
         for (module, function), n in counts.by_function.most_common(top):
             print(f"  {n / per:8.1f}  {module}:{function}")
+    per_commit, _objs = budget.retained_per_transaction(budget.RETAIN_COMMITS, budget.write)
+    per_abort, _objs = budget.retained_per_transaction(
+        budget.RETAIN_USER_ABORTS, budget.write_then_raise
+    )
+    print(
+        f"== retained on two sites after warm-up: {per_commit:.4f} GC-tracked objects "
+        f"per commit, {per_abort:.4f} per user-aborted transaction"
+    )
 
 
 def by_owner(census: budget.TenantCensus) -> Counter:

@@ -22,7 +22,7 @@ section 3:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import propagation
 from repro.core.guesses import DependencyIndex
@@ -31,7 +31,6 @@ from repro.core.messages import (
     CommitMsg,
     ConfirmMsg,
     DelegateGrant,
-    ReadCheck,
     TxnPropagateMsg,
     WriteOp,
 )
@@ -43,13 +42,7 @@ from repro.core.transaction import (
     TxnState,
 )
 from repro.core.views import blocking_subtree_reservation, is_vouchable
-from repro.errors import (
-    ConcurrencyConflict,
-    InvalidPath,
-    ProtocolError,
-    RetryLimitExceeded,
-    TransactionAborted,
-)
+from repro.errors import InvalidPath, ProtocolError
 from repro.obs.metrics import COUNT_BUCKETS, counter_property
 from repro.vtime import VirtualTime
 
@@ -58,8 +51,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.site import SiteRuntime
 
 
-COMMITTED = "committed"
-ABORTED = "aborted"
+class TxnEntry:
+    """A site's state for one transaction in flight, from first touch until
+    its VT resolves: the origin's ``record`` (``None`` elsewhere), the ops
+    ``applied`` here, the objects ``reserved`` on as primary, the read time
+    of each non-blind write applied here (``write_reads``: what its COMMIT
+    vouches for) and the ``uid -> prev`` pairs ``vouched`` for until a
+    CONFIRM / COMMIT carries them; the last two are ``None`` until used.
+    No ``__init__``: its three creators fill the slots inline, at no call.
+    """
+
+    __slots__ = ("record", "applied", "reserved", "write_reads", "vouched")
 
 
 class PendingPropagate:
@@ -103,23 +105,15 @@ class TransactionEngine:
         #: A short, linearly growing delay lets confirmations and commits
         #: arrive before the retry re-reads.
         self.retry_backoff_ms = retry_backoff_ms
-        #: Origin-side records for transactions this site initiated.
-        self.records: Dict[VirtualTime, TxnRecord] = {}
-        #: Site-wide transaction status log ("the site retains the fact
-        #: that the transaction has committed/aborted" — section 3.1).
-        self.status: Dict[VirtualTime, str] = {}
-        #: Ops applied locally per transaction (for rollback/commit).
-        self.applied: Dict[VirtualTime, List[Tuple["ModelObject", Any]]] = {}
-        #: Read time of each non-blind write applied locally per transaction:
-        #: the interval its COMMIT vouches for (pessimistic views skip their
-        #: own CONFIRM-READ over it).  Blind writes are not recorded.
-        self.write_reads: Dict[VirtualTime, Dict["ModelObject", VirtualTime]] = {}
-        #: Objects on which this site (as primary) reserved intervals per txn.
-        self.reserved: Dict[VirtualTime, List["ModelObject"]] = {}
-        #: ``uid -> prev`` this site vouched for per transaction (as primary,
-        #: see :meth:`_vouch`) or was told by its primaries (as origin), from
-        #: validation until the CONFIRM / COMMIT that carries it.
-        self.vouched: Dict[VirtualTime, Dict[str, VirtualTime]] = {}
+        #: Work in flight, popped by :meth:`_garbage_collect` on commit and
+        #: by :meth:`_rollback` on abort.
+        self.txns: Dict[VirtualTime, TxnEntry] = {}
+        #: Resolved outcomes only ("the site retains the fact that the
+        #: transaction has committed/aborted" — section 3.1), keyed by plain
+        #: ``(counter, site)`` tuples, which the collector untracks (never a
+        #: subclass's); a ``VirtualTime`` looks them up, :meth:`resolved`
+        #: hands them back as VTs.
+        self.status: Dict[Tuple[int, int], TxnState] = {}
         #: RC / snapshot dependency index.
         self.deps = DependencyIndex()
         #: Deliberate protocol breakages for conformance-canary tests ONLY
@@ -177,7 +171,9 @@ class TransactionEngine:
         ctx = TransactionContext(self.site, vt)
         record = TxnRecord(vt=vt, txn=txn, ctx=ctx, outcome=outcome)
         record.post_execute = post_execute
-        self.records[vt] = record
+        entry = self.txns[vt] = TxnEntry()
+        entry.record, entry.applied, entry.reserved = record, [], []
+        entry.write_reads = entry.vouched = None
         bus = self.site.bus
         if bus.active:
             bus.emit(
@@ -196,8 +192,8 @@ class TransactionEngine:
             # "Any uncaught exceptions are turned into transaction aborts,
             # so faulty applications will not be able to create inconsistent
             # states" (section 2.4).  No retry; handleAbort is called.
-            self._rollback_local(record)
-            self.status[vt] = ABORTED
+            self._rollback(vt)
+            self.status[tuple(vt)] = TxnState.ABORTED
             record.state = TxnState.ABORTED
             outcome.aborted_no_retry = True
             outcome.abort_reason = f"{type(exc).__name__}: {exc}"
@@ -251,9 +247,9 @@ class TransactionEngine:
         # RC guesses: reads of uncommitted values.
         for dep_vt in record.ctx.rc_deps:
             state = self.status.get(dep_vt)
-            if state == COMMITTED:
+            if state is TxnState.COMMITTED:
                 continue
-            if state == ABORTED:
+            if state is TxnState.ABORTED:
                 self._abort_origin(record, f"RC dependency {dep_vt} already aborted")
                 return
             record.pending_rc.add(dep_vt)
@@ -441,16 +437,21 @@ class TransactionEngine:
             if target is root and self._is_graph_write(target, vt):
                 if graph_blocking is not None:
                     return False, f"graph NC denied on {root.uid}", (graph_blocking.owner,)
+        entry = self.txns.get(vt)
+        if entry is None:  # a primary asked only to check reads
+            entry = self.txns[vt] = TxnEntry()
+            entry.record, entry.applied, entry.reserved = None, [], []
+            entry.write_reads = entry.vouched = None
         if read_vt == vt and target.watched and is_write:
-            read_vt = self._vouch(target, vt)
+            read_vt = self._vouch(entry, target, vt)
         target.reserve("value_reservations", read_vt, vt, vt)
         root.reserve("graph_reservations", graph_vt, vt, vt)
-        self.reserved.setdefault(vt, []).append(target)
+        entry.reserved.append(target)
         if root is not target:
-            self.reserved.setdefault(vt, []).append(root)
+            entry.reserved.append(root)
         return True, "", ()
 
-    def _vouch(self, target: "ModelObject", vt: VirtualTime) -> VirtualTime:
+    def _vouch(self, entry: TxnEntry, target: "ModelObject", vt: VirtualTime) -> VirtualTime:
         """The lower end of the interval to reserve for a blind write at
         ``vt`` on a watched primary copy.
 
@@ -468,7 +469,9 @@ class TransactionEngine:
         prev = target.history.predecessor_of(vt) if is_vouchable(target) else None
         if prev is None:
             return vt
-        self.vouched.setdefault(vt, {})[target.uid] = prev.vt
+        if entry.vouched is None:
+            entry.vouched = {}
+        entry.vouched[target.uid] = prev.vt
         counters = self.site.metrics.counters
         counters["txn.intervals_vouched"] = counters.get("txn.intervals_vouched", 0) + 1
         if "vouch_without_reserve" in self.mutations:
@@ -495,10 +498,13 @@ class TransactionEngine:
 
     def _commit_origin(self, record: TxnRecord) -> None:
         vt = record.vt
-        if self.status.get(vt) == ABORTED or record.state in (TxnState.COMMITTED, TxnState.ABORTED):
+        if self.status.get(vt) is TxnState.ABORTED or record.state in (
+            TxnState.COMMITTED, TxnState.ABORTED
+        ):
             return
         record.state = TxnState.COMMITTED
-        vouched = tuple(self.vouched.pop(vt, {}).items())
+        entry = self.txns.get(vt)
+        vouched = tuple(entry.vouched.items()) if entry is not None and entry.vouched else ()
         for dst in sorted(record.involved_sites):
             self.site.send(
                 dst, CommitMsg(txn_vt=vt, clock=self.site.clock.counter, vouched=vouched)
@@ -526,7 +532,6 @@ class TransactionEngine:
         if record.state in (TxnState.COMMITTED, TxnState.ABORTED):
             return
         record.state = TxnState.ABORTED
-        record.denied_reason = reason
         for dst in sorted(record.involved_sites):
             self.site.send(dst, AbortMsg(txn_vt=vt, clock=self.site.clock.counter, reason=reason))
         self.site.views.begin_batch()
@@ -534,7 +539,6 @@ class TransactionEngine:
         self.site.views.end_batch()
         self.site.metrics.inc("txn.aborts_conflict")
         outcome = record.outcome
-        self.records.pop(vt, None)
         if not retry:
             outcome.aborted_no_retry = True
             outcome.abort_reason = reason
@@ -574,11 +578,11 @@ class TransactionEngine:
     def on_propagate(self, src: int, msg: TxnPropagateMsg) -> None:
         vt = msg.txn_vt
         state = self.status.get(vt)
-        if state == ABORTED:
+        if state is TxnState.ABORTED:
             # "If any future update messages arrive, the updates are
             # ignored" (section 3.1).
             return
-        remaining = self._apply_writes(msg.writes, vt, state == COMMITTED)
+        remaining = self._apply_writes(msg.writes, vt, state is TxnState.COMMITTED)
         if remaining:
             if not self.pending_propagates:
                 self.pending_propagates = []
@@ -619,7 +623,10 @@ class TransactionEngine:
                     pending.append(write)
                 else:
                     if write.read_vt < vt:
-                        self.write_reads.setdefault(vt, {})[target] = write.read_vt
+                        entry = self.txns[vt]  # noted by apply_op
+                        if entry.write_reads is None:
+                            entry.write_reads = {}
+                        entry.write_reads[target] = write.read_vt
         finally:
             self.site.views.end_batch()
         if committed:
@@ -637,11 +644,11 @@ class TransactionEngine:
             for pending in list(self.pending_propagates):
                 vt = pending.msg.txn_vt
                 state = self.status.get(vt)
-                if state == ABORTED:
+                if state is TxnState.ABORTED:
                     self.pending_propagates.remove(pending)
                     continue
                 remaining = self._apply_writes(
-                    tuple(pending.remaining), vt, state == COMMITTED
+                    tuple(pending.remaining), vt, state is TxnState.COMMITTED
                 )
                 if len(remaining) < len(pending.remaining):
                     progressed = True
@@ -666,7 +673,10 @@ class TransactionEngine:
                 scope="delegate" if msg.delegate is not None else "primary",
                 against=against,
             )
-        vouched = tuple(self.vouched.pop(vt, {}).items())
+        entry = self.txns.get(vt)
+        vouched = ()
+        if entry is not None and entry.vouched:
+            vouched, entry.vouched = tuple(entry.vouched.items()), None
         if msg.delegate is not None:
             self._decide_as_delegate(msg, ok, reason, vouched)
             return
@@ -753,22 +763,26 @@ class TransactionEngine:
     # ------------------------------------------------------------------
 
     def on_confirm(self, src: int, msg: ConfirmMsg) -> None:
-        record = self.records.get(msg.txn_vt)
-        if record is None or record.state not in (TxnState.AWAITING,):
+        entry = self.txns.get(msg.txn_vt)
+        record = entry.record if entry is not None else None
+        if record is None or record.state is not TxnState.AWAITING:
             return
         if not msg.ok:
             self._abort_origin(record, f"denied by site {msg.site}: {msg.reason}")
             return
         record.pending_confirm_sites.discard(msg.site)
         if msg.vouched:
-            self.vouched.setdefault(msg.txn_vt, {}).update(msg.vouched)
+            if entry.vouched is None:
+                entry.vouched = {}
+            entry.vouched.update(msg.vouched)
         if record.all_confirmed():
             self._commit_origin(record)
 
     def on_commit(self, src: int, msg: CommitMsg) -> None:
         vt = msg.txn_vt
-        record = self.records.get(vt)
-        if record is not None and record.state == TxnState.DELEGATED:
+        entry = self.txns.get(vt)
+        record = entry.record if entry is not None else None
+        if record is not None and record.state is TxnState.DELEGATED:
             # Our delegate committed the transaction for us.
             record.state = TxnState.COMMITTED
             self._apply_commit_locally(vt, msg.vouched)
@@ -778,8 +792,9 @@ class TransactionEngine:
 
     def on_abort(self, src: int, msg: AbortMsg) -> None:
         vt = msg.txn_vt
-        record = self.records.get(vt)
-        if record is not None and record.state == TxnState.DELEGATED:
+        entry = self.txns.get(vt)
+        record = entry.record if entry is not None else None
+        if record is not None and record.state is TxnState.DELEGATED:
             record.state = TxnState.AWAITING  # reopen so _abort_origin can run
             record.involved_sites = set()  # delegate already told everyone
             self._abort_origin(record, f"delegate denied: {msg.reason}")
@@ -795,11 +810,14 @@ class TransactionEngine:
     def _apply_commit_locally(
         self, vt: VirtualTime, vouched: Tuple[Tuple[str, VirtualTime], ...] = ()
     ) -> None:
-        if self.status.get(vt) == COMMITTED:
+        state = self.status.get(vt)
+        if state is TxnState.COMMITTED:
             return
-        if self.status.get(vt) == ABORTED:
+        if state is TxnState.ABORTED:
             raise ProtocolError(f"commit arrived for aborted transaction {vt}")
-        self.status[vt] = COMMITTED
+        self.status[tuple(vt)] = TxnState.COMMITTED
+        entry = self.txns.get(vt)
+        applied = entry.applied if entry is not None else ()
         bus = self.site.bus
         if bus.active:
             bus.emit(
@@ -807,9 +825,9 @@ class TransactionEngine:
                 site=self.site.site_id,
                 time_ms=self.site.transport.now(),
                 txn_vt=vt,
-                ops=len(self.applied.get(vt, [])),
+                ops=len(applied),
             )
-        for obj, op in self.applied.get(vt, []):
+        for obj, op in applied:
             propagation.commit_op(obj, op, vt)
         # Everything here that guessed ``vt`` would commit, in the order it
         # registered: transactions that read its writes, view snapshots
@@ -823,9 +841,9 @@ class TransactionEngine:
         self._garbage_collect(vt)
 
     def _apply_abort_locally(self, vt: VirtualTime, reason: str = "") -> None:
-        if self.status.get(vt) in (COMMITTED, ABORTED):
+        if vt in self.status:
             return
-        self.status[vt] = ABORTED
+        self.status[tuple(vt)] = TxnState.ABORTED
         bus = self.site.bus
         if bus.active:
             bus.emit(
@@ -836,28 +854,29 @@ class TransactionEngine:
                 reason=reason,
                 kind="conflict",
             )
-        self._rollback_applied(vt)
-        for obj in self.reserved.pop(vt, []):
-            obj.value_reservations.release_owner(vt)
-            obj.graph_reservations.release_owner(vt)
-        self.vouched.pop(vt, None)
+        self._rollback(vt)
         self.deps.resolve_abort(vt)
         views = self.site.views
         if views.deferred or views.orphans:
             views.on_txn_resolved(vt, committed=False)
 
-    def _rollback_applied(self, vt: VirtualTime) -> None:
-        ops = self.applied.pop(vt, [])
-        self.write_reads.pop(vt, None)
-        for obj, op in reversed(ops):
+    def _rollback(self, vt: VirtualTime) -> None:
+        """Release an aborted transaction — by a conflict, or by a user
+        exception before anything was sent: drop its entry, undo its ops
+        here newest first, and free the intervals it reserved."""
+        entry = self.txns.pop(vt, None)
+        if entry is None:
+            return
+        for obj, op in reversed(entry.applied):
             propagation.undo_op(obj, op, vt)
+        for obj in entry.reserved:
+            obj.value_reservations.release_owner(vt)
+            obj.graph_reservations.release_owner(vt)
 
-    def _rollback_local(self, record: TxnRecord) -> None:
-        """Rollback after a user exception during execute (nothing sent yet)."""
-        self._rollback_applied(record.vt)
-        for obj in self.reserved.pop(record.vt, []):
-            obj.value_reservations.release_owner(record.vt)
-            obj.graph_reservations.release_owner(record.vt)
+    def resolved(self) -> Iterator[Tuple[VirtualTime, TxnState]]:
+        """The status log as ``(vt, outcome)`` pairs, keys rebuilt as VTs."""
+        for key, state in self.status.items():
+            yield VirtualTime(*key), state
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -872,9 +891,13 @@ class TransactionEngine:
         primary must still be able to check its RL/NC guesses against that
         past.  The safe floor is the site's ``stability_bound`` — the
         minimum clock heard from every replica site — additionally capped
-        by the local views' snapshot retention floor.
+        by the local views' snapshot retention floor.  This is also where
+        a committed transaction's entry is released.
         """
-        for obj, _op in self.applied.get(vt, []):
+        entry = self.txns.pop(vt, None)
+        if entry is None:
+            return
+        for obj, _op in entry.applied:
             try:
                 floor = self.site.stability_bound(obj.replica_sites())
             except ProtocolError:
@@ -889,12 +912,3 @@ class TransactionEngine:
             obj.value_reservations.prune_before(floor)
             obj.graph_reservations.prune_before(floor)
             obj.subtree_reservations.prune_before(floor)
-        # Applied-op records for committed transactions are no longer
-        # needed for rollback; keep the status entry, drop the op list.
-        self.applied.pop(vt, None)
-        self.write_reads.pop(vt, None)
-        self.reserved.pop(vt, None)
-        self.vouched.pop(vt, None)  # an origin's own, when its delegate sent the COMMIT
-        record = self.records.get(vt)
-        if record is not None and record.state in (TxnState.COMMITTED, TxnState.ABORTED):
-            self.records.pop(vt, None)

@@ -38,7 +38,6 @@ from repro.core.messages import (
     OpPayload,
 )
 from repro.core.transaction import TxnState
-from repro.errors import ProtocolError
 from repro.obs.metrics import counter_property
 from repro.vtime import VirtualTime
 
@@ -143,8 +142,9 @@ class FailureManager:
 
     def _abort_blocked_transactions(self, failed_site: int) -> None:
         engine = self.site.engine
-        for record in list(engine.records.values()):
-            if failed_site not in record.pending_confirm_sites:
+        for entry in list(engine.txns.values()):
+            record = entry.record
+            if record is None or failed_site not in record.pending_confirm_sites:
                 continue
             if record.state == TxnState.DELEGATED:
                 # The failed site held the COMMIT DECISION and may have
@@ -175,8 +175,7 @@ class FailureManager:
         state = _QueryState(
             failed_delegate, awaiting=others, kind="delegated", record=record
         )
-        local_status = self.site.engine.status.get(record.vt)
-        if local_status == "committed":
+        if self.site.engine.status.get(record.vt) is TxnState.COMMITTED:
             state.committed.add(record.vt)
         state.pending.add(record.vt)
         self.queries[query_id] = state
@@ -209,19 +208,14 @@ class FailureManager:
     def _local_inflight_of(self, failed_site: int) -> Tuple[Set[VirtualTime], Set[VirtualTime]]:
         """(committed, pending) transactions of ``failed_site`` known locally."""
         engine = self.site.engine
-        committed: Set[VirtualTime] = set()
-        pending: Set[VirtualTime] = set()
-        for vt in engine.applied:
-            if vt.site != failed_site:
-                continue
-            state = engine.status.get(vt)
-            if state == "committed":
-                committed.add(vt)
-            elif state is None:
-                pending.add(vt)
-        for vt, state in engine.status.items():
-            if vt.site == failed_site and state == "committed":
-                committed.add(vt)
+        committed = {
+            vt for vt, state in engine.resolved()
+            if vt.site == failed_site and state is TxnState.COMMITTED
+        }
+        pending = {
+            vt for vt, entry in engine.txns.items()
+            if vt.site == failed_site and entry.applied and vt not in engine.status
+        }
         return committed, pending
 
     def _start_resolution(self, failed_site: int) -> None:
@@ -252,11 +246,12 @@ class FailureManager:
         # Also report on explicitly listed transactions (delegated-commit
         # resolution asks about VTs whose origin is the ASKER, not the
         # failed site).
+        engine = self.site.engine
         for vt in msg.txn_vts:
-            state = self.site.engine.status.get(vt)
-            if state == "committed":
+            state = engine.status.get(vt)
+            if state is TxnState.COMMITTED:
                 committed.add(vt)
-            elif state is None and vt in self.site.engine.applied:
+            elif state is None and vt in engine.txns and engine.txns[vt].applied:
                 pending.add(vt)
         self.site.send(
             src,
@@ -303,7 +298,7 @@ class FailureManager:
         engine = self.site.engine
         record = state.record
         vt = record.vt
-        if engine.status.get(vt) in ("committed", "aborted"):
+        if vt in engine.status:
             return  # resolved while we were querying
         survivors = sorted(self.survivors() - {self.site.site_id})
         if vt in state.committed:
@@ -313,7 +308,6 @@ class FailureManager:
                 self.site.send(dst, CommitMsg(txn_vt=vt, clock=self.site.clock.counter))
             engine._apply_commit_locally(vt)
             engine.record_commit_outcome(record.outcome)
-            engine.records.pop(vt, None)
             return
         # Nobody saw a commit: abort everywhere and re-run after repair.
         record.state = TxnState.AWAITING
@@ -339,11 +333,11 @@ class FailureManager:
     def _apply_resolution(self, msg: FailResolutionMsg) -> None:
         engine = self.site.engine
         for vt in msg.commit_vts:
-            if engine.status.get(vt) is None:
+            if vt not in engine.status:
                 engine._apply_commit_locally(vt)
                 self.site.metrics.inc("fail.resolutions_committed")
         for vt in msg.abort_vts:
-            if engine.status.get(vt) is None:
+            if vt not in engine.status:
                 self.site.views.begin_batch()
                 try:
                     engine._apply_abort_locally(vt)
@@ -483,7 +477,7 @@ class FailureManager:
         # events reach attached views, and a pessimistic proxy creating a
         # snapshot at apply_vt must see committed status rather than
         # registering an RC wait that nothing would ever resolve.
-        self.site.engine.status[msg.apply_vt] = "committed"
+        self.site.engine.status[tuple(msg.apply_vt)] = TxnState.COMMITTED
         self.site.views.begin_batch()
         try:
             for obj in list(self.site.objects.values()):

@@ -263,9 +263,9 @@ class JoinManager:
         # fact is remembered at B").
         for dep_vt in pending_vts:
             state = engine.status.get(dep_vt)
-            if state == "committed":
+            if state is TxnState.COMMITTED:
                 continue
-            if state == "aborted":
+            if state is TxnState.ABORTED:
                 self.site.send(
                     msg.origin,
                     AbortMsg(txn_vt=dep_vt, clock=self.site.clock.counter, reason="forwarded"),
@@ -363,9 +363,9 @@ class JoinManager:
         # their outcomes to us).
         for dep_vt in msg.pending_vts:
             state = engine.status.get(dep_vt)
-            if state == "committed":
+            if state is TxnState.COMMITTED:
                 continue
-            if state == "aborted":
+            if state is TxnState.ABORTED:
                 record.pending_join = False
                 engine._abort_origin(record, f"join dependency {dep_vt} aborted")
                 return

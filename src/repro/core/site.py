@@ -19,7 +19,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from repro.core.association import Association, Invitation
-from repro.core.commit import TransactionEngine
+from repro.core.commit import TransactionEngine, TxnEntry
 from repro.core.composites import DList, DMap
 from repro.core.messages import (
     AbortMsg,
@@ -317,7 +317,12 @@ class SiteRuntime:
     # ------------------------------------------------------------------
 
     def note_applied(self, vt: VirtualTime, obj: ModelObject, op: Any) -> None:
-        self.engine.applied.setdefault(vt, []).append((obj, op))
+        entry = self.engine.txns.get(vt)
+        if entry is None:
+            entry = self.engine.txns[vt] = TxnEntry()
+            entry.record, entry.applied, entry.reserved = None, [], []
+            entry.write_reads = entry.vouched = None
+        entry.applied.append((obj, op))
 
     def stability_bound(self, sites: List[int]) -> VirtualTime:
         """The VT below which no future transaction from ``sites`` can land.
@@ -378,7 +383,7 @@ class SiteRuntime:
         Any entry left after ``run_until_quiescent`` is a leak: a guess that
         never resolved, a reservation owned by an aborted transaction, an
         undelivered pessimistic snapshot, an uncommitted history entry, or
-        applied-op bookkeeping of a transaction that already resolved.
+        an in-flight entry of a transaction that already resolved.
         Used by the conformance explorer's residue oracle.
         """
         from repro.core.transaction import TxnState
@@ -389,22 +394,22 @@ class SiteRuntime:
         def add(category: str, item: str) -> None:
             residue.setdefault(category, []).append(item)
 
-        for vt, record in self.engine.records.items():
-            if record.state not in (TxnState.COMMITTED, TxnState.ABORTED):
+        engine = self.engine
+        for vt, entry in engine.txns.items():
+            record = entry.record
+            if record is not None and record.state not in (TxnState.COMMITTED, TxnState.ABORTED):
                 add(
                     "unresolved-transactions",
                     f"{vt} state={record.state} pending_confirm={sorted(record.pending_confirm_sites)}",
                 )
-        for pending in self.engine.pending_propagates:
+        for pending in engine.pending_propagates:
             add("pending-propagates", f"{pending.msg.txn_vt} remaining={len(pending.remaining)}")
-        for vt in sorted(
-            set(self.engine.applied) | set(self.engine.write_reads) | set(self.engine.vouched)
-        ):
-            state = self.engine.status.get(vt)
+        for vt in sorted(engine.txns):
+            state = engine.status.get(vt)
             if state is not None:
-                # Recorded after commit/abort cleanup ran: never collected.
-                add("applied-after-resolution", f"{vt} {state}")
-        for vt in sorted(self.engine.deps.pending_vts()):
+                # Touched after its commit/abort released it: never collected.
+                add("applied-after-resolution", f"{vt} {state.value}")
+        for vt in sorted(engine.deps.pending_vts()):
             add("dangling-dependencies", str(vt))
         for snap_id, rec in sorted(self.views.records.items()):
             add(
@@ -435,7 +440,7 @@ class SiteRuntime:
                     owner = interval.owner
                     if (
                         isinstance(owner, VirtualTime)
-                        and self.engine.status.get(owner) == "aborted"
+                        and engine.status.get(owner) is TxnState.ABORTED
                     ):
                         add(
                             "leaked-reservations",

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 from repro.core import propagation
 from repro.core.guesses import ReadAccess, WriteAccess
 from repro.core.messages import OpPayload
-from repro.errors import ProtocolError
 from repro.vtime import VirtualTime
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -210,7 +209,10 @@ class TransactionContext:
         self._written[id(obj)] = obj
         result = propagation.apply_op(obj, op, self.vt, committed=False)
         if read_vt < self.vt:
-            self.site.engine.write_reads.setdefault(self.vt, {})[obj] = read_vt
+            entry = self.site.engine.txns[self.vt]
+            if entry.write_reads is None:
+                entry.write_reads = {}
+            entry.write_reads[obj] = read_vt
         # A write makes the object's current value our own; a subsequent
         # read in this transaction must use our own VT as its read time.
         self.reads[id(obj)] = ReadAccess(target=obj, read_vt=self.vt, graph_vt=obj.graph_vt())
@@ -219,26 +221,6 @@ class TransactionContext:
     # ------------------------------------------------------------------
     # Introspection used by the commit engine
     # ------------------------------------------------------------------
-
-    def touched_roots(self) -> List["ModelObject"]:
-        """Distinct propagation roots among all accessed objects."""
-        roots: List["ModelObject"] = []
-        seen: Set[int] = set()
-        for access in list(self.reads.values()) + list(self.writes):
-            root = access.target.propagation_root()
-            if id(root) not in seen:
-                seen.add(id(root))
-                roots.append(root)
-        return roots
-
-    def written_objects(self) -> List["ModelObject"]:
-        out: List["ModelObject"] = []
-        seen: Set[int] = set()
-        for access in self.writes:
-            if id(access.target) not in seen:
-                seen.add(id(access.target))
-                out.append(access.target)
-        return out
 
     def read_only_accesses(self) -> List[ReadAccess]:
         """Reads of objects the transaction did not also write."""
@@ -259,8 +241,6 @@ class TxnRecord:
     pending_confirm_sites: Set[int] = field(default_factory=set)
     pending_rc: Set[VirtualTime] = field(default_factory=set)
     pending_join: bool = False
-    denied_reason: str = ""
-    retry_of: Optional[VirtualTime] = None
     #: Protocol-extension hook re-run on every retry (join/leave).
     post_execute: Optional[Callable[["TxnRecord"], None]] = None
 

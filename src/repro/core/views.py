@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, AbstractSet, Any, Dict, List, Optional, Sequen
 
 from repro.core import propagation
 from repro.core.messages import SnapshotCheck, SnapshotConfirmMsg, SnapshotReplyMsg
+from repro.core.transaction import TxnState
 from repro.errors import InvalidPath, ProtocolError
 from repro.vtime import VT_ZERO, VirtualTime
 
@@ -220,9 +221,10 @@ class SnapshotRecord:
         #: Remote RL guesses awaiting a verdict, ``()`` until the first:
         #: (primary site, local object, lo, hi); re-addressed if it fails.
         self.outstanding: Sequence[Tuple[int, Any, VirtualTime, VirtualTime]] = ()
-        #: Pessimistic: ``engine.write_reads[ts]`` as of creation — kept here
-        #: because a revision can come after the engine's commit-time cleanup
-        #: — plus, once ``ts`` commits, what its primaries vouched for.
+        #: Pessimistic: ``TxnEntry.write_reads`` of ``ts`` as of creation —
+        #: kept here because a revision can come after the engine's
+        #: commit-time cleanup — plus, once ``ts`` commits, what its
+        #: primaries vouched for.
         self.write_reads: Optional[Dict["ModelObject", VirtualTime]] = None
         #: Pessimistic, while ``ts`` is undecided: (object, uid of its primary
         #: copy, CONFIRM-READ withheld?) per blind-written attached object
@@ -372,7 +374,7 @@ class ViewProxy:
         if state is None:
             record.pending_rc.add(dep_vt)
             engine.deps.wait_for(dep_vt, record)
-        elif state == "aborted":
+        elif state is TxnState.ABORTED:
             record.dead = True
 
     def on_snapshot_ready(self, record: SnapshotRecord) -> None:
@@ -581,7 +583,8 @@ class PessimisticProxy(ViewProxy):
 
     def _create_snapshot(self, ts: VirtualTime, changed: List["ModelObject"]) -> None:
         record = self.manager.new_record(self, ts, committed_only=True, changed=list(changed))
-        record.write_reads = self.site.engine.write_reads.get(ts)
+        entry = self.site.engine.txns.get(ts)
+        record.write_reads = entry.write_reads if entry is not None else None
         self.pending[ts] = record
         insort(self._pending_order, ts)
         # RC guess: the updating transaction must commit.
@@ -735,7 +738,7 @@ class PessimisticProxy(ViewProxy):
                 if record.denied or record.pending_sites:
                     return
             elif (record.denied or record.awaiting or record.pending_sites or record.pending_rc
-                  or self.site.engine.status.get(first_ts) != "committed"):
+                  or self.site.engine.status.get(first_ts) is not TxnState.COMMITTED):
                 return
             self._drop_pending(first_ts)
             self.last_notified_vt = first_ts

@@ -174,7 +174,7 @@ def terminal_fingerprint(result: TrialResult) -> str:
     for site in result.live_sites():
         sid = str(site.site_id)
         status[sid] = sorted(
-            (str(vt), state) for vt, state in site.engine.status.items()
+            (str(vt), state.value) for vt, state in site.engine.resolved()
         )
         digests[sid] = sorted(
             (key, list(vt_key), value)

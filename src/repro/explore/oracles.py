@@ -35,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core.transaction import TxnState
 from repro.explore.trial import KIND_WRITES, TRIAL_OBJECTS, VIEW_OBJECTS, TrialResult, TxnInfo
 from repro.vtime import VirtualTime
 
@@ -64,11 +65,11 @@ def _ground_truth(result: TrialResult) -> Tuple[Set[VirtualTime], Set[VirtualTim
     committed_at: Dict[VirtualTime, int] = {}
     aborted_at: Dict[VirtualTime, int] = {}
     for site in result.live_sites():
-        for vt, state in site.engine.status.items():
-            if state == "committed":
+        for vt, state in site.engine.resolved():
+            if state is TxnState.COMMITTED:
                 committed.add(vt)
                 committed_at.setdefault(vt, site.site_id)
-            elif state == "aborted":
+            elif state is TxnState.ABORTED:
                 aborted.add(vt)
                 aborted_at.setdefault(vt, site.site_id)
     violations = [

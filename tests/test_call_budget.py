@@ -49,7 +49,8 @@ views.py**, and the further columns below are pinned with it: import
 statements executed (``builtins.__import__`` wrapped: 0),
 dataclass-generated ``__init__``s (compiled under ``<string>``, so not among
 the calls: 45.0 per commit), and — on a 2-site session after warm-up —
-GC-tracked objects retained per commit (the ``engine.status`` key).
+GC-tracked objects retained per commit and per user-aborted transaction
+(none: the status log's keys are plain tuples, untracked).
 ``scripts/call_budget.py`` prints the per-module and per-function table
 behind these numbers.
 
@@ -390,12 +391,23 @@ def test_the_count_is_exact_for_a_seed():
     assert counts[0] == counts[1]
 
 
-def test_a_commit_retains_one_object():
-    """Steady state on two sites: after warm-up the process holds one more
-    GC-tracked object per commit — the ``VirtualTime`` key of the site-wide
-    ``engine.status`` log, shared by both sites — and nothing else: no
-    record, closure, history version or reservation outlives its commit."""
-    commits = 2000
+#: Transactions the two retention tests measure, after 200 of warm-up.
+RETAIN_COMMITS, RETAIN_USER_ABORTS = 2000, 1000
+
+
+def write(obj, value):
+    obj.set(value)
+
+
+def write_then_raise(obj, value):
+    obj.set(value)
+    raise ValueError("user abort")
+
+
+def retained_per_transaction(count, body):
+    """GC-tracked objects the process holds after ``count`` more
+    transactions ``body(obj, value)``, alternating over two sites, per
+    transaction, counted after warm-up; and the two replicas."""
     session = Session.simulated(latency_ms=DELAY_MS, seed=SEED)
     sites = session.add_sites(2)
     objs = session.replicate(DInt, "x", sites)
@@ -403,17 +415,35 @@ def test_a_commit_retains_one_object():
 
     def run(count, base):
         for i in range(count):
-            sites[i % 2].transact(lambda i=i: objs[i % 2].set(base + i))
+            sites[i % 2].transact(lambda i=i: body(objs[i % 2], base + i))
             session.settle()
 
     run(200, 0)
     gc.collect()
     before = len(gc.get_objects())
-    run(commits, 1000)
+    run(count, 1000)
     gc.collect()
-    retained = (len(gc.get_objects()) - before) / commits
-    assert objs[0].get() == objs[1].get() == 1000 + commits - 1
-    assert retained <= 1.01, f"{retained:.4f} GC-tracked objects retained per commit"
+    return (len(gc.get_objects()) - before) / count, objs
+
+
+def test_a_commit_retains_no_object():
+    """Steady state on two sites: after warm-up a commit leaves no
+    GC-tracked object behind — no record, closure, history version or
+    reservation outlives it, and the status log keys it by a plain
+    ``(counter, site)`` tuple, which the collector stops tracking (a
+    ``VirtualTime`` key was one object per commit, 0.9985 at 2340baf)."""
+    retained, objs = retained_per_transaction(RETAIN_COMMITS, write)
+    assert objs[0].get() == objs[1].get() == 1000 + RETAIN_COMMITS - 1
+    assert retained <= 0.01, f"{retained:.4f} GC-tracked objects retained per commit"
+
+
+def test_a_user_abort_retains_no_object():
+    """A transaction whose ``execute()`` raises after writing is rolled back
+    and released like any abort: no record, context, transaction or outcome
+    stays (18.0 objects each while the origin kept its record, 2340baf)."""
+    retained, objs = retained_per_transaction(RETAIN_USER_ABORTS, write_then_raise)
+    assert objs[0].get() == objs[1].get() == 0
+    assert retained <= 0.01, f"{retained:.4f} GC-tracked objects retained per user abort"
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +454,18 @@ def test_a_commit_retains_one_object():
 CENSUS_TENANTS = 20
 
 #: GC-tracked objects one joined tenant holds across both hosts, views
-#: included (:class:`TenantCensus`), on CPython 3.11 and 3.12: 185.3–185.6.
-#: 265.8 at 39f6637 — a bound method per route per site, three reservation
-#: tables per replica, a graph's cached facts in an instance dict, the
-#: join's undo stash, a roster copy per tenant, per-site lists built empty.
-TENANT_GC_OBJECTS_CEILING = 190
+#: included (:class:`TenantCensus`), on CPython 3.11 and 3.12: 183.3–183.8
+#: (CPython 3.13, outside the CI matrix, reads 186.1).  185.1–185.7 at
+#: 2340baf, while the status log was keyed by ``VirtualTime``s; 265.8 at
+#: 39f6637 — a bound method per route per site, three reservation tables
+#: per replica, a graph's cached facts in an instance dict, the join's undo
+#: stash, a roster copy per tenant, per-site lists built empty.
+TENANT_GC_OBJECTS_CEILING = 184.5
 #: The same census with every instance ``__dict__`` that holds a tracked
 #: value counted: CPython before 3.11 builds one with each instance
-#: (3.9: 236.4; 305.9 at 39f6637), and on 3.11+
-#: ``TenantCensus.with_dicts`` builds them to count (236.3–236.6).
-TENANT_GC_OBJECTS_WITH_DICTS_CEILING = 245
+#: (3.9: 215.5–216.2; 305.9 at 39f6637), and on 3.11+
+#: ``TenantCensus.with_dicts`` builds them to count (215.3–215.8).
+TENANT_GC_OBJECTS_WITH_DICTS_CEILING = 216.5
 
 
 async def join_tenants(pair, tids):

@@ -17,6 +17,7 @@ import pytest
 from repro import DInt, DList, Session, View
 from repro.sim.network import FixedLatency
 from repro.vtime import VirtualTime
+from repro.core.transaction import TxnState
 
 T = 50.0
 
@@ -188,8 +189,8 @@ class TestRevision:
 
         session.run_for(60.0)  # 3 committed everywhere; 2 still on its way to the primary
         proxy = objs[1].proxies[0]
-        assert watcher.engine.status.get(winner_vt) == "committed"
-        assert winner_vt not in watcher.engine.write_reads
+        assert watcher.engine.status.get(winner_vt) is TxnState.COMMITTED
+        assert winner_vt not in watcher.engine.txns
         assert sorted(proxy.pending) == [loser_vt, winner_vt]
         assert probe.values() == [0]  # blocked behind the unresolved predecessor
 
@@ -240,8 +241,7 @@ class TestCommitOvertakesPropagate:
             session.settle()
         assert [o.get() for o in objs] == [5, 5, 5]
         late = sites[1]
-        assert late.engine.applied == {}
-        assert late.engine.write_reads == {}
+        assert late.engine.txns == {}
         assert late.protocol_residue() == {}
         # History GC ran for the late-applied writes as well.
         assert len(objs[1].history) < 5
@@ -378,7 +378,7 @@ class TestPrimaryVouchesForBlindWrites:
         assert probe.first_seen(30) - rounds[2][0] == pytest.approx(3 * T)  # 1t + 1t + 1t
         assert counter(sites[1], "view.rl_confirmed_by_commit") == 1
         for site in sites:
-            assert site.engine.vouched == {} and site.protocol_residue() == {}
+            assert site.engine.txns == {} and site.protocol_residue() == {}
 
     def test_no_pessimistic_view_anywhere_reserves_and_vouches_nothing(self):
         session, sites, objs = replicated_int()
@@ -467,7 +467,7 @@ class TestVouchedIntervalIsReserved:
 
         session.settle()
         assert late.committed and late.attempts == 2 and late.vt > second.vt
-        assert sites[0].engine.status[late_vt] == "aborted"
+        assert sites[0].engine.status[late_vt] is TxnState.ABORTED
         assert [o.get() for o in objs] == [7, 7, 7]
         for probe in (writer, straggler):
             assert probe.values() == [0, 1, 2, 7]  # lossless
@@ -566,7 +566,7 @@ class TestVouchDoesNotCover:
 
         session.run_for(22.0)  # the blind write committed at the watcher; the loser is undecided
         proxy = xs[1].proxies[0]
-        assert watcher.engine.status.get(blind.vt) == "committed"
+        assert watcher.engine.status.get(blind.vt) is TxnState.COMMITTED
         assert watcher.engine.status.get(loser_vt) is None
         assert sorted(proxy.pending) == [loser_vt, blind.vt]
         record = proxy.pending[blind.vt]
@@ -574,7 +574,7 @@ class TestVouchDoesNotCover:
         assert requests == []
 
         session.run_for(20.0)  # the loser's ABORT arrived, and the check it set off
-        assert watcher.engine.status.get(loser_vt) == "aborted"
+        assert watcher.engine.status.get(loser_vt) is TxnState.ABORTED
         assert [(c.lo_vt, c.hi_vt) for _at, msg in requests for c in msg.checks] == [
             (hidden.vt, blind.vt)
         ]
@@ -634,7 +634,7 @@ class TestCommitWithoutVouch:
         session.network.set_link_latency(0, 3, FixedLatency(500.0))
         outcome = origin.transact(lambda: objs[3].set(9))
         session.run_for(70.0)
-        assert sites[1].engine.status.get(outcome.vt) == "committed" and not outcome.committed
+        assert sites[1].engine.status.get(outcome.vt) is TxnState.COMMITTED and not outcome.committed
         session.network.fail_site(0)
         session.settle()
         assert outcome.committed and probe.values() == [0, 1, 9, 9]  # the write, the repair
@@ -667,7 +667,7 @@ class TestCommitWithoutVouch:
         assert check_trial(result) == []
         repair_vt = VirtualTime(43, 0)
         for site in result.live_sites():
-            assert site.engine.status[repair_vt] == "committed"
+            assert site.engine.status[repair_vt] is TxnState.COMMITTED
             assert site.protocol_residue() == {}
         assert [counter(result.sites[i], "view.vouch_missed") for i in (0, 1, 3)] == [0, 1, 1]
 
@@ -682,7 +682,7 @@ class TestCommitWithoutVouch:
         asked = counter(watcher, "view.confirm_requests_sent")
         outcome = sites[2].transact(lambda: objs[2].set(3))
         session.run_for(50.0)
-        assert watcher.engine.status.get(outcome.vt) == "committed"
+        assert watcher.engine.status.get(outcome.vt) is TxnState.COMMITTED
         assert objs[1].history.entry_at(outcome.vt) is None  # propagate still on its way
         session.run_for(60.0)
         record = objs[1].proxies[0].pending[outcome.vt]
@@ -719,7 +719,7 @@ class TestCommitWithoutVouch:
         assert counter(sites[1], "txn.intervals_vouched") == 2  # the second write, and this one
         assert counter(sites[2], "view.vouch_missed") == 1
         for site in sites:
-            assert site.engine.vouched == {} and site.protocol_residue() == {}
+            assert site.engine.txns == {} and site.protocol_residue() == {}
 
 
 class TestEveryPrimaryIsAsked:

@@ -13,6 +13,7 @@ import pytest
 from repro import Session
 from repro.sim.network import FixedLatency
 from repro import DInt
+from repro.core.transaction import TxnState
 
 
 def build(latency=30.0):
@@ -36,7 +37,7 @@ class TestDelegateCommittedBeforeFailure:
         session.network.set_link_latency(0, 3, FixedLatency(500.0))
         out = sites[3].transact(lambda: objs[3].set(9))
         session.run_for(70)  # delegate (site 0) committed and broadcast
-        assert sites[1].engine.status.get(out.vt) == "committed"
+        assert sites[1].engine.status.get(out.vt) is TxnState.COMMITTED
         assert not out.committed  # origin hasn't heard yet
         # Now the DELEGATE fails before the origin's commit arrives.
         session.network.fail_site(0)
@@ -45,7 +46,7 @@ class TestDelegateCommittedBeforeFailure:
         assert out.committed
         assert [objs[i].get() for i in (1, 2, 3)] == [9, 9, 9]
         assert all(
-            sites[i].engine.status.get(out.vt) == "committed" for i in (1, 2, 3)
+            sites[i].engine.status.get(out.vt) is TxnState.COMMITTED for i in (1, 2, 3)
         )
 
     def test_unrelated_replica_failure_does_not_abort_delegated_txn(self):

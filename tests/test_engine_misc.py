@@ -8,6 +8,7 @@ from repro.core.messages import AbortMsg, CommitMsg, ConfirmMsg
 from repro.sim.network import FixedLatency
 from repro.vtime import VirtualTime
 from repro import DInt
+from repro.core.transaction import TxnState
 
 
 def pair(latency=30.0, **kwargs):
@@ -51,14 +52,14 @@ class TestRecordHygiene:
         for i in range(5):
             alice.transact(lambda v=i: objs[0].set(v))
             session.settle()
-        assert not alice.engine.records  # all finalized and dropped
+        assert not alice.engine.txns  # all finalized and dropped
 
     def test_applied_log_dropped_after_commit(self):
         session, alice, bob, objs = pair()
         out = alice.transact(lambda: objs[0].set(1))
         session.settle()
-        assert out.vt not in alice.engine.applied
-        assert out.vt not in bob.engine.applied
+        assert out.vt not in alice.engine.txns
+        assert out.vt not in bob.engine.txns
 
     def test_counters_shape(self):
         session, alice, bob, objs = pair()
@@ -84,7 +85,7 @@ class TestLateMessages:
         session.settle()
         commits_before = bob.engine.commits
         bob.dispatch(0, CommitMsg(txn_vt=out.vt, clock=2000))
-        assert bob.engine.status[out.vt] == "committed"
+        assert bob.engine.status[out.vt] is TxnState.COMMITTED
         assert bob.engine.commits == commits_before  # no double count
 
     def test_abort_for_unknown_txn_recorded(self):
@@ -93,7 +94,7 @@ class TestLateMessages:
         session, alice, bob, objs = pair()
         ghost = VirtualTime(500, 0)
         bob.dispatch(0, AbortMsg(txn_vt=ghost, clock=600, reason="test"))
-        assert bob.engine.status[ghost] == "aborted"
+        assert bob.engine.status[ghost] is TxnState.ABORTED
         # Craft the late WRITE and deliver it: must be ignored.
         from repro.core.messages import OpPayload, TxnPropagateMsg, WriteOp
 

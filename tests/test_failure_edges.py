@@ -9,6 +9,7 @@ from repro.core.views import View
 from repro.sim.network import FixedLatency
 from repro.vtime import VirtualTime
 from repro import DInt
+from repro.core.transaction import TxnState
 
 
 def quad(latency=20.0, **kwargs):
@@ -179,7 +180,7 @@ class TestOrphanedSnapshotCheck:
         session.network.set_link_latency(2, 0, FixedLatency(500.0))  # the request is slow
         outcome = sites[1].transact(lambda: objs[1].set(5))
         session.run_for(100.0)
-        assert outcome.committed and watcher.engine.status[outcome.vt] == "committed"
+        assert outcome.committed and watcher.engine.status[outcome.vt] is TxnState.COMMITTED
         ((primary, orphan),) = asked
         assert primary == 0
         assert [sorted(r.pending_sites) for r in watcher.views.records.values()] == [[0]]

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import Session
+from repro.core.transaction import TxnState
 from repro.sim.network import FixedLatency
+from repro.sim.trace import MessageTrace
 from repro import DInt
 
 
@@ -58,10 +60,21 @@ class TestGraphRepair:
 
 
 class TestInflightResolution:
-    def test_committed_inflight_transaction_is_committed_everywhere(self):
-        """If any survivor logged the COMMIT, all survivors commit."""
+    @pytest.mark.parametrize("later_writes", [False, True], ids=["at-once", "past-the-bound"])
+    def test_committed_inflight_transaction_is_committed_everywhere(self, later_writes):
+        """If any survivor logged the COMMIT, all survivors commit.
+
+        ``past-the-bound``: the survivors write on until s0's stability
+        bound passes ``v``, which s0 committed and s2 still holds pending.
+        Below the bound no new transaction can land, yet s0 must still
+        report ``v`` committed to the repair: a site that forgot it there
+        would let a repair that reaches s2 before the COMMIT abort what s0
+        committed (a committed effect lost)."""
         session, sites, objs = triple(latency=20.0)
         s0, s1, s2 = sites
+        if later_writes:
+            ys = session.replicate(DInt, "y", sites, initial=0)
+            session.settle()
         # s1 originates a txn; primary is s0 (delegate), which will commit
         # and broadcast.  Make the commit to s2 slow so at failure time s2
         # has the WRITE but not the COMMIT, while s1 has the COMMIT.
@@ -70,11 +83,25 @@ class TestInflightResolution:
         session.run_for(60)  # commit reached s1 (via delegate) but not s2
         assert out.committed
         assert not objs[2].history.current().committed
+        if later_writes:
+            for i in (1, 2):
+                sites[i].transact(lambda i=i: ys[i].set(i))
+                session.run_for(60)
+            # v = VT(13@1) is below s0's bound VT(14@-1); s0 has it
+            # committed, s2 still pending.
+            assert out.vt < s0.stability_bound([0, 1, 2])
+            assert s0.engine.status.get(out.vt) is TxnState.COMMITTED
+            assert out.vt in s2.engine.txns and out.vt not in s2.engine.status
+        trace = MessageTrace(session.network)
         session.network.fail_site(1)  # the ORIGIN fails
         session.settle()
         # Resolution: s0 logged the commit, so s2 commits too.
         assert objs[2].history.current().committed
         assert objs[2].get() == 9
+        assert s0.protocol_residue() == {} and s2.protocol_residue() == {}
+        # s0 reported v committed: nothing had told it that s2 resolved v.
+        resolutions = trace.filter(msg_type="FailResolutionMsg", src=0, dst=2)
+        assert resolutions and all(out.vt in e.payload.commit_vts for e in resolutions)
 
     def test_unknown_inflight_transaction_is_aborted(self):
         """If no survivor saw a COMMIT, the failed origin's txn aborts."""

@@ -9,7 +9,7 @@ stopped detecting its violation class would pass every healthy
 integration test; these fixtures are the proof of non-vacuity.
 """
 
-from repro.core.transaction import TransactionOutcome
+from repro.core.transaction import TransactionOutcome, TxnState
 from repro.explore.oracles import check_trial
 from repro.explore.plan import exhaustive_config
 from repro.explore.trial import TrialResult, TxnInfo
@@ -29,8 +29,15 @@ class FakeNetwork:
 
 
 class FakeEngine:
+    """The engine's status log: plain ``(counter, site)`` keys, ``TxnState``
+    values, walked through ``resolved()`` as the oracles do."""
+
     def __init__(self, status):
-        self.status = dict(status)
+        self.status = {tuple(vt): state for vt, state in status.items()}
+
+    def resolved(self):
+        for key, state in self.status.items():
+            yield VirtualTime(*key), state
 
 
 class FakeObj:
@@ -81,7 +88,7 @@ def make_result(
     identical digests, no residue); each oracle test overrides exactly the
     evidence its check inspects.
     """
-    status0 = {VT1: "committed"} if status0 is None else status0
+    status0 = {VT1: TxnState.COMMITTED} if status0 is None else status0
     status1 = dict(status0) if status1 is None else status1
     values = {"ctr": 1, "board": 0, "xa": 1000, "xb": 0} if values is None else values
     digest0 = {"root": (VT1.key, "1")}
@@ -147,7 +154,7 @@ def test_all_sites_failed_promises_nothing():
 
 
 def test_status_flags_commit_abort_disagreement():
-    result = make_result(status1={VT1: "aborted"})
+    result = make_result(status1={VT1: TxnState.ABORTED})
     violations = [v for v in check_trial(result) if v.oracle == "status"]
     assert violations and "committed at site 0" in violations[0].detail
 
@@ -165,7 +172,7 @@ def test_status_flags_initiator_commit_unlogged():
 
 def test_status_ignores_dead_sites():
     # The disagreeing site is failed: fail-stop makes no promises for it.
-    result = make_result(status1={VT1: "aborted"}, failed=(1,))
+    result = make_result(status1={VT1: TxnState.ABORTED}, failed=(1,))
     assert "status" not in oracles_of(result)
 
 
@@ -184,7 +191,7 @@ def test_effect_flags_value_diverging_from_serial_replay():
 def test_effect_ignores_aborted_transactions():
     # The only transaction aborted: baseline values must be expected.
     result = make_result(
-        status0={VT1: "aborted"},
+        status0={VT1: TxnState.ABORTED},
         values={"ctr": 0, "board": 0, "xa": 1000, "xb": 0},
         outcome=TransactionOutcome(committed=False, aborted_no_retry=True, vt=VT1),
     )

@@ -137,7 +137,7 @@ class TestImport:
         assert y.get() == 99  # optimistic current
         assert y.committed_value() == 3
         # The applied-op log lets a forwarded ABORT purge the entry.
-        assert uncommitted_vt in other.engine.applied
+        assert other.engine.txns[uncommitted_vt].applied
         other.engine._apply_abort_locally(uncommitted_vt)
         assert y.get() == 3
 
