@@ -35,9 +35,9 @@ async def main():
     await transport.aquiesce()
     alice.join(assoc, "chat.rel", log_a)
     await transport.aquiesce()
-    invitation = assoc.make_invitation(note="team chat")
     rooms = [ChatRoom(alice, log_a, author="alice")]
     for site, author in ((bob, "bob"), (carol, "carol")):
+        invitation = assoc.make_invitation(note="team chat")  # one per joiner
         local_assoc = site.import_invitation(invitation, "chat.assoc")
         await transport.aquiesce()
         local_log = site.create_list("chatlog")

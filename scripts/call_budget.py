@@ -16,8 +16,9 @@ With ``--tenants N`` it instead joins N tenants on two hosts over loopback
 TCP through the real invitation / join protocol (the test's tenant census)
 and prints the GC-tracked objects one tenant holds, charged to the nearest
 ``repro`` object that references each, then the split of one N-tenant
-set-up: protocol CPU, wire-codec time, collector pauses (gen-2 apart), and
-what the first collection after ``await stop()`` frees and costs.
+set-up: frames sent and join retries per tenant, protocol CPU, wire-codec
+time, collector pauses (gen-2 apart), and what the first collection after
+``await stop()`` frees and costs.
 
 Counts are exact for a seed and do not depend on the host (the census is
 within a fraction of an object); start a perf change from this table, then
@@ -168,6 +169,15 @@ def _timed(fn, total: list, pauses: _Pauses):
     return timed
 
 
+def _join_counts(hosts) -> tuple:
+    """Frames sent and transaction retries, summed over both hosts."""
+    counters = [host.counters() for host in hosts]
+    return (
+        sum(c["transport.frames_sent"] for c in counters),
+        sum(c.get("retries", 0) for c in counters),
+    )
+
+
 async def _split(tenants: int) -> dict:
     pair = TcpHostPair()
     await pair.__aenter__()
@@ -176,6 +186,8 @@ async def _split(tenants: int) -> dict:
     pauses = _Pauses()
     real = tcp.encode_frame, tcp.decode_frame
     tcp.encode_frame, tcp.decode_frame = (_timed(fn, codec, pauses) for fn in real)
+    hosts = pair.host_a, pair.host_b
+    before = _join_counts(hosts)
     gc.collect()
     gc.callbacks.append(pauses)
     try:
@@ -185,6 +197,9 @@ async def _split(tenants: int) -> dict:
     finally:
         gc.callbacks.remove(pauses)
         tcp.encode_frame, tcp.decode_frame = real
+    await pair.tcp_a.aquiesce(settle_ms=20)
+    await pair.tcp_b.aquiesce(settle_ms=20)
+    frames, retries = (n - m for n, m in zip(_join_counts(hosts), before))
     await pair.__aexit__()
     del pair
     start = time.perf_counter()
@@ -196,6 +211,7 @@ async def _split(tenants: int) -> dict:
     late_s = time.perf_counter() - start
     return {
         "wall": wall, "cpu": cpu, "codec": codec[0], "pauses": pauses,
+        "frames": frames, "retries": retries,
         "freed": freed, "collect": collect_s, "freed_late": freed_late, "late": late_s,
     }
 
@@ -206,6 +222,10 @@ def split(tenants: int) -> None:
     paused = sum(pauses.seconds)
     ms = 1e3
     print(f"== set-up split: {tenants} tenants joined after a warm-up tenant")
+    print(
+        f"  {s['frames'] / tenants:9.2f}     frames sent per tenant, "
+        f"{s['retries'] / tenants:.2f} join retries"
+    )
     print(f"  {s['wall'] * ms:9.1f} ms  wall (joins poll every 10 ms)")
     print(f"  {(s['cpu'] - paused) * ms:9.1f} ms  protocol CPU (process time less the pauses)")
     print(f"  {s['codec'] * ms:9.1f} ms    of it in encode_frame / decode_frame")

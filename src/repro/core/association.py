@@ -12,7 +12,8 @@ objects" (section 2.6).
 
 An :class:`Invitation` is the external token that publicizes the right to
 make replicas (section 2.6): it names the inviting site and its
-association object.
+association object, and carries the inviter's Lamport clock as any message
+does, so a join drawn after importing it is later than the state it joins.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class Invitation:
     inviter_site: int
     assoc_uid: str
     note: str = ""
+    clock: int = 0
 
 
 class Association(ModelObject):
@@ -95,8 +97,11 @@ class Association(ModelObject):
         ctx.write(self, OpPayload(kind="assoc", args=(rel_id, "leave", member_uid, -1)))
 
     def make_invitation(self, note: str = "") -> Invitation:
-        """Publicize the right to replicate through this association."""
-        return Invitation(inviter_site=self.site.site_id, assoc_uid=self.uid, note=note)
+        """Publicize the right to replicate through this association.
+
+        Mint one per joiner: each join moves the graph's VT past the clock
+        an earlier token carried."""
+        return Invitation(self.site.site_id, self.uid, note, self.site.clock.counter)
 
     # ------------------------------------------------------------------
     # Apply engine (shared local/remote semantics)

@@ -35,6 +35,10 @@ from repro.core.messages import (
     WriteOp,
 )
 from repro.core.transaction import (
+    ABORTED,
+    AWAITING,
+    COMMITTED,
+    DELEGATED,
     Transaction,
     TransactionContext,
     TransactionOutcome,
@@ -193,8 +197,8 @@ class TransactionEngine:
             # so faulty applications will not be able to create inconsistent
             # states" (section 2.4).  No retry; handleAbort is called.
             self._rollback(vt)
-            self.status[tuple(vt)] = TxnState.ABORTED
-            record.state = TxnState.ABORTED
+            self.status[tuple(vt)] = ABORTED
+            record.state = ABORTED
             outcome.aborted_no_retry = True
             outcome.abort_reason = f"{type(exc).__name__}: {exc}"
             self.site.metrics.inc("txn.aborts_user")
@@ -218,7 +222,7 @@ class TransactionEngine:
             # Protocol extensions (the join protocol) may mark the record
             # pending_join and schedule remote calls before fan-out.
             post_execute(record)
-            if record.state == TxnState.ABORTED:
+            if record.state == ABORTED:
                 return outcome
         self._initiate_protocol(record)
         return outcome
@@ -247,9 +251,9 @@ class TransactionEngine:
         # RC guesses: reads of uncommitted values.
         for dep_vt in record.ctx.rc_deps:
             state = self.status.get(dep_vt)
-            if state is TxnState.COMMITTED:
+            if state is COMMITTED:
                 continue
-            if state is TxnState.ABORTED:
+            if state is ABORTED:
                 self._abort_origin(record, f"RC dependency {dep_vt} already aborted")
                 return
             record.pending_rc.add(dep_vt)
@@ -340,9 +344,9 @@ class TransactionEngine:
             self.deps.wait_for(dep_vt, record)
 
         if delegate_to is not None:
-            record.state = TxnState.DELEGATED
+            record.state = DELEGATED
             return
-        record.state = TxnState.AWAITING
+        record.state = AWAITING
         if record.all_confirmed():
             self._commit_origin(record)
 
@@ -488,21 +492,19 @@ class TransactionEngine:
 
     def _rc_resolved(self, record: TxnRecord, dep_vt: VirtualTime) -> None:
         record.pending_rc.discard(dep_vt)
-        if record.state == TxnState.AWAITING and record.all_confirmed():
+        if record.state == AWAITING and record.all_confirmed():
             self._commit_origin(record)
 
     def _rc_aborted(self, record: TxnRecord, dep_vt: VirtualTime) -> None:
-        if record.state in (TxnState.COMMITTED, TxnState.ABORTED):
+        if record.state in (COMMITTED, ABORTED):
             return
         self._abort_origin(record, f"RC dependency {dep_vt} aborted")
 
     def _commit_origin(self, record: TxnRecord) -> None:
         vt = record.vt
-        if self.status.get(vt) is TxnState.ABORTED or record.state in (
-            TxnState.COMMITTED, TxnState.ABORTED
-        ):
+        if self.status.get(vt) is ABORTED or record.state in (COMMITTED, ABORTED):
             return
-        record.state = TxnState.COMMITTED
+        record.state = COMMITTED
         entry = self.txns.get(vt)
         vouched = tuple(entry.vouched.items()) if entry is not None and entry.vouched else ()
         for dst in sorted(record.involved_sites):
@@ -529,9 +531,9 @@ class TransactionEngine:
     def _abort_origin(self, record: TxnRecord, reason: str, retry: bool = True) -> None:
         """Abort an origin transaction (conflict path) and re-execute it."""
         vt = record.vt
-        if record.state in (TxnState.COMMITTED, TxnState.ABORTED):
+        if record.state in (COMMITTED, ABORTED):
             return
-        record.state = TxnState.ABORTED
+        record.state = ABORTED
         for dst in sorted(record.involved_sites):
             self.site.send(dst, AbortMsg(txn_vt=vt, clock=self.site.clock.counter, reason=reason))
         self.site.views.begin_batch()
@@ -578,11 +580,11 @@ class TransactionEngine:
     def on_propagate(self, src: int, msg: TxnPropagateMsg) -> None:
         vt = msg.txn_vt
         state = self.status.get(vt)
-        if state is TxnState.ABORTED:
+        if state is ABORTED:
             # "If any future update messages arrive, the updates are
             # ignored" (section 3.1).
             return
-        remaining = self._apply_writes(msg.writes, vt, state is TxnState.COMMITTED)
+        remaining = self._apply_writes(msg.writes, vt, state is COMMITTED)
         if remaining:
             if not self.pending_propagates:
                 self.pending_propagates = []
@@ -644,11 +646,11 @@ class TransactionEngine:
             for pending in list(self.pending_propagates):
                 vt = pending.msg.txn_vt
                 state = self.status.get(vt)
-                if state is TxnState.ABORTED:
+                if state is ABORTED:
                     self.pending_propagates.remove(pending)
                     continue
                 remaining = self._apply_writes(
-                    tuple(pending.remaining), vt, state is TxnState.COMMITTED
+                    tuple(pending.remaining), vt, state is COMMITTED
                 )
                 if len(remaining) < len(pending.remaining):
                     progressed = True
@@ -765,7 +767,7 @@ class TransactionEngine:
     def on_confirm(self, src: int, msg: ConfirmMsg) -> None:
         entry = self.txns.get(msg.txn_vt)
         record = entry.record if entry is not None else None
-        if record is None or record.state is not TxnState.AWAITING:
+        if record is None or record.state is not AWAITING:
             return
         if not msg.ok:
             self._abort_origin(record, f"denied by site {msg.site}: {msg.reason}")
@@ -782,9 +784,9 @@ class TransactionEngine:
         vt = msg.txn_vt
         entry = self.txns.get(vt)
         record = entry.record if entry is not None else None
-        if record is not None and record.state is TxnState.DELEGATED:
+        if record is not None and record.state is DELEGATED:
             # Our delegate committed the transaction for us.
-            record.state = TxnState.COMMITTED
+            record.state = COMMITTED
             self._apply_commit_locally(vt, msg.vouched)
             self.record_commit_outcome(record.outcome)
             return
@@ -794,8 +796,8 @@ class TransactionEngine:
         vt = msg.txn_vt
         entry = self.txns.get(vt)
         record = entry.record if entry is not None else None
-        if record is not None and record.state is TxnState.DELEGATED:
-            record.state = TxnState.AWAITING  # reopen so _abort_origin can run
+        if record is not None and record.state is DELEGATED:
+            record.state = AWAITING  # reopen so _abort_origin can run
             record.involved_sites = set()  # delegate already told everyone
             self._abort_origin(record, f"delegate denied: {msg.reason}")
             return
@@ -811,11 +813,11 @@ class TransactionEngine:
         self, vt: VirtualTime, vouched: Tuple[Tuple[str, VirtualTime], ...] = ()
     ) -> None:
         state = self.status.get(vt)
-        if state is TxnState.COMMITTED:
+        if state is COMMITTED:
             return
-        if state is TxnState.ABORTED:
+        if state is ABORTED:
             raise ProtocolError(f"commit arrived for aborted transaction {vt}")
-        self.status[tuple(vt)] = TxnState.COMMITTED
+        self.status[tuple(vt)] = COMMITTED
         entry = self.txns.get(vt)
         applied = entry.applied if entry is not None else ()
         bus = self.site.bus
@@ -843,7 +845,7 @@ class TransactionEngine:
     def _apply_abort_locally(self, vt: VirtualTime, reason: str = "") -> None:
         if vt in self.status:
             return
-        self.status[tuple(vt)] = TxnState.ABORTED
+        self.status[tuple(vt)] = ABORTED
         bus = self.site.bus
         if bus.active:
             bus.emit(

@@ -165,6 +165,7 @@ class JoinManager:
                 ),
             )
 
+        self.site.clock.observe_counter(invitation.clock)
         self.site.engine.run(FunctionTransaction(body), post_execute=post)
         return local
 

@@ -213,9 +213,8 @@ class Session:
         self.settle()
         owner.join(assoc, rel_id, objects[0])
         self.settle()
-        invitation = assoc.make_invitation()
         for site in sites[1:]:
-            local_assoc = site.import_invitation(invitation, f"{name}.assoc")
+            local_assoc = site.import_invitation(assoc.make_invitation(), f"{name}.assoc")
             self.settle()
             obj = factory(site, name, initial)
             objects.append(obj)

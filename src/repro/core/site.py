@@ -42,6 +42,8 @@ from repro.core.model import ModelObject
 from repro.core.repgraph import ReplicationGraph
 from repro.core.scalars import DFloat, DInt, DString
 from repro.core.transaction import (
+    ABORTED,
+    COMMITTED,
     FunctionTransaction,
     Transaction,
     TransactionContext,
@@ -386,7 +388,6 @@ class SiteRuntime:
         an in-flight entry of a transaction that already resolved.
         Used by the conformance explorer's residue oracle.
         """
-        from repro.core.transaction import TxnState
         from repro.core.views import PessimisticProxy
 
         residue: Dict[str, List[str]] = {}
@@ -397,7 +398,7 @@ class SiteRuntime:
         engine = self.engine
         for vt, entry in engine.txns.items():
             record = entry.record
-            if record is not None and record.state not in (TxnState.COMMITTED, TxnState.ABORTED):
+            if record is not None and record.state not in (COMMITTED, ABORTED):
                 add(
                     "unresolved-transactions",
                     f"{vt} state={record.state} pending_confirm={sorted(record.pending_confirm_sites)}",
@@ -438,10 +439,7 @@ class SiteRuntime:
             ):
                 for interval in table:
                     owner = interval.owner
-                    if (
-                        isinstance(owner, VirtualTime)
-                        and engine.status.get(owner) is TxnState.ABORTED
-                    ):
+                    if isinstance(owner, VirtualTime) and engine.status.get(owner) is ABORTED:
                         add(
                             "leaked-reservations",
                             f"{uid} {table_name} ({interval.lo},{interval.hi}) owner={owner}",

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, AbstractSet, Any, Dict, List, Optional, Sequen
 
 from repro.core import propagation
 from repro.core.messages import SnapshotCheck, SnapshotConfirmMsg, SnapshotReplyMsg
-from repro.core.transaction import TxnState
+from repro.core.transaction import ABORTED, COMMITTED
 from repro.errors import InvalidPath, ProtocolError
 from repro.vtime import VT_ZERO, VirtualTime
 
@@ -374,7 +374,7 @@ class ViewProxy:
         if state is None:
             record.pending_rc.add(dep_vt)
             engine.deps.wait_for(dep_vt, record)
-        elif state is TxnState.ABORTED:
+        elif state is ABORTED:
             record.dead = True
 
     def on_snapshot_ready(self, record: SnapshotRecord) -> None:
@@ -738,7 +738,7 @@ class PessimisticProxy(ViewProxy):
                 if record.denied or record.pending_sites:
                     return
             elif (record.denied or record.awaiting or record.pending_sites or record.pending_rc
-                  or self.site.engine.status.get(first_ts) is not TxnState.COMMITTED):
+                  or self.site.engine.status.get(first_ts) is not COMMITTED):
                 return
             self._drop_pending(first_ts)
             self.last_notified_vt = first_ts

@@ -567,16 +567,37 @@ DEFERRED_IMPORTS_ALLOWED = {
 }
 
 
-def test_no_import_statement_inside_a_message_path_function():
-    found = set()
+def _message_path_functions():
+    """``(module, function node)`` for every function of the message path."""
     for module in MESSAGE_PATH_MODULES:
         with open(os.path.join(PACKAGE_DIR, *module.split("/"))) as fh:
             tree = ast.parse(fh.read())
         for function in ast.walk(tree):
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(function)):
-                    found.add((module, function.name))
+                yield module, function
+
+
+def test_no_import_statement_inside_a_message_path_function():
+    found = set()
+    for module, function in _message_path_functions():
+        if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(function)):
+            found.add((module, function.name))
     assert found == DEFERRED_IMPORTS_ALLOWED
+
+
+def test_no_txn_state_member_read_inside_a_message_path_function():
+    """``TxnState.COMMITTED`` costs a slot-hook call on CPython 3.11
+    (``EnumType.__getattr__``); the message path reads the module-level names
+    ``repro.core.transaction`` binds once."""
+    found = [
+        f"{module}:{node.lineno} TxnState.{node.attr}"
+        for module, function in _message_path_functions()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "TxnState"
+    ]
+    assert found == []
 
 
 def test_the_package_generates_and_evaluates_no_code():

@@ -413,6 +413,27 @@ class TestHostingOverTcp:
 
         asyncio.run(main())
 
+    def test_a_tenant_joins_in_six_frames_with_no_retry(self):
+        # An invitation carries host A's clock, so neither of host B's joins
+        # is denied as a stale join VT: a request, a reply and a COMMIT
+        # each.  A denial costs an ABORT, a second request and its reply.
+        async def main():
+            async with TcpHostPair() as pair:
+                await pair.join(0)
+                sites = pair.host_a.tenant(1).sites[0], pair.host_b.tenant(1).sites[0]
+                frames = pair.tcp_a.frames_sent + pair.tcp_b.frames_sent
+                await pair.join(1)
+                await wait_for(
+                    lambda: not any(site.protocol_residue() for site in sites),
+                    what="the tenant's joins to settle on both hosts",
+                )
+                await pair.tcp_a.aquiesce(settle_ms=20)
+                await pair.tcp_b.aquiesce(settle_ms=20)
+                frames = pair.tcp_a.frames_sent + pair.tcp_b.frames_sent - frames
+                return frames, [site.counters()["retries"] for site in sites]
+
+        assert asyncio.run(main()) == (6, [0, 0])
+
     def test_latency_histograms_resolve_a_loopback_commit(self):
         # One ladder for simulated and wall-clock milliseconds: a loopback
         # commit (a fraction of a millisecond) must not pile into the lowest

@@ -222,7 +222,7 @@ def test_dict_and_frozenset_encoding_is_order_independent():
 
 
 def test_invitation_roundtrip():
-    inv = Invitation(inviter_site=3, assoc_uid="s3:doc.assoc", note="join me")
+    inv = Invitation(inviter_site=3, assoc_uid="s3:doc.assoc", note="join me", clock=2**40)
     assert decode(encode(inv)) == inv
 
 

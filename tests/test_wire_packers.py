@@ -33,6 +33,7 @@ from repro.wire.codec import WIRE_STRUCTS, decode, encode
 from tests import reference_wire as reference
 from tests.test_wire import (
     MESSAGE_STRATEGIES,
+    clocks,
     delegate_grants,
     graph_nodes,
     graphs,
@@ -51,7 +52,7 @@ from tests.test_wire import (
 # One strategy per registered struct (messages reuse tests.test_wire's)
 # ---------------------------------------------------------------------------
 
-invitations = st.builds(Invitation, st.integers(0, 64), uids, st.text(max_size=12))
+invitations = st.builds(Invitation, st.integers(0, 64), uids, st.text(max_size=12), clocks)
 
 trace_contexts = st.builds(
     codec.TraceContext,
