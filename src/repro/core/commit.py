@@ -289,15 +289,9 @@ class TransactionEngine:
         # were already awaiting the dead site's confirmation.
         dead_primaries = remote_primaries & self.site.failures.failed
         if dead_primaries:
-            txn, outcome, post = record.txn, record.outcome, record.post_execute
-            self._abort_origin(
-                record,
-                f"primary site(s) {sorted(dead_primaries)} failed; awaiting graph repair",
-                retry=False,
+            self.site.failures.rerun_after_repair(
+                record, f"primary site(s) {sorted(dead_primaries)} failed; awaiting graph repair"
             )
-            outcome.aborted_no_retry = False
-            outcome.abort_reason = ""
-            self.site.failures.deferred_retries.append((txn, outcome, post))
             return
 
         delegate_to: Optional[int] = None
@@ -837,9 +831,6 @@ class TransactionEngine:
         # which settles the pessimistic snapshots that sent no CONFIRM-READ
         # expecting it to (whichever path committed, with or without one).
         self.deps.resolve_commit(vt, vouched)
-        views = self.site.views
-        if views.deferred or views.orphans:
-            views.on_txn_resolved(vt, committed=True)
         self._garbage_collect(vt)
 
     def _apply_abort_locally(self, vt: VirtualTime, reason: str = "") -> None:
@@ -858,9 +849,6 @@ class TransactionEngine:
             )
         self._rollback(vt)
         self.deps.resolve_abort(vt)
-        views = self.site.views
-        if views.deferred or views.orphans:
-            views.on_txn_resolved(vt, committed=False)
 
     def _rollback(self, vt: VirtualTime) -> None:
         """Release an aborted transaction — by a conflict, or by a user

@@ -26,7 +26,7 @@ failures.  On a failure notification, three things happen:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import (
     FailQueryMsg,
@@ -94,8 +94,10 @@ class FailureManager:
         self._seq = 0
         self.queries: Dict[Tuple[int, int], _QueryState] = {}
         self.repairs: Dict[Tuple[int, int], _RepairState] = {}
-        #: Transactions to re-run once repair completes.
-        self.deferred_retries: List[Tuple[Any, Any, Any]] = []
+        #: What to run once graph repair has committed: re-runs of
+        #: transactions a dead primary blocked, and revisions of snapshot
+        #: records whose CONFIRM-READ went to one.
+        self.deferred_retries: List[Callable[[], None]] = []
 
     def _next_id(self) -> Tuple[int, int]:
         self._seq += 1
@@ -155,18 +157,20 @@ class FailureManager:
             if record.state != TxnState.AWAITING:
                 continue
             # AWAITING: the decision still rests here, so nobody can have
-            # committed; abort and re-run after graph repair ("it is
-            # retried later after the graph update has committed and a new
-            # primary site is identified").
-            txn, outcome = record.txn, record.outcome
-            post = record.post_execute
-            engine._abort_origin(
-                record, f"primary site {failed_site} failed", retry=False
-            )
-            # Undo the no-retry flag: we re-run after graph repair.
-            outcome.aborted_no_retry = False
-            outcome.abort_reason = ""
-            self.deferred_retries.append((txn, outcome, post))
+            # committed.
+            self.rerun_after_repair(record, f"primary site {failed_site} failed")
+
+    def rerun_after_repair(self, record: Any, reason: str) -> None:
+        """Abort ``record``'s attempt and re-run its transaction once graph
+        repair has committed ("it is retried later after the graph update
+        has committed and a new primary site is identified")."""
+        engine = self.site.engine
+        txn, outcome, post = record.txn, record.outcome, record.post_execute
+        engine._abort_origin(record, reason, retry=False)
+        # Undo the no-retry flag: we re-run after graph repair.
+        outcome.aborted_no_retry = False
+        outcome.abort_reason = ""
+        self.deferred_retries.append(lambda: engine.run(txn, outcome, post_execute=post))
 
     def _resolve_delegated(self, record, failed_delegate: int) -> None:
         """Origin-run resolution for a transaction whose delegate failed."""
@@ -196,10 +200,8 @@ class FailureManager:
 
     def _run_deferred_retries(self) -> None:
         retries, self.deferred_retries = self.deferred_retries, []
-        for txn, outcome, post in retries:
-            self.site.defer(
-                lambda t=txn, o=outcome, p=post: self.site.engine.run(t, o, post_execute=p)
-            )
+        for action in retries:
+            self.site.defer(action)
 
     # ------------------------------------------------------------------
     # 2. Resolution of in-flight transactions from the failed origin
@@ -311,7 +313,6 @@ class FailureManager:
             return
         # Nobody saw a commit: abort everywhere and re-run after repair.
         record.state = TxnState.AWAITING
-        txn, outcome, post = record.txn, record.outcome, record.post_execute
         for dst in survivors:
             self.site.send(
                 dst,
@@ -322,10 +323,7 @@ class FailureManager:
                 ),
             )
         record.involved_sites = set()  # aborts already sent above
-        engine._abort_origin(record, f"delegate {state.failed_site} failed", retry=False)
-        outcome.aborted_no_retry = False
-        outcome.abort_reason = ""
-        self.deferred_retries.append((txn, outcome, post))
+        self.rerun_after_repair(record, f"delegate {state.failed_site} failed")
 
     def on_resolution(self, src: int, msg: FailResolutionMsg) -> None:
         self._apply_resolution(msg)
@@ -501,11 +499,9 @@ class FailureManager:
         finally:
             self.site.views.end_batch()
         # The consensus write commits outside the normal commit path; fire
-        # any dependents waiting on apply_vt and let the view manager
-        # re-evaluate deferred checks and re-dispatch any snapshot checks
-        # orphaned by the dead primary.
+        # any dependents waiting on apply_vt (parked snapshot checks among
+        # them).
         self.site.engine.deps.resolve_commit(msg.apply_vt)
-        self.site.views.on_txn_resolved(msg.apply_vt, committed=True)
         self.site.engine._garbage_collect(msg.apply_vt)
         bus = self.site.bus
         if bus.active:

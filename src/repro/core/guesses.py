@@ -16,13 +16,13 @@ The validity of an optimistic transaction rests on three guess families
 This module holds the originating-site data structures: per-transaction
 access records (converted into WRITE/CONFIRM-READ messages by
 :mod:`repro.core.propagation`) and the :class:`DependencyIndex` mapping each
-uncommitted transaction to the local transactions and snapshots that have
-guessed it will commit.
+uncommitted transaction to the local transactions, snapshots and parked
+snapshot checks that wait for it to resolve.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Set
+from typing import Any, Callable, Dict, Iterator, List, Set
 
 from repro.core.messages import OpPayload
 from repro.vtime import VirtualTime
@@ -71,7 +71,8 @@ class DependencyIndex:
     maintained" (section 3.1).  We generalize the dependents to *targets* —
     anything with ``on_dep_commit(vt, vouched)`` and ``on_dep_abort(vt)`` —
     so transaction records (RC guesses), view snapshot records (RC guesses
-    and the intervals the COMMIT vouches for) and the join protocol's
+    and the intervals the COMMIT vouches for), a primary's parked snapshot
+    checks (uncommitted entries in the interval) and the join protocol's
     outcome forwarding wait in one list per transaction and are told in the
     order they registered.  It is the only way a resolution reaches them.
     """
@@ -107,6 +108,11 @@ class DependencyIndex:
                 self._waiters[vt] = kept
             else:
                 del self._waiters[vt]
+
+    def targets(self) -> Iterator[Any]:
+        """Every waiting target, once per transaction it waits on (diagnostics)."""
+        for waiters in self._waiters.values():
+            yield from waiters
 
     def pending_vts(self) -> Set[VirtualTime]:
         """Transactions still being waited on (diagnostics/tests)."""

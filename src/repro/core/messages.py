@@ -13,7 +13,12 @@ paper:
 * ``CommitMsg`` / ``AbortMsg`` are the originating site's (or delegate's)
   summary decision, sent to every involved site.
 * ``SnapshotConfirmMsg`` / ``SnapshotReplyMsg`` implement the CONFIRM-READ
-  traffic of view snapshots (section 4).
+  traffic of view snapshots (section 4).  One reply answers one request
+  (snapshot id).  A pessimistic check whose interval holds uncommitted
+  entries waits at the primary, in the dependency index, until they
+  resolve.  A request whose primary failed is not re-sent under its id:
+  the snapshot is revised under a fresh id once graph repair has
+  committed, so a late reply to the old id is stale.
 * ``JoinRequestMsg`` / ``JoinReplyMsg`` implement the remote call of the
   dynamic collaboration establishment protocol (section 3.3).
 * ``FailQueryMsg`` / ``FailQueryReplyMsg`` and the ``GraphRepair*`` family

@@ -290,9 +290,6 @@ class SiteRuntime:
         # New structure may unblock buffered indirect propagations.
         if self.engine.pending_propagates:
             self.engine.retry_pending_propagates()
-        # A repaired graph may name a live primary for orphaned view checks.
-        if self.views.orphans:
-            self.views.maybe_retry_orphans()
 
     def _on_failure_notice(self, failed_site: int) -> None:
         if failed_site == self.site_id:
@@ -388,7 +385,7 @@ class SiteRuntime:
         an in-flight entry of a transaction that already resolved.
         Used by the conformance explorer's residue oracle.
         """
-        from repro.core.views import PessimisticProxy
+        from repro.core.views import OutstandingReply, PessimisticProxy
 
         residue: Dict[str, List[str]] = {}
 
@@ -418,10 +415,10 @@ class SiteRuntime:
                 f"snap{snap_id} ts={rec.ts} pending_sites={sorted(rec.pending_sites)} "
                 f"pending_rc={len(rec.pending_rc)} denied={rec.denied}",
             )
-        for snap_id, reply in sorted(self.views.outstanding.items()):
-            add("primary-outstanding-replies", f"snap{snap_id} unresolved={reply.unresolved}")
-        for deferred in self.views.deferred:
-            add("deferred-primary-checks", f"snap{deferred.snap_id} on {deferred.check.object_uid}")
+        parked = {t for t in engine.deps.targets() if isinstance(t, OutstandingReply) and t.parked}
+        for reply in sorted(parked, key=lambda reply: reply.snap_id):
+            awaited = sorted(str(vt) for vt in reply.waiting)
+            add("parked-primary-checks", f"snap{reply.snap_id} awaiting {awaited}")
         for proxy in self.views.proxies:
             if isinstance(proxy, PessimisticProxy) and proxy.pending:
                 add(

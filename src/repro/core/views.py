@@ -27,9 +27,9 @@ machinery as transactions (section 4):
   inside them (monotonicity protection).
 
 The module also implements the primary-copy side of snapshot CONFIRM-READ:
-immediate verdicts for optimistic checks, and deferred verdicts for
-pessimistic checks that must wait for in-interval uncommitted values to
-resolve.
+immediate verdicts for optimistic checks, and for pessimistic checks whose
+interval holds uncommitted values a verdict parked in the engine's
+dependency index until those values resolve.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def blocking_subtree_reservation(target: "ModelObject", vt: VirtualTime) -> Opti
 # ---------------------------------------------------------------------------
 
 
-# One of each is allocated per notification / CONFIRM-READ, so all three are
+# One of each is allocated per notification / CONFIRM-READ, so both are
 # slotted.  Tier-1 runs on Python 3.9 (no ``dataclass(slots=True)``), and a
 # field default is a class variable that ``__slots__`` refuses, hence the
 # hand-written constructors where fields have defaults.
@@ -192,8 +192,7 @@ class SnapshotRecord:
 
     __slots__ = (
         "snap_id", "proxy", "ts", "committed_only", "created_ms", "pending_sites",
-        "pending_rc", "denied", "dead", "changed", "delivered", "outstanding",
-        "write_reads", "vouchable", "awaiting",
+        "pending_rc", "denied", "dead", "changed", "write_reads", "vouchable", "awaiting",
     )
 
     def __init__(
@@ -217,10 +216,6 @@ class SnapshotRecord:
         self.denied = False
         self.dead = False
         self.changed = changed
-        self.delivered = False  # pessimistic: update() already called
-        #: Remote RL guesses awaiting a verdict, ``()`` until the first:
-        #: (primary site, local object, lo, hi); re-addressed if it fails.
-        self.outstanding: Sequence[Tuple[int, Any, VirtualTime, VirtualTime]] = ()
         #: Pessimistic: ``TxnEntry.write_reads`` of ``ts`` as of creation —
         #: kept here because a revision can come after the engine's
         #: commit-time cleanup — plus, once ``ts`` commits, what its
@@ -254,29 +249,36 @@ class SnapshotRecord:
         self.proxy.on_snapshot_dead(self)
 
 
-@dataclass
-class DeferredCheck:
-    """Primary-side pessimistic check waiting for in-interval values to resolve."""
-
-    __slots__ = ("snap_id", "origin", "check", "target")
-
-    snap_id: Tuple[int, int]
-    origin: int
-    check: SnapshotCheck
-    target: "ModelObject"
-
-
 class OutstandingReply:
-    """Primary-side aggregation: one reply per (snapshot, this site)."""
+    """Primary side: the one reply owed to a CONFIRM-READ.
 
-    __slots__ = ("snap_id", "origin", "unresolved", "ok", "denials")
+    A pessimistic check whose interval holds uncommitted entries is
+    *parked*: the reply waits in the engine's :class:`DependencyIndex`
+    under their VTs, like every other guess, and each resolution
+    re-evaluates what is parked (:meth:`ViewManager.recheck`).
+    """
 
-    def __init__(self, snap_id: Tuple[int, int], origin: int, unresolved: int) -> None:
+    __slots__ = ("manager", "snap_id", "origin", "denials", "parked", "waiting")
+
+    def __init__(self, manager: "ViewManager", snap_id: Tuple[int, int], origin: int) -> None:
+        self.manager = manager
         self.snap_id = snap_id
         self.origin = origin
-        self.unresolved = unresolved
-        self.ok = True
+        #: Uids of the objects whose check was denied (the reply is ok
+        #: without any).
         self.denials: List[str] = []
+        #: Checks still undecided, with their targets, and the VTs the reply
+        #: waits on.
+        self.parked: List[Tuple[SnapshotCheck, "ModelObject"]] = []
+        self.waiting: Set[VirtualTime] = set()
+
+    def on_dep_commit(
+        self, dep_vt: VirtualTime, vouched: Sequence[Tuple[str, VirtualTime]]
+    ) -> None:
+        self.manager.recheck(self, dep_vt)
+
+    def on_dep_abort(self, dep_vt: VirtualTime) -> None:
+        self.manager.recheck(self, dep_vt)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +487,25 @@ class OptimisticProxy(ViewProxy):
             return
         if record.ready() and not record.dead:
             self.on_snapshot_ready(record)
+
+    def _revise(self, record: SnapshotRecord) -> Optional[SnapshotRecord]:
+        """Re-ask the latest snapshot's RL guesses under a fresh snapshot id
+        (a primary it asked failed): a late reply to the old id is stale.
+        The view is not notified again; only the checks are re-sent."""
+        if record is not self.latest or record.dead:
+            return None
+        ts = record.ts
+        fresh = self.manager.new_record(self, ts, committed_only=False, changed=record.changed)
+        self.manager.discard_record(record)
+        self.latest = fresh
+        for dep_vt in record.pending_rc:
+            self._register_rc(fresh, dep_vt)
+        guesses = [
+            (obj, obj.current_value_vt(), ts) for obj in self.objects if obj.current_value_vt() < ts
+        ]
+        if guesses:
+            self.manager.dispatch_checks(fresh, guesses)
+        return fresh
 
 
 class PessimisticProxy(ViewProxy):
@@ -702,10 +723,11 @@ class PessimisticProxy(ViewProxy):
                 counters.get("view.rl_confirmed_by_commit", 0) + covered
             )
 
-    def _revise(self, record: SnapshotRecord) -> None:
-        """Recompute and resend a snapshot's RL checks with a narrower lo."""
-        if record.delivered:
-            return
+    def _revise(self, record: SnapshotRecord) -> Optional[SnapshotRecord]:
+        """Recompute and resend a still-pending snapshot's RL checks under a
+        fresh snapshot id: with a narrower lo, or to a repaired primary."""
+        if self.pending.get(record.ts) is not record:
+            return None
         fresh = self.manager.new_record(
             self, record.ts, committed_only=True, changed=list(record.changed)
         )
@@ -717,6 +739,7 @@ class PessimisticProxy(ViewProxy):
         # record's entry stays, and finds itself replaced).
         self._register_rc(fresh, record.ts)
         self._send_checks(fresh)
+        return fresh
 
     # -- delivery ----------------------------------------------------------
 
@@ -742,7 +765,6 @@ class PessimisticProxy(ViewProxy):
                 return
             self._drop_pending(first_ts)
             self.last_notified_vt = first_ts
-            record.delivered = True
             self.notifications += 1
             self.site.metrics.observe(
                 "view.pessimistic_delivery_ms",
@@ -781,9 +803,9 @@ class PessimisticProxy(ViewProxy):
 class ViewManager:
     """Owns proxies, snapshot bookkeeping, and the CONFIRM-READ protocol.
 
-    Most sites of a hosted collaboration never attach a view or defer a
-    check, so those lists start as ``()``, which the collector does not
-    track, and become lists on first use.
+    Most sites of a hosted collaboration never attach a view, so those
+    lists start as ``()``, which the collector does not track, and become
+    lists on first use.
     """
 
     def __init__(self, site: "SiteRuntime") -> None:
@@ -796,13 +818,6 @@ class ViewManager:
         self._snap_seq = 0
         #: Requester-side snapshot records by id.
         self.records: Dict[Tuple[int, int], SnapshotRecord] = {}
-        #: Primary-side reply aggregation by (snap_id).
-        self.outstanding: Dict[Tuple[int, int], OutstandingReply] = {}
-        #: Primary-side deferred pessimistic checks.
-        self.deferred: Sequence[DeferredCheck] = ()
-        #: Snapshot ids whose CONFIRM-READ was addressed to a primary that
-        #: failed; re-dispatched once graph repair names a live primary.
-        self.orphans: List[Tuple[int, int]] = []
 
     # -- attachment ------------------------------------------------------
 
@@ -904,12 +919,15 @@ class ViewManager:
         write-free in ``(lo, hi)``" — checked at each object's primary copy:
         local ones evaluated here, one CONFIRM-READ per live remote primary.
         Entered only with guesses; a ``SnapshotCheck`` is built only for a
-        primary that is asked."""
+        primary that is asked.  While the current graph still names a dead
+        primary (repair has not committed yet), its guesses are not sent:
+        the record stays pending and is revised once repair has committed."""
         by_site: Dict[int, List[Tuple[str, "ModelObject", VirtualTime, VirtualTime]]] = {}
         for obj, lo, hi in guesses:
             primary, uid = self.primary_copy_of(obj)
             by_site.setdefault(primary, []).append((uid, obj, lo, hi))
         me = self.site.site_id
+        failures = self.site.failures
         # Every primary is pending before any check is evaluated: a local
         # primary's immediate verdict must not find the record ready while
         # a remote primary is still to be asked.
@@ -918,15 +936,8 @@ class ViewManager:
         else:
             record.pending_sites = set(by_site)
         for primary, site_guesses in sorted(by_site.items()):
-            if primary != me:
-                parked = [(primary, obj, lo, hi) for _uid, obj, lo, hi in site_guesses]
-                record.outstanding = [*record.outstanding, *parked]
-                if primary in self.site.failures.failed:
-                    # The current graph still names a dead primary (repair
-                    # has not committed yet); the guesses wait, unsent, for
-                    # a live primary implied by the repaired graph.
-                    self._orphan(record.snap_id)
-                    continue
+            if primary in failures.failed:
+                continue
             checks = tuple(
                 SnapshotCheck(uid, lo, hi, record.committed_only, obj.path_from_root())
                 for uid, obj, lo, hi in site_guesses
@@ -947,82 +958,57 @@ class ViewManager:
                     counters.get("view.confirm_requests_sent", 0) + 1
                 )
                 self.site.send(primary, msg)
+        if not failures.failed.isdisjoint(by_site):
+            failures.deferred_retries.append(lambda: self._revise_after_repair(record))
 
     # -- failure handling (requester and primary side) ---------------------
-
-    def _orphan(self, snap_id: Tuple[int, int]) -> None:
-        if snap_id not in self.orphans:
-            self.orphans.append(snap_id)
 
     def on_site_failed(self, failed: int) -> None:
         """React to a fail-stop notification (paper section 3.4).
 
-        Primary-side state owed to the dead site is dropped (its reply has
-        nowhere to go); requester-side records whose CONFIRM-READ was
-        addressed to the dead primary are queued for re-dispatch against
-        the post-repair graph — without this, a pessimistic view whose
+        Replies owed to the dead site are dropped (they have nowhere to go);
+        a snapshot record still waiting for the dead primary is revised once
+        graph repair has committed — without this, a pessimistic view whose
         primary crashes mid-check would block forever.
         """
-        for snap_id, reply in list(self.outstanding.items()):
-            if reply.origin == failed:
-                del self.outstanding[snap_id]
-        self.deferred = [d for d in self.deferred if d.origin != failed] or ()
+        self.site.engine.deps.forget(
+            lambda target: isinstance(target, OutstandingReply) and target.origin == failed
+        )
+        retries = self.site.failures.deferred_retries
         for record in self.records.values():
             if failed in record.pending_sites:
-                self._orphan(record.snap_id)
-        if self.orphans:
-            self.maybe_retry_orphans()
+                retries.append(lambda r=record: self._revise_after_repair(r))
 
-    def maybe_retry_orphans(self) -> None:
-        """Re-dispatch orphaned checks whose object now has a live primary
-        (callers test ``orphans`` first)."""
-        failed = self.site.failures.failed
-        pending, self.orphans = self.orphans, []
-        still: List[Tuple[int, int]] = []
-        for snap_id in pending:
-            record = self.records.get(snap_id)
-            if record is None or record.dead or record.delivered:
-                continue  # superseded, revised, or resolved meanwhile
-            if not record.pending_sites & failed:
-                continue
-            if record.pending_sites - failed:
-                # Replies from live primaries are still in flight; wait for
-                # them so one primary never aggregates two requests for the
-                # same snapshot at once.
-                still.append(snap_id)
-                continue
-            entries = [e for e in record.outstanding if e[0] in failed]
-            if any(self.primary_copy_of(obj)[0] in failed for _p, obj, _lo, _hi in entries):
-                still.append(snap_id)  # graph repair has not committed yet
-                continue
-            record.outstanding = [e for e in record.outstanding if e[0] not in failed]
-            record.pending_sites -= failed
-            if entries:
-                self.dispatch_checks(record, [(obj, lo, hi) for _p, obj, lo, hi in entries])
-            if record.ready() and not record.dead:
-                record.proxy.on_snapshot_ready(record)
-        # dispatch_checks above may have re-orphaned records (e.g. the new
-        # primary is dead too); keep those alongside the still-waiting ones.
-        for snap_id in self.orphans:
-            if snap_id not in still:
-                still.append(snap_id)
-        self.orphans = still
+    def _revise_after_repair(self, record: SnapshotRecord) -> None:
+        """Re-address ``record``'s checks against the repaired graph, if it
+        is still its proxy's current snapshot; a revision that asks nothing
+        may be ready at once."""
+        fresh = record.proxy._revise(record)
+        if fresh is not None and fresh.ready() and not fresh.dead:
+            fresh.proxy.on_snapshot_ready(fresh)
 
     # -- primary side --------------------------------------------------------
 
     def on_confirm_request(self, src: int, msg: SnapshotConfirmMsg) -> None:
-        reply = OutstandingReply(
-            snap_id=msg.snap_id, origin=msg.origin, unresolved=len(msg.checks)
-        )
-        self.outstanding[msg.snap_id] = reply
+        reply = OutstandingReply(self, msg.snap_id, msg.origin)
         for check in msg.checks:
-            verdict = self._evaluate_remote_check(msg.snap_id, msg.origin, check)
-            if verdict is not None:
-                reply.unresolved -= 1
-                if not verdict:
-                    reply.ok = False
-                    reply.denials.append(check.object_uid)
-        self._maybe_reply(reply)
+            target = self._resolve_target(check)
+            if target is None:
+                verdict: Optional[bool] = False
+            elif not check.committed_only:
+                # Optimistic: any in-interval entry denies immediately; no
+                # reservation is made (a straggler simply supersedes the view).
+                verdict = not subtree_has_entry_in_interval(
+                    target, check.lo_vt, check.hi_vt, committed_only=False
+                )
+            else:
+                verdict = self._evaluate_pessimistic(reply, check, target)
+            if verdict is None:
+                self.site.metrics.inc("view.checks_parked")
+            elif not verdict:
+                reply.denials.append(check.object_uid)
+        if not reply.parked:
+            self._reply(reply)
 
     def _resolve_target(self, check: SnapshotCheck) -> Optional["ModelObject"]:
         root = self.site.objects.get(check.object_uid)
@@ -1033,29 +1019,11 @@ class ViewManager:
         except InvalidPath:
             return None
 
-    def _evaluate_remote_check(
-        self, snap_id: Tuple[int, int], origin: int, check: SnapshotCheck
-    ) -> Optional[bool]:
-        """True/False verdict, or None if deferred (pessimistic only)."""
-        target = self._resolve_target(check)
-        if target is None:
-            return False
-        if not check.committed_only:
-            # Optimistic: any in-interval entry denies immediately; no
-            # reservation is made (a straggler simply supersedes the view).
-            return not subtree_has_entry_in_interval(
-                target, check.lo_vt, check.hi_vt, committed_only=False
-            )
-        return self._evaluate_pessimistic(snap_id, origin, check, target)
-
     def _evaluate_pessimistic(
-        self,
-        snap_id: Tuple[int, int],
-        origin: int,
-        check: SnapshotCheck,
-        target: "ModelObject",
+        self, reply: OutstandingReply, check: SnapshotCheck, target: "ModelObject"
     ) -> Optional[bool]:
-        if origin != self.site.site_id:
+        """True/False verdict, or None if the check parked."""
+        if reply.origin != self.site.site_id:
             # Another site watches this copy pessimistically: from now on a
             # blind write's COMMIT answers this question before it is asked
             # (``TransactionEngine._vouch``).
@@ -1064,73 +1032,49 @@ class ViewManager:
             return False
         unresolved = subtree_uncommitted_in_interval(target, check.lo_vt, check.hi_vt)
         if unresolved:
-            # Defer: the answer depends on whether those transactions commit.
-            if not self.deferred:
-                self.deferred = []
-            self.deferred.append(
-                DeferredCheck(snap_id=snap_id, origin=origin, check=check, target=target)
-            )
+            # Park: the answer depends on whether those transactions commit.
+            reply.parked.append((check, target))
+            deps = self.site.engine.deps
+            for vt in unresolved:
+                if vt not in reply.waiting:
+                    reply.waiting.add(vt)
+                    deps.wait_for(vt, reply)
             return None
         # Confirmed: reserve the interval so no straggler can ever commit
         # inside it (monotonicity protection for delivered snapshots).
-        target.reserve("subtree_reservations", check.lo_vt, check.hi_vt, ("snap",) + snap_id)
+        target.reserve("subtree_reservations", check.lo_vt, check.hi_vt, ("snap",) + reply.snap_id)
         return True
 
-    def _maybe_reply(self, reply: OutstandingReply) -> None:
-        if reply.unresolved > 0:
-            return
-        self.outstanding.pop(reply.snap_id, None)
+    def recheck(self, reply: OutstandingReply, vt: VirtualTime) -> None:
+        """``vt``, which ``reply`` waits on, resolved: re-evaluate its parked
+        checks (what must keep waiting parks again) and answer once none is
+        left.  Any committed entry in a check's interval denies it."""
+        if not reply.parked:
+            return  # answered already
+        reply.waiting.discard(vt)
+        parked, reply.parked = reply.parked, []
+        for check, target in parked:
+            if self._evaluate_pessimistic(reply, check, target) is False:
+                reply.denials.append(check.object_uid)
+        if not reply.parked:
+            self._reply(reply)
+
+    def _reply(self, reply: OutstandingReply) -> None:
         if reply.origin == self.site.site_id:
             record = self.records.get(reply.snap_id)
             if record is not None:
                 record.pending_sites.discard(self.site.site_id)
-                if not reply.ok:
-                    record.denied = True
-                record.proxy.on_snapshot_reply(record, ok=reply.ok)
+                record.proxy.on_snapshot_reply(record, ok=not reply.denials)
             return
         self.site.send(
             reply.origin,
             SnapshotReplyMsg(
                 snap_id=reply.snap_id,
-                ok=reply.ok,
+                ok=not reply.denials,
                 denials=tuple(reply.denials),
                 clock=self.site.clock.counter,
             ),
         )
-
-    def on_txn_resolved(self, vt: VirtualTime, committed: bool) -> None:
-        """Re-evaluate deferred pessimistic checks after a commit/abort (the
-        engine skips the call while ``deferred`` and ``orphans`` are empty)."""
-        still_deferred: List[DeferredCheck] = []
-        resolved: List[Tuple[DeferredCheck, bool]] = []
-        for deferred in self.deferred:
-            check = deferred.check
-            if subtree_has_entry_in_interval(
-                deferred.target, check.lo_vt, check.hi_vt, committed_only=True
-            ):
-                resolved.append((deferred, False))
-                continue
-            if subtree_uncommitted_in_interval(deferred.target, check.lo_vt, check.hi_vt):
-                still_deferred.append(deferred)
-                continue
-            deferred.target.reserve(
-                "subtree_reservations", check.lo_vt, check.hi_vt, ("snap",) + deferred.snap_id
-            )
-            resolved.append((deferred, True))
-        self.deferred = still_deferred or ()
-        for deferred, ok in resolved:
-            reply = self.outstanding.get(deferred.snap_id)
-            if reply is None:
-                continue
-            reply.unresolved -= 1
-            if not ok:
-                reply.ok = False
-                reply.denials.append(deferred.check.object_uid)
-            self._maybe_reply(reply)
-        # A commit may be the graph-repair transaction that names a new
-        # primary for orphaned snapshot checks.
-        if self.orphans:
-            self.maybe_retry_orphans()
 
     # -- requester side: replies -------------------------------------------
 
@@ -1139,9 +1083,6 @@ class ViewManager:
         if record is None:
             return  # superseded snapshot; stale reply
         record.pending_sites.discard(src)
-        record.outstanding = [e for e in record.outstanding if e[0] != src]
-        if not msg.ok:
-            record.denied = True
         record.proxy.on_snapshot_reply(record, ok=msg.ok)
 
     # -- GC support -----------------------------------------------------------

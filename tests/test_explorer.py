@@ -94,6 +94,18 @@ class TestCampaign:
         assert result.trials_run < 50
 
 
+class TestParkedChecks:
+    @pytest.mark.parametrize("index", [119, 168])
+    def test_trial_parks_a_check_and_passes_every_oracle(self, index):
+        """A primary parks a pessimistic check on uncommitted entries in its
+        interval — with no fault (trial 119 of seed 7) and with a crash
+        (168) — and every oracle passes.  No exhaustive ``mc`` config of
+        tier-1 reaches a parked check."""
+        result = run_trial(sample_config(7, index))
+        assert any(site.metrics.value("view.checks_parked") for site in result.sites)
+        assert check_trial(result) == []
+
+
 class TestArtifacts:
     def test_replay_is_byte_identical(self):
         config = mutated_config()

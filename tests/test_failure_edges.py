@@ -150,9 +150,28 @@ class TestStabilityBound:
 class _Recorder(View):
     def __init__(self):
         self.seen = []
+        self.commits = 0
 
     def update(self, changed, snapshot):
         self.seen.append((snapshot.ts, [snapshot.read(c) for c in changed]))
+
+    def commit(self):
+        self.commits += 1
+
+
+def _spy_on_checks(site):
+    """Record ``(destination, snapshot id, hi of the first check)`` of every
+    CONFIRM-READ ``site`` sends."""
+    asked = []
+    send = site.send
+
+    def spy(dst, payload):
+        if isinstance(payload, SnapshotConfirmMsg):
+            asked.append((dst, payload.snap_id, payload.checks[0].hi_vt))
+        send(dst, payload)
+
+    site.send = spy
+    return asked
 
 
 class TestOrphanedSnapshotCheck:
@@ -160,29 +179,21 @@ class TestOrphanedSnapshotCheck:
         """A pessimistic view away from the primary asks it to confirm a
         blind write's snapshot (an object's first blind writes still ask);
         the primary crashes fail-stop before the request arrives.  The
-        check is orphaned, waits for graph repair to name a live primary,
-        and is re-sent there once — the one way ``maybe_retry_orphans``
-        re-dispatches."""
+        snapshot waits on the failure manager's post-repair list and, once
+        repair has named a live primary, is revised: its check is re-sent
+        there once, under a fresh snapshot id."""
         session, sites, objs = quad(latency=30.0)
         watcher = sites[2]
         view = _Recorder()
         objs[2].attach(view, "pessimistic")
         session.settle()
-        asked = []
-        send = watcher.send
-
-        def spy(dst, payload):
-            if isinstance(payload, SnapshotConfirmMsg):
-                asked.append((dst, payload.snap_id))
-            send(dst, payload)
-
-        watcher.send = spy
+        asked = _spy_on_checks(watcher)
         session.network.set_link_latency(2, 0, FixedLatency(500.0))  # the request is slow
         outcome = sites[1].transact(lambda: objs[1].set(5))
         session.run_for(100.0)
         assert outcome.committed and watcher.engine.status[outcome.vt] is TxnState.COMMITTED
-        ((primary, orphan),) = asked
-        assert primary == 0
+        ((primary, orphan, hi),) = asked
+        assert primary == 0 and hi == outcome.vt
         assert [sorted(r.pending_sites) for r in watcher.views.records.values()] == [[0]]
         sent_before = watcher.metrics.value("view.confirm_requests_sent")
 
@@ -191,13 +202,108 @@ class TestOrphanedSnapshotCheck:
 
         assert objs[2].primary_site() == 1
         after = asked[1:]
-        assert [dst for dst, snap_id in after if snap_id == orphan] == [1]
+        assert [dst for dst, _snap_id, hi in after if hi == outcome.vt] == [1]
+        assert orphan not in [snap_id for _dst, snap_id, _hi in after]
         # The rest is the snapshot the repair's own graph write raised.
-        assert all(dst == 1 for dst, _snap_id in after) and len(after) == 2
+        assert all(dst == 1 for dst, _snap_id, _hi in after) and len(after) == 2
         assert watcher.metrics.value("view.confirm_requests_sent") - sent_before == len(after)
         assert [ts for ts, _values in view.seen].count(outcome.vt) == 1
         assert [values for _ts, values in view.seen] == [[0], [5], [5]]
         for site in sites[1:]:
+            assert site.protocol_residue() == {}
+
+    def test_repaired_primary_dies_too(self):
+        """The check re-sent after the first repair goes to a primary that
+        crashes in turn: the snapshot is revised again after the second
+        repair, so its check is sent once per repair, to 0, 1 and 2."""
+        session, sites, objs = quad(latency=30.0)
+        watcher = sites[3]
+        view = _Recorder()
+        objs[3].attach(view, "pessimistic")
+        session.settle()
+        asked = _spy_on_checks(watcher)
+        session.network.set_link_latency(3, 0, FixedLatency(500.0))
+        session.network.set_link_latency(3, 1, FixedLatency(500.0))
+        outcome = sites[2].transact(lambda: objs[2].set(5))
+        session.run_for(100.0)
+        assert outcome.committed and [dst for dst, _id, _hi in asked] == [0]
+
+        session.network.fail_site(0)
+        while not any(dst == 1 and hi == outcome.vt for dst, _id, hi in asked):
+            assert session.scheduler.step()
+        session.network.fail_site(1)  # the re-sent request is lost with it
+        session.settle()
+
+        assert objs[3].primary_site() == 2
+        assert [dst for dst, _snap_id, hi in asked if hi == outcome.vt] == [0, 1, 2]
+        assert len({snap_id for _dst, snap_id, _hi in asked}) == len(asked)
+        assert [ts for ts, _values in view.seen].count(outcome.vt) == 1
+        assert view.seen[-1][1] == [5]
+        for site in sites[2:]:
+            assert site.protocol_residue() == {}
+
+    def test_revision_the_commit_covers_is_delivered_at_once(self):
+        """The primary is watched, so the blind write's COMMIT vouches for
+        the interval its CONFIRM-READ asks about; the primary crashes before
+        answering.  The revision after repair finds the guess covered, asks
+        nothing, and the snapshot is delivered then, once."""
+        session, sites, objs = quad(latency=30.0)
+        watcher = sites[2]
+        view = _Recorder()
+        objs[2].attach(view, "pessimistic")
+        session.settle()
+        sites[1].transact(lambda: objs[1].set(4))  # the primary learns it is watched
+        session.settle()
+        asked = _spy_on_checks(watcher)
+        session.network.set_link_latency(2, 0, FixedLatency(500.0))
+        outcome = sites[1].transact(lambda: objs[1].set(5))
+        session.run_for(100.0)
+        assert outcome.committed and [(dst, hi) for dst, _id, hi in asked] == [(0, outcome.vt)]
+        (record,) = [r for r in watcher.views.records.values() if r.ts == outcome.vt]
+        assert record.pending_sites == {0} and objs[2] in record.write_reads
+
+        session.network.fail_site(0)
+        session.settle()
+
+        assert [hi for _dst, _id, hi in asked].count(outcome.vt) == 1
+        assert [ts for ts, _values in view.seen].count(outcome.vt) == 1
+        for site in sites[1:]:
+            assert site.protocol_residue() == {}
+
+    def test_optimistic_view_hears_the_commit_once(self):
+        """An optimistic view of two objects asks the primary of the one not
+        written whether its interval is write-free; the primary crashes
+        before answering.  A second crash, of a site outside both graphs,
+        needs no repair consensus and runs the post-repair list early: the
+        snapshot is revised under a fresh id, but the graph still names the
+        dead primary, so nothing is sent and the revision waits again.  The
+        view still hears that its state committed, and hears it once."""
+        session = Session.simulated(latency_ms=30.0)
+        sites = session.add_sites(5)
+        xs = session.replicate(DInt, "x", sites[:4], initial=0)
+        ys = session.replicate(DInt, "y", sites[:4], initial=0)
+        session.settle()
+        watcher = sites[2]
+        view = _Recorder()
+        watcher.views.attach(view, [xs[2], ys[2]], "optimistic")
+        session.settle()
+        asked = _spy_on_checks(watcher)
+        session.network.set_link_latency(2, 0, FixedLatency(500.0))
+        outcome = sites[1].transact(lambda: xs[1].set(5))
+        session.run_for(100.0)
+        assert outcome.committed and [dst for dst, _id, _hi in asked] == [0]
+        commits_before, records_before = view.commits, watcher.views._snap_seq
+
+        session.network.fail_site(0)
+        session.network.fail_site(4)
+        session.settle()
+
+        # The early revision, and the notification the repair's graph write raised.
+        assert watcher.views._snap_seq - records_before == 2
+        assert view.commits - commits_before == 1
+        assert view.seen[-1][1] == [5, 0]
+        assert [dst for dst, _id, _hi in asked[1:]] == [1]
+        for site in sites[1:4]:
             assert site.protocol_residue() == {}
 
 

@@ -145,6 +145,29 @@ def test_third_party_view_confirmed_by_commit_is_clean_exhaustively():
     assert (result.stats.schedules, result.stats.distinct_outcomes) == (18, 9)  # 40 unbatched
 
 
+@pytest.mark.slow
+def test_parked_primary_check_is_clean_exhaustively():
+    # One read-modify-write per site, no retries, views at site 1 only.
+    # Site 2's write can read site 1's while it is undecided: its propagate
+    # then carries an RC guess, and it stays undecided at the primary until
+    # site 2's COMMIT.  When site 0's write reaches site 1 first, site 1's
+    # check of the interval below it finds site 2's write undecided at the
+    # primary and parks there.  Every schedule, all six oracles (the
+    # unreduced space, over 8,000 schedules, is too large to cross-check).
+    config = exhaustive_config(
+        3, ((1, "rmw"), (2, "rmw"), (0, "rmw")), view_sites=(1,), max_retries=0
+    )
+    result = explore(config, por=True, keep_schedules=True)
+    assert result.exhausted
+    assert result.ok, [str(v) for vs in result.outcomes.values() for v in vs]
+    assert (result.stats.schedules, result.stats.distinct_outcomes) == (724, 55)
+    assert result.stats.schedule_digest == "2563fa024b7a1255"
+    assert any(
+        run_schedule(config, schedule).sites[0].metrics.value("view.checks_parked")
+        for schedule in result.schedules
+    )
+
+
 # ----------------------------------------------------------------------
 # Mutation canaries
 # ----------------------------------------------------------------------

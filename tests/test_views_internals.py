@@ -1,17 +1,20 @@
 """Unit tests for view-notification internals: snapshots, subtree helpers,
-deferred checks, retention floors, and GC interaction."""
+parked checks, retention floors, and GC interaction."""
 
 import pytest
 
 from repro import Session, View
+from repro.core.messages import SlotId, SnapshotReplyMsg
+from repro.core.transaction import COMMITTED
 from repro.core.views import (
+    OutstandingReply,
     Snapshot,
     blocking_subtree_reservation,
     subtree_has_entry_in_interval,
     subtree_uncommitted_deps,
     subtree_uncommitted_in_interval,
 )
-from repro.core.messages import SlotId
+from repro.sim.network import FixedLatency
 from repro.vtime import VT_ZERO, VirtualTime
 from repro import DInt, DList
 
@@ -180,6 +183,54 @@ class TestChangedLists:
         assert ["l"] in view.changed_names[1:]
 
 
+def _parked_check():
+    """A pessimistic check from the watcher (site 2) parks at the primary
+    (site 0) on a blind write ``a`` of site 1 that the primary holds
+    uncommitted, and a blind write ``b`` of site 3 lands inside the check's
+    interval ``(lo, ts)`` after it parked.  Returns the session, its sites,
+    the view's notifications, the primary's replies and the three outcomes;
+    ``b`` is still in flight."""
+    session = Session.simulated(latency_ms=10.0, delegation_enabled=False)
+    sites = session.add_sites(4)
+    objs = session.replicate(DInt, "x", sites, initial=0)
+    session.settle()
+    primary, writer_a, watcher, writer_b = sites
+    seen = []
+
+    class Seen(View):
+        def update(self, changed, snapshot):
+            seen.append((snapshot.ts, snapshot.read(objs[2])))
+
+    objs[2].attach(Seen(), "pessimistic")
+    session.settle()
+    replies = []
+    send = primary.send
+
+    def spy(dst, payload):
+        if isinstance(payload, SnapshotReplyMsg):
+            replies.append((payload.snap_id, payload.ok))
+        send(dst, payload)
+
+    primary.send = spy
+    net = session.network
+    net.set_link_latency(0, 1, FixedLatency(300.0))  # a's confirmation is slow
+    net.set_link_latency(1, 2, FixedLatency(400.0))  # the watcher hears of a late
+    net.set_link_latency(3, 2, FixedLatency(400.0))  # ... and of b
+    net.set_link_latency(3, 0, FixedLatency(25.0))  # b reaches the primary after the check
+    base = max(site.clock.counter for site in sites)
+    a = writer_a.transact(lambda: objs[1].set(1))
+    session.run_for(15.0)  # a is applied at the primary, undecided
+    primary.clock.observe_counter(base + 20)
+    ts = primary.transact(lambda: objs[0].set(3))
+    session.run_for(5.0)
+    writer_b.clock.observe_counter(base + 10)  # b has not heard of ts
+    b = writer_b.transact(lambda: objs[3].set(2))
+    session.run_for(20.0)  # the watcher's check reaches the primary and parks
+    assert primary.metrics.value("view.checks_parked") == 1
+    assert a.vt < b.vt < ts.vt
+    return session, sites, seen, replies, (a, b, ts)
+
+
 class TestDeferredChecks:
     def test_pessimistic_check_defers_on_uncommitted_interval(self):
         """A pessimistic RL check whose interval contains an uncommitted
@@ -198,6 +249,38 @@ class TestDeferredChecks:
         session.settle()
         seen = [v[0] for v in rec.values[values_before:]]
         assert seen == [1, 2]  # lossless, in order, committed only
+
+    def test_straggler_committing_first_is_denied_when_the_wait_resolves(self):
+        """The check waits on ``a`` only: ``b`` commits first, and the deny
+        it implies is reached when ``a`` resolves.  The view still delivers
+        a, b, ts in VT order, each once, as when ``b``'s commit denied the
+        check at once."""
+        session, sites, seen, replies, (a, b, ts) = _parked_check()
+        primary = sites[0]
+        session.run_for(50.0)
+        assert primary.engine.status.get(b.vt) is COMMITTED
+        assert primary.engine.status.get(a.vt) is None
+        assert replies == [] and primary.engine.deps.pending_vts() == {a.vt}
+        session.settle()
+        assert replies[0] == ((2, 1), False)
+        assert seen == [(VT_ZERO, 0), (a.vt, 1), (b.vt, 2), (ts.vt, 3)]
+        for site in sites:
+            assert site.protocol_residue() == {}
+
+    def test_crashed_origin_leaves_no_waiter_and_gets_no_reply(self):
+        session, sites, _seen, replies, (a, _b, _ts) = _parked_check()
+        primary = sites[0]
+        session.network.fail_site(2)
+        session.run_for(5.0)
+        assert not [t for t in primary.engine.deps.targets() if isinstance(t, OutstandingReply)]
+        session.settle()
+        assert a.committed and replies == []
+        assert primary.protocol_residue() == {}
+
+    def test_residue_names_a_parked_check(self):
+        _session, sites, _seen, _replies, (a, _b, _ts) = _parked_check()
+        residue = sites[0].protocol_residue()
+        assert residue["parked-primary-checks"] == [f"snap(2, 1) awaiting {[str(a.vt)]}"]
 
 
 class TestOptimisticSupersede:
