@@ -5,9 +5,10 @@ Three users share a counter.  The site hosting the PRIMARY copy crashes
 while a transaction from another site is still waiting for its
 confirmation.  The survivors: (1) resolve the failed site's in-flight
 transactions by checking who logged a commit, (2) repair the replication
-graphs by consensus (the failed site WAS the primary — the circularity
-case), and (3) automatically re-execute the blocked transaction under the
-newly implied primary.
+graphs at the virtual time the same coordinator round agreed on (the
+failed site WAS the primary — the circularity case), and (3)
+automatically re-execute the blocked transaction under the newly implied
+primary.
 
 Run:  python examples/failover.py
 """

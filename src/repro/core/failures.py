@@ -18,10 +18,10 @@ failures.  On a failure notification, three things happen:
 3. **Graph repair.**  Every replication graph containing the failed site
    is rewritten without it.  If the graph's primary survives, that primary
    runs an ordinary timestamped transaction.  If the *primary itself*
-   failed (the circularity case), the coordinator runs a two-round
-   consensus: propose an apply-VT, collect acknowledgements from all
-   survivors, then order the graph update applied as a committed write at
-   that common virtual time.
+   failed (the circularity case), the survivors agree in the same
+   coordinator round: the resolution carries an apply-VT drawn once every
+   survivor has answered, and every survivor applies the graph update as
+   a committed write at that common virtual time.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from repro.core.messages import (
     FailQueryMsg,
     FailQueryReplyMsg,
     FailResolutionMsg,
-    GraphRepairAckMsg,
-    GraphRepairApplyMsg,
-    GraphRepairProposeMsg,
     OpPayload,
 )
 from repro.core.transaction import TxnState
@@ -71,15 +68,6 @@ class _QueryState:
         self.record = record
 
 
-class _RepairState:
-    """Coordinator-side aggregation for one graph-repair consensus round."""
-
-    def __init__(self, failed_site: int, apply_vt: VirtualTime, awaiting: Set[int]) -> None:
-        self.failed_site = failed_site
-        self.apply_vt = apply_vt
-        self.awaiting = set(awaiting)
-
-
 class FailureManager:
     """Per-site driver of the section 3.4 failure protocols."""
 
@@ -93,7 +81,6 @@ class FailureManager:
         self.failed: Set[int] = set()
         self._seq = 0
         self.queries: Dict[Tuple[int, int], _QueryState] = {}
-        self.repairs: Dict[Tuple[int, int], _RepairState] = {}
         #: What to run once graph repair has committed: re-runs of
         #: transactions a dead primary blocked, and revisions of snapshot
         #: records whose CONFIRM-READ went to one.
@@ -123,11 +110,6 @@ class FailureManager:
         for query_id, state in list(self.queries.items()):
             if not state.awaiting:
                 self._finish_resolution(query_id)
-        for state in list(self.repairs.values()):
-            state.awaiting.discard(failed_site)
-        for proposal_id, state in list(self.repairs.items()):
-            if not state.awaiting:
-                self._finish_repair(proposal_id)
         self._abort_blocked_transactions(failed_site)
         survivors = self.survivors()
         coordinator = min(survivors) if survivors else self.site.site_id
@@ -136,7 +118,7 @@ class FailureManager:
             # round may have died with its coordinator.
             for dead in sorted(self.failed):
                 self._start_resolution(dead)
-        self._repair_graphs(failed_site, coordinator)
+        self._repair_graphs(failed_site)
 
     # ------------------------------------------------------------------
     # 1. Local transactions blocked on the failed site
@@ -191,7 +173,6 @@ class FailureManager:
                 dst,
                 FailQueryMsg(
                     query_id=query_id,
-                    origin=self.site.site_id,
                     failed_site=failed_delegate,
                     txn_vts=(record.vt,),
                     clock=self.site.clock.counter,
@@ -236,7 +217,6 @@ class FailureManager:
                 dst,
                 FailQueryMsg(
                     query_id=query_id,
-                    origin=self.site.site_id,
                     failed_site=failed_site,
                     txn_vts=tuple(sorted(pending)),
                     clock=self.site.clock.counter,
@@ -259,7 +239,6 @@ class FailureManager:
             src,
             FailQueryReplyMsg(
                 query_id=msg.query_id,
-                site=self.site.site_id,
                 committed=tuple(sorted(committed)),
                 pending=tuple(sorted(pending)),
                 clock=self.site.clock.counter,
@@ -270,7 +249,7 @@ class FailureManager:
         state = self.queries.get(msg.query_id)
         if state is None:
             return
-        state.awaiting.discard(msg.site)
+        state.awaiting.discard(src)
         state.committed |= set(msg.committed)
         state.pending |= set(msg.pending)
         if not state.awaiting:
@@ -283,10 +262,15 @@ class FailureManager:
             return
         commit_vts = tuple(sorted(state.committed & state.pending | state.committed))
         abort_vts = tuple(sorted(state.pending - state.committed))
+        # Drawn after every survivor's reply clock was merged: the repair
+        # lands above every in-flight VT this round resolves.
+        apply_vt = self.site.clock.tick()
         resolution = FailResolutionMsg(
             query_id=query_id,
             commit_vts=commit_vts,
             abort_vts=abort_vts,
+            apply_vt=apply_vt,
+            failed_sites=tuple(sorted(self.failed)),
             clock=self.site.clock.counter,
         )
         for dst in sorted(self.survivors() - {self.site.site_id}):
@@ -324,6 +308,10 @@ class FailureManager:
             )
         record.involved_sites = set()  # aborts already sent above
         self.rerun_after_repair(record, f"delegate {state.failed_site} failed")
+        # The resolution that repaired the delegate's graphs may have run
+        # this site's retries already; a retry that still finds a dead
+        # primary waits again.
+        self.site.defer(self._run_deferred_retries)
 
     def on_resolution(self, src: int, msg: FailResolutionMsg) -> None:
         self._apply_resolution(msg)
@@ -342,41 +330,32 @@ class FailureManager:
                 finally:
                     self.site.views.end_batch()
                 self.site.metrics.inc("fail.resolutions_aborted")
+        self._repair_dead_primary_graphs(msg)
+        self._run_deferred_retries()
 
     # ------------------------------------------------------------------
     # 3. Graph repair
     # ------------------------------------------------------------------
 
-    def _roots_with_failed_site(self, failed_site: int) -> List["ModelObject"]:
-        roots = []
-        for obj in list(self.site.objects.values()):
-            if not obj.has_own_graph():
-                continue
-            graph = obj.graph()
-            if failed_site in graph.sites():
-                roots.append(obj)
-        return roots
-
-    def _repair_graphs(self, failed_site: int, coordinator: int) -> None:
+    def _repair_graphs(self, failed_site: int) -> None:
         me = self.site.site_id
-        consensus_needed = False
-        for obj in self._roots_with_failed_site(failed_site):
-            graph = obj.graph()
-            primary = self.site.primary_site_of(graph)
+        awaiting_resolution = False
+        for obj in list(self.site.objects.values()):
+            if not obj.has_own_graph() or failed_site not in obj.graph().sites():
+                continue
+            primary = self.site.primary_site_of(obj.graph())
             if primary in self.failed:
                 # The circularity case — possibly via an EARLIER failure
-                # whose repair round died with its coordinator.
-                consensus_needed = True
-                continue
-            if primary == me:
+                # whose round died with its coordinator: the coordinator's
+                # resolution repairs this graph.
+                awaiting_resolution = True
+            elif primary == me:
                 # Ordinary timestamped transaction: the surviving primary
                 # coordinates the graph update.
                 self.site.defer(lambda o=obj, f=failed_site: self._repair_by_txn(o, f))
-        if consensus_needed and me == coordinator:
-            self.site.defer(lambda f=failed_site: self._start_repair_consensus(f))
-        if not consensus_needed:
-            # No consensus round to wait for; blocked transactions can
-            # retry as soon as the deferred repair transactions have run.
+        if not awaiting_resolution:
+            # No resolution to wait for; blocked transactions can retry as
+            # soon as the deferred repair transactions have run.
             self.site.defer(self._run_deferred_retries)
 
     def _repair_by_txn(self, obj: "ModelObject", failed_site: int) -> None:
@@ -407,110 +386,62 @@ class FailureManager:
                 failed_site=failed_site,
             )
 
-    def _start_repair_consensus(self, failed_site: int) -> None:
-        others = self.survivors() - {self.site.site_id}
-        proposal_id = self._next_id()
-        apply_vt = self.site.clock.tick()
-        self.repairs[proposal_id] = _RepairState(failed_site, apply_vt, awaiting=others)
-        if not others:
-            self._finish_repair(proposal_id)
-            return
-        propose = GraphRepairProposeMsg(
-            proposal_id=proposal_id,
-            coordinator=self.site.site_id,
-            failed_site=failed_site,
-            object_uids=(),
-            apply_vt=apply_vt,
-            clock=self.site.clock.counter,
-            failed_sites=tuple(sorted(self.failed)),
-        )
-        for dst in sorted(others):
-            self.site.send(dst, propose)
+    def _repair_dead_primary_graphs(self, msg: FailResolutionMsg) -> None:
+        """Rewrite every local graph whose primary is in ``msg.failed_sites``
+        without those sites, as a committed write at ``msg.apply_vt``.
 
-    def on_repair_propose(self, src: int, msg: GraphRepairProposeMsg) -> None:
-        self.site.send(
-            src,
-            GraphRepairAckMsg(
-                proposal_id=msg.proposal_id,
-                site=self.site.site_id,
-                ok=True,
-                clock=self.site.clock.counter,
-            ),
-        )
-
-    def on_repair_ack(self, src: int, msg: GraphRepairAckMsg) -> None:
-        state = self.repairs.get(msg.proposal_id)
-        if state is None:
-            return
-        state.awaiting.discard(msg.site)
-        if not state.awaiting:
-            self._finish_repair(msg.proposal_id)
-
-    def _finish_repair(self, proposal_id: Tuple[int, int]) -> None:
-        state = self.repairs.pop(proposal_id)
-        apply_msg = GraphRepairApplyMsg(
-            proposal_id=proposal_id,
-            failed_site=state.failed_site,
-            object_uids=(),
-            apply_vt=state.apply_vt,
-            clock=self.site.clock.counter,
-            failed_sites=tuple(sorted(self.failed)),
-        )
-        for dst in sorted(self.survivors() - {self.site.site_id}):
-            self.site.send(dst, apply_msg)
-        self.on_repair_apply(self.site.site_id, apply_msg)
-
-    def on_repair_apply(self, src: int, msg: GraphRepairApplyMsg) -> None:
-        """Apply the consensus graph update as a committed write at apply_vt.
-
-        The removal set comes from the MESSAGE (not local knowledge), so
-        every survivor applies exactly the same graph regardless of the
-        order failure notifications reached it.
+        The removal set comes from the message, not from local knowledge,
+        so every survivor applies the same graph whatever order its failure
+        notices arrived in.  A site with no such graph records nothing at
+        ``apply_vt``; it only observes the clock.
         """
         from repro.core import propagation
 
-        dead = set(msg.failed_sites) | {msg.failed_site}
+        dead = set(msg.failed_sites)
         self.site.clock.observe(msg.apply_vt)
-        # Mark the consensus write committed *before* applying: the apply
-        # events reach attached views, and a pessimistic proxy creating a
-        # snapshot at apply_vt must see committed status rather than
-        # registering an RC wait that nothing would ever resolve.
-        self.site.engine.status[tuple(msg.apply_vt)] = TxnState.COMMITTED
+        repairs = []
+        removed: Set[int] = set()
+        for obj in list(self.site.objects.values()):
+            if not obj.has_own_graph():
+                continue
+            graph = obj.graph()
+            if self.site.primary_site_of(graph) not in dead:
+                continue  # a live primary repairs this one by txn
+            gone = dead.intersection(graph.sites())
+            for d in sorted(gone):
+                graph = graph.without_site(d)
+            repairs.append((obj, graph))
+            removed |= gone
+        if not repairs:
+            return
+        engine = self.site.engine
+        # Mark the repair committed *before* applying: the apply events
+        # reach attached views, and a pessimistic proxy creating a snapshot
+        # at apply_vt must see committed status rather than registering an
+        # RC wait that nothing would ever resolve.
+        engine.status[tuple(msg.apply_vt)] = TxnState.COMMITTED
         self.site.views.begin_batch()
         try:
-            for obj in list(self.site.objects.values()):
-                if not obj.has_own_graph():
-                    continue
-                graph = obj.graph()
-                if not dead & set(graph.sites()):
-                    continue
-                if self.site.primary_site_of(graph) not in dead:
-                    continue  # a live primary repairs this one by txn
-                new_graph = graph
-                for d in sorted(dead):
-                    if new_graph is not None and d in new_graph.sites():
-                        new_graph = new_graph.without_site(d)
-                if new_graph is None or new_graph.sites() == graph.sites():
-                    continue
+            for obj, new_graph in repairs:
                 propagation.apply_op(
                     obj, OpPayload(kind="graph", args=(new_graph,)), msg.apply_vt, committed=True
                 )
                 self.site.metrics.inc("fail.graphs_repaired")
         finally:
             self.site.views.end_batch()
-        # The consensus write commits outside the normal commit path; fire
-        # any dependents waiting on apply_vt (parked snapshot checks among
+        # The repair commits outside the normal commit path; fire any
+        # dependents waiting on apply_vt (parked snapshot checks among
         # them).
-        self.site.engine.deps.resolve_commit(msg.apply_vt)
-        self.site.engine._garbage_collect(msg.apply_vt)
+        engine.deps.resolve_commit(msg.apply_vt)
+        engine._garbage_collect(msg.apply_vt)
         bus = self.site.bus
         if bus.active:
-            bus.emit(
-                "repair_committed",
-                site=self.site.site_id,
-                time_ms=self.site.transport.now(),
-                txn_vt=msg.apply_vt,
-                method="consensus",
-                failed_site=msg.failed_site,
-            )
-        self._run_deferred_retries()
+            for failed_site in sorted(removed):
+                bus.emit(
+                    "repair_committed",
+                    site=self.site.site_id,
+                    time_ms=self.site.transport.now(),
+                    txn_vt=msg.apply_vt,
+                    method="consensus",
+                    failed_site=failed_site,
+                )

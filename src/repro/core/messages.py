@@ -21,8 +21,10 @@ paper:
   committed, so a late reply to the old id is stale.
 * ``JoinRequestMsg`` / ``JoinReplyMsg`` implement the remote call of the
   dynamic collaboration establishment protocol (section 3.3).
-* ``FailQueryMsg`` / ``FailQueryReplyMsg`` and the ``GraphRepair*`` family
-  implement failure handling (section 3.4).
+* ``FailQueryMsg`` / ``FailQueryReplyMsg`` / ``FailResolutionMsg``
+  implement failure handling (section 3.4): one coordinator round resolves
+  a failed site's in-flight transactions and orders the repair of the
+  graphs whose primary it was.
 
 Every message carries the sender's Lamport ``clock`` counter so receivers
 can merge virtual time.  All messages are frozen dataclasses: the simulator
@@ -292,7 +294,6 @@ class FailQueryMsg:
     """Coordinator asks survivors whether they logged commits for in-flight txns."""
 
     query_id: Tuple[int, int]
-    origin: int
     failed_site: int
     txn_vts: Tuple[VirtualTime, ...]
     clock: int
@@ -309,7 +310,6 @@ class FailQueryReplyMsg:
     """
 
     query_id: Tuple[int, int]
-    site: int
     committed: Tuple[VirtualTime, ...]
     pending: Tuple[VirtualTime, ...]
     clock: int
@@ -317,55 +317,22 @@ class FailQueryReplyMsg:
 
 @dataclass(frozen=True)
 class FailResolutionMsg:
-    """Coordinator's decision for each in-flight transaction of a failed site."""
+    """Coordinator's decision for each in-flight transaction of a failed site,
+    and the order that repairs the graphs whose primary failed.
+
+    Every survivor rewrites each graph whose primary is in ``failed_sites``
+    without those sites, as a committed write at ``apply_vt`` (the
+    circularity case of section 3.4).  The removal set comes from the
+    coordinator, so every survivor applies the same graph whatever order
+    its own failure notices arrived in.
+    """
 
     query_id: Tuple[int, int]
     commit_vts: Tuple[VirtualTime, ...]
     abort_vts: Tuple[VirtualTime, ...]
     clock: int
-
-
-@dataclass(frozen=True)
-class GraphRepairProposeMsg:
-    """Consensus round 1: coordinator proposes removing a failed site's nodes.
-
-    Used only when the failed site was the *primary* of a replication graph
-    (the circularity case of section 3.4); otherwise graph updates ride the
-    normal transaction protocol.
-    """
-
-    proposal_id: Tuple[int, int]
-    coordinator: int
-    failed_site: int
-    object_uids: Tuple[str, ...]
     apply_vt: VirtualTime
-    clock: int
-    #: Every failed site known to the coordinator; receivers remove exactly
-    #: this set, keeping the consensus outcome deterministic even when
-    #: notification order differs between survivors.
-    failed_sites: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class GraphRepairAckMsg:
-    """Consensus round 1 acknowledgement from a survivor."""
-
-    proposal_id: Tuple[int, int]
-    site: int
-    ok: bool
-    clock: int
-
-
-@dataclass(frozen=True)
-class GraphRepairApplyMsg:
-    """Consensus round 2: coordinator orders the repair applied at ``apply_vt``."""
-
-    proposal_id: Tuple[int, int]
-    failed_site: int
-    object_uids: Tuple[str, ...]
-    apply_vt: VirtualTime
-    clock: int
-    failed_sites: Tuple[int, ...] = ()
+    failed_sites: Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------

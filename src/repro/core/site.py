@@ -29,9 +29,6 @@ from repro.core.messages import (
     FailQueryMsg,
     FailQueryReplyMsg,
     FailResolutionMsg,
-    GraphRepairAckMsg,
-    GraphRepairApplyMsg,
-    GraphRepairProposeMsg,
     JoinRequestMsg,
     JoinReplyMsg,
     SnapshotConfirmMsg,
@@ -79,9 +76,6 @@ _ROUTES: Dict[type, Callable[["SiteRuntime"], Callable[[int, Any], None]]] = {
     FailQueryMsg: attrgetter("failures.on_query"),
     FailQueryReplyMsg: attrgetter("failures.on_query_reply"),
     FailResolutionMsg: attrgetter("failures.on_resolution"),
-    GraphRepairProposeMsg: attrgetter("failures.on_repair_propose"),
-    GraphRepairAckMsg: attrgetter("failures.on_repair_ack"),
-    GraphRepairApplyMsg: attrgetter("failures.on_repair_apply"),
 }
 
 
@@ -381,9 +375,11 @@ class SiteRuntime:
 
         Any entry left after ``run_until_quiescent`` is a leak: a guess that
         never resolved, a reservation owned by an aborted transaction, an
-        undelivered pessimistic snapshot, an uncommitted history entry, or
-        an in-flight entry of a transaction that already resolved.
-        Used by the conformance explorer's residue oracle.
+        undelivered pessimistic snapshot, an uncommitted history entry, an
+        in-flight entry of a transaction that already resolved, a failure
+        round still waiting for replies, or work still waiting for a graph
+        repair that never came.  Used by the conformance explorer's residue
+        oracle.
         """
         from repro.core.views import OutstandingReply, PessimisticProxy
 
@@ -441,6 +437,15 @@ class SiteRuntime:
                             "leaked-reservations",
                             f"{uid} {table_name} ({interval.lo},{interval.hi}) owner={owner}",
                         )
+        failures = self.failures
+        for query_id, query in sorted(failures.queries.items()):
+            add(
+                "open-failure-rounds",
+                f"{query_id} {query.kind} failed_site={query.failed_site} "
+                f"awaiting={sorted(query.awaiting)}",
+            )
+        for action in failures.deferred_retries:
+            add("deferred-retries", action.__qualname__)
         return residue
 
     def counters(self) -> Dict[str, int]:

@@ -69,9 +69,6 @@ from repro.core.messages import (
     FailQueryMsg,
     FailQueryReplyMsg,
     FailResolutionMsg,
-    GraphRepairAckMsg,
-    GraphRepairApplyMsg,
-    GraphRepairProposeMsg,
     JoinReplyMsg,
     JoinRequestMsg,
     OpPayload,
@@ -824,9 +821,8 @@ _REGISTRY: Tuple[Tuple[int, type], ...] = (
     (0x30, FailQueryMsg),
     (0x31, FailQueryReplyMsg),
     (0x32, FailResolutionMsg),
-    (0x33, GraphRepairProposeMsg),
-    (0x34, GraphRepairAckMsg),
-    (0x35, GraphRepairApplyMsg),
+    # 0x33-0x35 are retired (the graph-repair consensus round, now carried
+    # by FailResolutionMsg); not reused.
     (0x36, GraphNode),
     (0x37, ReplicationGraph),
     (0x38, Invitation),
@@ -858,9 +854,6 @@ MESSAGE_TYPES: Tuple[type, ...] = (
     FailQueryMsg,
     FailQueryReplyMsg,
     FailResolutionMsg,
-    GraphRepairProposeMsg,
-    GraphRepairAckMsg,
-    GraphRepairApplyMsg,
     Envelope,
 )
 

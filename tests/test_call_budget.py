@@ -456,23 +456,25 @@ def test_a_user_abort_retains_no_object():
 CENSUS_TENANTS = 20
 
 #: GC-tracked objects one joined tenant holds across both hosts, views
-#: included (:class:`TenantCensus`), on CPython 3.11: 181.2–181.55, and in
-#: about one run in twenty up to 182.4, when 18–22 of the associations'
-#: membership tuples are still tracked after the census's two collections
-#: (a third untracks them); 3.12 reads the same.  (CPython 3.13, outside
-#: the CI matrix, keeps those tuples tracked and reads 184.1.)  183.3–183.8
+#: included (:class:`TenantCensus`), counted once the collector has untracked
+#: all it will: 177.25–177.30 on CPython 3.11.7 (100 runs), 177.20 on
+#: 3.12.1, 177.10–177.15 on 3.13.0 (20 runs each).  Counted after two
+#: collections, as before, the same census read 181.2–182.4 on 3.11 and
+#: 184.1 on 3.13: the associations' nested membership tuples take one pass
+#: per level to untrack, and how many passes had run varied.  183.3–183.8
 #: at 66ca1e0, with a list of orphaned snapshot checks per site;
 #: 185.1–185.7 at 2340baf, while the status log was keyed by
 #: ``VirtualTime``s; 265.8 at 39f6637 — a bound method per route per site,
 #: three reservation tables per replica, a graph's cached facts in an
 #: instance dict, the join's undo stash, a roster copy per tenant, per-site
 #: lists built empty.
-TENANT_GC_OBJECTS_CEILING = 182.5
+TENANT_GC_OBJECTS_CEILING = 177.5
 #: The same census with every instance ``__dict__`` that holds a tracked
 #: value counted: CPython before 3.11 builds one with each instance
-#: (3.9: 213.75, 3.10: 213.5–213.7; 305.9 at 39f6637), and on 3.11+
-#: ``TenantCensus.with_dicts`` builds them to count (213.2–214.4).
-TENANT_GC_OBJECTS_WITH_DICTS_CEILING = 214.5
+#: (3.9.18: 209.25–209.30, 3.10.13: 209.15–209.25; 305.9 at 39f6637), and
+#: on 3.11+ ``TenantCensus.with_dicts`` builds them to count (3.11.7:
+#: 209.25–209.30, 3.12.1: 209.20, 3.13.0: 209.05–209.10).
+TENANT_GC_OBJECTS_WITH_DICTS_CEILING = 209.5
 
 
 async def join_tenants(pair, tids):
@@ -488,13 +490,23 @@ async def join_tenants(pair, tids):
     await asyncio.gather(*(one(tid) for tid in tids))
 
 
+#: Collections ``_settle`` runs at most.  The census needs five: four
+#: that each untrack one level of nested membership tuples, and one that
+#: untracks nothing.
+SETTLE_MAX_PASSES = 8
+
+
 def _settle():
-    """Collect twice.  A collection untracks a tuple only once every item
-    in it is untracked, so a nested tuple (an association's membership
-    value) can take a second pass; a host's gen-2 passes repeat, and the
-    census counts what the second one walks."""
-    gc.collect()
-    gc.collect()
+    """Collect until a pass untracks nothing more.  A collection untracks a
+    tuple only once every item in it is untracked, so a nested tuple (an
+    association's membership value) can take a pass per level; a host's
+    gen-2 passes repeat, and the census counts what the last one walks."""
+    tracked = len(gc.get_objects())
+    for _ in range(SETTLE_MAX_PASSES):
+        gc.collect()
+        tracked, before = len(gc.get_objects()), tracked
+        if tracked >= before:
+            return
 
 
 class TenantCensus:

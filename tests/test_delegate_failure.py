@@ -82,6 +82,24 @@ class TestDelegateDiedBeforeDeciding:
         assert out.attempts >= 2
         assert objs[1].get() == objs[2].get() == objs[3].get() == 5
 
+    def test_retry_runs_when_the_poll_ends_after_repair(self):
+        """The origin's poll of the survivors outlasts the coordinator's
+        round: the graph is already repaired, and its retries already ran,
+        when the poll decides to abort.  The re-run must still happen."""
+        session, sites, objs = build()
+        for dst in (1, 2, 3):
+            session.network.set_link_latency(0, dst, FixedLatency(1_000_000.0))
+        session.network.set_link_latency(2, 3, FixedLatency(300.0))  # s2's poll reply
+        out = sites[3].transact(lambda: objs[3].set(5))
+        session.run_for(80)
+        session.network.fail_site(0)
+        session.run_for(150)
+        assert objs[3].graph().sites() == [1, 2, 3] and not out.committed
+        session.settle()
+        assert out.committed
+        assert objs[1].get() == objs[2].get() == objs[3].get() == 5
+        assert all(sites[i].protocol_residue() == {} for i in (1, 2, 3))
+
     def test_value_applied_exactly_once_after_retry(self):
         """The retried transaction must not double-apply on sites that had
         the aborted optimistic write."""

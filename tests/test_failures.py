@@ -175,3 +175,71 @@ class TestFailureEdgeCases:
         sites[3].transact(lambda: objs[3].set(8))
         session.settle()
         assert objs[2].get() == 8
+
+
+class TestDeadPrimaryRepair:
+    """The coordinator's resolution also orders the repair of every graph
+    whose primary failed, whether or not the coordinator holds a replica."""
+
+    @pytest.mark.parametrize(
+        "n_sites,replicas,crashes",
+        [(4, (0, 2, 3), (0,)), (4, (1, 2, 3), (1,)), (5, (0, 2, 3, 4), (0, 1))],
+        ids=["coordinator-1-holds-none", "coordinator-0-holds-none", "coordinator-crashes-mid-round"],
+    )
+    def test_partial_replication_failover(self, n_sites, replicas, crashes):
+        session = Session.simulated(latency_ms=20.0)
+        sites = session.add_sites(n_sites)
+        objs = dict(zip(replicas, session.replicate(DInt, "x", [sites[i] for i in replicas])))
+        session.settle()
+        primary, *coordinator = crashes
+        session.network.fail_site(primary)
+        if coordinator:
+            # The coordinator (no replica) has asked the survivors and
+            # crashes before it can resolve; the next one re-runs the round.
+            session.run_for(30)
+            assert sites[coordinator[0]].failures.queries
+            session.network.fail_site(coordinator[0])
+        session.settle()
+        live = [i for i in replicas if i not in crashes]
+        for i in live:
+            assert objs[i].graph().sites() == live
+        out = sites[live[-1]].transact(lambda: objs[live[-1]].set(7))
+        session.settle()
+        assert out.committed
+        assert all(objs[i].get() == 7 for i in live)
+        survivors = [s for s in sites if s.site_id not in crashes]
+        assert all(s.protocol_residue() == {} for s in survivors)
+
+    @pytest.mark.parametrize("n_sites,expected", [(3, 1), (5, 3)])
+    def test_primary_failover_is_one_round(self, n_sites, expected):
+        """One query, one reply and one resolution per non-coordinator
+        survivor: 3 messages at 3 sites, 9 at 5."""
+        session = Session.simulated(latency_ms=20.0)
+        sites = session.add_sites(n_sites)
+        objs = session.replicate(DInt, "x", sites)
+        session.settle()
+        trace = MessageTrace(session.network)
+        session.network.fail_site(0)
+        session.settle()
+        assert trace.counts_by_type() == {
+            "FailQueryMsg": expected, "FailQueryReplyMsg": expected, "FailResolutionMsg": expected,
+        }
+        assert all(obj.graph().sites() == list(range(1, n_sites)) for obj in objs[1:])
+
+    def test_residue_names_a_retry_stranded_by_an_open_round(self):
+        session, sites, objs = triple(latency=20.0, delegation_enabled=False)
+        s0, s1, s2 = sites
+        # s2's write waits for the primary s0's confirmation, which never
+        # arrives; then s0 fails while the coordinator s1 cannot reach s2.
+        session.network.set_link_latency(0, 2, FixedLatency(1_000_000.0))
+        out = s2.transact(lambda: objs[2].set(33))
+        session.run_for(100)
+        session.network.set_link_latency(1, 2, FixedLatency(1_000_000.0))
+        session.network.fail_site(0)
+        session.run_for(2_000)
+        assert not out.committed
+        assert s2.protocol_residue() == {
+            "deferred-retries": ["FailureManager.rerun_after_repair.<locals>.<lambda>"],
+        }
+        (round_,) = s1.protocol_residue()["open-failure-rounds"]
+        assert "failed_site=0 awaiting=[2]" in round_

@@ -25,9 +25,6 @@ from repro.core.messages import (
     FailQueryMsg,
     FailQueryReplyMsg,
     FailResolutionMsg,
-    GraphRepairAckMsg,
-    GraphRepairApplyMsg,
-    GraphRepairProposeMsg,
     JoinReplyMsg,
     JoinRequestMsg,
     OpPayload,
@@ -146,22 +143,10 @@ MESSAGE_STRATEGIES = {
         JoinReplyMsg, ids, st.booleans(), wire_values, st.one_of(st.none(), graphs),
         vts, vts, vt_tuples, st.integers(0, 64), clocks, texts, st.booleans(),
     ),
-    FailQueryMsg: st.builds(
-        FailQueryMsg, ids, st.integers(0, 64), st.integers(0, 64), vt_tuples, clocks
-    ),
-    FailQueryReplyMsg: st.builds(
-        FailQueryReplyMsg, ids, st.integers(0, 64), vt_tuples, vt_tuples, clocks
-    ),
-    FailResolutionMsg: st.builds(FailResolutionMsg, ids, vt_tuples, vt_tuples, clocks),
-    GraphRepairProposeMsg: st.builds(
-        GraphRepairProposeMsg, ids, st.integers(0, 64), st.integers(0, 64),
-        uid_tuples, vts, clocks, int_tuples,
-    ),
-    GraphRepairAckMsg: st.builds(
-        GraphRepairAckMsg, ids, st.integers(0, 64), st.booleans(), clocks
-    ),
-    GraphRepairApplyMsg: st.builds(
-        GraphRepairApplyMsg, ids, st.integers(0, 64), uid_tuples, vts, clocks, int_tuples
+    FailQueryMsg: st.builds(FailQueryMsg, ids, st.integers(0, 64), vt_tuples, clocks),
+    FailQueryReplyMsg: st.builds(FailQueryReplyMsg, ids, vt_tuples, vt_tuples, clocks),
+    FailResolutionMsg: st.builds(
+        FailResolutionMsg, ids, vt_tuples, vt_tuples, clocks, vts, int_tuples
     ),
 }
 MESSAGE_STRATEGIES[Envelope] = st.builds(
@@ -331,16 +316,11 @@ GOLDEN_VT_CARRIERS = [
         "012f07020302030201070305067363616c6172030a0b0600370a02360300050473303a7836030205047331"
         "3a780a010a02050473303a78050473313a780b14020b060007020b16000b180403000322050001",
     ),
-    (FailQueryMsg((0, 1), 0, 2, (_V(5, 2), _V(6, 2)), 18), "01300702030003020300030407020b0a040b0c040324"),
-    (FailQueryReplyMsg((0, 1), 1, (_V(5, 2),), (_V(6, 2),), 19), "0131070203000302030207010b0a0407010b0c040326"),
-    (FailResolutionMsg((0, 1), (_V(5, 2),), (_V(6, 2),), 20), "013207020300030207010b0a0407010b0c040328"),
+    (FailQueryMsg((0, 1), 2, (_V(5, 2), _V(6, 2)), 18), "0130070203000302030407020b0a040b0c040324"),
+    (FailQueryReplyMsg((0, 1), (_V(5, 2),), (_V(6, 2),), 19), "013107020300030207010b0a0407010b0c040326"),
     (
-        GraphRepairProposeMsg((0, 2), 0, 2, ("s0:x",), _V(21, 0), 21, (2,)),
-        "0133070203000304030003040701050473303a780b2a00032a07010304",
-    ),
-    (
-        GraphRepairApplyMsg((0, 2), 2, ("s0:x",), _V(21, 0), 22, (2,)),
-        "013507020300030403040701050473303a780b2a00032c07010304",
+        FailResolutionMsg((0, 1), (_V(5, 2),), (_V(6, 2),), 20, _V(21, 0), (2,)),
+        "013207020300030207010b0a0407010b0c0403280b2a0007010304",
     ),
     ({_V(2, 1): "b", _V(1, 1): "a"}, "0109020b02020501610b0402050162"),
     (frozenset({_V(2, 1), _V(1, 1)}), "010a020b02020b0402"),
