@@ -60,11 +60,14 @@ PROM_FLUSH_S = 0.5
 # ---------------------------------------------------------------------------
 
 
-async def poll(predicate, deadline_s: float, what: str, interval_s: float = 0.02):
+async def poll(predicate, deadline_s: float, what: str, interval_s: float = 0.02, missing=None):
+    """Wait until ``predicate()`` holds.  On timeout the error also says what
+    the wait was missing, when a ``missing()`` callable can tell."""
     start = time.monotonic()
     while not predicate():
         if time.monotonic() - start > deadline_s:
-            raise TimeoutError(f"timed out waiting for {what}")
+            detail = f" (missing: {missing()})" if missing is not None else ""
+            raise TimeoutError(f"timed out waiting for {what}{detail}")
         await asyncio.sleep(interval_s)
 
 
@@ -123,6 +126,15 @@ async def child_main(
             raise RuntimeError("transaction aborted without retry")
         return outcome.committed
 
+    def join_state(outcome):
+        """What a join wait lacks: the sites the list's graph covers so far
+        and where this site's join transaction stands."""
+        return lambda: (
+            f"list graph sites {sorted(n.site for n in lst.graph().nodes)} of {sorted(addrs)}; "
+            f"join committed={outcome.committed} aborted={outcome.aborted_no_retry} "
+            f"attempts={outcome.attempts} reason={outcome.abort_reason!r}"
+        )
+
     if site_id == 0:
         lst = site.create_list(name)
         assoc = site.create_association(f"{name}.assoc")
@@ -138,6 +150,7 @@ async def child_main(
             lambda: {n.site for n in lst.graph().nodes} == set(addrs),
             CHILD_DEADLINE_S,
             "peer join",
+            missing=join_state(outcome),
         )
     else:
         await poll(invite_file.exists, CHILD_DEADLINE_S, "invitation file")
@@ -152,7 +165,10 @@ async def child_main(
         )
         lst = site.create_list(name)
         outcome = site.join(local_assoc, rel_id, lst)
-        await poll(lambda: committed(outcome), CHILD_DEADLINE_S, "member join")
+        await poll(
+            lambda: committed(outcome), CHILD_DEADLINE_S, "member join",
+            missing=join_state(outcome),
+        )
 
     # Both processes append their own marked entries concurrently.  The loop
     # is timed so bench mode can derive real-socket commits/sec; the tight

@@ -10,7 +10,9 @@ ceilings' readings.  Also prints the two counts that are not calls: import
 statements executed and dataclass ``__init__``s (generated code, compiled
 under ``<string>``) and, below the table, the GC-tracked objects a commit
 and a user-aborted transaction leave behind on two sites (the test's
-retention pins).
+retention pins), and the traced bytes and GC-tracked objects one recorded
+event keeps under the documented telemetry set-up
+(``tests/test_obs_budget.py``'s socket-path stream).
 
 With ``--tenants N`` it instead joins N tenants on two hosts over loopback
 TCP through the real invitation / join protocol (the test's tenant census)
@@ -42,6 +44,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from repro.transport import tcp  # noqa: E402
 from tests import test_call_budget as budget  # noqa: E402
+from tests import test_obs_budget as obs_budget  # noqa: E402
 from tests.test_host import TcpHostPair  # noqa: E402
 
 
@@ -78,6 +81,12 @@ def calls(top: int) -> None:
     print(
         f"== retained on two sites after warm-up: {per_commit:.4f} GC-tracked objects "
         f"per commit, {per_abort:.4f} per user-aborted transaction"
+    )
+    per_event, tracked = obs_budget.recorded_event_cost()
+    print(
+        f"== retained per recorded event (recording, flight recorder, tenant telemetry; "
+        f"{len(obs_budget.SOCKET_COMMIT)} socket-path events per commit): "
+        f"{per_event:.1f} traced bytes, {tracked:.3f} GC-tracked objects"
     )
 
 

@@ -286,7 +286,8 @@ class SiteRuntime:
             self.engine.retry_pending_propagates()
 
     def _on_failure_notice(self, failed_site: int) -> None:
-        if failed_site == self.site_id:
+        # A crashed site handles no notice: not even of another failure.
+        if failed_site == self.site_id or self.transport.is_failed(self.site_id):
             return
         if self.bus.active:
             self.bus.emit(

@@ -9,8 +9,8 @@ every emission with ``if bus.active:`` so a disabled bus costs exactly one
 attribute load and one branch on the hot paths; no event object, kwargs
 dict, or payload formatting is ever built unless someone is listening.
 When someone is, :meth:`EventBus.emit` is the one way an event comes to
-exist: it builds the :class:`ProtocolEvent` and hands that one object to the
-recording buffer and to every subscriber.
+exist.  Recording keeps no object per event (:class:`RecordedEvents`), and
+subscribers get one :class:`ProtocolEvent` per emit, built only for them.
 
 Events are stamped with the owning transport's clock (:mod:`repro.obs.clock`).
 In the simulator that is *simulated* time, never the wall clock, so a
@@ -25,6 +25,8 @@ fused — send/deliver pairing plus clock-skew estimation — by
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.vtime import VirtualTime
@@ -75,9 +77,8 @@ class ProtocolEvent(NamedTuple):
     links the event to a transaction lifecycle (or a snapshot's ``t_S``,
     which for pessimistic views equals the writing transaction's VT).
 
-    A tuple-backed record: immutable, no per-instance ``__dict__``, built by
-    one ordinary constructor call; ``event._replace(time_ms=...)`` derives a
-    modified copy.
+    A tuple-backed record: immutable, no per-instance ``__dict__``;
+    ``event._replace(time_ms=...)`` derives a modified copy.
     """
 
     seq: int
@@ -93,6 +94,50 @@ class ProtocolEvent(NamedTuple):
             f"{k}={v}" for k, v in sorted(self.data.items()) if k not in _EXPORT_SKIP_KEYS
         )
         return f"{self.time_ms:9.1f}ms  s{self.site}  {self.kind}{vt}  {extras}".rstrip()
+
+
+_new_tuple = tuple.__new__
+_NO_VT = (None, None)
+
+
+class RecordedEvents(Sequence):
+    """A bus's recorded events: a read-only sequence in ``seq`` order.
+
+    Event *i* is ``seq`` and ``time_ms`` in two ``array`` columns and, from
+    ``starts[i]`` in one flat list, its site, kind, VT as two ints (or two
+    Nones), data keys and data values: nothing per event is GC-tracked.
+    ``len()`` builds nothing; reads rebuild each event and keep none.
+    """
+
+    __slots__ = ("_seqs", "_times", "_starts", "_flat")
+
+    def __init__(self) -> None:
+        self._seqs, self._times, self._starts = array("q"), array("d"), array("q")
+        self._flat: List[Any] = []
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def _event(self, i: int) -> ProtocolEvent:
+        flat, starts = self._flat, self._starts
+        start, end = starts[i], starts[i + 1] if i + 1 < len(starts) else len(flat)
+        site, kind, counter, vt_site = flat[start:start + 4]
+        values = (start + 4 + end) // 2  # as many keys as values
+        vt = None if counter is None else _new_tuple(VirtualTime, (counter, vt_site))
+        data = dict(zip(flat[start + 4:values], flat[values:end]))
+        return _new_tuple(ProtocolEvent, (self._seqs[i], self._times[i], site, kind, vt, data))
+
+    def __iter__(self):
+        return map(self._event, range(len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._event(i) for i in range(*index.indices(len(self)))]
+        return self._event(range(len(self))[index])
+
+    def __eq__(self, other: object) -> bool:
+        comparable = isinstance(other, (list, RecordedEvents))
+        return list(self) == list(other) if comparable else NotImplemented
 
 
 def _json_safe(value: Any) -> Any:
@@ -139,13 +184,14 @@ class EventBus:
     stacking bug this bus replaced).
     """
 
-    __slots__ = ("active", "recording", "events", "_subscribers", "_seq")
+    __slots__ = ("active", "recording", "events", "_subscribers", "_seq") + RecordedEvents.__slots__
 
     def __init__(self) -> None:
         self.active = False
         self.recording = False
         #: Recorded events, in emission (``seq``) order.
-        self.events: List[ProtocolEvent] = []
+        self.events = events = RecordedEvents()  # emit() appends to its columns
+        self._seqs, self._times, self._starts, self._flat = map(events.__getattribute__, events.__slots__)
         self._subscribers: List[Callable[[ProtocolEvent], None]] = []
         self._seq = 0
 
@@ -163,7 +209,7 @@ class EventBus:
 
     def clear(self) -> None:
         """Drop all recorded events (the sequence counter keeps running)."""
-        self.events.clear()
+        del self._seqs[:], self._times[:], self._starts[:], self._flat[:]
 
     def subscribe(self, fn: Callable[[ProtocolEvent], None]) -> None:
         """Add a live consumer called synchronously on every event."""
@@ -190,27 +236,34 @@ class EventBus:
         time_ms: float,
         txn_vt: Optional[VirtualTime] = None,
         **data: Any,
-    ) -> Optional[ProtocolEvent]:
+    ) -> None:
         """Record/distribute one event.  Callers guard with ``if bus.active``
         so the kwargs dict is never built on a dead bus; emit() re-checks
         anyway so unguarded call sites stay correct.  (The positional name
         is ``event_kind`` so data payloads may carry their own ``kind`` key,
         e.g. view_notified's kind=update/commit.)"""
         if not self.active:
-            return None
+            return
         seq = self._seq
         self._seq = seq + 1
-        event = ProtocolEvent(seq, time_ms, site, event_kind, txn_vt, data)
         if self.recording:
-            self.events.append(event)
-        for fn in self._subscribers:
-            fn(event)
-        return event
+            self._seqs.append(seq)
+            self._times.append(time_ms)
+            flat = self._flat
+            self._starts.append(len(flat))
+            flat += (site, event_kind) + (txn_vt or _NO_VT)
+            flat += data
+            flat += data.values()
+        subscribers = self._subscribers
+        if subscribers:
+            event = _new_tuple(ProtocolEvent, (seq, time_ms, site, event_kind, txn_vt, data))
+            for fn in subscribers:
+                fn(event)
 
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._starts)
 
     def filter(
         self,

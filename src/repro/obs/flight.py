@@ -9,13 +9,13 @@ fail-stop detection (``TcpTransport`` calls :meth:`dump` from its
 it writes the ring as a postmortem JSONL file — first a header line with
 the dump reason and provenance, then one event per line, oldest first.
 
-Subscribing activates the bus (``bus.active`` becomes True).  There is one
-emit path, so a process with only a flight recorder attached pays what any
-consumer pays — each event is built once, one tuple and its data dict, and
-handed over — and retains just the ring: ``bus.events`` grows only under
-``bus.enable()``.  The recorder is the *bounded* consumer for processes
-that cannot afford full recording; a process already recording the full
-timeline can attach one too, and both hold the same event objects.
+Subscribing activates the bus (``bus.active`` becomes True); the ring's own
+``deque.append`` is the subscriber.  A process with only a flight recorder
+attached builds each event once, one tuple and its data dict, and retains
+just the ring: ``bus.events`` grows only under ``bus.enable()``.  The
+recorder is the *bounded* consumer for processes that cannot afford full
+recording; a process recording the full timeline can attach one too, and
+the recording rebuilds events equal to the ring's when read.
 
 Dumps are append-numbered (``.1``, ``.2``, ...) when the target path
 already exists, so a crash that follows a fail-stop does not overwrite the
@@ -46,29 +46,36 @@ class FlightRecorder:
         self.path = path
         self.capacity = capacity
         self.ring: Deque[ProtocolEvent] = deque(maxlen=capacity)
-        #: Total events seen (>= len(ring); the difference is what scrolled
-        #: off the ring and is gone forever — reported in the dump header).
-        self.events_seen = 0
         self.dumps = 0
+        self._seen = 0  # events counted before the current attachment
         self._bus: Optional[EventBus] = None
         self._prev_excepthook = None
 
     # -- bus plumbing ----------------------------------------------------
 
+    @property
+    def events_seen(self) -> int:
+        """Total events seen (>= len(ring): the rest scrolled off, as the dump
+        header reports); every emit on the attached bus reached the ring."""
+        attached = 0 if self._bus is None else self._bus._seq - self._seq_at_attach
+        return self._seen + attached
+
     def record(self, event: ProtocolEvent) -> None:
-        """Bus subscriber: retain the event (evicting the oldest)."""
-        self.events_seen += 1
+        """Retain one event handed over directly (evicting the oldest)."""
+        self._seen += 1
         self.ring.append(event)
 
     def attach(self, bus: EventBus) -> "FlightRecorder":
         """Subscribe to ``bus`` (activating it); returns self for chaining."""
         self._bus = bus
-        bus.subscribe(self.record)
+        self._seq_at_attach = bus._seq
+        bus.subscribe(self.ring.append)
         return self
 
     def detach(self) -> None:
         if self._bus is not None:
-            self._bus.unsubscribe(self.record)
+            self._seen = self.events_seen
+            self._bus.unsubscribe(self.ring.append)
             self._bus = None
 
     # -- postmortem ------------------------------------------------------

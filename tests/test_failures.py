@@ -182,15 +182,22 @@ class TestDeadPrimaryRepair:
     whose primary failed, whether or not the coordinator holds a replica."""
 
     @pytest.mark.parametrize(
-        "n_sites,replicas,crashes",
-        [(4, (0, 2, 3), (0,)), (4, (1, 2, 3), (1,)), (5, (0, 2, 3, 4), (0, 1))],
+        "n_sites,replicas,crashes,rounds",
+        [
+            (4, (0, 2, 3), (0,), (2, 2, 2)),
+            (4, (1, 2, 3), (1,), (2, 2, 2)),
+            # The crashed coordinator s1 asks nobody about s0 once it is
+            # dead itself (10 queries while it still ran s1's round).
+            (5, (0, 2, 3, 4), (0, 1), (7, 7, 4)),
+        ],
         ids=["coordinator-1-holds-none", "coordinator-0-holds-none", "coordinator-crashes-mid-round"],
     )
-    def test_partial_replication_failover(self, n_sites, replicas, crashes):
+    def test_partial_replication_failover(self, n_sites, replicas, crashes, rounds):
         session = Session.simulated(latency_ms=20.0)
         sites = session.add_sites(n_sites)
         objs = dict(zip(replicas, session.replicate(DInt, "x", [sites[i] for i in replicas])))
         session.settle()
+        trace = MessageTrace(session.network)
         primary, *coordinator = crashes
         session.network.fail_site(primary)
         if coordinator:
@@ -200,6 +207,9 @@ class TestDeadPrimaryRepair:
             assert sites[coordinator[0]].failures.queries
             session.network.fail_site(coordinator[0])
         session.settle()
+        assert trace.counts_by_type() == dict(
+            zip(("FailQueryMsg", "FailQueryReplyMsg", "FailResolutionMsg"), rounds)
+        )
         live = [i for i in replicas if i not in crashes]
         for i in live:
             assert objs[i].graph().sites() == live

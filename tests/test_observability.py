@@ -38,20 +38,21 @@ class TestEventBus:
     def test_idle_bus_emits_nothing(self):
         bus = EventBus()
         assert not bus.active
-        assert bus.emit("committed", site=0, time_ms=1.0) is None
+        bus.emit("committed", site=0, time_ms=1.0)
         assert len(bus) == 0 and bus._seq == 0
 
     def test_enable_records_and_stamps_seq(self):
         bus = EventBus()
         bus.enable()
         assert bus.active and bus.recording
-        e0 = bus.emit("txn_submitted", site=0, time_ms=5.0, txn_vt=VirtualTime(1, 0))
-        e1 = bus.emit("committed", site=1, time_ms=5.0)
+        bus.emit("txn_submitted", site=0, time_ms=5.0, txn_vt=VirtualTime(1, 0))
+        bus.emit("committed", site=1, time_ms=5.0)
+        e0, e1 = bus.events
         assert (e0.seq, e1.seq) == (0, 1)  # same time, deterministic order
-        assert bus.events == [e0, e1]
+        assert e0.txn_vt == VirtualTime(1, 0) and e1.txn_vt is None
         bus.disable()
         assert not bus.active
-        assert bus.emit("aborted", site=0, time_ms=6.0) is None
+        bus.emit("aborted", site=0, time_ms=6.0)
         assert len(bus) == 2  # recorded events survive disable
 
     def test_subscribers_activate_without_recording(self):
@@ -68,7 +69,8 @@ class TestEventBus:
     def test_data_payload_may_carry_kind_key(self):
         bus = EventBus()
         bus.enable()
-        event = bus.emit("view_notified", site=0, time_ms=1.0, kind="update", mode="optimistic")
+        bus.emit("view_notified", site=0, time_ms=1.0, kind="update", mode="optimistic")
+        (event,) = bus.events
         assert event.kind == "view_notified"
         assert event.data["kind"] == "update"
 
