@@ -47,7 +47,7 @@ from repro.obs import (  # noqa: E402
     write_prometheus,
 )
 from repro.transport.tcp import TcpTransport  # noqa: E402
-from repro.vtime import VirtualTime  # noqa: E402
+from repro.vtime import VT_TOP  # noqa: E402
 from repro.wire import decode, encode  # noqa: E402
 
 APPENDS_PER_SITE = 5
@@ -119,7 +119,6 @@ async def child_main(
     invite_file = workdir / "invitation.hex"
     name = "doc"
     rel_id = f"{name}.rel"
-    horizon = VirtualTime(2**62, 2**30)
 
     def committed(outcome) -> bool:
         if outcome.aborted_no_retry:
@@ -159,7 +158,7 @@ async def child_main(
         # The association's value (all relationship memberships) arrives with
         # the join state sync; wait until the relationship is visible here.
         await poll(
-            lambda: rel_id in dict(local_assoc.value_at(horizon, committed_only=True)),
+            lambda: rel_id in dict(local_assoc.value_at(VT_TOP, committed_only=True)),
             CHILD_DEADLINE_S,
             "association state sync",
         )
@@ -189,7 +188,7 @@ async def child_main(
     want = appends * len(addrs)
 
     def committed_len() -> int:
-        return len(lst.value_at(horizon, committed_only=True))
+        return len(lst.value_at(VT_TOP, committed_only=True))
 
     await poll(lambda: committed_len() == want, CHILD_DEADLINE_S, "converged list")
     await transport.aquiesce(settle_ms=300.0)

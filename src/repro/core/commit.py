@@ -680,8 +680,8 @@ class TransactionEngine:
             self.site.send(
                 msg.origin,
                 ConfirmMsg(
-                    txn_vt=vt, site=self.site.site_id, ok=ok,
-                    clock=self.site.clock.counter, reason=reason, vouched=vouched,
+                    txn_vt=vt, ok=ok, clock=self.site.clock.counter,
+                    reason=reason, vouched=vouched,
                 ),
             )
 
@@ -764,9 +764,9 @@ class TransactionEngine:
         if record is None or record.state is not AWAITING:
             return
         if not msg.ok:
-            self._abort_origin(record, f"denied by site {msg.site}: {msg.reason}")
+            self._abort_origin(record, f"denied by site {src}: {msg.reason}")
             return
-        record.pending_confirm_sites.discard(msg.site)
+        record.pending_confirm_sites.discard(src)
         if msg.vouched:
             if entry.vouched is None:
                 entry.vouched = {}

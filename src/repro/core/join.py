@@ -294,9 +294,7 @@ class JoinManager:
             # pending confirmation first).
             self.site.send(
                 msg.origin,
-                ConfirmMsg(
-                    txn_vt=vt, site=me, ok=True, clock=self.site.clock.counter
-                ),
+                ConfirmMsg(txn_vt=vt, ok=True, clock=self.site.clock.counter),
             )
 
     def _reply_error(

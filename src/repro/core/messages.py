@@ -159,10 +159,13 @@ class TxnPropagateMsg:
 
 @dataclass(frozen=True)
 class ConfirmMsg:
-    """Primary-site confirmation or denial of a transaction's guesses."""
+    """Primary-site confirmation or denial of a transaction's guesses.
+
+    The confirming site is the frame's sender, so the message does not name
+    it.
+    """
 
     txn_vt: VirtualTime
-    site: int
     ok: bool
     clock: int
     reason: str = ""
@@ -236,7 +239,6 @@ class SnapshotReplyMsg:
 
     snap_id: Tuple[int, int]
     ok: bool
-    denials: Tuple[str, ...]
     clock: int
 
 

@@ -355,9 +355,8 @@ class SiteRuntime:
         are directly comparable: converged replicas produce identical
         digests.  Used by the conformance explorer's convergence oracle.
         """
-        from repro.vtime import VT_ZERO
+        from repro.vtime import VT_TOP, VT_ZERO
 
-        horizon = VirtualTime(2**62, 2**30)
         digest: Dict[str, Any] = {}
         for obj in self.objects.values():
             if not obj.has_own_graph():
@@ -368,7 +367,7 @@ class SiteRuntime:
                 committed_vt = obj.history.committed_current().vt
             except ProtocolError:
                 committed_vt = VT_ZERO
-            digest[key] = (tuple(committed_vt), repr(obj.value_at(horizon, committed_only=True)))
+            digest[key] = (tuple(committed_vt), repr(obj.value_at(VT_TOP, committed_only=True)))
         return digest
 
     def protocol_residue(self) -> Dict[str, List[str]]:

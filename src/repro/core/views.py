@@ -42,7 +42,7 @@ from repro.core import propagation
 from repro.core.messages import SnapshotCheck, SnapshotConfirmMsg, SnapshotReplyMsg
 from repro.core.transaction import ABORTED, COMMITTED
 from repro.errors import InvalidPath, ProtocolError
-from repro.vtime import VT_ZERO, VirtualTime
+from repro.vtime import VT_TOP, VT_ZERO, VirtualTime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.model import ModelObject
@@ -258,15 +258,14 @@ class OutstandingReply:
     re-evaluates what is parked (:meth:`ViewManager.recheck`).
     """
 
-    __slots__ = ("manager", "snap_id", "origin", "denials", "parked", "waiting")
+    __slots__ = ("manager", "snap_id", "origin", "denied", "parked", "waiting")
 
     def __init__(self, manager: "ViewManager", snap_id: Tuple[int, int], origin: int) -> None:
         self.manager = manager
         self.snap_id = snap_id
         self.origin = origin
-        #: Uids of the objects whose check was denied (the reply is ok
-        #: without any).
-        self.denials: List[str] = []
+        #: Whether any check was denied (the reply is ok without one).
+        self.denied = False
         #: Checks still undecided, with their targets, and the VTs the reply
         #: waits on.
         self.parked: List[Tuple[SnapshotCheck, "ModelObject"]] = []
@@ -537,7 +536,7 @@ class PessimisticProxy(ViewProxy):
         # Uncommitted values already applied locally become pending snapshots.
         seen: Set[VirtualTime] = set()
         for obj in self.objects:
-            for vt in subtree_uncommitted_in_interval(obj, ts0, VirtualTime(2**62, 2**30)):
+            for vt in subtree_uncommitted_in_interval(obj, ts0, VT_TOP):
                 if vt not in seen:
                     seen.add(vt)
                     self._create_snapshot(vt, [obj])
@@ -1006,7 +1005,7 @@ class ViewManager:
             if verdict is None:
                 self.site.metrics.inc("view.checks_parked")
             elif not verdict:
-                reply.denials.append(check.object_uid)
+                reply.denied = True
         if not reply.parked:
             self._reply(reply)
 
@@ -1055,7 +1054,7 @@ class ViewManager:
         parked, reply.parked = reply.parked, []
         for check, target in parked:
             if self._evaluate_pessimistic(reply, check, target) is False:
-                reply.denials.append(check.object_uid)
+                reply.denied = True
         if not reply.parked:
             self._reply(reply)
 
@@ -1064,15 +1063,12 @@ class ViewManager:
             record = self.records.get(reply.snap_id)
             if record is not None:
                 record.pending_sites.discard(self.site.site_id)
-                record.proxy.on_snapshot_reply(record, ok=not reply.denials)
+                record.proxy.on_snapshot_reply(record, ok=not reply.denied)
             return
         self.site.send(
             reply.origin,
             SnapshotReplyMsg(
-                snap_id=reply.snap_id,
-                ok=not reply.denials,
-                denials=tuple(reply.denials),
-                clock=self.site.clock.counter,
+                snap_id=reply.snap_id, ok=not reply.denied, clock=self.site.clock.counter
             ),
         )
 

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.transaction import TxnState
 from repro.explore.trial import KIND_WRITES, TRIAL_OBJECTS, VIEW_OBJECTS, TrialResult, TxnInfo
-from repro.vtime import VirtualTime
+from repro.vtime import VT_TOP, VirtualTime
 
 
 @dataclass
@@ -171,7 +171,7 @@ def check_trial(result: TrialResult) -> List[Violation]:
     for site in live:
         for name, _initial in TRIAL_OBJECTS:
             obj = result.objects[name][site.site_id]
-            actual = obj.value_at(VirtualTime(2**62, 2**30), committed_only=True)
+            actual = obj.value_at(VT_TOP, committed_only=True)
             if actual != finals[name]:
                 violations.append(
                     Violation(

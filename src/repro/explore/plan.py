@@ -19,13 +19,13 @@ so a violation on the healthy protocol is always a real bug:
   assumption of paper section 3.4.
 * **partition + crash + heal** — disconnection presented as fail-stop: the
   victim is cut off (no *new* messages cross, in-flight ones still
-  arrive), then crashes before the cut heals.  The cut is total, so
-  per-pair FIFO is preserved.
+  arrive: the only partition :class:`~repro.sim.network.Network` has),
+  then crashes before the cut heals.  The cut is total, so per-pair FIFO
+  is preserved.
 
-Raw message **drop** events exist in the schema for adversarial tests that
-document the reliable-channel assumption, but are never sampled: a
-selective drop without a subsequent crash breaks an assumption the
-protocol is explicitly built on, so violations under it are expected.
+These are the only fault kinds.  The channel never drops a message between
+live, connected sites, so no plan can express a fault outside the paper's
+model.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 TXN_KINDS = ("rmw", "blind", "xfer")
 ARRIVAL_KINDS = ("uniform", "poisson")
-FAULT_KINDS = ("jitter", "crash", "partition", "heal", "drop")
+FAULT_KINDS = ("jitter", "crash", "partition", "heal")
 
 
 @dataclass

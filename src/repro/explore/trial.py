@@ -155,10 +155,6 @@ def _apply_fault(network: Network, event: FaultEvent) -> None:
         network.partition([int(s) for s in args["group_a"]], [int(s) for s in args["group_b"]])
     elif kind == "heal":
         network.heal_partition()
-    elif kind == "drop":
-        network.inject_drop(
-            int(args["dst"]), count=int(args.get("count", 1)), src=args.get("src")
-        )
     else:
         raise ReproError(f"unknown fault kind {kind!r}")
 
@@ -193,12 +189,8 @@ def run_trial(
         scheduler,
         latency=build_latency(config.latency),
         seed=config.net_seed,
-        fifo=True,
         flush_inflight_on_fail=True,
     )
-    # Partitions model "no new communication" fail-stop disconnection;
-    # messages already in the infrastructure still arrive (see plan.py).
-    network.partition_cuts_inflight = False
     session = Session(transport=network, max_retries=config.max_retries)
     if observe:
         session.observe()

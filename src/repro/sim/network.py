@@ -1,23 +1,31 @@
-"""A simulated point-to-point network with latency, partitions, and failures.
+"""A simulated point-to-point network: the paper's reliable channel.
 
 :class:`Network` is the simulated :class:`~repro.transport.base.Transport`:
 sites register a delivery handler; a send samples a one-way latency from
 the configured :class:`LatencyModel` and schedules delivery on the shared
-:class:`~repro.sim.scheduler.Scheduler`.  Channels are FIFO per ordered
-site pair by default (like TCP); messages between *different* pairs may
-interleave arbitrarily, which is exactly the reordering ("stragglers") the
-paper's algorithms must tolerate.
+:class:`~repro.sim.scheduler.Scheduler`.  The channel is the one the
+paper's algorithms assume, and nothing else:
+
+* **FIFO per ordered site pair** (like TCP): a delivery never overtakes an
+  earlier send on the same pair.  Messages between *different* pairs may
+  interleave arbitrarily, which is exactly the reordering ("stragglers")
+  the paper's algorithms must tolerate.
+* **Reliable**: nothing drops a message between two live, connected sites.
+* **Fail-stop**, after the paper's section 3.4: "the underlying
+  communication infrastructure provides notification of such failures and
+  ... presents them to the application as fail-stop failures — further
+  communication with failed or disconnected clients is prevented by the
+  communication layer."  Nothing reaches a failed site, and a failed site
+  sends nothing new.
+* **A partition stops new sends only**: a send across the cut is dropped,
+  while a message already in flight when the cut is made still arrives.
+  A partition is sound only as the prelude of a crash, which is how the
+  conformance explorer uses it (:mod:`repro.explore.plan`).
 
 Replicas are addressed as ``(tenant, site)`` like on every fabric; the
-*links* — latency models, partitions, drop rules, FIFO floors and the
-schedule-choice channels — model the wire between two hosts and stay keyed
-by site index, shared by every tenant whose sites sit at those indices.
-
-Fail-stop failures follow the paper's section 3.4 assumption: "the
-underlying communication infrastructure provides notification of such
-failures and ... presents them to the application as fail-stop failures —
-further communication with failed or disconnected clients is prevented by
-the communication layer."
+*links* — latency models, partitions, FIFO floors and the schedule-choice
+channels — model the wire between two hosts and stay keyed by site index,
+shared by every tenant whose sites sit at those indices.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import Envelope
-from repro.errors import SimulationError, TransportError
+from repro.errors import TransportError
 from repro.obs.events import EventBus
 from repro.sim.scheduler import Scheduler
 from repro.transport.base import Transport
@@ -98,9 +106,10 @@ class NetworkStats:
         messages_sent == messages_delivered + messages_dropped + messages_in_flight
 
     A message is *in flight* from the moment its delivery is scheduled until
-    ``deliver`` runs; drops at send time (dead/partitioned destination, armed
-    drop rule) never enter the in-flight count, drops at delivery time leave
-    it first.  ``reconcile()`` asserts the invariant for tests.
+    ``deliver`` runs; drops at send time (a failed endpoint or a partition)
+    never enter the in-flight count, drops at delivery time (a site failed
+    or evicted since the send) leave it first.  ``reconcile()`` asserts the
+    invariant for tests.
 
     All lifecycle counters are in units of *protocol messages*: an
     :class:`~repro.core.messages.Envelope` frame carrying K messages counts
@@ -112,7 +121,6 @@ class NetworkStats:
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_dropped: int = 0
-    messages_dropped_injected: int = 0
     messages_in_flight: int = 0
     envelopes_sent: int = 0
     per_type_sent: Dict[str, int] = field(default_factory=dict)
@@ -140,29 +148,11 @@ class NetworkStats:
             messages_sent=self.messages_sent,
             messages_delivered=self.messages_delivered,
             messages_dropped=self.messages_dropped,
-            messages_dropped_injected=self.messages_dropped_injected,
             messages_in_flight=self.messages_in_flight,
             envelopes_sent=self.envelopes_sent,
         )
         copy.per_type_sent = dict(self.per_type_sent)
         return copy
-
-
-@dataclass
-class DropRule:
-    """A fault-injection rule: silently drop up to ``remaining`` messages
-    addressed to ``dst`` (optionally only those from ``src``)."""
-
-    dst: int
-    remaining: int
-    src: Optional[int] = None
-
-    def matches(self, src: int, dst: int) -> bool:
-        return (
-            self.remaining > 0
-            and dst == self.dst
-            and (self.src is None or src == self.src)
-        )
 
 
 class Network(Transport):
@@ -177,17 +167,10 @@ class Network(Transport):
         overridden per pair with :meth:`set_link_latency`.
     seed:
         Seed for the network's private RNG (latency sampling).
-    fifo:
-        When True (default), deliveries on each ordered ``(src, dst)`` pair
-        never overtake earlier sends on the same pair.
     flush_inflight_on_fail:
-        When True, messages already in flight *from* a site at the moment it
-        crashes are still delivered (only messages *to* a failed site are
-        dropped).  This models the paper's ISIS-style infrastructure
-        guarantee — if any survivor received a transaction's COMMIT, every
-        replica received its WRITEs — which the conformance explorer relies
-        on.  The default (False) keeps the stricter drop-everything
-        semantics that the existing failure tests exercise.
+        What a crash does to the messages already in flight *from* the
+        failed site (see :meth:`fail_site_scoped`).  True delivers them and
+        orders the failure notice after the last of them; False drops them.
     """
 
     def __init__(
@@ -195,13 +178,11 @@ class Network(Transport):
         scheduler: Scheduler,
         latency: Optional[LatencyModel] = None,
         seed: int = 0,
-        fifo: bool = True,
         flush_inflight_on_fail: bool = False,
     ) -> None:
         super().__init__()
         self._scheduler = scheduler
         self.default_latency = latency if latency is not None else FixedLatency(50.0)
-        self.fifo = fifo
         self.flush_inflight_on_fail = flush_inflight_on_fail
         self.stats = NetworkStats()
         #: Protocol event bus shared with the session and every site built
@@ -211,23 +192,11 @@ class Network(Transport):
         self._link_latency: Dict[Tuple[int, int], LatencyModel] = {}
         self._last_delivery: Dict[Tuple[int, int], float] = {}
         self._partitioned: Set[Tuple[int, int]] = set()
-        self._drop_rules: List[DropRule] = []
         #: Network-wide message sequence.  Assigned on every send (observed
         #: or not) so a message's id is identical whether or not the bus is
         #: recording; ``message_sent``/``message_delivered`` events carry it,
         #: giving the causal analyzer exact send→deliver edges.
         self._msg_seq = 0
-        #: Optional hook adding deterministic extra delay per message:
-        #: ``fn(src, dst, payload) -> extra_ms``.  With ``fifo=False`` this
-        #: reorders messages within a pair; with FIFO it stretches queues.
-        self.delay_hook: Optional[Callable[[int, int, Any], float]] = None
-        #: When True (default), a partition also destroys messages already
-        #: in flight across the cut.  The conformance explorer sets this to
-        #: False so a partition models "no *new* communication" while
-        #: messages already handed to the infrastructure still arrive —
-        #: the view of disconnection the paper's fail-stop presentation
-        #: implies.
-        self.partition_cuts_inflight: bool = True
         #: Choice-point hook (see :mod:`repro.sim.choice`).  When set to a
         #: :class:`~repro.sim.choice.ScheduleController`, cross-site
         #: deliveries bypass latency sampling and park in per-channel FIFO
@@ -289,9 +258,8 @@ class Network(Transport):
     def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
         """Queue ``payload`` from ``src`` to ``dst`` after a sampled latency.
 
-        Messages to or from failed sites, and messages across a partition,
-        are silently dropped (fail-stop / partition semantics); the drop is
-        counted in :attr:`stats`.
+        Messages to or from failed sites, and across a partition, are
+        dropped here and counted in :attr:`stats` (fail-stop semantics).
         """
         dst_key = (tenant, dst)
         if dst_key not in self._handlers:
@@ -319,18 +287,14 @@ class Network(Transport):
                 msg_id=msg_id,
                 payload=payload,
             )
-        # Faults are armed at any time, so each send reads the tables anew;
-        # testing them for emptiness first keeps the fault-free send cheap.
+        # Faults are armed at any time, so each send reads the tables anew
+        # (the partition set tested for emptiness first: the common case).
         if (
             (tenant, src) in self._failed
             or dst_key in self._failed
-            or (self._partitioned and self._is_partitioned(src, dst))
+            or (self._partitioned and (src, dst) in self._partitioned)
         ):
             self.stats.messages_dropped += units
-            return
-        if self._drop_rules and self._consume_drop_rule(src, dst):
-            self.stats.messages_dropped += units
-            self.stats.messages_dropped_injected += units
             return
         # A message in flight is one partial over the send's own arguments,
         # not a closure with a cell per captured name.
@@ -349,13 +313,10 @@ class Network(Transport):
         else:
             model = self._link_latency.get((src, dst), self.default_latency)
             delivery_time = scheduler._now + model.sample(self._rng, src, dst)
-        if self.delay_hook is not None and src != dst:
-            delivery_time += max(0.0, self.delay_hook(src, dst, payload))
-        if self.fifo:
-            key = (src, dst)
-            floor = self._last_delivery.get(key, 0.0)
-            delivery_time = max(delivery_time, floor)
-            self._last_delivery[key] = delivery_time
+        # The FIFO floor: no delivery overtakes an earlier one on its pair.
+        key = (src, dst)
+        delivery_time = max(delivery_time, self._last_delivery.get(key, 0.0))
+        self._last_delivery[key] = delivery_time
 
         self.stats.messages_in_flight += units
         scheduler.call_at(delivery_time, deliver)
@@ -363,8 +324,9 @@ class Network(Transport):
     def _deliver(
         self, tenant: int, src: int, dst: int, payload: Any, msg_id: int, units: int
     ) -> None:
-        """The end of one send's flight: dropped if a fault armed since
-        cuts it, else handed to the destination's handler."""
+        """The end of one send's flight: dropped if either end failed since
+        (the sender's messages only without the flush), else handed to the
+        destination's handler.  A partition made since does not cut it."""
         self.stats.messages_in_flight -= units
         failed = self._failed
         key = (tenant, dst)
@@ -372,13 +334,6 @@ class Network(Transport):
             self.stats.messages_dropped += units
             return
         if (tenant, src) in failed and not self.flush_inflight_on_fail:
-            self.stats.messages_dropped += units
-            return
-        if (
-            self._partitioned
-            and self.partition_cuts_inflight
-            and self._is_partitioned(src, dst)
-        ):
             self.stats.messages_dropped += units
             return
         handler = self._handlers.get(key)
@@ -405,49 +360,32 @@ class Network(Transport):
         handler(src, payload)
 
     # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-
-    def inject_drop(self, dst: int, count: int = 1, src: Optional[int] = None) -> DropRule:
-        """Arm a rule dropping the next ``count`` messages addressed to ``dst``.
-
-        With ``src`` given, only messages from that site match.  Drops are
-        counted in ``stats.messages_dropped_injected``.  Note this breaks
-        the reliable-channel assumption the protocol is built on; it exists
-        for adversarial/conformance testing, where a drop is only sound when
-        the receiver (or sender) is about to crash fail-stop anyway.
-        """
-        if count <= 0:
-            raise SimulationError("inject_drop requires a positive count")
-        rule = DropRule(dst=dst, remaining=count, src=src)
-        self._drop_rules.append(rule)
-        return rule
-
-    def _consume_drop_rule(self, src: int, dst: int) -> bool:
-        for rule in self._drop_rules:
-            if rule.matches(src, dst):
-                rule.remaining -= 1
-                if rule.remaining == 0:
-                    self._drop_rules = [r for r in self._drop_rules if r.remaining > 0]
-                return True
-        return False
-
-    # ------------------------------------------------------------------
     # Failures and partitions
     # ------------------------------------------------------------------
 
     def fail_site_scoped(self, tenant: int, site: int, notify_after_ms: float = 0.0) -> None:
         """Crash ``site`` fail-stop; notify survivors after ``notify_after_ms``.
 
-        In-flight messages to/from the failed site are dropped at delivery
-        time; survivors receive a failure notification through the failure
-        listeners (the ISIS-style assumption of paper section 3.4).
+        Survivors receive a failure notification through the failure
+        listeners (the ISIS-style assumption of paper section 3.4), and a
+        message in flight *to* the failed site is dropped at delivery time.
+        A message in flight *from* it depends on ``flush_inflight_on_fail``:
+
+        * True (the conformance explorer's ``run_trial``): it is still
+          delivered, and the notice is ordered after the last of them, like
+          an ISIS view change — if any survivor received a transaction's
+          COMMIT, every replica received its WRITEs.
+        * False (the default; ``Session.simulated`` and the failure tests):
+          it is dropped and the notice is not delayed, so the failure round
+          must resolve and retry work whose messages died with the sender.
+
+        Both are cases the protocol must survive, and each has callers.
         """
         if (tenant, site) in self._failed:
             return
         self._failed.add((tenant, site))
         notify_time = self._scheduler.now + notify_after_ms
-        if self.flush_inflight_on_fail and self.fifo:
+        if self.flush_inflight_on_fail:
             # Virtual synchrony: the failure notification is ordered after
             # every message the dead site already handed to the transport
             # (ISIS view-change semantics).  Without this a survivor could
@@ -461,7 +399,7 @@ class Network(Transport):
         )
 
     def partition(self, group_a: List[int], group_b: List[int]) -> None:
-        """Sever communication between every pair across the two groups."""
+        """Drop every later send across the two groups; what is in flight arrives."""
         for a in group_a:
             for b in group_b:
                 self._partitioned.add((a, b))
@@ -470,9 +408,6 @@ class Network(Transport):
     def heal_partition(self) -> None:
         """Restore full connectivity (failed sites stay failed)."""
         self._partitioned.clear()
-
-    def _is_partitioned(self, src: int, dst: int) -> bool:
-        return (src, dst) in self._partitioned
 
     def __repr__(self) -> str:
         return (

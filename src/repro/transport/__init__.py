@@ -8,9 +8,9 @@ three fabrics that differ only in where the bytes go:
   queue with zero latency; used by unit tests that exercise protocol logic
   without timing.
 * :class:`~repro.sim.network.Network` — the discrete-event simulated
-  network (latency models, partitions, drop rules, schedule choice
-  points); used by integration tests, the model checker and every
-  experiment.
+  network (latency models, FIFO reliable channels, fail-stop crashes,
+  partitions, schedule choice points); used by integration tests, the
+  model checker and every experiment.
 * :class:`~repro.transport.tcp.TcpTransport` — length-prefixed wire-codec
   frames over real asyncio TCP streams, with reconnect/backoff and
   fail-stop detection; lets sites in separate OS processes collaborate,

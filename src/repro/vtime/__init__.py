@@ -12,12 +12,13 @@ a Lamport time including a site identifier to guarantee uniqueness
   structure kept at primary copies.
 """
 
-from repro.vtime.lamport import VirtualTime, LamportClock, VT_ZERO
+from repro.vtime.lamport import VirtualTime, LamportClock, VT_TOP, VT_ZERO
 from repro.vtime.intervals import Interval, IntervalSet
 
 __all__ = [
     "VirtualTime",
     "LamportClock",
+    "VT_TOP",
     "VT_ZERO",
     "Interval",
     "IntervalSet",

@@ -9,6 +9,7 @@ ordered.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Optional
 
@@ -68,6 +69,12 @@ class VirtualTime(tuple):
 #: initial replication graphs are recorded at VT_ZERO, which precedes every
 #: transaction-assigned VT (real sites use positive identifiers).
 VT_ZERO = VirtualTime(0, -1)
+
+#: The end of virtual time: it sorts above every VT a clock can issue or a
+#: peer can send, however far a counter has been pushed, because a tuple
+#: compares ``math.inf`` above any int.  A search bound "after everything",
+#: never stamped on an entry and never encoded.
+VT_TOP = VirtualTime(math.inf, 0)
 
 
 class LamportClock:

@@ -75,7 +75,7 @@ class TestLateMessages:
     def test_unknown_confirm_is_ignored(self):
         session, alice, bob, objs = pair()
         ghost = VirtualTime(999, 1)
-        alice.dispatch(1, ConfirmMsg(txn_vt=ghost, site=1, ok=True, clock=1000))
+        alice.dispatch(1, ConfirmMsg(txn_vt=ghost, ok=True, clock=1000))
         session.settle()  # no crash, no effect
         assert alice.engine.status.get(ghost) is None
 

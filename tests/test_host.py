@@ -15,6 +15,7 @@ import weakref
 import pytest
 
 from repro import DInt, Placement, Session, SessionHost, TenantTransport, VirtualTime
+from repro.vtime import VT_TOP
 from repro.core.messages import CommitMsg
 from repro.errors import ReproError, TransportError
 from repro.sim.network import FixedLatency, Network
@@ -333,8 +334,6 @@ class TestPlacement:
 # 0, 1 and 2 all using site ids 0 (host A) and 1 (host B).
 # ---------------------------------------------------------------------------
 
-HORIZON = VirtualTime(2**62, 2**30)
-
 
 async def join_doc(site_a, site_b, label: str):
     """Replicate one DInt across the link through the real association /
@@ -347,7 +346,7 @@ async def join_doc(site_a, site_b, label: str):
     await wait_for(lambda: outcome.committed, what=f"{label} owner join")
     assoc_b = site_b.import_invitation(assoc.make_invitation(), "doc.assoc")
     await wait_for(
-        lambda: "doc.rel" in dict(assoc_b.value_at(HORIZON, committed_only=True)),
+        lambda: "doc.rel" in dict(assoc_b.value_at(VT_TOP, committed_only=True)),
         what=f"{label} association sync",
     )
     obj_b = site_b.create_int("doc", initial=0)

@@ -75,7 +75,7 @@ class TestDefaults:
         assert check.path == ()
 
     def test_confirm_reason_default(self):
-        msg = ConfirmMsg(txn_vt=vt(1), site=0, ok=True, clock=1)
+        msg = ConfirmMsg(txn_vt=vt(1), ok=True, clock=1)
         assert msg.reason == ""
 
     def test_abort_reason_default(self):
@@ -94,9 +94,9 @@ class TestStructure:
 
     def test_snapshot_messages(self):
         req = SnapshotConfirmMsg(snap_id=(1, 7), origin=1, checks=(), clock=9)
-        reply = SnapshotReplyMsg(snap_id=(1, 7), ok=False, denials=("u",), clock=10)
+        reply = SnapshotReplyMsg(snap_id=(1, 7), ok=False, clock=10)
         assert req.snap_id == reply.snap_id
-        assert reply.denials == ("u",)
+        assert not reply.ok
 
     def test_read_check_fields(self):
         check = ReadCheck(object_uid="u", read_vt=vt(1), graph_vt=vt(0))

@@ -14,13 +14,12 @@ from repro.sim import (
 )
 
 
-def make_net(latency=None, fifo=True, seed=0, flush_inflight_on_fail=False):
+def make_net(latency=None, seed=0, flush_inflight_on_fail=False):
     sched = Scheduler()
     net = Network(
         sched,
         latency=latency or FixedLatency(10.0),
         seed=seed,
-        fifo=fifo,
         flush_inflight_on_fail=flush_inflight_on_fail,
     )
     inboxes = {}
@@ -72,20 +71,11 @@ class TestDelivery:
         assert inboxes[0] == [(0, "self", 0.0)]
 
     def test_fifo_per_channel(self):
-        sched, net, inboxes = make_net(UniformLatency(1.0, 100.0), fifo=True, seed=7)
+        sched, net, inboxes = make_net(UniformLatency(1.0, 100.0), seed=7)
         for i in range(20):
             net.send(0, 1, i)
         sched.run_until_quiescent()
         assert [payload for _, payload, _ in inboxes[1]] == list(range(20))
-
-    def test_non_fifo_can_reorder(self):
-        sched, net, inboxes = make_net(UniformLatency(1.0, 100.0), fifo=False, seed=7)
-        for i in range(20):
-            net.send(0, 1, i)
-        sched.run_until_quiescent()
-        order = [payload for _, payload, _ in inboxes[1]]
-        assert sorted(order) == list(range(20))
-        assert order != list(range(20))  # reordering actually happened
 
     def test_cross_channel_interleaving(self):
         # Messages from different senders are independent: a later send on
@@ -211,20 +201,10 @@ class TestPartitions:
         sched.run_until_quiescent()
         assert [p for _, p, _ in inboxes[1]] == ["delivered"]
 
-    def test_inflight_message_dropped_at_partition_time(self):
-        sched, net, inboxes = make_net(FixedLatency(50.0))
-        net.send(0, 1, "inflight")
-        sched.run(until=10)
-        net.partition([0], [1])
-        sched.run_until_quiescent()
-        assert inboxes[1] == []
-
     def test_inflight_preserved_when_cut_policy_disabled(self):
-        # The conformance explorer's disconnection model: a partition stops
-        # *new* communication, but messages already handed to the transport
-        # still arrive.
+        # The only partition there is: it stops *new* communication, but
+        # messages already handed to the transport still arrive.
         sched, net, inboxes = make_net(FixedLatency(50.0))
-        net.partition_cuts_inflight = False
         net.send(0, 1, "inflight")
         sched.run(until=10)
         net.partition([0], [1])
@@ -233,62 +213,13 @@ class TestPartitions:
         assert [p for _, p, _ in inboxes[1]] == ["inflight"]
 
 
-class TestInjectedDrops:
-    def test_drops_next_n_matching_messages(self):
-        sched, net, inboxes = make_net()
-        net.inject_drop(1, count=2)
-        for i in range(4):
-            net.send(0, 1, i)
-        sched.run_until_quiescent()
-        assert [p for _, p, _ in inboxes[1]] == [2, 3]
-        assert net.stats.messages_dropped_injected == 2
-
-    def test_src_filter_only_matches_that_sender(self):
-        sched, net, inboxes = make_net()
-        net.inject_drop(2, count=1, src=0)
-        net.send(1, 2, "other-sender")  # does not match, does not consume
-        net.send(0, 2, "dropped")
-        net.send(0, 2, "kept")
-        sched.run_until_quiescent()
-        assert [p for _, p, _ in inboxes[2]] == ["other-sender", "kept"]
-
-    def test_rejects_non_positive_count(self):
-        from repro.errors import SimulationError
-
-        sched, net, _ = make_net()
-        with pytest.raises(SimulationError):
-            net.inject_drop(1, count=0)
-
-
 class TestFaultsArmedMidRun:
-    """A send skips the partition and drop-rule lookups while both tables
-    are empty; faults armed later must still be read at the next send and
-    the next delivery, and the lifecycle counters must reconcile."""
+    """A send skips the partition lookup while the table is empty; a
+    partition armed later must still be read at the next send, and the
+    lifecycle counters must reconcile."""
 
-    def test_drop_armed_while_traffic_flows_takes_exactly_the_next_n(self):
+    def test_partition_armed_with_messages_in_flight(self):
         sched, net, inboxes = make_net(FixedLatency(50.0))
-        for i in range(3):
-            net.send(0, 1, f"early{i}")
-        sched.run(until=20)
-        assert net.stats.messages_in_flight == 3 and net.stats.reconcile()
-        net.inject_drop(1, count=2)
-        for i in range(4):
-            net.send(0, 1, f"late{i}")
-            assert net.stats.reconcile()
-        net.send(0, 2, "elsewhere")  # another destination never matches
-        sched.run_until_quiescent()
-        assert [p for _, p, _ in inboxes[1]] == ["early0", "early1", "early2", "late2", "late3"]
-        assert [p for _, p, _ in inboxes[2]] == ["elsewhere"]
-        assert net.stats.messages_dropped_injected == net.stats.messages_dropped == 2
-        assert net.stats.reconcile() and net.stats.messages_in_flight == 0
-        net.send(0, 1, "after")  # the rule is spent and gone
-        sched.run_until_quiescent()
-        assert inboxes[1][-1][1] == "after" and net.stats.reconcile()
-
-    @pytest.mark.parametrize("cuts", [True, False])
-    def test_partition_armed_with_messages_in_flight(self, cuts):
-        sched, net, inboxes = make_net(FixedLatency(50.0))
-        net.partition_cuts_inflight = cuts
         net.send(0, 1, "warm-up")
         sched.run_until_quiescent()
         net.send(0, 1, "in-flight")
@@ -296,13 +227,12 @@ class TestFaultsArmedMidRun:
         sched.run(until=10)
         net.partition([0], [1])
         assert net.stats.reconcile()
-        net.send(1, 0, "across")  # dropped at send time either way
+        net.send(1, 0, "across")  # dropped at send time
         assert net.stats.reconcile()
         sched.run_until_quiescent()
-        expected = ["warm-up"] if cuts else ["warm-up", "in-flight"]
-        assert [p for _, p, _ in inboxes[1]] == expected
+        assert [p for _, p, _ in inboxes[1]] == ["warm-up", "in-flight"]
         assert inboxes[0] == [] and [p for _, p, _ in inboxes[3]] == ["unaffected"]
-        assert net.stats.messages_dropped == (2 if cuts else 1)
+        assert net.stats.messages_dropped == 1
         assert net.stats.reconcile() and net.stats.messages_in_flight == 0
         net.heal_partition()
         net.send(0, 1, "healed")
@@ -338,29 +268,6 @@ class TestSchedulingIntoThePast:
         sched.advance_to(20.0)
         with pytest.raises(SimulationError, match="'Network._deliver' at 10.0"):
             sched.call_at(entry[0], entry[2].action)
-
-
-class TestDelayHook:
-    def test_hook_adds_extra_latency(self):
-        sched, net, inboxes = make_net(FixedLatency(10.0))
-        net.delay_hook = lambda src, dst, payload: 25.0
-        net.send(0, 1, "slowed")
-        sched.run_until_quiescent()
-        assert inboxes[1] == [(0, "slowed", 35.0)]
-
-    def test_hook_skipped_for_loopback(self):
-        sched, net, inboxes = make_net()
-        net.delay_hook = lambda src, dst, payload: 1000.0
-        net.send(0, 0, "local")
-        sched.run_until_quiescent()
-        assert inboxes[0] == [(0, "local", 0.0)]
-
-    def test_negative_delay_clamped(self):
-        sched, net, inboxes = make_net(FixedLatency(10.0))
-        net.delay_hook = lambda src, dst, payload: -100.0
-        net.send(0, 1, "on-time")
-        sched.run_until_quiescent()
-        assert inboxes[1] == [(0, "on-time", 10.0)]
 
 
 class TestFlushInflightOnFail:

@@ -17,7 +17,6 @@ from repro.vtime import VirtualTime
 
 VT1 = VirtualTime(10, 0)
 VT2 = VirtualTime(20, 1)
-HORIZON = VirtualTime(2**62, 2**30)
 
 
 class FakeNetwork:

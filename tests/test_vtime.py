@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.vtime import VT_ZERO, Interval, IntervalSet, LamportClock, VirtualTime
+from repro import DInt, Session
+from repro.vtime import VT_TOP, VT_ZERO, Interval, IntervalSet, LamportClock, VirtualTime
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,27 @@ class TestVirtualTime:
 
 
 _PAIRS = st.tuples(st.integers(-(2**40), 2**40), st.integers(-1, 2**20))
+
+
+class TestVirtualTimeTop:
+    @given(st.integers(0, 2**512), st.integers(-1, 2**40))
+    def test_top_sorts_above_every_vt(self, counter, site):
+        assert VirtualTime(counter, site) < VT_TOP
+
+    def test_a_leaped_clock_still_reads_below_the_top(self):
+        # A peer's frame or invitation can push a site's clock arbitrarily
+        # far; a committed write stamped there must still be what a read
+        # "after everything" sees, at both sites.
+        session = Session.simulated(latency_ms=10.0)
+        a, b = session.add_sites(2)
+        x = session.replicate(DInt, "x", [a, b], initial=0)
+        a.transact(lambda: x[0].set(1))
+        session.settle()
+        b.clock.observe_counter(2**62 + 5)
+        b.transact(lambda: x[1].set(2))
+        session.settle()
+        for site in (a, b):
+            assert site.state_digest()["s0:x"] == ((2**62 + 6, 1), "2")
 
 
 class TestVirtualTimeContract:

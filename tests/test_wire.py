@@ -111,7 +111,6 @@ graphs = st.builds(
 snapshot_checks = st.builds(SnapshotCheck, uids, vts, vts, st.booleans(), paths)
 vt_tuples = st.builds(tuple, st.lists(vts, max_size=4))
 int_tuples = st.builds(tuple, st.lists(st.integers(0, 32), max_size=4))
-uid_tuples = st.builds(tuple, st.lists(uids, max_size=4))
 vouches = st.builds(tuple, st.lists(st.tuples(uids, vts), max_size=3))
 
 #: One strategy per wire-registered message type, covering every field.
@@ -126,16 +125,14 @@ MESSAGE_STRATEGIES = {
         st.one_of(st.none(), delegate_grants),
         st.booleans(),
     ),
-    ConfirmMsg: st.builds(
-        ConfirmMsg, vts, st.integers(0, 64), st.booleans(), clocks, texts, vouches
-    ),
+    ConfirmMsg: st.builds(ConfirmMsg, vts, st.booleans(), clocks, texts, vouches),
     CommitMsg: st.builds(CommitMsg, vts, clocks, vouches),
     AbortMsg: st.builds(AbortMsg, vts, clocks, texts),
     SnapshotConfirmMsg: st.builds(
         SnapshotConfirmMsg, ids, st.integers(0, 64),
         st.builds(tuple, st.lists(snapshot_checks, max_size=3)), clocks,
     ),
-    SnapshotReplyMsg: st.builds(SnapshotReplyMsg, ids, st.booleans(), uid_tuples, clocks),
+    SnapshotReplyMsg: st.builds(SnapshotReplyMsg, ids, st.booleans(), clocks),
     JoinRequestMsg: st.builds(
         JoinRequestMsg, ids, st.integers(0, 64), vts, uids, uids, graphs, clocks,
     ),
@@ -229,7 +226,8 @@ def test_bool_is_not_confused_with_int():
 GOLDEN = [
     (VirtualTime(7, 2), "010b0e04"),
     (CommitMsg(VirtualTime(5, 1), 12), "01280b0a0203180700"),
-    (ConfirmMsg(VirtualTime(3, 0), 2, True, 9, ""), "01270b0600030401031205000700"),
+    (ConfirmMsg(VirtualTime(3, 0), True, 9, ""), "01270b060001031205000700"),
+    (SnapshotReplyMsg((2, 7), False, 14), "012c07020304030e02031c"),
     (
         TxnPropagateMsg(
             txn_vt=VirtualTime(9, 1),
@@ -292,7 +290,7 @@ GOLDEN_VT_CARRIERS = [
         "01260b12020302070123050473303a782205037365740701030a0b00010b12020700070124050473313a79"
         "0b08000b0400070003162507020300030401",
     ),
-    (ConfirmMsg(_V(3, 0), 2, False, 9, "RL denied"), "01270b060003040203120509524c2064656e6965640700"),
+    (ConfirmMsg(_V(3, 0), False, 9, "RL denied"), "01270b06000203120509524c2064656e6965640700"),
     (CommitMsg(_V(70000, 129), 12), "01280be0c508820203180700"),
     (AbortMsg(_V(6, 1), 13, "x"), "01290b0c02031a050178"),
     (
@@ -348,8 +346,8 @@ def test_golden_bytes_of_vt_carriers(value, hex_bytes):
 GOLDEN_VOUCHES = [
     (CommitMsg(_V(9, 2), 12, (("s0:x", _V(7, 1)),)), "01280b1204031807010702050473303a780b0e02"),
     (
-        ConfirmMsg(_V(9, 2), 0, True, 9, "", (("s0:x", _V(7, 1)), ("s0:y", _V(300, 1)))),
-        "01270b12040300010312050007020702050473303a780b0e020702050473303a790bd80402",
+        ConfirmMsg(_V(9, 2), True, 9, "", (("s0:x", _V(7, 1)), ("s0:y", _V(300, 1)))),
+        "01270b1204010312050007020702050473303a780b0e020702050473303a790bd80402",
     ),
 ]
 
